@@ -17,11 +17,11 @@ from .seqcore import (BoundedSeq, ClusterEstimate, cluster_estimates, combine,
                       zero_seq)
 from .spaces import (ContinuousPL, CustomNet, FiniteDimLp, PLFunction, SeqLp,
                      SeparableSpace, parse_space, pl_function)
-from .embed import (DefectRecord, Embedding, OscillationWitness, embed_t1,
-                    isometry_defect, oscillation_witness, reverify_witness)
-from .extend import (ExtensionResult, IndexScheme, LimitEstimate, SubspaceD,
-                     build_extension, bw_extract, diagonal_extract,
-                     identity_scheme, independence_defect, limit_along,
-                     scheme_embed, separation_witness)
+from .embed import (DefectRecord, IndexScheme, OscillationWitness, embed_t1,
+                    identity_scheme, isometry_defect, oscillation_witness,
+                    reverify_witness, scheme_embed)
+from .extend import (LimitEstimate, SubspaceD, bw_extract, diagonal_extract,
+                     extract_scheme, independence_defect, limit_along,
+                     separation_witness)
 from .verify import (InC, NotInC, Unknown, brute_force_sup, check_isometry,
                      check_separation, classify_c)

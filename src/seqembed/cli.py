@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SeqEmbedError
-from .extend import (SubspaceD, bw_extract, diagonal_extract,
-                     identity_scheme)
+from .extend import SubspaceD, extract_scheme
 from .seqcore import BoundedSeq, combine, eventually_constant, \
     explicit_limit, periodic, zero_seq
 from .embed import embed_t1, oscillation_witness
@@ -144,10 +143,7 @@ def build_run(cfg: dict):
     if not samples:
         raise ConfigError("config needs at least one sample element")
 
-    d_samples = cfg["d_samples"]
-    if d_samples is None:
-        d_samples = [[0.0] * D.size]
-    d_samples = [[float(c) for c in row] for row in d_samples]
+    d_samples = [[float(c) for c in row] for row in cfg["d_samples"] or []]
     for row in d_samples:
         if len(row) != D.size:
             raise ConfigError(
@@ -162,15 +158,8 @@ def build_run(cfg: dict):
 
 
 def make_scheme(cfg: dict, D: SubspaceD):
-    if cfg["d_mode"] == "finite":
-        if D.size == 0:
-            return identity_scheme()
-        return bw_extract(D, cfg["depth"], cfg["scan_budget"])
-    m = cfg["m"] if cfg["m"] is not None else D.size
-    schedule = cfg["tol_schedule"]
-    if schedule is None:
-        schedule = [0.5 / 2.0 ** i for i in range(m)]
-    return diagonal_extract(D, int(m), schedule, cfg["scan_budget"])
+    return extract_scheme(D, cfg["depth"], cfg["scan_budget"], cfg["m"],
+                          cfg["tol_schedule"])
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +185,24 @@ def _base_report(cfg: dict, command: str) -> dict:
     }
 
 
+def _add_verdict(report: dict, seq_id: str, verdict) -> str:
+    detail = verdict_to_json(verdict)
+    report["verdicts"].append(
+        {"seq_id": seq_id, "kind": detail["kind"], "detail": detail})
+    return detail["kind"]
+
+
 def _classify_embedded(space, samples, cfg, report):
     for sid, x in enumerate(samples):
         nx = space.norm(x)
         gap_floor = cfg["gap_floor"] if cfg["gap_floor"] else max(nx, 1e-6)
-        verdict = classify_c(embed_t1(space, x), cfg["classify_budget"],
-                             gap_floor)
-        entry = {"seq_id": f"T(x{sid})", "detail": verdict_to_json(verdict)}
-        entry["kind"] = entry["detail"]["kind"]
-        report["verdicts"].append(entry)
-        if nx > 0 and entry["kind"] != "NotInC":
+        seq_id = f"T(x{sid})"
+        kind = _add_verdict(report, seq_id, classify_c(
+            embed_t1(space, x), cfg["classify_budget"], gap_floor))
+        if nx > 0 and kind != "NotInC":
             report["errors"].append({
-                "seq_id": entry["seq_id"],
-                "error": f"embedded image classified {entry['kind']}, expected NotInC"})
+                "seq_id": seq_id,
+                "error": f"embedded image classified {kind}, expected NotInC"})
 
 
 def run_embed(cfg: dict, report: dict):
@@ -234,6 +228,8 @@ def run_embed(cfg: dict, report: dict):
 
 
 def run_extend(cfg: dict, report: dict):
+    """Extraction, defects and separation witnesses; returns the space
+    and samples it built so a suite run can reuse them."""
     space, D, samples, d_samples = build_run(cfg)
     try:
         scheme = make_scheme(cfg, D)
@@ -241,7 +237,7 @@ def run_extend(cfg: dict, report: dict):
         report["budget_exhausted"].append({"stage": "extraction",
                                            "detail": str(exc)})
         report["scheme"] = exc.partial.to_json() if exc.partial else None
-        return
+        return space, samples
     report["scheme"] = scheme.to_json()
     k_cap = scheme.max_k()
     K_eff = cfg["K"] if k_cap is None else min(cfg["K"], k_cap)
@@ -255,6 +251,7 @@ def run_extend(cfg: dict, report: dict):
     report["witnesses"] = sep["witnesses"]
     report["errors"].extend(sep["errors"])
     report["budget_exhausted"].extend(sep["budget_exhausted"])
+    return space, samples
 
 
 def run_classify(cfg: dict, report: dict, specs):
@@ -262,17 +259,13 @@ def run_classify(cfg: dict, report: dict, specs):
     if not specs:
         raise ConfigError("classify needs --spec arguments or config 'sequences'")
     gap_floor = cfg["gap_floor"] if cfg["gap_floor"] else 1.0
-    for sid, spec in enumerate(specs):
-        seq = parse_seq_spec(spec)
-        verdict = classify_c(seq, cfg["classify_budget"], gap_floor)
-        entry = {"seq_id": spec, "detail": verdict_to_json(verdict)}
-        entry["kind"] = entry["detail"]["kind"]
-        report["verdicts"].append(entry)
+    for spec in specs:
+        _add_verdict(report, spec, classify_c(
+            parse_seq_spec(spec), cfg["classify_budget"], gap_floor))
 
 
 def run_suite(cfg: dict, report: dict):
-    run_extend(cfg, report)
-    space, _, samples, _ = build_run(cfg)
+    space, samples = run_extend(cfg, report)
     _classify_embedded(space, samples, cfg, report)
     if cfg["sequences"]:
         run_classify(cfg, report, cfg["sequences"])

@@ -36,8 +36,8 @@ class EmptyBasis(SeqEmbedError):
 class SchemeExhausted(SeqEmbedError):
     """A coordinate beyond the materialized index scheme was requested.
 
-    The truncation is explicit: extend the scheme (larger scan budget)
-    to classify indices past its coverage.
+    The truncation is explicit: re-extract the scheme with a larger
+    scan budget to classify indices past its coverage.
     """
 
     def __init__(self, index, coverage=None):

@@ -3,24 +3,25 @@
 Given a subspace D spanned (or densely generated) by known bounded
 sequences, a common subsequence of indices is extracted along which
 every generator stabilizes: cell refinement in the finite-basis case,
-staged diagonal refinement for countable families. The extracted index
-set is split into alternating halves I+/I-, norming functionals are
-placed on them, and the resulting embedding separates its image from
-D + (convergent sequences), certified by witnesses.
+staged diagonal refinement for countable families; `extract_scheme`
+picks the extraction for D. The extracted index set is split into
+alternating halves I+/I-, norming functionals are placed on them
+(`scheme_embed`; `IndexScheme` and the placement live in `embed` and
+are re-exported here), and the resulting embedding separates its image
+from D + (convergent sequences), certified by witnesses found by the
+scan loop shared with `embed.oscillation_witness`.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .embed import OscillationWitness, embed_t1, isometry_defect
-from .errors import (BudgetExhausted, EmptyBasis, SchemeExhausted,
-                     ZeroElement)
-from .seqcore import (BoundedSeq, FunctionalImage, combine, coordinate,
-                      zero_seq)
+from .embed import (IndexScheme, OscillationWitness, _scan_witness,
+                    _witness_input, identity_scheme, scheme_embed)
+from .errors import BudgetExhausted, EmptyBasis, SchemeExhausted
+from .seqcore import BoundedSeq, combine, coordinate, zero_seq
 from .spaces import SeparableSpace
 
 
@@ -79,102 +80,6 @@ def independence_defect(D: SubspaceD, window: int = 64) -> int:
 
 
 # ---------------------------------------------------------------------------
-# index schemes
-
-@dataclass(frozen=True)
-class IndexScheme:
-    """Materialized prefix of an extracted subsequence (n_j).
-
-    The split is positional: I- holds the odd-position entries
-    n_1, n_3, ..., I+ the even-position ones, and the bijections are
-    the order-preserving enumerations of each half. `coverage` is the
-    scan range within which membership is fully decided; classifying
-    past it raises SchemeExhausted. mode "identity" is the degenerate
-    D = {0} scheme over all indices (evens = I+, odds = I-).
-    """
-    mode: str
-    prefix: tuple
-    alpha: tuple
-    tol_schedule: tuple
-    coverage: Optional[int]
-    recipe: Optional[Callable[[int], "IndexScheme"]] = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        pos = {n: j + 1 for j, n in enumerate(self.prefix)}
-        object.__setattr__(self, "_pos", pos)
-
-    # -- geometry ------------------------------------------------------------
-    @property
-    def length(self) -> Optional[int]:
-        return None if self.mode == "identity" else len(self.prefix)
-
-    def index_at(self, j: int) -> int:
-        """n_j (1-based)."""
-        if self.mode == "identity":
-            return j
-        if j > len(self.prefix):
-            raise SchemeExhausted(j, len(self.prefix))
-        return self.prefix[j - 1]
-
-    def max_k(self) -> Optional[int]:
-        """Largest k for which both eta+(k) and eta-(k) are materialized."""
-        return None if self.mode == "identity" else len(self.prefix) // 2
-
-    def plus_index(self, k: int) -> int:
-        """eta+(k): the k-th element of I+."""
-        return self.index_at(2 * k)
-
-    def minus_index(self, k: int) -> int:
-        """eta-(k): the k-th element of I-."""
-        return self.index_at(2 * k - 1)
-
-    def classify(self, n: int):
-        """(sign, k): +1 if n = eta+(k), -1 if n = eta-(k), 0 if n off I."""
-        if self.mode == "identity":
-            return (1.0, n // 2) if n % 2 == 0 else (-1.0, (n + 1) // 2)
-        j = self._pos.get(n)
-        if j is not None:
-            return (1.0, j // 2) if j % 2 == 0 else (-1.0, (j + 1) // 2)
-        if self.coverage is not None and n <= self.coverage:
-            return (0.0, 0)
-        raise SchemeExhausted(n, self.coverage)
-
-    def extended(self, scan_budget: int) -> "IndexScheme":
-        """Successor scheme rescanned under a larger budget."""
-        if self.mode == "identity":
-            return self
-        if self.coverage is not None and scan_budget <= self.coverage:
-            return self
-        if self.recipe is None:
-            raise SchemeExhausted(scan_budget, self.coverage)
-        return self.recipe(scan_budget)
-
-    # -- serialization ---------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "prefix": list(self.prefix),
-            "alpha": list(self.alpha),
-            "tol_schedule": list(self.tol_schedule),
-            "scan_budget_used": self.coverage,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "IndexScheme":
-        return cls(mode=obj["mode"],
-                   prefix=tuple(int(n) for n in obj["prefix"]),
-                   alpha=tuple(float(a) for a in obj["alpha"]),
-                   tol_schedule=tuple(float(t) for t in obj["tol_schedule"]),
-                   coverage=obj["scan_budget_used"])
-
-
-def identity_scheme() -> IndexScheme:
-    """The D = {0} degeneracy: I = all indices, evens/odds split."""
-    return IndexScheme("identity", (), (), (), None)
-
-
-# ---------------------------------------------------------------------------
 # extraction
 
 def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
@@ -228,9 +133,7 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
     alpha = tuple(float(-bounds[i] + (winner[i] + 0.5) * sides[i])
                   if bounds[i] != 0.0 else 0.0 for i in range(r))
     prefix = tuple(int(n) + 1 for n in survivors)
-    scheme = IndexScheme(
-        "finite", prefix, alpha, tuple(deltas), scan_budget,
-        recipe=lambda budget: bw_extract(D, depth, budget))
+    scheme = IndexScheme("finite", prefix, alpha, tuple(deltas), scan_budget)
     if len(prefix) < 2 * depth:
         raise BudgetExhausted(
             f"surviving prefix has {len(prefix)} indices < 2*depth = {2 * depth}",
@@ -293,46 +196,26 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
 
     tail = [int(n) for n in S if n > diagonal[-1]]
     prefix = tuple(diagonal + tail)
-    return IndexScheme(
-        "diagonal", prefix, tuple(betas), tuple(schedule[:m]), scan_budget,
-        recipe=lambda budget: diagonal_extract(D, m, tol_schedule, budget))
+    return IndexScheme("diagonal", prefix, tuple(betas), tuple(schedule[:m]),
+                       scan_budget)
 
 
-# ---------------------------------------------------------------------------
-# scheme-placed embedding
-
-def scheme_embed(space: SeparableSpace, scheme: IndexScheme, x) -> BoundedSeq:
-    """T(x) with +phi_k at eta+(k), -phi_k at eta-(k), 0 off I."""
-    x = space.canonical(x)
-    bound = space.norm(x)
-
-    def oracle(n: int) -> float:
-        sign, k = scheme.classify(n)
-        if sign == 0.0:
-            return 0.0
-        val = space.apply_functional(space.norming_functional(k), x)
-        return val if sign > 0 else -val
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        if scheme.mode == "identity":
-            k_hi = (hi + 1) // 2
-            vals = space.functional_values(x, k_hi)
-            out = np.empty(2 * k_hi)
-            out[0::2] = -vals
-            out[1::2] = vals
-            return out[lo - 1:hi]
-        if scheme.coverage is not None and hi > scheme.coverage:
-            raise SchemeExhausted(hi, scheme.coverage)
-        out = np.zeros(hi - lo + 1)
-        k_max = (len(scheme.prefix) + 1) // 2
-        vals = space.functional_values(x, k_max) if k_max else np.zeros(0)
-        for j, n in enumerate(scheme.prefix, start=1):
-            if lo <= n <= hi:
-                k = j // 2 if j % 2 == 0 else (j + 1) // 2
-                out[n - lo] = vals[k - 1] if j % 2 == 0 else -vals[k - 1]
-        return out
-
-    return BoundedSeq(oracle, bound, FunctionalImage(space, x, scheme), block)
+def extract_scheme(D: SubspaceD, depth: int, scan_budget: int,
+                   m: Optional[int] = None,
+                   tol_schedule: Optional[Sequence[float]] = None) -> IndexScheme:
+    """The index scheme for D: the identity scheme for D = {0},
+    `bw_extract` for a finite basis, and otherwise `diagonal_extract`
+    over the first m members (default all of them) with tolerance
+    schedule 0.5 * 2^-i (i = 0..m-1) unless one is given."""
+    if D.mode == "finite":
+        if D.size == 0:
+            return identity_scheme()
+        return bw_extract(D, depth, scan_budget)
+    if m is None:
+        m = D.size
+    if tol_schedule is None:
+        tol_schedule = [0.5 / 2.0 ** i for i in range(m)]
+    return diagonal_extract(D, int(m), tol_schedule, scan_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +247,6 @@ def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstim
 # ---------------------------------------------------------------------------
 # separation witnesses
 
-_SCAN_BLOCK = 4096
-
-
 def separation_witness(space: SeparableSpace, scheme: IndexScheme, x,
                        d: BoundedSeq, epsilon: float, count: int,
                        scan_budget: int = 100000,
@@ -378,140 +258,26 @@ def separation_witness(space: SeparableSpace, scheme: IndexScheme, x,
     within the certified limit error, so the gap contract
     gap >= 2 ||x|| (1 - epsilon) - 2 err(L) holds by construction.
     """
-    x = space.canonical(x)
-    nx = space.norm(x)
-    if nx == 0.0:
-        raise ZeroElement("separation witness needs a nonzero element")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon = {epsilon} must be in (0, 1)")
+    x, nx = _witness_input(space, x, epsilon, count, "separation")
 
-    if d.bound == 0.0:
-        L, errL = 0.0, 0.0
-    else:
+    L, errL, keep = 0.0, 0.0, None
+    if d.bound != 0.0:
         if j_window is None:
             j_window = scheme.length if scheme.length is not None else 256
         est = limit_along(d, scheme, j_window)
         L, errL = est.L, est.err
 
+        def keep(n_plus: int, n_minus: int) -> bool:
+            return (abs(coordinate(d, n_plus) - L) <= errL
+                    and abs(coordinate(d, n_minus) - L) <= errL)
+
     target_hi = nx * (1.0 - epsilon) - L - errL
     target_lo = -nx * (1.0 - epsilon) - L + errL
 
-    v = space.unit(x)
     diff = combine((1.0, -1.0), (scheme_embed(space, scheme, x), d))
-
     k_cap = scheme.max_k()
     k_limit = scan_budget if k_cap is None else min(scan_budget, k_cap)
-
-    hits = []
-    k = 0
-    while k < k_limit and len(hits) < count:
-        hi = min(k + _SCAN_BLOCK, k_limit)
-        dists = space.distance_profile(v, hi)[k:hi]
-        for off in np.nonzero(dists <= epsilon)[0]:
-            cand = k + int(off) + 1
-            n_plus = scheme.plus_index(cand)
-            n_minus = scheme.minus_index(cand)
-            if d.bound != 0.0:
-                if abs(coordinate(d, n_plus) - L) > errL:
-                    continue
-                if abs(coordinate(d, n_minus) - L) > errL:
-                    continue
-            plus = coordinate(diff, n_plus)
-            minus = coordinate(diff, n_minus)
-            if plus >= target_hi and minus <= target_lo:
-                hits.append((n_plus, n_minus, plus, minus))
-                if len(hits) == count:
-                    break
-        k = hi
-
-    witness = OscillationWitness(
-        plus_indices=tuple(h[0] for h in hits),
-        minus_indices=tuple(h[1] for h in hits),
-        plus_values=tuple(h[2] for h in hits),
-        minus_values=tuple(h[3] for h in hits),
-        gap=(min(h[2] for h in hits) - max(h[3] for h in hits)) if hits else 0.0,
-        epsilon=epsilon,
-        target_hi=target_hi,
-        target_lo=target_lo,
-    )
-    if len(hits) < count:
-        raise BudgetExhausted(
-            f"found {len(hits)} of {count} separation pairs "
-            f"(scanned k <= {k_limit})",
-            partial=witness, found=len(hits))
-    return witness
-
-
-# ---------------------------------------------------------------------------
-# whole-construction driver
-
-@dataclass
-class ExtensionResult:
-    """Generators of D + T(E) with their finite-truncation certificates.
-
-    No closedness claim is made or checked; the subspace is represented
-    by its generators only.
-    """
-    scheme: IndexScheme
-    embeddings: list
-    defects: list          # (sample_id, DefectRecord | error string)
-    witnesses: list        # (sample_id, d_id, OscillationWitness | error string)
-    budget_exhausted: bool
-
-
-def build_extension(space: SeparableSpace, D: SubspaceD, samples,
-                    *, depth: int = 4, scan_budget: int = 4096,
-                    epsilon: float = 0.2, count: int = 5, K: int = 64,
-                    m: Optional[int] = None,
-                    tol_schedule: Optional[Sequence[float]] = None,
-                    d_coeffs: Optional[Sequence[Sequence[float]]] = None,
-                    witness_budget: int = 100000) -> ExtensionResult:
-    """Run the extraction for D, embed each sample through the scheme,
-    and emit defect certificates plus separation witnesses against a
-    sampled set of D-combinations (always including 0)."""
-    exhausted = False
-    if D.mode == "finite":
-        if D.size == 0:
-            scheme = identity_scheme()
-        else:
-            scheme = bw_extract(D, depth, scan_budget)
-    else:
-        if m is None:
-            m = D.size
-        if tol_schedule is None:
-            tol_schedule = [0.5 / 2.0 ** i for i in range(m)]
-        scheme = diagonal_extract(D, m, tol_schedule, scan_budget)
-
-    embeddings = [scheme_embed(space, scheme, x) for x in samples]
-
-    k_cap = scheme.max_k()
-    K_eff = K if k_cap is None else min(K, k_cap)
-    defects = []
-    for sid, x in enumerate(samples):
-        try:
-            defects.append((sid, isometry_defect(space, x, K_eff)))
-        except ZeroElement as exc:
-            defects.append((sid, f"ZeroElement: {exc}"))
-
-    if d_coeffs is None:
-        d_coeffs = [[0.0] * D.size]
-    if not any(all(c == 0.0 for c in coeffs) for coeffs in d_coeffs):
-        d_coeffs = [[0.0] * D.size] + list(d_coeffs)
-
-    witnesses = []
-    for sid, x in enumerate(samples):
-        for did, coeffs in enumerate(d_coeffs):
-            d = D.combination(coeffs)
-            try:
-                w = separation_witness(space, scheme, x, d, epsilon, count,
-                                       scan_budget=witness_budget)
-                witnesses.append((sid, did, w))
-            except BudgetExhausted as exc:
-                exhausted = True
-                witnesses.append((sid, did, f"BudgetExhausted: {exc}"))
-            except ZeroElement as exc:
-                witnesses.append((sid, did, f"ZeroElement: {exc}"))
-
-    return ExtensionResult(scheme=scheme, embeddings=embeddings,
-                           defects=defects, witnesses=witnesses,
-                           budget_exhausted=exhausted)
+    return _scan_witness(space, x, diff, epsilon, count, k_limit,
+                         lambda k: (scheme.plus_index(k), scheme.minus_index(k)),
+                         target_hi, target_lo, keep,
+                         f"separation pairs (scanned k <= {k_limit})")

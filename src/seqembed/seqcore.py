@@ -17,8 +17,6 @@ from .errors import EmptyWindow, IndexZero, LengthMismatch
 
 #: absolute tolerance for equality assertions unless stated otherwise
 DEFAULT_TOL = 1e-9
-#: relative tolerance at which oracle-level linearity is considered exact
-LINEARITY_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,9 +41,6 @@ class DualMap:
     """Finitely supported dual map for sequence spaces."""
     space_kind: str
     entries: tuple  # ((index, value), ...) sorted by index
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
 
 
 @dataclass(frozen=True)

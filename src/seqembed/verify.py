@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import (OscillationWitness, embed_t1, isometry_defect,
-                    oscillation_witness, reverify_witness)
+from .embed import OscillationWitness, isometry_defect, reverify_witness
 from .errors import BudgetExhausted, KindMismatch, ZeroElement
 from .extend import SubspaceD, IndexScheme, separation_witness
 from .seqcore import BoundedSeq, cluster_estimates, structural_limit
@@ -148,7 +147,6 @@ def check_separation(space: SeparableSpace, D: SubspaceD,
     for sid, x in enumerate(samples):
         for did, coeffs in enumerate(d_samples):
             d = D.combination(coeffs)
-            seq = None
             try:
                 w = separation_witness(space, scheme, x, d, epsilon, count,
                                        scan_budget=scan_budget)

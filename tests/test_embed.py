@@ -3,20 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from seqembed import (BudgetExhausted, CustomNet, Embedding, FiniteDimLp,
-                      SeqLp, ZeroElement, coordinate, embed_t1,
-                      isometry_defect, oscillation_witness, prefix_sup,
-                      reverify_witness)
+from seqembed import (BudgetExhausted, CustomNet, FiniteDimLp,
+                      OscillationWitness, SeqLp, ZeroElement, coordinate,
+                      embed_t1, identity_scheme, isometry_defect,
+                      oscillation_witness, prefix_sup, reverify_witness,
+                      separation_witness, zero_seq)
 
 SQ2 = math.sqrt(2.0)
-
-
-def test_functional_index_interleaving():
-    emb = Embedding(FiniteDimLp(2, 2))
-    assert emb.functional_index(1) == (1, 1.0)
-    assert emb.functional_index(2) == (1, -1.0)
-    assert emb.functional_index(7) == (4, 1.0)
-    assert emb.functional_index(8) == (4, -1.0)
 
 
 def test_embed_coordinates_are_signed_pairs():
@@ -115,13 +108,21 @@ def test_oscillation_witness_budget_exhausted_carries_partial():
 
 
 def test_oscillation_witness_validates_args():
+    # oscillation and separation witnesses share one argument check
     sp = FiniteDimLp(2, 2)
+    sch, d = identity_scheme(), zero_seq()
     with pytest.raises(ZeroElement):
         oscillation_witness(sp, np.zeros(2), 0.2, 1)
     with pytest.raises(ValueError):
         oscillation_witness(sp, np.array([1.0, 0.0]), 1.2, 1)
     with pytest.raises(ValueError):
         oscillation_witness(sp, np.array([1.0, 0.0]), 0.2, 0)
+    with pytest.raises(ZeroElement):
+        separation_witness(sp, sch, np.zeros(2), d, 0.2, 1)
+    with pytest.raises(ValueError):
+        separation_witness(sp, sch, np.array([3.0, 4.0]), d, 1.2, 1)
+    with pytest.raises(ValueError):
+        separation_witness(sp, sch, np.array([3.0, 4.0]), d, 0.2, 0)
 
 
 def test_reverify_rejects_tampering():
@@ -142,3 +143,15 @@ def test_reverify_rejects_tampering():
     assert not reverify_witness(s, forged)
     forged = dataclasses.replace(w, minus_indices=w.minus_indices[:-1])
     assert not reverify_witness(s, forged)
+
+
+def test_reverify_rejects_witness_without_pairs():
+    sp = FiniteDimLp(2, 2)
+    x = np.array([3.0, 4.0])
+    s = embed_t1(sp, x)
+    with pytest.raises(BudgetExhausted) as exc:
+        oscillation_witness(sp, x, 0.01, 5, scan_budget=1)
+    assert exc.value.found == 0
+    assert not reverify_witness(s, exc.value.partial)
+    empty = OscillationWitness((), (), (), (), 0.0, 0.2, 4.0, -4.0)
+    assert not reverify_witness(s, empty)

@@ -1,14 +1,14 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqembed import (BudgetExhausted, EmptyBasis, FiniteDimLp, IndexScheme,
-                      SchemeExhausted, SubspaceD, build_extension, bw_extract,
-                      combine, coordinate, diagonal_extract, embed_t1,
-                      eventually_constant, identity_scheme,
-                      independence_defect, limit_along, periodic,
-                      scheme_embed, separation_witness, zero_seq)
+                      SchemeExhausted, SeqLp, SubspaceD, bw_extract, combine,
+                      coordinate, diagonal_extract, embed_t1,
+                      eventually_constant, extract_scheme, identity_scheme,
+                      independence_defect, limit_along, oscillation_witness,
+                      parse_space, periodic, scheme_embed,
+                      separation_witness, zero_seq)
 
 W1 = periodic([-1.0, 1.0])
 W2 = periodic([1.0, -1.0, 0.0])
@@ -117,17 +117,6 @@ def test_bw_extract_respects_budget():
     assert exc.value.partial is not None
 
 
-def test_bw_extract_extended_rescans():
-    # a rescan may settle on a different cell (count ties flip), so only
-    # the structural facts are stable: coverage grows, prefix lengthens
-    sch = bw_extract(finite_d(), depth=4, scan_budget=512)
-    bigger = sch.extended(4096)
-    assert bigger.coverage == 4096
-    assert len(bigger.prefix) > len(sch.prefix)
-    assert bigger == bw_extract(finite_d(), depth=4, scan_budget=4096)
-    assert sch.extended(256) is sch
-
-
 def test_bw_extract_mode_check():
     with pytest.raises(EmptyBasis):
         bw_extract(SubspaceD.countable([W1]), 2, 64)
@@ -211,6 +200,57 @@ def test_scheme_embed_block_matches_oracle():
     assert np.allclose(window, direct, rtol=0, atol=1e-14)
 
 
+_EPS = np.finfo(float).eps
+_BW = bw_extract(finite_d(), depth=4, scan_budget=4096)
+_DIAG = diagonal_extract(scaled_family(), 5, SCHEDULE, 4096)
+_PLACEMENTS = {
+    "embed_t1": embed_t1,
+    "identity": lambda sp, x: scheme_embed(sp, identity_scheme(), x),
+    "bw_extract": lambda sp, x: scheme_embed(sp, _BW, x),
+    "diagonal_extract": lambda sp, x: scheme_embed(sp, _DIAG, x),
+}
+_SPECS = ["fdlp:dim=2,p=2", "fdlp:dim=3,p=1", "fdlp:dim=3,p=1.5",
+          "fdlp:dim=2,p=inf", "seqlp:p=2,support=4", "seqlp:p=1,support=4",
+          "c01"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(_SPECS), mode=st.sampled_from(sorted(_PLACEMENTS)),
+       seed=st.integers(0, 2 ** 32 - 1), lo=st.integers(1, 400),
+       width=st.integers(0, 200))
+def test_block_matches_oracle(spec, mode, seed, lo, width):
+    sp = parse_space(spec)
+    x = sp.lattice_sample(np.random.default_rng(seed))
+    s = _PLACEMENTS[mode](sp, x)
+    hi = lo + width
+    block = s.coordinates(lo, hi)
+    oracle = np.array([coordinate(s, n) for n in range(lo, hi + 1)])
+    scheme = {"bw_extract": _BW, "diagonal_extract": _DIAG}.get(mode)
+    if scheme is not None:
+        # off the scheme both paths give exact zeros
+        off = [scheme.classify(n)[0] == 0.0 for n in range(lo, hi + 1)]
+        assert not block[off].any() and not oracle[off].any()
+    # on it they evaluate phi_k(x) by different arithmetic (one matrix
+    # product against per-functional sums of at most 4 nonzero terms),
+    # each within 4 u ||phi|| ||x|| = 2 eps ||x|| of the exact value
+    assert np.all(np.abs(block - oracle) <= 4 * _EPS * s.bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(_SPECS), seed=st.integers(0, 2 ** 32 - 1),
+       lo=st.integers(1, 400), width=st.integers(0, 200))
+def test_embed_t1_negates_identity_placement(spec, seed, lo, width):
+    sp = parse_space(spec)
+    x = sp.lattice_sample(np.random.default_rng(seed))
+    t1 = embed_t1(sp, x)
+    t2 = scheme_embed(sp, identity_scheme(), x)
+    hi = lo + width
+    assert t1.coordinates(lo, hi).tobytes() == (-t2.coordinates(lo, hi)).tobytes()
+    assert all(np.float64(coordinate(t1, n)).tobytes()
+               == np.float64(-coordinate(t2, n)).tobytes()
+               for n in range(lo, hi + 1))
+
+
 # -- limit functionals -----------------------------------------------------
 
 def test_limit_along_recovers_cluster_value():
@@ -259,10 +299,26 @@ def test_separation_witness_gap_contract():
 
 
 def test_separation_witness_zero_d_matches_oscillation():
-    sp = FiniteDimLp(2, 2)
-    sch = identity_scheme()
-    w = separation_witness(sp, sch, np.array([0.0, 2.0]), zero_seq(), 0.2, 4)
-    assert w.gap >= 2.0 * 2.0 * 0.8 - 1e-9
+    # the D = {0} fold: identity-scheme separation from d = 0 is the
+    # oscillation witness with I+ on the evens instead of the odds
+    cases = [(FiniteDimLp(2, 2), np.array([0.0, 2.0])),
+             (FiniteDimLp(2, 2), np.array([3.0, 4.0])),
+             (FiniteDimLp(3, 1.5), np.array([1.0, -2.0, 0.5])),
+             (FiniteDimLp(2, float("inf")), np.array([-1.0, 0.25])),
+             (SeqLp(2.0), {2: -1.5}),
+             (SeqLp(1.0), {1: 1.0, 3: -0.5})]
+    for space, x in cases:
+        osc = oscillation_witness(space, x, 0.2, 4)
+        sep = separation_witness(space, identity_scheme(), x, zero_seq(),
+                                 0.2, 4)
+        assert osc.plus_indices == sep.minus_indices
+        assert osc.minus_indices == sep.plus_indices
+        assert osc.plus_values == sep.plus_values
+        assert osc.minus_values == sep.minus_values
+        assert osc.gap == sep.gap
+        assert (osc.target_hi, osc.target_lo) == (sep.target_hi,
+                                                  sep.target_lo)
+        assert sep.gap >= 2.0 * space.norm(x) * 0.8 - 1e-9
 
 
 def test_separation_witness_budget():
@@ -274,33 +330,30 @@ def test_separation_witness_budget():
                            0.2, 5, scan_budget=2)
 
 
-# -- driver ------------------------------------------------------------------
+# -- scheme selection ------------------------------------------------------
 
-def test_build_extension_finite():
-    sp = FiniteDimLp(2, 2)
-    res = build_extension(sp, finite_d(),
-                          [np.array([3.0, 4.0]), np.array([1.0, 1.0])],
-                          d_coeffs=[[1.0, 0.0], [0.5, 0.5]])
-    assert not res.budget_exhausted
-    assert len(res.embeddings) == 2
-    assert all(rec.lower - 1e-9 <= rec.achieved <= rec.upper + 1e-9
-               for _, rec in res.defects)
-    # 2 samples x (zero + 2 combinations)
-    assert len(res.witnesses) == 6
-    assert all(not isinstance(w, str) for _, _, w in res.witnesses)
+def test_extract_scheme_identity_for_trivial_d():
+    sch = extract_scheme(SubspaceD.finite([]), depth=4, scan_budget=4096)
+    assert sch == identity_scheme()
 
 
-def test_build_extension_identity_for_trivial_d():
-    sp = FiniteDimLp(2, 2)
-    res = build_extension(sp, SubspaceD.finite([]), [np.array([1.0, 0.0])])
-    assert res.scheme.mode == "identity"
+def test_extract_scheme_finite():
+    sch = extract_scheme(finite_d(), depth=4, scan_budget=4096)
+    assert sch == bw_extract(finite_d(), depth=4, scan_budget=4096)
 
 
-def test_build_extension_dense_family():
-    sp = FiniteDimLp(2, 2)
+def test_extract_scheme_countable_defaults():
+    # m defaults to every member, the schedule to 0.5 * 2^-i
+    D = scaled_family()
+    sch = extract_scheme(D, depth=4, scan_budget=10000)
+    assert sch == diagonal_extract(D, 5, SCHEDULE, 10000)
+    assert sch.tol_schedule == SCHEDULE
+
+
+def test_extract_scheme_dense_family():
     D = SubspaceD.dense([eventually_constant(1.0),
                          eventually_constant(0.5)])
-    res = build_extension(sp, D, [np.array([2.0, -1.0])], m=2,
-                          tol_schedule=(0.5, 0.25), scan_budget=4096)
-    assert res.scheme.mode == "diagonal"
-    assert not res.budget_exhausted
+    sch = extract_scheme(D, depth=4, scan_budget=4096, m=2,
+                         tol_schedule=(0.5, 0.25))
+    assert sch.mode == "diagonal"
+    assert sch == diagonal_extract(D, 2, (0.5, 0.25), 4096)
