@@ -13,6 +13,7 @@ import argparse
 import datetime
 import importlib.resources
 import json
+import math
 import platform
 import sys
 
@@ -108,6 +109,11 @@ def load_config(ref: str) -> dict:
         raise ConfigError(f"config {ref!r} is not valid JSON: {exc}") from None
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; JSON input can carry NaN and Infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def validate_config(raw: dict) -> dict:
     cfg = dict(_DEFAULTS)
     cfg["name"] = raw.get("name", "run")
@@ -123,8 +129,14 @@ def validate_config(raw: dict) -> dict:
 
     if cfg["d_mode"] not in ("finite", "countable", "dense"):
         raise ConfigError(f"d_mode must be finite|countable|dense, got {cfg['d_mode']!r}")
-    if not (0.0 < cfg["epsilon"] < 1.0):
-        raise ConfigError(f"epsilon = {cfg['epsilon']} must be in (0, 1)")
+    if not (_is_number(cfg["epsilon"]) and 0.0 < cfg["epsilon"] < 1.0):
+        raise ConfigError(f"epsilon = {cfg['epsilon']!r} must be a number in (0, 1)")
+    m, schedule = cfg["m"], cfg["tol_schedule"]
+    if m is not None and not (isinstance(m, int) and not isinstance(m, bool) and m >= 1):
+        raise ConfigError(f"m = {m!r} must be an integer >= 1")
+    if schedule is not None and not (isinstance(schedule, list)
+                                     and all(map(_is_number, schedule))):
+        raise ConfigError(f"tol_schedule = {schedule!r} must be a list of finite numbers")
     for key in ("count", "K", "depth", "scan_budget", "witness_budget",
                 "classify_budget"):
         if int(cfg[key]) < 1:

@@ -2,15 +2,16 @@
 
 Each space kind supplies a norm oracle, a deterministic enumeration of
 unit vectors dense in the unit sphere, and an explicit duality map
-producing a norming functional for every enumerated point. The net
-enumeration walks levels t = 1, 2, ...: at level t all integer-valued
-candidates within range t are listed lexicographically, the zero vector
-is skipped, and each survivor is normalized. Duplicate directions
-across levels are permitted; density is unaffected.
+producing a norming functional for every enumerated point. The
+enumeration is one net cache in `SeparableSpace`: level t = 1, 2, ...
+lists the nonzero rows of {-t..t}^width(t) lexicographically, any rank
+range of a level is normalized and dualized in one vectorized step,
+and asking for index K with n rows cached grows the cache to
+max(K, 2n) rows, never to the end of a level it does not need.
+Duplicate directions across levels are permitted; density is unaffected.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,9 +32,6 @@ class DualVector:
     """Dual coordinate vector; applied as an inner product."""
     space_kind: str
     coords: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -86,60 +84,159 @@ def _pnorm(arr: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
 
 
-def _duality_row(u: np.ndarray, p: float) -> np.ndarray:
-    """Norming functional of a unit vector in a p-norm space.
+def _duality_rows(U: np.ndarray, p: float) -> np.ndarray:
+    """Norming functionals of the unit rows of U in a p-norm space.
 
     p in (1, inf): sign(u)|u|^(p-1); p = 1: sign(u); p = inf: signed
     coordinate functional at the smallest index attaining |u_i| = 1.
     """
     if math.isinf(p):
-        idx = int(np.argmax(np.abs(u) >= 1.0 - 1e-12))
-        phi = np.zeros_like(u)
-        phi[idx] = math.copysign(1.0, u[idx])
-        return phi
+        rows = np.arange(len(U))
+        idx = np.argmax(np.abs(U) >= 1.0 - 1e-12, axis=1)
+        Phi = np.zeros_like(U)
+        Phi[rows, idx] = np.copysign(1.0, U[rows, idx])
+        return Phi
     if p == 1.0:
-        return np.sign(u)
-    return np.sign(u) * np.abs(u) ** (p - 1.0)
+        return np.sign(U)
+    return np.sign(U) * np.abs(U) ** (p - 1.0)
+
+
+def _row_norms(D: np.ndarray, p: float, extra=0.0) -> np.ndarray:
+    """p-norms of the rows of D, with `extra` (the p-th powers summed
+    over entries outside D) added under the root."""
+    if math.isinf(p):
+        return np.max(np.abs(D), axis=1)
+    if p == 1.0:
+        return np.sum(np.abs(D), axis=1) + extra
+    if p == 2.0:
+        return np.sqrt(np.sum(D * D, axis=1) + extra)
+    return (np.sum(np.abs(D) ** p, axis=1) + extra) ** (1.0 / p)
+
+
+def _unit_rows(W: np.ndarray, p: float):
+    """(W with each row normalized in the p-norm, their duality rows)."""
+    if p in (1.0, 2.0) or math.isinf(p):
+        norms = _row_norms(W, p)
+    else:
+        # a scalar libm root per row, as in _pnorm: numpy's array
+        # power rounds differently in the last bit
+        norms = np.array([s ** (1.0 / p) for s in np.sum(np.abs(W) ** p, axis=1).tolist()])
+    U = W / norms[:, None]
+    return U, _duality_rows(U, p)
+
+
+def _lattice_rows(t: int, width: int, lo: int, hi: int) -> np.ndarray:
+    """Nonzero rows lo..hi-1 (0-based) of {-t..t}^width in lexicographic
+    order: the base-(2t+1) digits of each rank, less t, skipping the
+    rank of the zero row."""
+    base = 2 * t + 1
+    rank = np.arange(lo, hi, dtype=np.int64)
+    zero = (base ** width - 1) // 2
+    if zero < hi:
+        rank[rank >= zero] += 1
+    W = np.empty((hi - lo, width))
+    for j in range(width - 1, -1, -1):
+        rank, digit = np.divmod(rank, base)
+        W[:, j] = digit - t
+    return W
+
+
+def _stack(blocks) -> np.ndarray:
+    """The rows of all blocks in order, zero-padded to the widest."""
+    out = np.zeros((sum(len(b) for b in blocks), max(b.shape[1] for b in blocks)))
+    i = 0
+    for b in blocks:
+        out[i:i + len(b), :b.shape[1]] = b
+        i += len(b)
+    return out
+
+
+def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
+    """sum_i phi_i x_i for every row of Phi, accumulated in index order
+    from 0.0 one column at a time: bit for bit the per-index sums of
+    `apply_functional`, whatever the number of rows."""
+    out = np.zeros(len(Phi))
+    for j, v in enumerate(x):
+        out += Phi[:, j] * v
+    return out
+
+
+def _cycle(base: np.ndarray, K: int) -> np.ndarray:
+    """The first K entries of base repeated cyclically."""
+    return np.tile(base, -(-K // len(base)))[:K]
+
+
+def _finite(values, what: str):
+    """Reject NaN and infinities, which JSON input can carry."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} has a non-finite value")
 
 
 # ---------------------------------------------------------------------------
 # base class
 
 class SeparableSpace:
-    """Common surface: norm, net enumeration, norming functionals."""
+    """Common surface: norm, net enumeration, norming functionals.
+
+    Each kind implements norm, canonical (validate an element), scale,
+    subtract, apply_functional, net_point(k), norming_functional(k),
+    functional_values(x, K) = [phi_1(x), ..., phi_K(x)],
+    distance_profile(v, K) = [||v - u_1||, ..., ||v - u_K||],
+    random_element, lattice_sample (a multiple of a small grid
+    direction, near early net points), element_to_json,
+    element_from_json, describe, and `_width(t)`, the entries of a
+    level-t row. Row k - 1 of `_U` is the k-th net point and of `_Phi`
+    the data of its functional, zero-padded to the widest level cached.
+    """
 
     kind = "abstract"
 
-    # -- per-kind hooks -----------------------------------------------------
-    def norm(self, x) -> float:
-        raise NotImplementedError
+    def __init__(self):
+        self._U = np.zeros((0, 0))
+        self._Phi = np.zeros((0, 0))
 
-    def canonical(self, x):
-        """Validate and canonicalize an element representation."""
-        raise NotImplementedError
+    def _net_rows(self, W: np.ndarray, t: int):
+        """(net points, functional rows) of the level-t lattice rows W;
+        by default p-norm unit rows and their duality rows."""
+        return _unit_rows(W, self.p)
 
-    def scale(self, c: float, x):
-        raise NotImplementedError
+    # -- the net cache ------------------------------------------------------
+    def _levels(self):
+        """(t, first row, end row) of each level t = 1, 2, ... of the net."""
+        t, start = 1, 0
+        while True:
+            stop = start + (2 * t + 1) ** self._width(t) - 1
+            yield t, start, stop
+            t, start = t + 1, stop
 
-    def subtract(self, x, y):
-        raise NotImplementedError
+    def _level_of(self, row: int) -> int:
+        return next(t for t, _, stop in self._levels() if row < stop)
 
-    def apply_functional(self, phi, x) -> float:
-        raise NotImplementedError
+    def _ensure(self, K: int):
+        """Grow the cache to max(K, 2n) rows if it holds n < K."""
+        n = len(self._U)
+        if K <= n:
+            return
+        target = max(K, 2 * n)
+        blocks = []
+        for t, start, stop in self._levels():
+            if stop > n:
+                hi = min(stop, target)
+                W = _lattice_rows(t, self._width(t), n - start, hi - start)
+                blocks.append(self._net_rows(W, t))
+                n = hi
+                if n == target:
+                    break
+        self._U = _stack([self._U] + [U for U, _ in blocks])
+        self._Phi = _stack([self._Phi] + [Phi for _, Phi in blocks])
 
-    def net_point(self, k: int):
-        raise NotImplementedError
-
-    def norming_functional(self, k: int):
-        raise NotImplementedError
-
-    def functional_values(self, x, K: int) -> np.ndarray:
-        """Vectorized [phi_1(x), ..., phi_K(x)]."""
-        raise NotImplementedError
-
-    def distance_profile(self, v, K: int) -> np.ndarray:
-        """Vectorized [||v - u_1||, ..., ||v - u_K||]."""
-        raise NotImplementedError
+    def _index(self, k: int) -> int:
+        """Cache row of net index k, grown to hold it."""
+        if k < 1:
+            raise IndexZero(f"k = {k} < 1")
+        if k > len(self._U):
+            self._ensure(k)
+        return k - 1
 
     # -- shared -------------------------------------------------------------
     def unit(self, x):
@@ -163,26 +260,6 @@ class SeparableSpace:
                 f"functional for {getattr(phi, 'space_kind', None)!r} "
                 f"applied in {self.kind!r} space")
 
-    def random_element(self, rng):
-        raise NotImplementedError
-
-    def lattice_sample(self, rng):
-        """Random nonzero multiple of a small integer-grid direction.
-
-        These land on (or near) early net points, so oscillation
-        witnesses are found within modest scan budgets.
-        """
-        raise NotImplementedError
-
-    def element_to_json(self, x):
-        raise NotImplementedError
-
-    def element_from_json(self, obj):
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 # ---------------------------------------------------------------------------
 # finite-dimensional p-norm space
@@ -195,40 +272,19 @@ class FiniteDimLp(SeparableSpace):
             raise ConfigError(f"dim = {dim} must be >= 1")
         if not (p >= 1.0):
             raise ConfigError(f"p = {p} must be in [1, inf]")
+        super().__init__()
         self.dim = int(dim)
         self.p = float(p)
-        self._points = []   # unit vectors, np arrays
-        self._phis = []     # matching duality rows
-        self._stream = self._level_stream()
-        self._U = np.zeros((0, self.dim))
-        self._Phi = np.zeros((0, self.dim))
 
     def describe(self):
         p = "inf" if math.isinf(self.p) else f"{self.p:g}"
         return f"fdlp:dim={self.dim},p={p}"
 
-    def _level_stream(self):
-        for t in itertools.count(1):
-            for w in itertools.product(range(-t, t + 1), repeat=self.dim):
-                if any(w):
-                    yield np.array(w, dtype=float)
-
-    @staticmethod
-    def level_size(dim: int, t: int) -> int:
-        return (2 * t + 1) ** dim - 1
+    def _width(self, t):
+        return self.dim
 
     def net_size_through_level(self, level: int) -> int:
-        return sum(self.level_size(self.dim, t) for t in range(1, level + 1))
-
-    def _ensure(self, K: int):
-        while len(self._points) < K:
-            w = next(self._stream)
-            u = w / _pnorm(w, self.p)
-            self._points.append(u)
-            self._phis.append(_duality_row(u, self.p))
-        if self._U.shape[0] < K:
-            self._U = np.array(self._points)
-            self._Phi = np.array(self._phis)
+        return next(start for t, start, _ in self._levels() if t > level)
 
     def canonical(self, x):
         arr = np.asarray(x, dtype=float)
@@ -246,35 +302,28 @@ class FiniteDimLp(SeparableSpace):
         return self.canonical(x) - self.canonical(y)
 
     def net_point(self, k: int):
-        if k < 1:
-            raise IndexZero(f"k = {k} < 1")
-        self._ensure(k)
-        return self._points[k - 1].copy()
+        row = self._index(k)
+        return self._U[row].copy()
 
     def norming_functional(self, k: int):
-        if k < 1:
-            raise IndexZero(f"k = {k} < 1")
-        self._ensure(k)
-        return DualVector(self.kind, tuple(self._phis[k - 1]))
+        row = self._index(k)
+        return DualVector(self.kind, tuple(self._Phi[row].tolist()))
 
     def apply_functional(self, phi, x) -> float:
+        # the arithmetic of _dot_rows, one index at a time
         self._check_kind(phi)
-        return float(np.dot(phi.as_array(), self.canonical(x)))
+        acc = 0.0
+        for f, v in zip(phi.coords, self.canonical(x).tolist()):
+            acc += f * v
+        return acc
 
     def functional_values(self, x, K: int) -> np.ndarray:
         self._ensure(K)
-        return self._Phi[:K] @ self.canonical(x)
+        return _dot_rows(self._Phi[:K], self.canonical(x).tolist())
 
     def distance_profile(self, v, K: int) -> np.ndarray:
         self._ensure(K)
-        diff = self._U[:K] - self.canonical(v)
-        if math.isinf(self.p):
-            return np.max(np.abs(diff), axis=1)
-        if self.p == 1.0:
-            return np.sum(np.abs(diff), axis=1)
-        if self.p == 2.0:
-            return np.sqrt(np.sum(diff * diff, axis=1))
-        return np.sum(np.abs(diff) ** self.p, axis=1) ** (1.0 / self.p)
+        return _row_norms(self._U[:K] - self.canonical(v), self.p)
 
     def random_element(self, rng):
         while True:
@@ -293,7 +342,9 @@ class FiniteDimLp(SeparableSpace):
         return [float(c) for c in self.canonical(x)]
 
     def element_from_json(self, obj):
-        return self.canonical(obj)
+        x = self.canonical(obj)
+        _finite(x.tolist(), f"{self.kind} element")
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -307,37 +358,15 @@ class SeqLp(SeparableSpace):
             raise ConfigError(f"p = {p} must be in [1, inf)")
         if support_cap < 1:
             raise ConfigError(f"support cap {support_cap} must be >= 1")
+        super().__init__()
         self.p = float(p)
         self.support_cap = int(support_cap)
-        self._rows = []     # (values array over 1..width, width)
-        self._phirows = []
-        self._stream = self._level_stream()
-        self._U = np.zeros((0, 0))
-        self._Phi = np.zeros((0, 0))
 
     def describe(self):
         return f"seqlp:p={self.p:g},support={self.support_cap}"
 
-    def _level_stream(self):
-        for t in itertools.count(1):
-            for w in itertools.product(range(-t, t + 1), repeat=t):
-                if any(w):
-                    yield np.array(w, dtype=float)
-
-    def _ensure(self, K: int):
-        while len(self._rows) < K:
-            w = next(self._stream)
-            u = w / _pnorm(w, self.p)
-            self._rows.append(u)
-            self._phirows.append(_duality_row(u, self.p))
-        if self._U.shape[0] < K:
-            width = max(len(r) for r in self._rows)
-            U = np.zeros((len(self._rows), width))
-            Phi = np.zeros((len(self._rows), width))
-            for i, (r, pr) in enumerate(zip(self._rows, self._phirows)):
-                U[i, :len(r)] = r
-                Phi[i, :len(pr)] = pr
-            self._U, self._Phi = U, Phi
+    def _width(self, t):
+        return t
 
     def canonical(self, x):
         if not isinstance(x, dict):
@@ -380,41 +409,35 @@ class SeqLp(SeparableSpace):
         return {i: v for i, v in out.items() if v != 0.0}
 
     def net_point(self, k: int):
-        if k < 1:
-            raise IndexZero(f"k = {k} < 1")
-        self._ensure(k)
-        row = self._rows[k - 1]
-        return {i + 1: float(v) for i, v in enumerate(row) if v != 0.0}
+        row = self._index(k)
+        return {i + 1: v for i, v in enumerate(self._U[row].tolist()) if v != 0.0}
 
     def norming_functional(self, k: int):
-        if k < 1:
-            raise IndexZero(f"k = {k} < 1")
-        self._ensure(k)
-        row = self._phirows[k - 1]
-        entries = tuple((i + 1, float(v)) for i, v in enumerate(row) if v != 0.0)
+        row = self._index(k)
+        entries = tuple((i + 1, v) for i, v in enumerate(self._Phi[row].tolist()) if v != 0.0)
         return DualMap(self.kind, entries)
 
     def apply_functional(self, phi, x) -> float:
+        # the arithmetic of _dot_rows, one index at a time
         self._check_kind(phi)
         x = self.canonical(x)
-        return float(sum(v * x.get(i, 0.0) for i, v in phi.entries))
+        acc = 0.0
+        for i, v in phi.entries:
+            acc += v * x.get(i, 0.0)
+        return acc
 
     def functional_values(self, x, K: int) -> np.ndarray:
         self._ensure(K)
-        x = self.canonical(x)
-        return self._Phi[:K] @ self._dense(x, self._Phi.shape[1])
+        Phi = self._Phi[:K]
+        return _dot_rows(Phi, self._dense(self.canonical(x), Phi.shape[1]).tolist())
 
     def distance_profile(self, v, K: int) -> np.ndarray:
         self._ensure(K)
         v = self.canonical(v)
-        width = self._U.shape[1]
-        diff = self._U[:K] - self._dense(v, width)
+        # the columns the first K rows use; support past them is orthogonal
+        width = self._width(self._level_of(K - 1))
         extra = sum(abs(val) ** self.p for i, val in v.items() if i > width)
-        if self.p == 1.0:
-            return np.sum(np.abs(diff), axis=1) + extra
-        if self.p == 2.0:
-            return np.sqrt(np.sum(diff * diff, axis=1) + extra)
-        return (np.sum(np.abs(diff) ** self.p, axis=1) + extra) ** (1.0 / self.p)
+        return _row_norms(self._U[:K, :width] - self._dense(v, width), self.p, extra)
 
     def random_element(self, rng):
         size = int(rng.integers(1, min(self.support_cap, 4) + 1))
@@ -436,13 +459,18 @@ class SeqLp(SeparableSpace):
     def element_from_json(self, obj):
         if not isinstance(obj, dict):
             raise ConfigError("seqlp element must be a JSON object")
-        return self.canonical({int(k): float(v) for k, v in obj.items()})
+        x = self.canonical({int(k): float(v) for k, v in obj.items()})
+        _finite(x.values(), "seqlp element")
+        return x
 
 
 # ---------------------------------------------------------------------------
 # piecewise-linear functions on [0, 1] with the sup norm
 
 class ContinuousPL(SeparableSpace):
+    """Net points are PL functions on the dyadic grid of step 2^-b(t);
+    a cached functional row is (location, sign) of a point mass."""
+
     kind = "c01"
 
     # breakpoint refinement is deliberately slower than value
@@ -451,35 +479,20 @@ class ContinuousPL(SeparableSpace):
     # directions finely enough for witness searches
     LEVELS_PER_GRID = 6
 
-    def __init__(self):
-        self._points = []   # (grid level b, normalized values array)
-        self._tstars = []
-        self._signs = []
-        self._stream = self._level_stream()
-
     def describe(self):
         return "c01"
 
-    @classmethod
-    def _grid(cls, b: int) -> np.ndarray:
-        return np.linspace(0.0, 1.0, 2 ** b + 1)
+    def _width(self, t):
+        return 2 ** ((t + self.LEVELS_PER_GRID - 1) // self.LEVELS_PER_GRID) + 1
 
-    def _level_stream(self):
-        for t in itertools.count(1):
-            b = (t + self.LEVELS_PER_GRID - 1) // self.LEVELS_PER_GRID
-            npts = 2 ** b + 1
-            for vals in itertools.product(range(-t, t + 1), repeat=npts):
-                if any(vals):
-                    yield b, np.array(vals, dtype=float)
+    def _grid(self, t: int) -> np.ndarray:
+        """The dyadic breakpoints of level t."""
+        return np.arange(self._width(t)) / (self._width(t) - 1)
 
-    def _ensure(self, K: int):
-        while len(self._points) < K:
-            b, w = next(self._stream)
-            u = w / np.max(np.abs(w))
-            self._points.append((b, u))
-            idx = int(np.argmax(np.abs(u) >= 1.0 - 1e-12))
-            self._tstars.append(float(self._grid(b)[idx]))
-            self._signs.append(math.copysign(1.0, u[idx]))
+    def _net_rows(self, W, t):
+        U, Phi = _unit_rows(W, math.inf)
+        rows, idx = np.nonzero(Phi)   # one grid point per row
+        return U, np.column_stack((idx / (W.shape[1] - 1), Phi[rows, idx]))
 
     def canonical(self, x):
         if isinstance(x, PLFunction):
@@ -504,18 +517,14 @@ class ContinuousPL(SeparableSpace):
         return PLFunction(tuple(float(b) for b in breaks), tuple(float(v) for v in vals))
 
     def net_point(self, k: int):
-        if k < 1:
-            raise IndexZero(f"k = {k} < 1")
-        self._ensure(k)
-        b, u = self._points[k - 1]
-        return PLFunction(tuple(float(t) for t in self._grid(b)),
-                          tuple(float(v) for v in u))
+        row = self._index(k)
+        grid = self._grid(self._level_of(row))
+        return PLFunction(tuple(grid.tolist()), tuple(self._U[row, :len(grid)].tolist()))
 
     def norming_functional(self, k: int):
-        if k < 1:
-            raise IndexZero(f"k = {k} < 1")
-        self._ensure(k)
-        return PointMass(self.kind, self._tstars[k - 1], self._signs[k - 1])
+        row = self._index(k)
+        location, sign = self._Phi[row].tolist()
+        return PointMass(self.kind, location, sign)
 
     def apply_functional(self, phi, x) -> float:
         self._check_kind(phi)
@@ -525,26 +534,30 @@ class ContinuousPL(SeparableSpace):
     def functional_values(self, x, K: int) -> np.ndarray:
         self._ensure(K)
         x = self.canonical(x)
-        t = np.array(self._tstars[:K])
-        s = np.array(self._signs[:K])
-        return s * np.interp(t, x.breaks, x.values)
+        return self._Phi[:K, 1] * np.interp(self._Phi[:K, 0], x.breaks, x.values)
 
     def distance_profile(self, v, K: int) -> np.ndarray:
         self._ensure(K)
         v = self.canonical(v)
         out = np.empty(K)
-        levels = np.array([b for b, _ in self._points[:K]])
-        for b in np.unique(levels):
-            idx = np.nonzero(levels == b)[0]
-            grid = self._grid(int(b))
+        lo = 0
+        # one pass per grid: its levels are contiguous rows lo..hi-1
+        for t, _, stop in self._levels():
+            if lo >= K:
+                break
+            if t % self.LEVELS_PER_GRID and stop < K:
+                continue
+            hi = min(stop, K)
+            grid = self._grid(t)
             union = np.union1d(grid, v.breaks)
             pos = np.clip(np.searchsorted(grid, union, side="right") - 1,
                           0, len(grid) - 2)
             w = (union - grid[pos]) / (grid[pos + 1] - grid[pos])
-            rows = np.array([self._points[i][1] for i in idx])
+            rows = self._U[lo:hi]
             on_union = rows[:, pos] * (1.0 - w) + rows[:, pos + 1] * w
             v_union = np.interp(union, v.breaks, v.values)
-            out[idx] = np.max(np.abs(on_union - v_union), axis=1)
+            out[lo:hi] = np.max(np.abs(on_union - v_union), axis=1)
+            lo = hi
         return out
 
     def random_element(self, rng):
@@ -568,17 +581,20 @@ class ContinuousPL(SeparableSpace):
     def element_from_json(self, obj):
         if not isinstance(obj, dict) or "breaks" not in obj or "values" not in obj:
             raise ConfigError("c01 element must be {breaks: [...], values: [...]}")
-        return pl_function(obj["breaks"], obj["values"])
+        x = pl_function(obj["breaks"], obj["values"])
+        _finite(x.breaks + x.values, "c01 element")
+        return x
 
 
 # ---------------------------------------------------------------------------
 # explicit cyclic net, for deterministic tests and examples
 
-class CustomNet(SeparableSpace):
+class CustomNet(FiniteDimLp):
     """A finite-dim p-norm space whose net cycles an explicit unit list.
 
     Exists so tests and examples do not depend on the grid enumeration
-    order. Functionals default to the duality map of each point.
+    order. Functionals default to the duality map of each point. The
+    cache holds the cycle and never grows.
     """
 
     kind = "custom"
@@ -586,82 +602,40 @@ class CustomNet(SeparableSpace):
     def __init__(self, points, p: float = 2.0, functionals=None):
         if not points:
             raise ConfigError("custom net needs at least one point")
-        self.p = float(p)
-        self.points = [np.asarray(pt, dtype=float) for pt in points]
-        self.dim = self.points[0].shape[0]
-        for pt in self.points:
+        points = [np.asarray(pt, dtype=float) for pt in points]
+        super().__init__(points[0].shape[0], p)
+        for pt in points:
             if pt.shape != (self.dim,):
                 raise ConfigError("custom net points must share one dimension")
             if abs(_pnorm(pt, self.p) - 1.0) > UNIT_TOL:
                 raise ConfigError(f"custom net point {pt} is not unit")
+        self._U = np.array(points)
         if functionals is None:
-            self.functionals = [_duality_row(pt, self.p) for pt in self.points]
-        else:
-            self.functionals = [np.asarray(f, dtype=float) for f in functionals]
-            if len(self.functionals) != len(self.points):
-                raise ConfigError("one functional per net point required")
-            for f, pt in zip(self.functionals, self.points):
-                if abs(float(np.dot(f, pt)) - 1.0) > UNIT_TOL:
-                    raise ConfigError("functional does not norm its point")
+            self._Phi = _duality_rows(self._U, self.p)
+            return
+        self._Phi = np.array(functionals, dtype=float)
+        if self._Phi.shape != self._U.shape:
+            raise ConfigError("one functional per net point, of its dimension, required")
+        if np.any(np.abs(np.sum(self._Phi * self._U, axis=1) - 1.0) > UNIT_TOL):
+            raise ConfigError("functional does not norm its point")
 
     def describe(self):
-        return f"custom:dim={self.dim},p={self.p:g},cycle={len(self.points)}"
+        return f"custom:dim={self.dim},p={self.p:g},cycle={len(self._U)}"
 
-    def canonical(self, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.dim,):
-            raise KindMismatch(f"expected vector of length {self.dim}")
-        return arr
-
-    def norm(self, x) -> float:
-        return _pnorm(self.canonical(x), self.p)
-
-    def scale(self, c, x):
-        return c * self.canonical(x)
-
-    def subtract(self, x, y):
-        return self.canonical(x) - self.canonical(y)
-
-    def net_point(self, k: int):
+    def _index(self, k: int) -> int:
         if k < 1:
             raise IndexZero(f"k = {k} < 1")
-        return self.points[(k - 1) % len(self.points)].copy()
-
-    def norming_functional(self, k: int):
-        if k < 1:
-            raise IndexZero(f"k = {k} < 1")
-        return DualVector(self.kind, tuple(self.functionals[(k - 1) % len(self.points)]))
-
-    def apply_functional(self, phi, x) -> float:
-        self._check_kind(phi)
-        return float(np.dot(phi.as_array(), self.canonical(x)))
+        return (k - 1) % len(self._U)
 
     def functional_values(self, x, K: int) -> np.ndarray:
-        x = self.canonical(x)
-        base = np.array([float(np.dot(f, x)) for f in self.functionals])
-        reps = (K + len(base) - 1) // len(base)
-        return np.tile(base, reps)[:K]
+        return _cycle(_dot_rows(self._Phi, self.canonical(x).tolist()), K)
 
     def distance_profile(self, v, K: int) -> np.ndarray:
         v = self.canonical(v)
-        base = np.array([_pnorm(pt - v, self.p) for pt in self.points])
-        reps = (K + len(base) - 1) // len(base)
-        return np.tile(base, reps)[:K]
-
-    def random_element(self, rng):
-        while True:
-            x = rng.standard_normal(self.dim)
-            if _pnorm(x, self.p) > 1e-3:
-                return x
+        return _cycle(np.array([_pnorm(pt - v, self.p) for pt in self._U]), K)
 
     def lattice_sample(self, rng):
-        return float(rng.uniform(0.25, 4.0)) * self.net_point(int(rng.integers(1, len(self.points) + 1)))
-
-    def element_to_json(self, x):
-        return [float(c) for c in self.canonical(x)]
-
-    def element_from_json(self, obj):
-        return self.canonical(obj)
+        return float(rng.uniform(0.25, 4.0)) * self.net_point(int(rng.integers(1, len(self._U) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +648,13 @@ def _parse_p(token: str) -> float:
         return float(token)
     except ValueError:
         raise ConfigError(f"bad exponent {token!r}") from None
+
+
+def _parse_int(token, what: str) -> int:
+    try:
+        return int(token)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad {what} {token!r}") from None
 
 
 def parse_space(spec) -> SeparableSpace:
@@ -701,17 +682,16 @@ def parse_space(spec) -> SeparableSpace:
             raise ConfigError(f"bad space field {part!r} in {spec!r}")
         fields[key.strip()] = val.strip()
     if head == "fdlp":
-        try:
-            dim = int(fields.pop("dim"))
-        except KeyError:
-            raise ConfigError(f"fdlp spec {spec!r} needs field dim") from None
+        if "dim" not in fields:
+            raise ConfigError(f"fdlp spec {spec!r} needs field dim")
+        dim = _parse_int(fields.pop("dim"), "dimension")
         p = _parse_p(fields.pop("p", "2"))
         if fields:
             raise ConfigError(f"unknown fdlp fields {sorted(fields)} in {spec!r}")
         return FiniteDimLp(dim, p)
     if head == "seqlp":
         p = _parse_p(fields.pop("p", "2"))
-        support = int(fields.pop("support", "8"))
+        support = _parse_int(fields.pop("support", "8"), "support cap")
         if fields:
             raise ConfigError(f"unknown seqlp fields {sorted(fields)} in {spec!r}")
         return SeqLp(p, support)
@@ -721,9 +701,9 @@ def parse_space(spec) -> SeparableSpace:
 def _space_from_dict(obj: dict) -> SeparableSpace:
     kind = obj.get("kind")
     if kind == "fdlp":
-        return FiniteDimLp(int(obj["dim"]), _parse_p(str(obj.get("p", 2))))
+        return FiniteDimLp(_parse_int(obj.get("dim"), "dimension"), _parse_p(str(obj.get("p", 2))))
     if kind == "seqlp":
-        return SeqLp(_parse_p(str(obj.get("p", 2))), int(obj.get("support", 8)))
+        return SeqLp(_parse_p(str(obj.get("p", 2))), _parse_int(obj.get("support", 8), "support cap"))
     if kind == "c01":
         return ContinuousPL()
     if kind == "custom":

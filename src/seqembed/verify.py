@@ -174,7 +174,7 @@ def brute_force_sup(space: FiniteDimLp, x, level: int) -> float:
     through `level`, enumerated and normed independently of the
     space's net cache. Cross-checks both the norm and achieved defects.
     """
-    if not isinstance(space, FiniteDimLp):
+    if getattr(space, "kind", None) != FiniteDimLp.kind:   # not a CustomNet
         raise KindMismatch("brute_force_sup needs a finite-dimensional p-norm space")
     if level < 1:
         raise ValueError(f"level = {level} must be >= 1")

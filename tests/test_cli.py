@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from seqembed.cli import parse_seq_spec, validate_config
+from seqembed.cli import main, parse_seq_spec, validate_config
 from seqembed.errors import ConfigError
 from seqembed.seqcore import coordinate
 
@@ -98,6 +98,20 @@ def test_exit_one_on_malformed_space(tmp_path):
     assert proc.returncode == 1
     assert "ConfigError" in proc.stderr
     assert "dim" in proc.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", 2.0), ("epsilon", "0.2"), ("tol_schedule", "abc"),
+    ("samples", [[float("nan"), 1.0]]),
+])
+def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
+    cfg = {"space": "fdlp:dim=2,p=2", "d_mode": "countable",
+           "d_basis": ["periodic:-1,1", "evconst:0.5"], "samples": [[3.0, 4.0]]}
+    cfg[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))    # NaN is written as a bare NaN
+    assert main(["extend", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("ConfigError:")
 
 
 def test_exit_one_on_missing_config():

@@ -26,7 +26,7 @@ def test_embed_block_matches_oracle():
     s = embed_t1(sp, np.array([1.0, -2.0]))
     window = s.coordinates(5, 40)
     direct = [coordinate(s, n) for n in range(5, 41)]
-    assert np.allclose(window, direct, rtol=0, atol=1e-14)
+    assert np.array_equal(window, direct)
 
 
 def test_embed_linearity():

@@ -197,10 +197,9 @@ def test_scheme_embed_block_matches_oracle():
     s = scheme_embed(sp, sch, np.array([1.0, 1.0]))
     window = s.coordinates(1, 120)
     direct = [coordinate(s, n) for n in range(1, 121)]
-    assert np.allclose(window, direct, rtol=0, atol=1e-14)
+    assert np.array_equal(window, direct)
 
 
-_EPS = np.finfo(float).eps
 _BW = bw_extract(finite_d(), depth=4, scan_budget=4096)
 _DIAG = diagonal_extract(scaled_family(), 5, SCHEDULE, 4096)
 _PLACEMENTS = {
@@ -211,7 +210,8 @@ _PLACEMENTS = {
 }
 _SPECS = ["fdlp:dim=2,p=2", "fdlp:dim=3,p=1", "fdlp:dim=3,p=1.5",
           "fdlp:dim=2,p=inf", "seqlp:p=2,support=4", "seqlp:p=1,support=4",
-          "c01"]
+          "c01", {"kind": "custom", "p": 2,
+                  "points": [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]}]
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,10 +230,8 @@ def test_block_matches_oracle(spec, mode, seed, lo, width):
         # off the scheme both paths give exact zeros
         off = [scheme.classify(n)[0] == 0.0 for n in range(lo, hi + 1)]
         assert not block[off].any() and not oracle[off].any()
-    # on it they evaluate phi_k(x) by different arithmetic (one matrix
-    # product against per-functional sums of at most 4 nonzero terms),
-    # each within 4 u ||phi|| ||x|| = 2 eps ||x|| of the exact value
-    assert np.all(np.abs(block - oracle) <= 4 * _EPS * s.bound)
+    # on it both evaluate phi_k(x) by one arithmetic, bit for bit
+    assert np.array_equal(block, oracle)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +30,9 @@ def test_fdlp_net_enumeration_order():
     # dim 2: first candidate (-1,-1) normalized
     e2 = FiniteDimLp(2, 2)
     assert np.allclose(e2.net_point(1), [-1 / SQ2, -1 / SQ2])
-    assert e2.level_size(2, 1) == 8
+    assert e2.net_size_through_level(1) == 8
     assert e2.net_size_through_level(2) == 8 + 24
+    assert FiniteDimLp(3, 2).net_size_through_level(0) == 0
 
 
 def test_fdlp_net_points_are_unit():
@@ -64,7 +67,17 @@ def test_functional_values_matches_pointwise():
     vals = sp.functional_values(x, 25)
     for k in range(1, 26):
         pointwise = sp.apply_functional(sp.norming_functional(k), x)
-        assert vals[k - 1] == pytest.approx(pointwise, abs=1e-14)
+        assert vals[k - 1] == pointwise
+
+
+@pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "fdlp:dim=3,p=1.5",
+                                  "seqlp:p=2,support=4", "c01"])
+def test_functional_values_do_not_depend_on_window(spec):
+    sp = parse_space(spec)
+    x = sp.random_element(np.random.default_rng(11))
+    full = sp.functional_values(x, 600)
+    for K in (1, 2, 7, 26, 343, 599):
+        assert np.array_equal(sp.functional_values(x, K), full[:K])
 
 
 def test_net_distance_worked_value():
@@ -149,6 +162,19 @@ def test_seqlp_distance_counts_off_width_support():
     assert d[0] == pytest.approx(2.0)
 
 
+def test_seqlp_distance_profile_ignores_cache_depth():
+    # a deeper cache holds wider rows; the profile of the first K rows
+    # must not change with it
+    rng = np.random.default_rng(4)
+    warm = SeqLp(2.0)
+    warm.net_point(10000)
+    for _ in range(20):
+        v = SeqLp(2.0).unit({i: float(rng.standard_normal()) for i in (1, 4, 5)})
+        for K in (26, 368):
+            fresh = SeqLp(2.0).distance_profile(v, K)
+            assert fresh.tobytes() == warm.distance_profile(v, K).tobytes()
+
+
 def test_seqlp_subtract():
     sp = SeqLp(2.0)
     assert sp.subtract({1: 2.0, 2: 1.0}, {2: 1.0}) == {1: 2.0}
@@ -229,6 +255,8 @@ def test_custom_net_validates_points():
     with pytest.raises(ConfigError):
         CustomNet([(1.0, 0.0)], functionals=[(0.0, 1.0)])
     with pytest.raises(ConfigError):
+        CustomNet([(0.6, 0.8)], functionals=[(5.0 / 7.0,)])
+    with pytest.raises(ConfigError):
         CustomNet([])
 
 
@@ -251,6 +279,7 @@ def test_parse_space_dict():
 @pytest.mark.parametrize("bad", [
     "fdlp:dim=0,p=2", "fdlp:p=2", "fdlp:dim=2,p=0.5", "seqlp:p=inf",
     "wavelets", "fdlp:dim=2,p=2,extra=1", "fdlp:dim=2,p",
+    "fdlp:dim=abc", "seqlp:p=2,support=x",
 ])
 def test_parse_space_rejects(bad):
     with pytest.raises(ConfigError):
@@ -260,3 +289,103 @@ def test_parse_space_rejects(bad):
 def test_describe_round_trips():
     for spec in ("fdlp:dim=2,p=2", "fdlp:dim=1,p=inf", "c01"):
         assert parse_space(spec).describe() == spec
+
+
+# -- the net cache: enumeration order and memory -----------------------------
+
+def _reference_net(width, p, count):
+    """The first `count` (unit row, duality row) pairs of a net, listed
+    one point at a time: level t runs through {-t..t}^width(t) in
+    itertools.product order, zero skipped, each row normalized by its
+    own p-norm. For c01 (p = inf) the duality row marks the grid point
+    of the point mass."""
+    out = []
+    for t in itertools.count(1):
+        for w in itertools.product(range(-t, t + 1), repeat=width(t)):
+            if not any(w):
+                continue
+            w = np.array(w, dtype=float)
+            if math.isinf(p):
+                u = w / np.max(np.abs(w))
+                i = int(np.argmax(np.abs(u) >= 1.0 - 1e-12))
+                phi = np.zeros_like(u)
+                phi[i] = math.copysign(1.0, u[i])
+            elif p == 1.0:
+                u = w / np.sum(np.abs(w))
+                phi = np.sign(u)
+            elif p == 2.0:
+                u = w / np.sqrt(np.sum(w * w))
+                phi = np.sign(u) * np.abs(u)
+            else:
+                u = w / np.sum(np.abs(w) ** p) ** (1.0 / p)
+                phi = np.sign(u) * np.abs(u) ** (p - 1.0)
+            out.append((u, phi))
+            if len(out) == count:
+                return out
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _grown(make, count):
+    """The same net grown one index at a time and in one call."""
+    one_by_one = make()
+    at_once = make()
+    at_once.net_point(count)
+    return one_by_one, at_once
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_fdlp_net_matches_reference_enumeration(dim, p):
+    count = 1500
+    ref = _reference_net(lambda t: dim, p, count)
+    for sp in _grown(lambda: FiniteDimLp(dim, p), count):
+        for k, (u, phi) in enumerate(ref, start=1):
+            assert _bits(sp.net_point(k)) == _bits(u)
+            assert _bits(sp.norming_functional(k).coords) == _bits(phi)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_seqlp_net_matches_reference_enumeration(p):
+    count = 1500
+    ref = _reference_net(lambda t: t, p, count)
+    for sp in _grown(lambda: SeqLp(p), count):
+        for k, (u, phi) in enumerate(ref, start=1):
+            point = sp.net_point(k)
+            assert list(point) == [i + 1 for i in np.flatnonzero(u)]
+            assert _bits(list(point.values())) == _bits(u[u != 0.0])
+            entries = sp.norming_functional(k).entries
+            assert [i for i, _ in entries] == [i + 1 for i in np.flatnonzero(phi)]
+            assert _bits([v for _, v in entries]) == _bits(phi[phi != 0.0])
+
+
+def test_c01_net_matches_reference_enumeration():
+    # levels 1-6 use the grid {0, 1/2, 1}; level 7 opens {0, 1/4, ..., 1}
+    # at k = 4747
+    count = 4800
+    grid_points = lambda t: 2 ** ((t + 5) // 6) + 1
+    ref = _reference_net(grid_points, math.inf, count)
+    assert len(ref[4745][0]) == 3 and len(ref[4746][0]) == 5
+    for sp in _grown(ContinuousPL, count):
+        for k, (u, phi) in enumerate(ref, start=1):
+            f = sp.net_point(k)
+            assert _bits(f.breaks) == _bits(np.linspace(0.0, 1.0, len(u)))
+            assert _bits(f.values) == _bits(u)
+            mass = sp.norming_functional(k)
+            i = int(np.flatnonzero(phi)[0])
+            assert _bits([mass.location, mass.sign]) == \
+                _bits([np.linspace(0.0, 1.0, len(u))[i], phi[i]])
+
+
+def test_c01_net_lists_only_what_it_reaches():
+    # level 7 has 15^5 - 1 = 759374 rows of 5 values; listing it whole
+    # would take over 30 MB for the points alone
+    tracemalloc.start()
+    try:
+        ContinuousPL().net_point(4800)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

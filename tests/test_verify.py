@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from seqembed import (FiniteDimLp, InC, NotInC, SeqLp, SubspaceD, Unknown,
-                      brute_force_sup, bw_extract, check_isometry,
+from seqembed import (CustomNet, FiniteDimLp, InC, NotInC, SeqLp, SubspaceD,
+                      Unknown, brute_force_sup, bw_extract, check_isometry,
                       check_separation, classify_c, combine, embed_t1,
                       eventually_constant, explicit_limit, from_function,
                       periodic, prefix_sup, reverify_witness, zero_seq)
@@ -139,5 +139,7 @@ def test_brute_force_sup_zero_and_kind():
     assert brute_force_sup(sp, np.zeros(2), 2) == 0.0
     with pytest.raises(KindMismatch):
         brute_force_sup(SeqLp(2.0), {1: 1.0}, 1)
+    with pytest.raises(KindMismatch):   # a FiniteDimLp, but not the grid net
+        brute_force_sup(CustomNet([(1.0, 0.0)]), np.array([1.0, 0.0]), 1)
     with pytest.raises(ValueError):
         brute_force_sup(sp, np.array([1.0, 0.0]), 0)
