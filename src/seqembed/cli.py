@@ -4,8 +4,8 @@ Subcommands `embed`, `extend`, `classify`, `suite` read a JSON run
 configuration, execute the requested constructions, write a JSON
 report, and print a short summary table. Exit status: 0 when all
 certificates pass, 2 on any exhausted scan budget, 1 on a validation
-error. Reports are byte-identical across runs of the same (config,
-seed) apart from the timestamp field.
+error, 3 on any other error. Reports are byte-identical across runs of
+the same (config, seed) apart from the timestamp field.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SeqEmbedError
+from .errors import ConfigError, EmptyBasis, KindMismatch, SeqEmbedError
 from .extend import SubspaceD, extract_scheme
 from .seqcore import BoundedSeq, combine, eventually_constant, \
     explicit_limit, periodic, zero_seq
@@ -99,19 +99,30 @@ def load_config(ref: str) -> dict:
         res = importlib.resources.files("seqembed") / "configs" / f"{ref}.json"
         if not res.is_file():
             raise ConfigError(f"no bundled config named {ref!r}")
-        return json.loads(res.read_text(encoding="utf-8"))
+        text = res.read_text(encoding="utf-8")
+    else:
+        try:
+            with open(ref, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {ref!r}: {exc}") from None
     try:
-        with open(ref, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {ref!r}: {exc}") from None
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {ref!r} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {ref!r} must be a JSON object")
+    return raw
 
 
 def _is_number(v) -> bool:
     """A finite JSON number; JSON input can carry NaN and Infinity."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v, least: int) -> bool:
+    """An integer >= least; JSON booleans and floats do not count."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
 def validate_config(raw: dict) -> dict:
@@ -131,18 +142,31 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"d_mode must be finite|countable|dense, got {cfg['d_mode']!r}")
     if not (_is_number(cfg["epsilon"]) and 0.0 < cfg["epsilon"] < 1.0):
         raise ConfigError(f"epsilon = {cfg['epsilon']!r} must be a number in (0, 1)")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise ConfigError(f"out = {cfg['out']!r} must be a path")
+    gap_floor = cfg["gap_floor"]
+    if gap_floor is not None and not (_is_number(gap_floor) and gap_floor > 0.0):
+        raise ConfigError(f"gap_floor = {gap_floor!r} must be a number > 0")
     m, schedule = cfg["m"], cfg["tol_schedule"]
-    if m is not None and not (isinstance(m, int) and not isinstance(m, bool) and m >= 1):
+    if m is not None and not _is_int(m, 1):
         raise ConfigError(f"m = {m!r} must be an integer >= 1")
     if schedule is not None and not (isinstance(schedule, list)
                                      and all(map(_is_number, schedule))):
         raise ConfigError(f"tol_schedule = {schedule!r} must be a list of finite numbers")
-    for key in ("count", "K", "depth", "scan_budget", "witness_budget",
-                "classify_budget"):
-        if int(cfg[key]) < 1:
-            raise ConfigError(f"{key} = {cfg[key]} must be >= 1")
-        cfg[key] = int(cfg[key])
-    cfg["seed"] = int(cfg["seed"])
+    for key, least in (("count", 1), ("K", 1), ("depth", 1), ("scan_budget", 1),
+                       ("witness_budget", 1), ("classify_budget", 2),
+                       ("random_d", 0), ("seed", 0)):
+        if not _is_int(cfg[key], least):
+            raise ConfigError(f"{key} = {cfg[key]!r} must be an integer >= {least}")
+    if not isinstance(cfg["samples"], list):
+        raise ConfigError(f"samples = {cfg['samples']!r} must be a list of elements")
+    for key in ("d_basis", "sequences"):
+        if not (isinstance(cfg[key], list) and all(isinstance(v, str) for v in cfg[key])):
+            raise ConfigError(f"{key} = {cfg[key]!r} must be a list of sequence specs")
+    rows = cfg["d_samples"]
+    if rows is not None and not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(map(_is_number, row)) for row in rows)):
+        raise ConfigError(f"d_samples = {rows!r} must be a list of lists of finite numbers")
     return cfg
 
 
@@ -151,7 +175,10 @@ def build_run(cfg: dict):
     space = parse_space(cfg["space_spec"])
     members = [parse_seq_spec(s) for s in cfg["d_basis"]]
     D = SubspaceD(cfg["d_mode"], tuple(members))
-    samples = [space.element_from_json(obj) for obj in cfg["samples"]]
+    try:
+        samples = [space.element_from_json(obj) for obj in cfg["samples"]]
+    except (KindMismatch, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sample for {space.describe()}: {exc}") from None
     if not samples:
         raise ConfigError("config needs at least one sample element")
 
@@ -163,15 +190,20 @@ def build_run(cfg: dict):
                 f"basis size {D.size}")
     if cfg["random_d"]:
         rng = np.random.default_rng(cfg["seed"])
-        for _ in range(int(cfg["random_d"])):
+        for _ in range(cfg["random_d"]):
             d_samples.append([float(c) for c in
                               np.round(rng.uniform(-2, 2, size=D.size), 3)])
     return space, D, samples, d_samples
 
 
 def make_scheme(cfg: dict, D: SubspaceD):
-    return extract_scheme(D, cfg["depth"], cfg["scan_budget"], cfg["m"],
-                          cfg["tol_schedule"])
+    """The index scheme for D; an `m` or `tol_schedule` that does not
+    fit D is a ConfigError."""
+    try:
+        return extract_scheme(D, cfg["depth"], cfg["scan_budget"], cfg["m"],
+                              cfg["tol_schedule"])
+    except (EmptyBasis, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +378,13 @@ def main(argv=None) -> int:
             raw = {"space": args.space, "samples": [[1.0]]}
         else:
             raise ConfigError(f"{args.command} requires --config")
+        # command-line values replace the config's before it is validated
+        for key, value in (("seed", args.seed), ("classify_budget", args.budget),
+                           ("witness_budget", args.budget),
+                           ("gap_floor", getattr(args, "gap_floor", None))):
+            if value is not None:
+                raw[key] = value
         cfg = validate_config(raw)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.budget is not None:
-            cfg["classify_budget"] = args.budget
-            cfg["witness_budget"] = args.budget
-        if getattr(args, "gap_floor", None) is not None:
-            cfg["gap_floor"] = args.gap_floor
 
         report = _base_report(cfg, args.command)
         if args.command == "embed":
@@ -364,16 +395,18 @@ def main(argv=None) -> int:
             run_classify(cfg, report, args.spec)
         else:
             run_suite(cfg, report)
+        code = _status(report)
+        out = args.out or cfg["out"]
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, sort_keys=True, indent=2)
+                fh.write("\n")
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 1
-
-    code = _status(report)
-    out = args.out or cfg.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(_summarize(report))
     return code
 

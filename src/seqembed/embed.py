@@ -4,7 +4,8 @@ One core puts +phi_k(x) at eta+(k) and -phi_k(x) at eta-(k) of an
 `IndexScheme` (defined here, built in `extend`), where phi_k norms the
 k-th dense net point: that is `scheme_embed`. The plain embedding
 `embed_t1` (+phi_k at 2k-1, -phi_k at 2k) is its exact negation under
-the identity scheme, the D = {0} case. At finite truncation the
+the identity scheme, the D = {0} case; only images under the identity
+scheme have a block path for windows. At finite truncation the
 isometry is certified by a defect interval, and non-convergence by
 witnesses from the one scan loop that `oscillation_witness` and
 `extend.separation_witness` share.
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExhausted, SchemeExhausted, ZeroElement
-from .seqcore import BoundedSeq, FunctionalImage, coordinate, prefix_sup
+from .seqcore import BoundedSeq, coordinate, prefix_sup
 from .spaces import SeparableSpace
 
 #: block size for witness scans over the net enumeration
@@ -139,7 +140,9 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     """sign * phi_k(x) at eta+(k), -sign * phi_k(x) at eta-(k), 0 off I.
 
     Negation is exact in floating point, so sign = -1.0 gives the
-    bit-exact negation of the sign = +1.0 placement.
+    bit-exact negation of the sign = +1.0 placement. Only images under
+    the identity scheme (T(x) and the D = {0} placement) have a block;
+    windows of the others are read through the oracle.
     """
     x = space.canonical(x)
     bound = space.norm(x)
@@ -151,27 +154,18 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
         val = space.apply_functional(space.norming_functional(k), x)
         return val if s == sign else -val
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        if scheme.mode == "identity":
-            k_hi = (hi + 1) // 2
-            vals = space.functional_values(x, k_hi)
-            out = np.empty(2 * k_hi)
-            out[0::2] = -sign * vals
-            out[1::2] = sign * vals
-            return out[lo - 1:hi]
-        if scheme.coverage is not None and hi > scheme.coverage:
-            raise SchemeExhausted(hi, scheme.coverage)
-        out = np.zeros(hi - lo + 1)
-        k_max = (len(scheme.prefix) + 1) // 2
-        vals = space.functional_values(x, k_max) if k_max else np.zeros(0)
-        for j, n in enumerate(scheme.prefix, start=1):
-            if lo <= n <= hi:
-                out[n - lo] = (sign if j % 2 == 0 else -sign) * vals[(j - 1) // 2]
-        return out
+    if scheme.mode != "identity":
+        return BoundedSeq(oracle, bound)
 
-    # the negated identity placement is the plain embedding T
-    tag = FunctionalImage(space, x, scheme if sign > 0 else None)
-    return BoundedSeq(oracle, bound, tag, block)
+    def block(lo: int, hi: int) -> np.ndarray:
+        k_hi = (hi + 1) // 2
+        vals = space.functional_values(x, k_hi)
+        out = np.empty(2 * k_hi)
+        out[0::2] = -sign * vals
+        out[1::2] = sign * vals
+        return out[lo - 1:hi]
+
+    return BoundedSeq(oracle, bound, block=block)
 
 
 def embed_t1(space: SeparableSpace, x) -> BoundedSeq:

@@ -249,8 +249,7 @@ def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstim
 
 def separation_witness(space: SeparableSpace, scheme: IndexScheme, x,
                        d: BoundedSeq, epsilon: float, count: int,
-                       scan_budget: int = 100000,
-                       j_window: Optional[int] = None) -> OscillationWitness:
+                       scan_budget: int = 100000) -> OscillationWitness:
     """Witness that T(x) - d oscillates between ~(||x|| - L) and
     ~(-||x|| - L), where L is d's limit along the scheme.
 
@@ -262,8 +261,7 @@ def separation_witness(space: SeparableSpace, scheme: IndexScheme, x,
 
     L, errL, keep = 0.0, 0.0, None
     if d.bound != 0.0:
-        if j_window is None:
-            j_window = scheme.length if scheme.length is not None else 256
+        j_window = scheme.length if scheme.length is not None else 256
         est = limit_along(d, scheme, j_window)
         L, errL = est.L, est.err
 

@@ -15,19 +15,9 @@ import numpy as np
 
 from .errors import EmptyWindow, IndexZero, LengthMismatch
 
-#: absolute tolerance for equality assertions unless stated otherwise
-DEFAULT_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # structural tags
-
-@dataclass(frozen=True)
-class ExplicitList:
-    """Finite prefix followed by a constant tail."""
-    prefix: tuple
-    tail: float
-
 
 @dataclass(frozen=True)
 class EventuallyConstant:
@@ -50,14 +40,6 @@ class Periodic:
 
 
 @dataclass(frozen=True)
-class FunctionalImage:
-    """Image of a space element under a functional-placement embedding."""
-    space: object
-    element: object
-    scheme: object = None
-
-
-@dataclass(frozen=True)
 class LinearCombo:
     coeffs: tuple
     children: tuple
@@ -75,8 +57,8 @@ class BoundedSeq:
     `oracle` must be pure: repeated evaluation at the same index returns
     bit-identical scalars. `bound` is a certified sup-norm upper bound.
     `block` (optional) evaluates coordinates lo..hi inclusive as an
-    array; it must agree with `oracle` to well below DEFAULT_TOL and
-    exists only as a fast path for window statistics.
+    array of the values `oracle` gives there; it exists only as a fast
+    path for window statistics.
     """
     oracle: Callable[[int], float]
     bound: float
@@ -118,16 +100,8 @@ def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()
 
 
 def explicit_list(prefix: Sequence[float], tail: float) -> BoundedSeq:
-    prefix = tuple(float(v) for v in prefix)
-    tail = float(tail)
-    bound = max([abs(tail)] + [abs(v) for v in prefix])
-
-    def oracle(n: int) -> float:
-        if n < 1:
-            raise IndexZero(f"index {n} < 1")
-        return prefix[n - 1] if n <= len(prefix) else tail
-
-    return BoundedSeq(oracle, bound, ExplicitList(prefix, tail))
+    """`prefix` followed by the constant `tail`."""
+    return eventually_constant(tail, len(prefix) + 1, prefix)
 
 
 def explicit_limit(limit: float, rate: float) -> BoundedSeq:
@@ -256,8 +230,6 @@ def structural_limit(s: BoundedSeq, budget: int):
     tag = s.tag
     if isinstance(tag, EventuallyConstant):
         return tag.value, 0.0, tag.start
-    if isinstance(tag, ExplicitList):
-        return tag.tail, 0.0, len(tag.prefix) + 1
     if isinstance(tag, ExplicitLimit):
         return tag.limit, abs(tag.rate) / max(budget, 1), max(budget, 1)
     if isinstance(tag, Periodic) and len(set(tag.pattern)) == 1:

@@ -641,72 +641,64 @@ class CustomNet(FiniteDimLp):
 # ---------------------------------------------------------------------------
 # CLI-facing parsing
 
-def _parse_p(token: str) -> float:
-    if token in ("inf", "infinity", "oo"):
-        return math.inf
+def _parse_p(token) -> float:
+    return math.inf if str(token) == "oo" else _parse_num(float, token, "exponent")
+
+
+def _parse_num(cast, token, what: str):
     try:
-        return float(token)
+        return cast(str(token))
     except ValueError:
-        raise ConfigError(f"bad exponent {token!r}") from None
-
-
-def _parse_int(token, what: str) -> int:
-    try:
-        return int(token)
-    except (TypeError, ValueError):
         raise ConfigError(f"bad {what} {token!r}") from None
 
 
-def parse_space(spec) -> SeparableSpace:
-    """Space specification: `fdlp:dim=<n>,p=<p|inf>`, `seqlp:p=<p>,
-    support=<m>`, `c01`, `custom:<file>`, or an equivalent dict."""
-    if isinstance(spec, dict):
-        return _space_from_dict(spec)
-    if not isinstance(spec, str):
-        raise ConfigError(f"space spec must be string or object, got {type(spec).__name__}")
-    if spec == "c01":
-        return ContinuousPL()
+#: per space kind: its required fields, and its optional fields with defaults
+_SPACE_FIELDS = {
+    "fdlp": ({"dim"}, {"p": "2"}),
+    "seqlp": (set(), {"p": "2", "support": "8"}),
+    "c01": (set(), {}),
+    "custom": ({"points"}, {"p": "2", "functionals": None}),
+}
+
+
+def _spec_dict(spec: str) -> dict:
+    """`<kind>:<key>=<value>,...` as {"kind": kind, key: value, ...};
+    `custom:<file>` as the dict spec that the JSON file holds."""
     head, _, rest = spec.partition(":")
     if head == "custom":
         try:
             with open(rest, "r", encoding="utf-8") as fh:
-                return _space_from_dict(json.load(fh))
-        except OSError as exc:
+                return json.load(fh)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read custom net file {rest!r}: {exc}") from None
-    fields = {}
-    for part in rest.split(","):
-        if not part:
-            continue
+    out = {"kind": head}
+    for part in filter(None, rest.split(",")):
         key, eq, val = part.partition("=")
-        if not eq:
+        if not eq or key.strip() in out:
             raise ConfigError(f"bad space field {part!r} in {spec!r}")
-        fields[key.strip()] = val.strip()
-    if head == "fdlp":
-        if "dim" not in fields:
-            raise ConfigError(f"fdlp spec {spec!r} needs field dim")
-        dim = _parse_int(fields.pop("dim"), "dimension")
-        p = _parse_p(fields.pop("p", "2"))
-        if fields:
-            raise ConfigError(f"unknown fdlp fields {sorted(fields)} in {spec!r}")
-        return FiniteDimLp(dim, p)
-    if head == "seqlp":
-        p = _parse_p(fields.pop("p", "2"))
-        support = _parse_int(fields.pop("support", "8"), "support cap")
-        if fields:
-            raise ConfigError(f"unknown seqlp fields {sorted(fields)} in {spec!r}")
-        return SeqLp(p, support)
-    raise ConfigError(f"unknown space kind {head!r}")
+        out[key.strip()] = val.strip()
+    return out
 
 
-def _space_from_dict(obj: dict) -> SeparableSpace:
-    kind = obj.get("kind")
+def parse_space(spec) -> SeparableSpace:
+    """Space specification: `fdlp:dim=<n>,p=<p|inf>`, `seqlp:p=<p>,
+    support=<m>`, `c01`, `custom:<file>`, or a dict of the same fields
+    with `kind`; every spec is checked against `_SPACE_FIELDS`."""
+    fields = _spec_dict(spec) if isinstance(spec, str) else spec
+    if not isinstance(fields, dict):
+        raise ConfigError(f"space spec must be string or object, got {type(fields).__name__}")
+    kind = fields.get("kind")
+    if not isinstance(kind, str) or kind not in _SPACE_FIELDS:
+        raise ConfigError(f"unknown space kind {kind!r}")
+    required, optional = _SPACE_FIELDS[kind]
+    if not required <= set(fields) <= required | set(optional) | {"kind"}:
+        raise ConfigError(f"{kind} spec {spec!r} needs fields {sorted(required)} "
+                          f"and allows {sorted(optional)}")
+    f = {**optional, **fields}
     if kind == "fdlp":
-        return FiniteDimLp(_parse_int(obj.get("dim"), "dimension"), _parse_p(str(obj.get("p", 2))))
+        return FiniteDimLp(_parse_num(int, f["dim"], "dimension"), _parse_p(f["p"]))
     if kind == "seqlp":
-        return SeqLp(_parse_p(str(obj.get("p", 2))), _parse_int(obj.get("support", 8), "support cap"))
-    if kind == "c01":
-        return ContinuousPL()
+        return SeqLp(_parse_p(f["p"]), _parse_num(int, f["support"], "support cap"))
     if kind == "custom":
-        return CustomNet(obj["points"], float(obj.get("p", 2.0)),
-                         obj.get("functionals"))
-    raise ConfigError(f"unknown space kind {kind!r}")
+        return CustomNet(f["points"], _parse_p(f["p"]), f["functionals"])
+    return ContinuousPL()

@@ -41,8 +41,7 @@ class Unknown:
     clusters_seen: tuple
 
 
-def classify_c(s: BoundedSeq, budget: int, gap_floor: float,
-               cell_width: float = None):
+def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
     """Three-valued convergence verdict for a bounded sequence.
 
     Structural InC for convergence-tagged sequences; otherwise cluster
@@ -60,12 +59,10 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float,
         limit, variation, _ = structural
         return InC(limit=limit, tail_variation=variation)
 
-    if cell_width is None:
-        # quarter-width cells leave slack between the certified cluster
-        # separation and the gap floor; half-width makes them equal up
-        # to rounding and verdicts flip on float noise
-        cell_width = gap_floor / 4.0
-    estimates = cluster_estimates(s, range(1, budget + 1), cell_width)
+    # quarter-width cells leave slack between the certified cluster
+    # separation and the gap floor; half-width makes them equal up to
+    # rounding and verdicts flip on float noise
+    estimates = cluster_estimates(s, range(1, budget + 1), gap_floor / 4.0)
     populated = [e for e in estimates if len(e.indices) >= 5]
     if len(populated) >= 2:
         lo_cluster = min(populated, key=lambda e: e.value)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from seqembed import cli
 from seqembed.cli import main, parse_seq_spec, validate_config
 from seqembed.errors import ConfigError
 from seqembed.seqcore import coordinate
@@ -103,15 +104,35 @@ def test_exit_one_on_malformed_space(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("m", 2.0), ("epsilon", "0.2"), ("tol_schedule", "abc"),
     ("samples", [[float("nan"), 1.0]]),
+    ("count", "abc"), ("seed", "abc"), ("random_d", "abc"), ("K", 2.5),
+    ("--seed", "-1"), ("gap_floor", "abc"), ("samples", [[3.0, 4.0, 5.0]]),
+    ("samples", 5), ("d_samples", [[1.0, "x"]]), ("tol_schedule", [0.25, 0.5]),
+    ("tol_schedule", [0.5]), ("m", 3), ("out", ["r.json"]), ("d_basis", [5]),
+    ("classify_budget", 1),
 ])
 def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     cfg = {"space": "fdlp:dim=2,p=2", "d_mode": "countable",
            "d_basis": ["periodic:-1,1", "evconst:0.5"], "samples": [[3.0, 4.0]]}
-    cfg[field] = value
+    argv = []
+    if field.startswith("--"):          # a command-line value; it seeds random_d
+        cfg["random_d"] = 2
+        argv = [field, value]
+    else:
+        cfg[field] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))    # NaN is written as a bare NaN
-    assert main(["extend", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("ConfigError:")
+    command = "suite" if field == "gap_floor" else "extend"
+    assert main([command, "--config", str(path)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+def test_exit_three_on_unexpected_error(monkeypatch, capsys):
+    def fail(cfg, report):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "run_extend", fail)
+    assert main(["extend", "--config", "basic"]) == 3
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"
 
 
 def test_exit_one_on_missing_config():

@@ -58,6 +58,7 @@ def test_explicit_list_tail():
     assert coordinate(s, 2) == -5.0
     assert coordinate(s, 3) == 0.5
     assert s.bound == 5.0
+    assert structural_limit(explicit_list([5.0, -5.0], 0.5), 10) == (0.5, 0.0, 3)
 
 
 def test_explicit_limit_values():

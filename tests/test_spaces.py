@@ -271,17 +271,31 @@ def test_parse_space_strings():
     assert isinstance(parse_space("c01"), ContinuousPL)
 
 
-def test_parse_space_dict():
+def test_parse_space_dict(tmp_path):
     sp = parse_space({"kind": "custom", "points": [[0.0, 1.0]], "p": 2})
     assert isinstance(sp, CustomNet)
+    sq = parse_space({"kind": "seqlp", "p": 1.5, "support": 3})
+    assert isinstance(sq, SeqLp) and sq.p == 1.5 and sq.support_cap == 3
+    path = tmp_path / "net.json"
+    path.write_text('{"kind": "custom", "points": [[0.6, 0.8]], "p": 2}')
+    net = parse_space(f"custom:{path}")
+    assert isinstance(net, CustomNet) and net.describe() == "custom:dim=2,p=2,cycle=1"
 
 
 @pytest.mark.parametrize("bad", [
     "fdlp:dim=0,p=2", "fdlp:p=2", "fdlp:dim=2,p=0.5", "seqlp:p=inf",
     "wavelets", "fdlp:dim=2,p=2,extra=1", "fdlp:dim=2,p",
     "fdlp:dim=abc", "seqlp:p=2,support=x",
+    {"kind": "fdlp", "dim": 2, "extra": 1}, {"kind": "custom"}, "c01:foo=1",
+    {"kind": ["fdlp"], "dim": 2},
+    "fdlp:dim=2,kind=seqlp", ("file", '{"kind": "custom", "points": [[1.0, 0.0]'),
+    ("file", '{"kind": "custom", "p": 2}'), ("file", "[[1.0, 0.0]]"),
 ])
-def test_parse_space_rejects(bad):
+def test_parse_space_rejects(tmp_path, bad):
+    if isinstance(bad, tuple):      # the text of a custom: net file
+        path = tmp_path / "net.json"
+        path.write_text(bad[1])
+        bad = f"custom:{path}"
     with pytest.raises(ConfigError):
         parse_space(bad)
 
