@@ -250,7 +250,7 @@ def _scan_witness(space: SeparableSpace, x, image: BoundedSeq,
     k = 0
     while k < k_limit and len(hits) < count:
         hi = min(k + _SCAN_BLOCK, k_limit)
-        dists = space.distance_profile(v, hi)[k:hi]
+        dists = space.distance_profile(v, hi, k)
         for off in np.nonzero(dists <= epsilon)[0]:
             n_plus, n_minus = pair_at(k + int(off) + 1)
             if keep is not None and not keep(n_plus, n_minus):

@@ -231,13 +231,20 @@ class LimitEstimate:
 
 def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstimate:
     """L = mean of d(n_j) over the last half of the window; err = max
-    deviation over that half plus the scheme's final tolerance."""
+    deviation over that half plus the scheme's final tolerance.
+
+    With a block, d is read over one window spanning those n_j;
+    without, at the n_j alone."""
     if j_window < 2:
         raise ValueError(f"j_window = {j_window} must be >= 2")
     if scheme.length is not None and scheme.length < j_window:
         raise SchemeExhausted(j_window, scheme.length)
-    tail = range(j_window // 2 + 1, j_window + 1)
-    vals = np.array([coordinate(d, scheme.index_at(j)) for j in tail])
+    idx = np.array([scheme.index_at(j) for j in range(j_window // 2 + 1, j_window + 1)])
+    if d.block is not None:
+        lo = int(idx.min())
+        vals = d.coordinates(lo, int(idx.max()))[idx - lo]
+    else:
+        vals = np.array([coordinate(d, int(n)) for n in idx])
     L = float(np.mean(vals))
     dev = float(np.max(np.abs(vals - L)))
     delta = scheme.tol_schedule[-1] if scheme.tol_schedule else 0.0

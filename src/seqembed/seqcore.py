@@ -57,8 +57,14 @@ class BoundedSeq:
     `oracle` must be pure: repeated evaluation at the same index returns
     bit-identical scalars. `bound` is a certified sup-norm upper bound.
     `block` (optional) evaluates coordinates lo..hi inclusive as an
-    array of the values `oracle` gives there; it exists only as a fast
-    path for window statistics.
+    array of the values `oracle` gives there, bit for bit; it is only a
+    fast path for windows. `periodic`, `eventually_constant`,
+    `explicit_limit` and `zero_seq` have one, `combine` has one when
+    every child has, and of the space images only those under the
+    identity scheme (`embed_t1`, and `scheme_embed` of the identity
+    scheme) have one; `from_function` has none. The oracle stays the
+    reference: `embed.reverify_witness` reads nothing else, so a
+    witness built from block values is checked against it.
     """
     oracle: Callable[[int], float]
     bound: float
@@ -75,8 +81,11 @@ class BoundedSeq:
 
 @dataclass(frozen=True)
 class ClusterEstimate:
-    """Finite-truncation stand-in for a subsequential limit."""
+    """Finite-truncation stand-in for a subsequential limit: the member
+    indices in increasing order, their coordinates in the same order,
+    the cell midpoint and the largest distance of a member from it."""
     indices: tuple
+    values: tuple
     value: float
     spread: float
 
@@ -96,7 +105,15 @@ def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()
             raise IndexZero(f"index {n} < 1")
         return head[n - 1] if n < start else value
 
-    return BoundedSeq(oracle, bound, EventuallyConstant(value, start, head))
+    head_arr = np.array(head, dtype=float)
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        out = np.full(hi - lo + 1, value)
+        if lo < start:
+            out[:min(hi + 1, start) - lo] = head_arr[lo - 1:hi]
+        return out
+
+    return BoundedSeq(oracle, bound, EventuallyConstant(value, start, head), block)
 
 
 def explicit_list(prefix: Sequence[float], tail: float) -> BoundedSeq:
@@ -113,7 +130,10 @@ def explicit_limit(limit: float, rate: float) -> BoundedSeq:
             raise IndexZero(f"index {n} < 1")
         return limit + rate / n
 
-    return BoundedSeq(oracle, abs(limit) + abs(rate), ExplicitLimit(limit, rate))
+    def block(lo: int, hi: int) -> np.ndarray:
+        return limit + rate / np.arange(lo, hi + 1, dtype=float)
+
+    return BoundedSeq(oracle, abs(limit) + abs(rate), ExplicitLimit(limit, rate), block)
 
 
 def periodic(pattern: Sequence[float]) -> BoundedSeq:
@@ -127,7 +147,12 @@ def periodic(pattern: Sequence[float]) -> BoundedSeq:
             raise IndexZero(f"index {n} < 1")
         return pattern[(n - 1) % m]
 
-    return BoundedSeq(oracle, max(abs(v) for v in pattern), Periodic(pattern))
+    pattern_arr = np.array(pattern)
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        return pattern_arr[np.arange(lo - 1, hi) % m]
+
+    return BoundedSeq(oracle, max(abs(v) for v in pattern), Periodic(pattern), block)
 
 
 def zero_seq() -> BoundedSeq:
@@ -170,10 +195,15 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
     seqs = tuple(seqs)
     bound = sum(abs(c) * s.bound for c, s in zip(coeffs, seqs))
 
+    # both paths add c * s(n) in child order from 0.0; Python 3.12's
+    # compensated `sum` would round differently from the block
     def oracle(n: int) -> float:
         if n < 1:
             raise IndexZero(f"index {n} < 1")
-        return float(sum(c * s.oracle(n) for c, s in zip(coeffs, seqs)))
+        acc = 0.0
+        for c, s in zip(coeffs, seqs):
+            acc += c * s.oracle(n)
+        return acc
 
     def block(lo: int, hi: int) -> np.ndarray:
         out = np.zeros(hi - lo + 1)
@@ -181,7 +211,9 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
             out += c * s.coordinates(lo, hi)
         return out
 
-    return BoundedSeq(oracle, bound, LinearCombo(coeffs, seqs), block)
+    has_block = all(s.block is not None for s in seqs)
+    return BoundedSeq(oracle, bound, LinearCombo(coeffs, seqs),
+                      block if has_block else None)
 
 
 def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
@@ -189,7 +221,9 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
 
     One ClusterEstimate per nonempty cell (value = cell midpoint),
     sorted by descending hit count then ascending value. The union of
-    the returned index lists is exactly the window.
+    the returned index lists is exactly the window. The window is read
+    once, through `s.coordinates` (the block when `s` has one), and
+    each estimate carries the values it bucketed.
     """
     if len(window) == 0:
         raise EmptyWindow("empty window")
@@ -198,13 +232,13 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
     if cell_width <= 0:
         raise ValueError(f"cell_width {cell_width} must be positive")
 
-    indices = np.fromiter(window, dtype=int)
-    lo, hi = int(indices.min()), int(indices.max())
+    indices = np.sort(np.fromiter(window, dtype=int))
+    lo, hi = int(indices[0]), int(indices[-1])
     vals = s.coordinates(lo, hi)[indices - lo]
 
     b = s.bound
     if b == 0.0:
-        return [ClusterEstimate(tuple(int(i) for i in sorted(indices)), 0.0, 0.0)]
+        return [ClusterEstimate(tuple(indices.tolist()), tuple(vals.tolist()), 0.0, 0.0)]
 
     ncells = max(1, int(math.ceil(2.0 * b / cell_width)))
     cells = np.floor((vals + b) / cell_width).astype(int)
@@ -215,8 +249,8 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
         mask = cells == cell
         mid = -b + (cell + 0.5) * cell_width
         spread = float(np.max(np.abs(vals[mask] - mid)))
-        members = tuple(int(i) for i in sorted(indices[mask]))
-        out.append(ClusterEstimate(members, float(mid), spread))
+        out.append(ClusterEstimate(tuple(indices[mask].tolist()),
+                                   tuple(vals[mask].tolist()), float(mid), spread))
     out.sort(key=lambda e: (-len(e.indices), e.value))
     return out
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,15 +162,31 @@ def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
     return out
 
 
-def _cycle(base: np.ndarray, K: int) -> np.ndarray:
-    """The first K entries of base repeated cyclically."""
-    return np.tile(base, -(-K // len(base)))[:K]
+def _cycle(base: np.ndarray, K: int, lo: int = 0) -> np.ndarray:
+    """Entries lo..K-1 of base repeated cyclically."""
+    return base[np.arange(lo, K) % len(base)]
 
 
 def _finite(values, what: str):
     """Reject NaN and infinities, which JSON input can carry."""
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"{what} has a non-finite value")
+
+
+def _number_rows(rows, what: str) -> np.ndarray:
+    """A nonempty list of equal-length rows of finite numbers, as a
+    float matrix; anything else (a scalar, strings, ragged rows) is a
+    ConfigError."""
+    try:
+        M = np.asarray(rows)
+    except ValueError:                  # ragged rows
+        M = None
+    if M is None or M.ndim != 2 or len(M) == 0 or M.dtype.kind not in "iuf":
+        raise ConfigError(f"{what} must be a nonempty list of equal-length "
+                          f"rows of numbers, got {reprlib.repr(rows)}")
+    M = M.astype(float)
+    _finite(M.ravel().tolist(), what)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +198,8 @@ class SeparableSpace:
     Each kind implements norm, canonical (validate an element), scale,
     subtract, apply_functional, net_point(k), norming_functional(k),
     functional_values(x, K) = [phi_1(x), ..., phi_K(x)],
-    distance_profile(v, K) = [||v - u_1||, ..., ||v - u_K||],
+    distance_profile(v, K, lo=0) = [||v - u_{lo+1}||, ..., ||v - u_K||]
+    (each row bit for bit as in the profile from row 0),
     random_element, lattice_sample (a multiple of a small grid
     direction, near early net points), element_to_json,
     element_from_json, describe, and `_width(t)`, the entries of a
@@ -321,9 +339,9 @@ class FiniteDimLp(SeparableSpace):
         self._ensure(K)
         return _dot_rows(self._Phi[:K], self.canonical(x).tolist())
 
-    def distance_profile(self, v, K: int) -> np.ndarray:
+    def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
         self._ensure(K)
-        return _row_norms(self._U[:K] - self.canonical(v), self.p)
+        return _row_norms(self._U[lo:K] - self.canonical(v), self.p)
 
     def random_element(self, rng):
         while True:
@@ -431,13 +449,13 @@ class SeqLp(SeparableSpace):
         Phi = self._Phi[:K]
         return _dot_rows(Phi, self._dense(self.canonical(x), Phi.shape[1]).tolist())
 
-    def distance_profile(self, v, K: int) -> np.ndarray:
+    def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
         self._ensure(K)
         v = self.canonical(v)
         # the columns the first K rows use; support past them is orthogonal
         width = self._width(self._level_of(K - 1))
         extra = sum(abs(val) ** self.p for i, val in v.items() if i > width)
-        return _row_norms(self._U[:K, :width] - self._dense(v, width), self.p, extra)
+        return _row_norms(self._U[lo:K, :width] - self._dense(v, width), self.p, extra)
 
     def random_element(self, rng):
         size = int(rng.integers(1, min(self.support_cap, 4) + 1))
@@ -536,16 +554,16 @@ class ContinuousPL(SeparableSpace):
         x = self.canonical(x)
         return self._Phi[:K, 1] * np.interp(self._Phi[:K, 0], x.breaks, x.values)
 
-    def distance_profile(self, v, K: int) -> np.ndarray:
+    def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
         self._ensure(K)
         v = self.canonical(v)
-        out = np.empty(K)
-        lo = 0
-        # one pass per grid: its levels are contiguous rows lo..hi-1
+        out = np.empty(K - lo)
+        first = lo
+        # one pass per grid: its levels are contiguous rows first..hi-1
         for t, _, stop in self._levels():
-            if lo >= K:
+            if first >= K:
                 break
-            if t % self.LEVELS_PER_GRID and stop < K:
+            if stop <= first or (t % self.LEVELS_PER_GRID and stop < K):
                 continue
             hi = min(stop, K)
             grid = self._grid(t)
@@ -553,11 +571,11 @@ class ContinuousPL(SeparableSpace):
             pos = np.clip(np.searchsorted(grid, union, side="right") - 1,
                           0, len(grid) - 2)
             w = (union - grid[pos]) / (grid[pos + 1] - grid[pos])
-            rows = self._U[lo:hi]
+            rows = self._U[first:hi]
             on_union = rows[:, pos] * (1.0 - w) + rows[:, pos + 1] * w
             v_union = np.interp(union, v.breaks, v.values)
-            out[lo:hi] = np.max(np.abs(on_union - v_union), axis=1)
-            lo = hi
+            out[first - lo:hi - lo] = np.max(np.abs(on_union - v_union), axis=1)
+            first = hi
         return out
 
     def random_element(self, rng):
@@ -600,20 +618,16 @@ class CustomNet(FiniteDimLp):
     kind = "custom"
 
     def __init__(self, points, p: float = 2.0, functionals=None):
-        if not points:
-            raise ConfigError("custom net needs at least one point")
-        points = [np.asarray(pt, dtype=float) for pt in points]
-        super().__init__(points[0].shape[0], p)
+        points = _number_rows(points, "custom net points")
+        super().__init__(points.shape[1], p)
         for pt in points:
-            if pt.shape != (self.dim,):
-                raise ConfigError("custom net points must share one dimension")
             if abs(_pnorm(pt, self.p) - 1.0) > UNIT_TOL:
                 raise ConfigError(f"custom net point {pt} is not unit")
-        self._U = np.array(points)
+        self._U = points
         if functionals is None:
             self._Phi = _duality_rows(self._U, self.p)
             return
-        self._Phi = np.array(functionals, dtype=float)
+        self._Phi = _number_rows(functionals, "custom net functionals")
         if self._Phi.shape != self._U.shape:
             raise ConfigError("one functional per net point, of its dimension, required")
         if np.any(np.abs(np.sum(self._Phi * self._U, axis=1) - 1.0) > UNIT_TOL):
@@ -630,9 +644,9 @@ class CustomNet(FiniteDimLp):
     def functional_values(self, x, K: int) -> np.ndarray:
         return _cycle(_dot_rows(self._Phi, self.canonical(x).tolist()), K)
 
-    def distance_profile(self, v, K: int) -> np.ndarray:
+    def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
         v = self.canonical(v)
-        return _cycle(np.array([_pnorm(pt - v, self.p) for pt in self._U]), K)
+        return _cycle(np.array([_pnorm(pt - v, self.p) for pt in self._U]), K, lo)
 
     def lattice_sample(self, rng):
         return float(rng.uniform(0.25, 4.0)) * self.net_point(int(rng.integers(1, len(self._U) + 1)))

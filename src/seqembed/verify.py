@@ -46,8 +46,11 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
 
     Structural InC for convergence-tagged sequences; otherwise cluster
     analysis over 1..budget: if two cells with at least 5 members each
-    are separated by at least gap_floor, a witness is assembled and
-    NotInC returned; Unknown is the fallback, never an error.
+    are separated by at least gap_floor, a witness is assembled from
+    the values `cluster_estimates` bucketed (one read of the window,
+    through the block when `s` has one) and NotInC returned only if
+    `reverify_witness` accepts it against the oracle, so the block is
+    cross-checked too; Unknown is the fallback, never an error.
     """
     if budget < 2:
         raise ValueError(f"budget = {budget} must be >= 2")
@@ -70,18 +73,18 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
         separation = (hi_cluster.value - hi_cluster.spread) - \
                      (lo_cluster.value + lo_cluster.spread)
         if separation >= gap_floor:
-            witness = _witness_from_clusters(s, hi_cluster, lo_cluster)
+            witness = _witness_from_clusters(hi_cluster, lo_cluster)
             if witness.gap >= gap_floor and reverify_witness(s, witness):
                 return NotInC(witness=witness)
     return Unknown(budget_used=budget, clusters_seen=tuple(estimates))
 
 
-def _witness_from_clusters(s, hi_cluster, lo_cluster) -> OscillationWitness:
+def _witness_from_clusters(hi_cluster, lo_cluster) -> OscillationWitness:
     m = min(len(hi_cluster.indices), len(lo_cluster.indices))
     plus_idx = hi_cluster.indices[:m]
     minus_idx = lo_cluster.indices[:m]
-    plus_vals = tuple(float(s.oracle(n)) for n in plus_idx)
-    minus_vals = tuple(float(s.oracle(n)) for n in minus_idx)
+    plus_vals = hi_cluster.values[:m]
+    minus_vals = lo_cluster.values[:m]
     return OscillationWitness(
         plus_indices=plus_idx, minus_indices=minus_idx,
         plus_values=plus_vals, minus_values=minus_vals,

@@ -108,7 +108,8 @@ def test_exit_one_on_malformed_space(tmp_path):
     ("--seed", "-1"), ("gap_floor", "abc"), ("samples", [[3.0, 4.0, 5.0]]),
     ("samples", 5), ("d_samples", [[1.0, "x"]]), ("tol_schedule", [0.25, 0.5]),
     ("tol_schedule", [0.5]), ("m", 3), ("out", ["r.json"]), ("d_basis", [5]),
-    ("classify_budget", 1),
+    ("classify_budget", 1), ("space", {"kind": "custom", "points": 5}),
+    ("space", {"kind": "custom", "points": [["0.6", "0.8"]]}),
 ])
 def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     cfg = {"space": "fdlp:dim=2,p=2", "d_mode": "countable",

@@ -1,12 +1,16 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqembed import (BudgetExhausted, CustomNet, FiniteDimLp,
-                      OscillationWitness, SeqLp, ZeroElement, coordinate,
-                      embed_t1, identity_scheme, isometry_defect,
-                      oscillation_witness, prefix_sup, reverify_witness,
+                      OscillationWitness, SeqLp, ZeroElement, classify_c,
+                      combine, coordinate, embed_t1, explicit_limit,
+                      identity_scheme, isometry_defect, oscillation_witness,
+                      periodic, prefix_sup, reverify_witness,
                       separation_witness, zero_seq)
 
 SQ2 = math.sqrt(2.0)
@@ -142,6 +146,41 @@ def test_reverify_rejects_tampering():
         w, plus_indices=tuple(reversed(w.plus_indices)))
     assert not reverify_witness(s, forged)
     forged = dataclasses.replace(w, minus_indices=w.minus_indices[:-1])
+    assert not reverify_witness(s, forged)
+
+
+@functools.lru_cache(maxsize=None)
+def _witnesses():
+    """(sequence, witness) pairs from each witness builder."""
+    sp, sq = FiniteDimLp(2, 2), SeqLp(1.0, 4)
+    x, y = np.array([1.0, 2.0]), {2: -1.5}
+    s = combine([1.0, 0.5, 0.25], [periodic([-1.0, 1.0]), explicit_limit(0.2, 1.0),
+                                    periodic([0.3, -0.7, 0.1])])
+    return ((embed_t1(sp, x), oscillation_witness(sp, x, 0.3, 3)),
+            (embed_t1(sq, y), oscillation_witness(sq, y, 0.2, 4)),
+            (s, classify_c(s, 600, 0.5).witness))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2), st.sampled_from(["value", "swap", "gap"]),
+       st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_perturbed_witness_never_reverifies(source, change, at, plus, up):
+    s, w = _witnesses()[source]
+    assert reverify_witness(s, w)
+    i = at % len(w.plus_indices)
+    step = math.inf if up else -math.inf
+    if change == "value":                # one value moved by one ulp
+        field = "plus_values" if plus else "minus_values"
+        vals = list(getattr(w, field))
+        vals[i] = math.nextafter(vals[i], step)
+        forged = dataclasses.replace(w, **{field: tuple(vals)})
+    elif change == "swap":               # a plus and a minus index trade places
+        p_idx, m_idx = list(w.plus_indices), list(w.minus_indices)
+        p_idx[i], m_idx[i] = m_idx[i], p_idx[i]
+        forged = dataclasses.replace(w, plus_indices=tuple(p_idx),
+                                     minus_indices=tuple(m_idx))
+    else:                                # the gap moved by one ulp
+        forged = dataclasses.replace(w, gap=math.nextafter(w.gap, step))
     assert not reverify_witness(s, forged)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqembed import (BoundedSeq, IndexZero, LengthMismatch, EmptyWindow,
                       cluster_estimates, combine, coordinate,
@@ -91,6 +91,46 @@ def test_coordinates_block_agrees_with_oracle():
     window = s.coordinates(3, 10)
     direct = [coordinate(s, n) for n in range(3, 11)]
     assert np.array_equal(window, direct)
+
+
+_VALUES = st.floats(-10, 10)
+_LEAVES = st.one_of(
+    st.lists(_VALUES, min_size=1, max_size=5).map(periodic),
+    st.builds(lambda v, head: eventually_constant(v, len(head) + 1, head),
+              _VALUES, st.lists(_VALUES, max_size=6)),
+    st.builds(explicit_limit, _VALUES, _VALUES),
+    st.just(zero_seq()))
+_COMBOS = st.builds(combine, st.lists(_VALUES, min_size=3, max_size=3),
+                    st.lists(_LEAVES, min_size=3, max_size=3))
+_NESTED = st.builds(lambda cs, inner, a, b: combine(cs, [inner, a, b]),
+                    st.lists(_VALUES, min_size=3, max_size=3),
+                    _COMBOS, _LEAVES, _LEAVES)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_LEAVES, _COMBOS, _NESTED), st.integers(1, 12), st.integers(0, 40))
+def test_block_matches_oracle_bit_for_bit(s, lo, length):
+    # windows from 1..12 straddle every eventually-constant head drawn
+    assert s.block is not None
+    hi = lo + length
+    assert _bits(s.coordinates(lo, hi)) == _bits([s.oracle(n) for n in range(lo, hi + 1)])
+
+
+def test_combine_has_a_block_only_when_every_child_has():
+    opaque = from_function(lambda n: 1.0 / n, 1.0)
+    assert combine([1.0, 2.0], [periodic([1.0]), opaque]).block is None
+    assert combine([1.0, 2.0], [periodic([1.0]), explicit_limit(0.0, 1.0)]).block is not None
+
+
+def test_combine_adds_in_child_order():
+    # on Python >= 3.12 `sum` of floats is compensated: sum([1e16, 1.0, -1e16])
+    # is 1.0 there, while left-to-right addition (and the block) gives 0.0
+    s = combine([1e16, 1.0, -1e16], [periodic([1.0])] * 3)
+    assert coordinate(s, 1) == 0.0 == s.coordinates(1, 1)[0]
 
 
 def test_combine_pointwise_linearity():

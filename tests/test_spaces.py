@@ -256,8 +256,34 @@ def test_custom_net_validates_points():
         CustomNet([(1.0, 0.0)], functionals=[(0.0, 1.0)])
     with pytest.raises(ConfigError):
         CustomNet([(0.6, 0.8)], functionals=[(5.0 / 7.0,)])
+    for points in ([], 5, "ab", [["0.6", "0.8"]], [[0.6, 0.8], [1.0]],
+                   [[math.nan, 1.0]], [[True, False]]):
+        with pytest.raises(ConfigError):
+            CustomNet(points)
     with pytest.raises(ConfigError):
-        CustomNet([])
+        CustomNet([(0.6, 0.8)], functionals=[("a", "b")])
+
+
+# -- profiles from a start row -----------------------------------------------
+
+@pytest.mark.parametrize("spec, K, starts", [
+    ("fdlp:dim=2,p=2", 9000, (1, 24, 4904, 8999)),
+    ("fdlp:dim=3,p=1.5", 9000, (1, 342, 4904, 8999)),
+    ("fdlp:dim=2,p=inf", 9000, (1, 4904, 8999)),
+    # seqlp levels start at rows 2, 26, 368 and 6928
+    ("seqlp:p=1.5,support=4", 9000, (1, 25, 26, 367, 4904, 6928, 8999)),
+    ({"kind": "custom", "points": [[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]]}, 10, (1, 4, 9)),
+    # row 4746 is the first row of level 7, the first on the finer grid
+    ("c01", 4800, (1, 704, 4745, 4746, 4747, 4799)),
+])
+def test_distance_profile_from_a_start_row(spec, K, starts):
+    full = parse_space(spec)
+    v = full.unit(full.random_element(np.random.default_rng(5)))
+    profile = full.distance_profile(v, K)
+    for lo in (0,) + starts:
+        part = parse_space(spec).distance_profile(v, K, lo)   # a fresh cache
+        assert _bits(part) == _bits(profile[lo:])
+        assert _bits(full.distance_profile(v, K, lo)) == _bits(profile[lo:])
 
 
 # -- spec parsing ----------------------------------------------------------

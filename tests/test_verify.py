@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from seqembed import (CustomNet, FiniteDimLp, InC, NotInC, SeqLp, SubspaceD,
-                      Unknown, brute_force_sup, bw_extract, check_isometry,
+from seqembed import (BoundedSeq, CustomNet, FiniteDimLp, InC, NotInC, SeqLp,
+                      SubspaceD, Unknown, brute_force_sup, bw_extract, check_isometry,
                       check_separation, classify_c, combine, embed_t1,
                       eventually_constant, explicit_limit, from_function,
                       periodic, prefix_sup, reverify_witness, zero_seq)
@@ -29,6 +29,21 @@ def test_combo_of_convergent_is_in_c():
     v = classify_c(s, 64, 1.0)
     assert isinstance(v, InC)
     assert v.limit == pytest.approx(2.5)
+
+
+def test_block_disagreeing_with_oracle_is_unknown():
+    # one cluster member's block value is off: the witness built from the
+    # bucketed window must fail the re-check against the oracle
+    s = periodic([-1.0, 1.0])
+
+    def block(lo, hi):
+        out = s.block(lo, hi)
+        out[2 - lo] = 0.9375        # index 2, the first plus member
+        return out
+
+    assert isinstance(classify_c(s, 64, 1.0), NotInC)
+    tampered = BoundedSeq(s.oracle, s.bound, block=block)
+    assert isinstance(classify_c(tampered, 64, 1.0), Unknown)
 
 
 def test_periodic_oscillation_detected():
