@@ -21,7 +21,6 @@ from .embed import (DefectRecord, IndexScheme, OscillationWitness, embed_t1,
                     identity_scheme, isometry_defect, oscillation_witness,
                     reverify_witness, scheme_embed)
 from .extend import (LimitEstimate, SubspaceD, bw_extract, diagonal_extract,
-                     extract_scheme, independence_defect, limit_along,
-                     separation_witness)
+                     extract_scheme, limit_along, separation_witness)
 from .verify import (InC, NotInC, Unknown, brute_force_sup, check_isometry,
                      check_separation, classify_c)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, SchemeExhausted, ZeroElement
+from .errors import BudgetExhausted, SchemeExhausted, ZeroElement, _finite
 from .seqcore import BoundedSeq, coordinate, prefix_sup
 from .spaces import SeparableSpace
 
@@ -135,6 +135,17 @@ def identity_scheme() -> IndexScheme:
 # ---------------------------------------------------------------------------
 # functional placement
 
+def _element(space: SeparableSpace, x, nonzero_for: Optional[str] = None):
+    """(canonical x, ||x||). A norm that is not finite is a ConfigError,
+    and a zero one a ZeroElement when `nonzero_for` names the use."""
+    x = space.canonical(x)
+    nx = space.norm(x)
+    _finite((nx,), f"{space.kind} element norm")
+    if nx == 0.0 and nonzero_for:
+        raise ZeroElement(f"{nonzero_for} needs a nonzero element")
+    return x, nx
+
+
 def _placement(space: SeparableSpace, scheme: IndexScheme, x,
                sign: float) -> BoundedSeq:
     """sign * phi_k(x) at eta+(k), -sign * phi_k(x) at eta-(k), 0 off I.
@@ -144,8 +155,7 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     the identity scheme (T(x) and the D = {0} placement) have a block;
     windows of the others are read through the oracle.
     """
-    x = space.canonical(x)
-    bound = space.norm(x)
+    x, bound = _element(space, x)
 
     def oracle(n: int) -> float:
         s, k = scheme.classify(n)
@@ -187,10 +197,7 @@ def isometry_defect(space: SeparableSpace, x, K: int) -> DefectRecord:
     achieved = prefix sup through coordinate 2K, upper = ||x||, and
     lower = ||x|| (1 - d_K(x/||x||)) from the net-density argument.
     """
-    x = space.canonical(x)
-    nx = space.norm(x)
-    if nx == 0.0:
-        raise ZeroElement("isometry defect needs a nonzero element")
+    x, nx = _element(space, x, "isometry defect")
     achieved = prefix_sup(embed_t1(space, x), 2 * K)
     lower = nx * (1.0 - space.net_distance(space.unit(x), K))
     return DefectRecord(lower=lower, upper=nx, achieved=achieved)
@@ -225,10 +232,7 @@ def _witness_input(space: SeparableSpace, x, epsilon: float, count: int,
                    kind: str):
     """(canonical x, ||x||) once the arguments every witness scan
     shares are checked."""
-    x = space.canonical(x)
-    nx = space.norm(x)
-    if nx == 0.0:
-        raise ZeroElement(f"{kind} witness needs a nonzero element")
+    x, nx = _element(space, x, f"{kind} witness")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon = {epsilon} must be in (0, 1)")
     if count < 1:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class SeqEmbedError(Exception):
     """Base class for all package errors."""
@@ -64,3 +66,9 @@ class BudgetExhausted(SeqEmbedError):
 
 class ConfigError(SeqEmbedError):
     """A run configuration failed to parse or validate."""
+
+
+def _finite(values, what: str):
+    """Reject NaN and infinities (from JSON input or overflow)."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} has a non-finite value")

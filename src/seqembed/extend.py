@@ -3,8 +3,11 @@
 Given a subspace D spanned (or densely generated) by known bounded
 sequences, a common subsequence of indices is extracted along which
 every generator stabilizes: cell refinement in the finite-basis case,
-staged diagonal refinement for countable families; `extract_scheme`
-picks the extraction for D. The extracted index set is split into
+staged diagonal refinement for countable families. Both run one
+refinement step, `_refine` (the most-hit cell survives, ties to the
+lexicographically smallest cell corner), on the cell rule they share
+with `seqcore.cluster_estimates`; `extract_scheme` picks the
+extraction for D. The extracted index set is split into
 alternating halves I+/I-, norming functionals are placed on them
 (`scheme_embed`; `IndexScheme` and the placement live in `embed` and
 are re-exported here), and the resulting embedding separates its image
@@ -13,6 +16,7 @@ scan loop shared with `embed.oscillation_witness`.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +25,7 @@ import numpy as np
 from .embed import (IndexScheme, OscillationWitness, _scan_witness,
                     _witness_input, identity_scheme, scheme_embed)
 from .errors import BudgetExhausted, EmptyBasis, SchemeExhausted
-from .seqcore import BoundedSeq, combine, coordinate, zero_seq
+from .seqcore import BoundedSeq, _bucket, combine, coordinate, zero_seq
 from .spaces import SeparableSpace
 
 
@@ -67,72 +71,59 @@ class SubspaceD:
         return combine(coeffs, self.members[:len(coeffs)])
 
 
-def independence_defect(D: SubspaceD, window: int = 64) -> int:
-    """r minus the rank of the generator matrix over coordinates
-    1..window. Zero means no dependence is visible on the probe window;
-    full independence in the ambient space is not decidable from
-    finitely many coordinates.
-    """
-    if D.size == 0:
-        return 0
-    M = np.array([m.coordinates(1, window) for m in D.members])
-    return D.size - int(np.linalg.matrix_rank(M))
-
-
 # ---------------------------------------------------------------------------
 # extraction
 
-def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
-    """Cell index of each value on the grid of width `side` over
-    [-bound, bound], top edge clamped into the last cell."""
-    if bound == 0.0 or side == 0.0:
-        return np.zeros(len(values), dtype=int)
-    ncells = int(round(2.0 * bound / side))
-    cells = np.floor((values + bound) / side).astype(int)
-    return np.clip(cells, 0, ncells - 1)
+def _refine(Z: np.ndarray, bounds: np.ndarray, S: np.ndarray, level: int):
+    """The rows S of Z (a column per member) in the most-hit cell of
+    side bounds / 2^(level-1), ties to the lexicographically smallest
+    cell, and that cell's midpoints. S shares one cell of level - 1, so
+    a column's cells take two adjacent values at most on S, and one
+    binary digit per column ranks the cells in lexicographic order."""
+    if level > 62:
+        raise ValueError(f"refinement level {level} > 62: cells too fine for int64 "
+                         "(lower the depth or raise the tolerance)")
+    sides = bounds / 2.0 ** (level - 1)
+    cells = [_bucket(Z[S, i], bounds[i], sides[i]) for i in range(len(bounds))]
+    key = np.zeros(len(S), dtype=np.int64)
+    for c in cells:
+        if key.max() >= 1 << 62:    # past 62 columns: re-rank, order kept
+            key = np.unique(key, return_inverse=True)[1]
+        key = key << 1 | (c - c.min())
+    keys, counts = np.unique(key, return_counts=True)
+    rows = np.flatnonzero(key == keys[np.argmax(counts)])
+    winner = np.array([c[rows[0]] for c in cells])
+    return S[rows], -bounds + (winner + 0.5) * sides
 
 
 def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
     """Cell-refinement extraction of a common cluster of D's basis.
 
     The coordinate vectors z_n = (w^1_n, ..., w^r_n) are scanned up to
-    the budget and bucketed into cells whose side halves per level,
-    starting at the certified bound. The most-hit cell survives each
-    level (tie: lexicographically smallest cell corner); survivors of
-    the final level form the prefix, alpha is the final cell midpoint,
-    and the tolerance schedule lists each level's cell half-diagonal.
+    the budget and refined by `_refine` at levels 1..depth, the cell
+    side halving per level from the certified bound (tie: the
+    lexicographically smallest cell corner). Survivors of the final
+    level form the prefix, alpha is the final cell midpoint, and the
+    tolerance schedule lists each level's cell half-diagonal.
     """
     if D.mode != "finite":
         raise EmptyBasis(f"bw_extract needs a finite basis, got mode {D.mode!r}")
-    r = D.size
-    if r < 1:
+    if D.size < 1:
         raise EmptyBasis("bw_extract needs at least one basis sequence")
     if depth < 1:
         raise ValueError(f"depth = {depth} must be >= 1")
 
     Z = np.column_stack([m.coordinates(1, scan_budget) for m in D.members])
     bounds = np.array([m.bound for m in D.members])
-
     survivors = np.arange(scan_budget)
     deltas = []
-    winner = np.zeros(r, dtype=int)
-    sides = bounds.copy()
     for level in range(1, depth + 1):
         sides = bounds / 2.0 ** (level - 1)
         deltas.append(0.5 * float(np.sqrt(np.sum(sides ** 2))))
-        cells = np.column_stack([
-            _bucket(Z[survivors, i], bounds[i], sides[i]) for i in range(r)])
-        uniq, inverse, counts = np.unique(
-            cells, axis=0, return_inverse=True, return_counts=True)
-        # np.unique sorts rows lexicographically, so among maximal
-        # counts argmax picks the smallest cell corner
-        best = int(np.argmax(counts))
-        winner = uniq[best]
-        survivors = survivors[inverse == best]
+        survivors, mids = _refine(Z, bounds, survivors, level)
 
-    alpha = tuple(float(-bounds[i] + (winner[i] + 0.5) * sides[i])
-                  if bounds[i] != 0.0 else 0.0 for i in range(r))
-    prefix = tuple(int(n) + 1 for n in survivors)
+    alpha = tuple(float(a) for a in mids)
+    prefix = tuple((survivors + 1).tolist())
     scheme = IndexScheme("finite", prefix, alpha, tuple(deltas), scan_budget)
     if len(prefix) < 2 * depth:
         raise BudgetExhausted(
@@ -146,7 +137,8 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
     """Staged diagonal refinement over the first m family members.
 
     Stage i shrinks the surviving index set until member i varies by at
-    most tol_schedule[i-1] along it (one-dimensional cell refinement).
+    most tol_schedule[i-1] along it (`_refine` on member i alone, level
+    by level; tie: the smaller cell corner).
     The prefix takes the j-th element of stage j's survivor set for
     j <= m and continues along the final stage, so every member's tail
     variation meets its schedule entry.
@@ -163,39 +155,27 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
     if m > D.size:
         raise EmptyBasis(f"m = {m} exceeds the {D.size} materialized members")
 
-    S = np.arange(1, scan_budget + 1)
+    S = np.arange(scan_budget)
     betas = []
     diagonal = []
     for i in range(1, m + 1):
         w = D.member(i)
-        vals_full = w.coordinates(1, scan_budget)
-        bound = w.bound
-        tol = schedule[i - 1]
-        if bound == 0.0:
-            betas.append(0.0)
-        else:
-            level = 1
-            while True:
-                side = bound / 2.0 ** (level - 1)
-                cells = _bucket(vals_full[S - 1], bound, side)
-                uniq, inverse, counts = np.unique(
-                    cells, return_inverse=True, return_counts=True)
-                best = int(np.argmax(counts))
-                S = S[inverse == best]
-                if side <= tol:
-                    betas.append(float(-bound + (uniq[best] + 0.5) * side))
-                    break
-                level += 1
+        Z = w.coordinates(1, scan_budget)[:, None]
+        bounds = np.array([w.bound])
+        for level in itertools.count(1):
+            S, mids = _refine(Z, bounds, S, level)
+            if w.bound / 2.0 ** (level - 1) <= schedule[i - 1]:
+                break
+        betas.append(float(mids[0]))
         if len(S) < i:
-            scheme = IndexScheme("diagonal", tuple(int(n) for n in S),
+            scheme = IndexScheme("diagonal", tuple((S + 1).tolist()),
                                  tuple(betas), tuple(schedule[:i]), scan_budget)
             raise BudgetExhausted(
                 f"stage {i}: {len(S)} survivors cannot supply a diagonal",
                 partial=scheme, found=i - 1)
-        diagonal.append(int(S[i - 1]))
+        diagonal.append(int(S[i - 1]) + 1)
 
-    tail = [int(n) for n in S if n > diagonal[-1]]
-    prefix = tuple(diagonal + tail)
+    prefix = tuple(diagonal + (S[S >= diagonal[-1]] + 1).tolist())
     return IndexScheme("diagonal", prefix, tuple(betas), tuple(schedule[:m]),
                        scan_budget)
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyWindow, IndexZero, LengthMismatch
+from .errors import ConfigError, EmptyWindow, IndexZero, LengthMismatch, _finite
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,7 @@ def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()
     if len(head) != start - 1:
         raise LengthMismatch(f"head length {len(head)} != start-1 = {start - 1}")
     value = float(value)
+    _finite(head + (value,), "eventually constant sequence")
     bound = max([abs(value)] + [abs(v) for v in head])
 
     def oracle(n: int) -> float:
@@ -124,6 +125,7 @@ def explicit_list(prefix: Sequence[float], tail: float) -> BoundedSeq:
 def explicit_limit(limit: float, rate: float) -> BoundedSeq:
     limit = float(limit)
     rate = float(rate)
+    _finite((limit, rate), "explicit limit")
 
     def oracle(n: int) -> float:
         if n < 1:
@@ -140,6 +142,7 @@ def periodic(pattern: Sequence[float]) -> BoundedSeq:
     pattern = tuple(float(v) for v in pattern)
     if not pattern:
         raise LengthMismatch("empty pattern")
+    _finite(pattern, "periodic pattern")
     m = len(pattern)
 
     def oracle(n: int) -> float:
@@ -161,12 +164,16 @@ def zero_seq() -> BoundedSeq:
 
 def from_function(fn: Callable[[int], float], bound: float) -> BoundedSeq:
     """Wrap an opaque pure oracle with a caller-certified bound."""
+    bound = float(bound)
+    if not (math.isfinite(bound) and bound >= 0.0):
+        raise ConfigError(f"bound = {bound} must be finite and >= 0")
+
     def oracle(n: int) -> float:
         if n < 1:
             raise IndexZero(f"index {n} < 1")
         return float(fn(n))
 
-    return BoundedSeq(oracle, float(bound), Opaque())
+    return BoundedSeq(oracle, bound, Opaque())
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +199,7 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
     if not seqs:
         raise LengthMismatch("empty combination")
     coeffs = tuple(float(c) for c in coeffs)
+    _finite(coeffs, "coefficient list")
     seqs = tuple(seqs)
     bound = sum(abs(c) * s.bound for c, s in zip(coeffs, seqs))
 
@@ -216,8 +224,19 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
                       block if has_block else None)
 
 
+def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
+    """Cell of each value among the ceil(2 bound / side) cells of width
+    `side` from -bound, the top edge +bound clamped into the last: the
+    one cell rule of `cluster_estimates` and of `extend`'s extractions."""
+    if bound == 0.0 or side == 0.0:
+        return np.zeros(len(values), dtype=int)
+    ncells = max(1, math.ceil(2.0 * bound / side))
+    cells = np.floor((values + bound) / side).astype(int)
+    return np.clip(cells, 0, ncells - 1)
+
+
 def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
-    """Bucket coordinates over `window` into cells over [-bound, bound].
+    """Bucket coordinates over `window` by `_bucket`, the extractions' cell rule.
 
     One ClusterEstimate per nonempty cell (value = cell midpoint),
     sorted by descending hit count then ascending value. The union of
@@ -237,17 +256,12 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
     vals = s.coordinates(lo, hi)[indices - lo]
 
     b = s.bound
-    if b == 0.0:
-        return [ClusterEstimate(tuple(indices.tolist()), tuple(vals.tolist()), 0.0, 0.0)]
-
-    ncells = max(1, int(math.ceil(2.0 * b / cell_width)))
-    cells = np.floor((vals + b) / cell_width).astype(int)
-    np.clip(cells, 0, ncells - 1, out=cells)
-
+    width = cell_width if b != 0.0 else 0.0     # bound 0: one cell, the point 0
+    cells = _bucket(vals, b, width)
     out = []
     for cell in np.unique(cells):
         mask = cells == cell
-        mid = -b + (cell + 0.5) * cell_width
+        mid = -b + (cell + 0.5) * width
         spread = float(np.max(np.abs(vals[mask] - mid)))
         out.append(ClusterEstimate(tuple(indices[mask].tolist()),
                                    tuple(vals[mask].tolist()), float(mid), spread))

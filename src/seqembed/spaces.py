@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, IndexZero, KindMismatch, NotUnitVector,
-                     ZeroElement)
+                     ZeroElement, _finite)
 
 UNIT_TOL = 1e-9
 
@@ -165,12 +165,6 @@ def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
 def _cycle(base: np.ndarray, K: int, lo: int = 0) -> np.ndarray:
     """Entries lo..K-1 of base repeated cyclically."""
     return base[np.arange(lo, K) % len(base)]
-
-
-def _finite(values, what: str):
-    """Reject NaN and infinities, which JSON input can carry."""
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{what} has a non-finite value")
 
 
 def _number_rows(rows, what: str) -> np.ndarray:

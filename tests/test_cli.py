@@ -110,6 +110,8 @@ def test_exit_one_on_malformed_space(tmp_path):
     ("tol_schedule", [0.5]), ("m", 3), ("out", ["r.json"]), ("d_basis", [5]),
     ("classify_budget", 1), ("space", {"kind": "custom", "points": 5}),
     ("space", {"kind": "custom", "points": [["0.6", "0.8"]]}),
+    ("d_basis", ["limit:nan,rate=1"]), ("d_basis", ["evconst:inf"]),
+    ("d_basis", ["periodic:nan,1"]), ("tol_schedule", [0.5, 0.0]),
 ])
 def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     cfg = {"space": "fdlp:dim=2,p=2", "d_mode": "countable",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqembed import (BudgetExhausted, CustomNet, FiniteDimLp,
+from seqembed import (BudgetExhausted, ConfigError, CustomNet, FiniteDimLp,
                       OscillationWitness, SeqLp, ZeroElement, classify_c,
                       combine, coordinate, embed_t1, explicit_limit,
                       identity_scheme, isometry_defect, oscillation_witness,
@@ -75,6 +75,19 @@ def test_defect_interval_tightens_with_k():
 def test_defect_rejects_zero():
     with pytest.raises(ZeroElement):
         isometry_defect(FiniteDimLp(2, 2), np.zeros(2), 8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("x", [[float("nan"), 1.0], [1e308, 1e308]])
+def test_non_finite_norm_rejected(x):
+    # NaN entries, or entries whose norm overflows
+    sp = FiniteDimLp(2, 2)
+    with pytest.raises(ConfigError):
+        isometry_defect(sp, x, 8)
+    with pytest.raises(ConfigError):
+        embed_t1(sp, x)
+    with pytest.raises(ConfigError):
+        oscillation_witness(sp, x, 0.2, 1)
 
 
 def test_defect_exact_on_custom_net():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from seqembed import (BudgetExhausted, EmptyBasis, FiniteDimLp, IndexScheme,
                       SchemeExhausted, SeqLp, SubspaceD, bw_extract, combine,
                       coordinate, diagonal_extract, embed_t1,
-                      eventually_constant, extract_scheme, identity_scheme,
-                      independence_defect, limit_along, oscillation_witness,
+                      eventually_constant, extract_scheme, from_function,
+                      identity_scheme, limit_along, oscillation_witness,
                       parse_space, periodic, scheme_embed,
                       separation_witness, zero_seq)
 
@@ -38,13 +40,6 @@ def test_zero_combination_is_tagged_zero():
 def test_combination_length_check():
     with pytest.raises(EmptyBasis):
         finite_d().combination([1.0, 2.0, 3.0])
-
-
-def test_independence_defect():
-    assert independence_defect(finite_d()) == 0
-    dep = SubspaceD.finite([W1, periodic([1.0, -1.0])])
-    assert independence_defect(dep) == 1
-    assert independence_defect(SubspaceD.finite([])) == 0
 
 
 # -- index schemes -----------------------------------------------------------
@@ -124,6 +119,16 @@ def test_bw_extract_mode_check():
         bw_extract(SubspaceD.finite([]), 2, 64)
 
 
+def test_extraction_stops_at_level_62():
+    # past level 62 cell indices overflow int64 and clip to cell 0: at
+    # depth 64 the second member, 0.0 along the prefix, got alpha -1.0
+    assert bw_extract(finite_d(), 62, 4096).alpha == (-1.0, 0.0)
+    with pytest.raises(ValueError):
+        bw_extract(finite_d(), 63, 4096)
+    with pytest.raises(ValueError):
+        diagonal_extract(scaled_family(), 2, (0.5, 2.0 ** -62), 1000)
+
+
 # -- diagonal extraction -----------------------------------------------------
 
 SCHEDULE = (0.5, 0.25, 0.125, 0.0625, 0.03125)
@@ -155,6 +160,8 @@ def test_diagonal_extract_validates_schedule():
         diagonal_extract(D, 3, (0.5, 0.5, 0.25), 1000)
     with pytest.raises(ValueError):
         diagonal_extract(D, 3, (0.5, 0.25), 1000)
+    with pytest.raises(ValueError):
+        diagonal_extract(D, 2, (0.5, 0.0), 1000)
     with pytest.raises(EmptyBasis):
         diagonal_extract(D, 6, SCHEDULE + (0.01,), 1000)
     with pytest.raises(EmptyBasis):
@@ -164,6 +171,139 @@ def test_diagonal_extract_validates_schedule():
 def test_diagonal_extract_budget():
     with pytest.raises(BudgetExhausted):
         diagonal_extract(scaled_family(), 5, SCHEDULE, 4)
+
+
+# -- both extractions against whole-row bucketing -------------------------
+
+def _ref_bucket(values, bound, side):
+    if bound == 0.0 or side == 0.0:
+        return np.zeros(len(values), dtype=int)
+    ncells = int(round(2.0 * bound / side))
+    cells = np.floor((values + bound) / side).astype(int)
+    return np.clip(cells, 0, ncells - 1)
+
+
+def ref_bw_extract(D, depth, scan_budget):
+    """bw_extract bucketing whole cell rows with np.unique(axis=0)."""
+    r = D.size
+    Z = np.column_stack([m.coordinates(1, scan_budget) for m in D.members])
+    bounds = np.array([m.bound for m in D.members])
+    survivors = np.arange(scan_budget)
+    deltas = []
+    for level in range(1, depth + 1):
+        sides = bounds / 2.0 ** (level - 1)
+        deltas.append(0.5 * float(np.sqrt(np.sum(sides ** 2))))
+        cells = np.column_stack([
+            _ref_bucket(Z[survivors, i], bounds[i], sides[i]) for i in range(r)])
+        uniq, inverse, counts = np.unique(
+            cells, axis=0, return_inverse=True, return_counts=True)
+        best = int(np.argmax(counts))
+        winner = uniq[best]
+        survivors = survivors[inverse.ravel() == best]
+    alpha = tuple(float(-bounds[i] + (winner[i] + 0.5) * sides[i])
+                  if bounds[i] != 0.0 else 0.0 for i in range(r))
+    prefix = tuple(int(n) + 1 for n in survivors)
+    scheme = IndexScheme("finite", prefix, alpha, tuple(deltas), scan_budget)
+    if len(prefix) < 2 * depth:
+        raise BudgetExhausted(
+            f"surviving prefix has {len(prefix)} indices < 2*depth = {2 * depth}",
+            partial=scheme, found=len(prefix))
+    return scheme
+
+
+def ref_diagonal_extract(D, m, schedule, scan_budget):
+    """diagonal_extract bucketing one column with its own loop."""
+    S = np.arange(1, scan_budget + 1)
+    betas, diagonal = [], []
+    for i in range(1, m + 1):
+        w = D.member(i)
+        vals = w.coordinates(1, scan_budget)
+        if w.bound == 0.0:
+            betas.append(0.0)
+        else:
+            level = 1
+            while True:
+                side = w.bound / 2.0 ** (level - 1)
+                cells = _ref_bucket(vals[S - 1], w.bound, side)
+                uniq, inverse, counts = np.unique(
+                    cells, return_inverse=True, return_counts=True)
+                best = int(np.argmax(counts))
+                S = S[inverse == best]
+                if side <= schedule[i - 1]:
+                    betas.append(float(-w.bound + (uniq[best] + 0.5) * side))
+                    break
+                level += 1
+        if len(S) < i:
+            scheme = IndexScheme("diagonal", tuple(int(n) for n in S),
+                                 tuple(betas), tuple(schedule[:i]), scan_budget)
+            raise BudgetExhausted(
+                f"stage {i}: {len(S)} survivors cannot supply a diagonal",
+                partial=scheme, found=i - 1)
+        diagonal.append(int(S[i - 1]))
+    prefix = tuple(diagonal + [int(n) for n in S if n > diagonal[-1]])
+    return IndexScheme("diagonal", prefix, tuple(betas), tuple(schedule[:m]),
+                       scan_budget)
+
+
+def _outcome(extract, *args):
+    """The scheme, or the message, count and partial of BudgetExhausted,
+    as JSON so that floats compare bit for bit (-0.0 included)."""
+    try:
+        return json.dumps(extract(*args).to_json())
+    except BudgetExhausted as exc:
+        return json.dumps([str(exc), exc.found, exc.partial.to_json()])
+
+
+@st.composite
+def _members(draw, budget):
+    """Opaque members on a coarse grid (ties, values at +-bound), a fine
+    grid (deep levels) or uniform in [-bound, bound], some of bound 0."""
+    bound = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    grid = draw(st.sampled_from([2, 4, 2 ** 20, None]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if grid is None:
+        units = rng.uniform(-1.0, 1.0, size=budget)
+    else:
+        units = rng.integers(-grid, grid, size=budget, endpoint=True) / grid
+    values = (bound * units).tolist()
+    return from_function(lambda n: values[n - 1], bound)
+
+
+_DEPTHS = st.one_of(st.integers(1, 6), st.integers(30, 44), st.integers(56, 62))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), budget=st.integers(1, 120), r=st.integers(1, 4),
+       depth=_DEPTHS)
+def test_bw_extract_matches_row_bucketing(data, budget, r, depth):
+    D = SubspaceD.finite([data.draw(_members(budget)) for _ in range(r)])
+    assert (_outcome(bw_extract, D, depth, budget)
+            == _outcome(ref_bw_extract, D, depth, budget))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), budget=st.integers(1, 120), r=st.integers(1, 4),
+       last=_DEPTHS, base=st.sampled_from([1.0, 0.75, 3.0]))
+def test_diagonal_extract_matches_column_bucketing(data, budget, r, last, base):
+    D = SubspaceD.countable([data.draw(_members(budget)) for _ in range(r)])
+    # exponents past 59 would need levels past 62
+    exps = sorted(data.draw(st.lists(st.integers(0, min(last + r, 59)),
+                                     min_size=r, max_size=r, unique=True)))
+    schedule = [base * 2.0 ** -e for e in exps]
+    assert (_outcome(diagonal_extract, D, r, schedule, budget)
+            == _outcome(ref_diagonal_extract, D, r, schedule, budget))
+
+
+def test_bw_extract_many_members_matches_row_bucketing():
+    # 70 columns, more binary digits than one int64 key holds; ties
+    # between the rows (period 10) go by the first column, whose digit
+    # a key of the last 63 columns alone would lose
+    rng = np.random.default_rng(7)
+    D = SubspaceD.finite([W1] + [periodic(rng.integers(-2, 3, size=5) / 2.0)
+                                 for _ in range(69)])
+    for depth in (1, 2, 4):
+        assert (_outcome(bw_extract, D, depth, 400)
+                == _outcome(ref_bw_extract, D, depth, 400))
 
 
 # -- scheme-placed embeddings -------------------------------------------

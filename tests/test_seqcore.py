@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqembed import (BoundedSeq, IndexZero, LengthMismatch, EmptyWindow,
+from seqembed import (BoundedSeq, ConfigError, IndexZero, LengthMismatch, EmptyWindow,
                       cluster_estimates, combine, coordinate,
                       eventually_constant, explicit_limit, explicit_list,
                       from_function, periodic, prefix_sup, zero_seq)
@@ -27,6 +27,25 @@ def test_periodic_three_cycle():
 def test_periodic_rejects_empty_pattern():
     with pytest.raises(LengthMismatch):
         periodic([])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: periodic([NAN, 1.0]),
+    lambda: eventually_constant(INF),
+    lambda: eventually_constant(1.0, start=2, head=(NAN,)),
+    lambda: explicit_limit(NAN, 1.0),
+    lambda: explicit_limit(0.0, -INF),
+    lambda: combine((1.0, NAN), (periodic([1.0]), periodic([-1.0]))),
+    lambda: from_function(lambda n: 0.0, -1.0),
+    lambda: from_function(lambda n: 0.0, NAN),
+    lambda: from_function(lambda n: 0.0, INF),
+])
+def test_constructors_reject_non_finite_values(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_index_zero_rejected():
