@@ -2,9 +2,11 @@
 
 Subcommands `embed`, `extend`, `classify`, `suite` read a JSON run
 configuration, execute the requested constructions, write a JSON
-report, and print a short summary table. Exit status: 0 when all
-certificates pass, 2 on any exhausted scan budget, 1 on a validation
-error, 3 on any other error. Reports are byte-identical across runs of
+report, and print a short summary table. Every config field, its
+default and its check live in one table, `_FIELDS`. Exit status: 0 when
+all certificates pass, 2 on any exhausted scan budget, 1 on a malformed
+command line or config (including a gap floor too fine for the cell
+grid), 3 on any other error. Reports are byte-identical across runs of
 the same (config, seed) apart from the timestamp field.
 """
 from __future__ import annotations
@@ -29,26 +31,6 @@ from .errors import BudgetExhausted, ZeroElement
 from .spaces import parse_space
 from .verify import (check_isometry, check_separation, classify_c,
                      verdict_to_json)
-
-_DEFAULTS = {
-    "d_mode": "finite",
-    "d_basis": [],
-    "samples": [],
-    "sequences": [],
-    "epsilon": 0.2,
-    "count": 5,
-    "K": 64,
-    "depth": 4,
-    "scan_budget": 4096,
-    "witness_budget": 100000,
-    "classify_budget": 4096,
-    "m": None,
-    "tol_schedule": None,
-    "d_samples": None,
-    "random_d": 0,
-    "seed": 0,
-}
-
 
 # ---------------------------------------------------------------------------
 # sequence spec mini-language
@@ -120,53 +102,56 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _is_int(v, least: int) -> bool:
-    """An integer >= least; JSON booleans and floats do not count."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+def _int_at_least(least: int):
+    """Check for an integer >= least; JSON booleans and floats do not count."""
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+_ANY, _REQUIRED = (lambda v: True), object()
+_SPECS = (_list_of(lambda v: isinstance(v, str)), "a list of sequence specs")
+
+#: every config field: (default, check, what the check asks for), where
+#: _REQUIRED is no default and null passes only where the default is
+#: None; `parse_space` checks the space when it is built
+_FIELDS = {
+    "name": ("run", _ANY, "anything"),
+    "space": (_REQUIRED, _ANY, "a space spec"),
+    "out": (None, lambda v: isinstance(v, str), "a path"),
+    "gap_floor": (None, lambda v: _is_number(v) and v > 0.0, "a number > 0"),
+    "d_mode": ("finite", ("finite", "countable", "dense").__contains__,
+               "finite|countable|dense"),
+    "d_basis": ([], *_SPECS),
+    "sequences": ([], *_SPECS),
+    "samples": ([], lambda v: isinstance(v, list), "a list of elements"),
+    "epsilon": (0.2, lambda v: _is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+    "tol_schedule": (None, _list_of(_is_number), "a list of finite numbers"),
+    "d_samples": (None, _list_of(_list_of(_is_number)), "a list of lists of finite numbers"),
+    **{key: (default, _int_at_least(least), f"an integer >= {least}")
+       for key, default, least in (
+           ("count", 5, 1), ("K", 64, 1), ("depth", 4, 1), ("scan_budget", 4096, 1),
+           ("witness_budget", 100000, 1), ("classify_budget", 4096, 2),
+           ("m", None, 1), ("random_d", 0, 0), ("seed", 0, 0))},
+}
 
 
 def validate_config(raw: dict) -> dict:
-    cfg = dict(_DEFAULTS)
-    cfg["name"] = raw.get("name", "run")
-    unknown = set(raw) - set(_DEFAULTS) - {"name", "space", "out", "gap_floor"}
+    """Every field of `_FIELDS`, checked or defaulted; `space` as `space_spec`."""
+    unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if "space" not in raw:
-        raise ConfigError("config field 'space' is required")
-    cfg.update({k: raw[k] for k in raw if k in _DEFAULTS})
-    cfg["space_spec"] = raw["space"]
-    cfg["gap_floor"] = raw.get("gap_floor")
-    cfg["out"] = raw.get("out")
-
-    if cfg["d_mode"] not in ("finite", "countable", "dense"):
-        raise ConfigError(f"d_mode must be finite|countable|dense, got {cfg['d_mode']!r}")
-    if not (_is_number(cfg["epsilon"]) and 0.0 < cfg["epsilon"] < 1.0):
-        raise ConfigError(f"epsilon = {cfg['epsilon']!r} must be a number in (0, 1)")
-    if cfg["out"] is not None and not isinstance(cfg["out"], str):
-        raise ConfigError(f"out = {cfg['out']!r} must be a path")
-    gap_floor = cfg["gap_floor"]
-    if gap_floor is not None and not (_is_number(gap_floor) and gap_floor > 0.0):
-        raise ConfigError(f"gap_floor = {gap_floor!r} must be a number > 0")
-    m, schedule = cfg["m"], cfg["tol_schedule"]
-    if m is not None and not _is_int(m, 1):
-        raise ConfigError(f"m = {m!r} must be an integer >= 1")
-    if schedule is not None and not (isinstance(schedule, list)
-                                     and all(map(_is_number, schedule))):
-        raise ConfigError(f"tol_schedule = {schedule!r} must be a list of finite numbers")
-    for key, least in (("count", 1), ("K", 1), ("depth", 1), ("scan_budget", 1),
-                       ("witness_budget", 1), ("classify_budget", 2),
-                       ("random_d", 0), ("seed", 0)):
-        if not _is_int(cfg[key], least):
-            raise ConfigError(f"{key} = {cfg[key]!r} must be an integer >= {least}")
-    if not isinstance(cfg["samples"], list):
-        raise ConfigError(f"samples = {cfg['samples']!r} must be a list of elements")
-    for key in ("d_basis", "sequences"):
-        if not (isinstance(cfg[key], list) and all(isinstance(v, str) for v in cfg[key])):
-            raise ConfigError(f"{key} = {cfg[key]!r} must be a list of sequence specs")
-    rows = cfg["d_samples"]
-    if rows is not None and not (isinstance(rows, list) and all(
-            isinstance(row, list) and all(map(_is_number, row)) for row in rows)):
-        raise ConfigError(f"d_samples = {rows!r} must be a list of lists of finite numbers")
+    cfg = {}
+    for key, (default, check, what) in _FIELDS.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"config field {key!r} is required")
+        if not (value is None and default is None or check(value)):
+            raise ConfigError(f"{key} = {value!r} must be {what}")
+        cfg[key] = value
+    cfg["space_spec"] = cfg.pop("space")
     return cfg
 
 
@@ -229,7 +214,12 @@ def _base_report(cfg: dict, command: str) -> dict:
     }
 
 
-def _add_verdict(report: dict, seq_id: str, verdict) -> str:
+def _add_verdict(report: dict, seq_id: str, s, budget: int, gap_floor: float) -> str:
+    """Classify s into the report; a gap floor too fine for s is a ConfigError."""
+    try:
+        verdict = classify_c(s, budget, gap_floor)
+    except ValueError as exc:
+        raise ConfigError(f"classify {seq_id}: {exc}") from None
     detail = verdict_to_json(verdict)
     report["verdicts"].append(
         {"seq_id": seq_id, "kind": detail["kind"], "detail": detail})
@@ -241,8 +231,8 @@ def _classify_embedded(space, samples, cfg, report):
         nx = space.norm(x)
         gap_floor = cfg["gap_floor"] if cfg["gap_floor"] else max(nx, 1e-6)
         seq_id = f"T(x{sid})"
-        kind = _add_verdict(report, seq_id, classify_c(
-            embed_t1(space, x), cfg["classify_budget"], gap_floor))
+        kind = _add_verdict(report, seq_id, embed_t1(space, x),
+                            cfg["classify_budget"], gap_floor)
         if nx > 0 and kind != "NotInC":
             report["errors"].append({
                 "seq_id": seq_id,
@@ -251,10 +241,8 @@ def _classify_embedded(space, samples, cfg, report):
 
 def run_embed(cfg: dict, report: dict):
     space, _, samples, _ = build_run(cfg)
-    iso = check_isometry(space, samples, cfg["K"])
-    report["per_sample"] = iso["per_sample"]
-    report["errors"].extend(iso["errors"])
-    report["max_relative_defect"] = iso["max_relative_defect"]
+    # sets per_sample, max_relative_defect and errors, none recorded yet
+    report.update(check_isometry(space, samples, cfg["K"]))
     for sid, x in enumerate(samples):
         try:
             w = oscillation_witness(space, x, cfg["epsilon"], cfg["count"],
@@ -285,10 +273,7 @@ def run_extend(cfg: dict, report: dict):
     report["scheme"] = scheme.to_json()
     k_cap = scheme.max_k()
     K_eff = cfg["K"] if k_cap is None else min(cfg["K"], k_cap)
-    iso = check_isometry(space, samples, K_eff)
-    report["per_sample"] = iso["per_sample"]
-    report["errors"].extend(iso["errors"])
-    report["max_relative_defect"] = iso["max_relative_defect"]
+    report.update(check_isometry(space, samples, K_eff))
     sep = check_separation(space, D, scheme, samples, d_samples,
                            cfg["epsilon"], cfg["count"],
                            scan_budget=cfg["witness_budget"])
@@ -304,8 +289,8 @@ def run_classify(cfg: dict, report: dict, specs):
         raise ConfigError("classify needs --spec arguments or config 'sequences'")
     gap_floor = cfg["gap_floor"] if cfg["gap_floor"] else 1.0
     for spec in specs:
-        _add_verdict(report, spec, classify_c(
-            parse_seq_spec(spec), cfg["classify_budget"], gap_floor))
+        _add_verdict(report, spec, parse_seq_spec(spec),
+                     cfg["classify_budget"], gap_floor)
 
 
 def run_suite(cfg: dict, report: dict):
@@ -367,15 +352,17 @@ def main(argv=None) -> int:
             p.add_argument("--spec", action="append", default=[],
                            help="sequence spec (repeatable)")
             p.add_argument("--gap-floor", type=float, default=None)
-            p.add_argument("--space", default="fdlp:dim=1,p=2",
-                           help="space spec when no config is given")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse's usage exit 2 would read as an exhausted budget
+        return 1 if exc.code else 0
 
     try:
         if args.config:
             raw = load_config(args.config)
         elif args.command == "classify":
-            raw = {"space": args.space, "samples": [[1.0]]}
+            # the space is never built; it is only echoed in the report
+            raw = {"space": "fdlp:dim=1,p=2", "samples": [[1.0]]}
         else:
             raise ConfigError(f"{args.command} requires --config")
         # command-line values replace the config's before it is validated

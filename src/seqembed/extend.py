@@ -43,24 +43,9 @@ class SubspaceD:
     mode: str
     members: tuple
 
-    @classmethod
-    def finite(cls, seqs: Sequence[BoundedSeq]) -> "SubspaceD":
-        return cls("finite", tuple(seqs))
-
-    @classmethod
-    def countable(cls, seqs: Sequence[BoundedSeq]) -> "SubspaceD":
-        return cls("countable", tuple(seqs))
-
-    @classmethod
-    def dense(cls, seqs: Sequence[BoundedSeq]) -> "SubspaceD":
-        return cls("dense", tuple(seqs))
-
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def member(self, i: int) -> BoundedSeq:
-        return self.members[i - 1]
 
     def combination(self, coeffs: Sequence[float]) -> BoundedSeq:
         coeffs = list(coeffs)
@@ -80,9 +65,6 @@ def _refine(Z: np.ndarray, bounds: np.ndarray, S: np.ndarray, level: int):
     cell, and that cell's midpoints. S shares one cell of level - 1, so
     a column's cells take two adjacent values at most on S, and one
     binary digit per column ranks the cells in lexicographic order."""
-    if level > 62:
-        raise ValueError(f"refinement level {level} > 62: cells too fine for int64 "
-                         "(lower the depth or raise the tolerance)")
     sides = bounds / 2.0 ** (level - 1)
     cells = [_bucket(Z[S, i], bounds[i], sides[i]) for i in range(len(bounds))]
     key = np.zeros(len(S), dtype=np.int64)
@@ -152,6 +134,8 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
         raise ValueError(f"tolerance schedule of length {len(schedule)} < m = {m}")
     if any(a <= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("tolerance schedule must strictly decrease")
+    if not all(t > 0.0 for t in schedule[:m]):
+        raise ValueError(f"tolerances {schedule[:m]} must be positive")
     if m > D.size:
         raise EmptyBasis(f"m = {m} exceeds the {D.size} materialized members")
 
@@ -159,7 +143,7 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
     betas = []
     diagonal = []
     for i in range(1, m + 1):
-        w = D.member(i)
+        w = D.members[i - 1]
         Z = w.coordinates(1, scan_budget)[:, None]
         bounds = np.array([w.bound])
         for level in itertools.count(1):

@@ -227,9 +227,12 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
 def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
     """Cell of each value among the ceil(2 bound / side) cells of width
     `side` from -bound, the top edge +bound clamped into the last: the
-    one cell rule of `cluster_estimates` and of `extend`'s extractions."""
+    one cell rule of `cluster_estimates` and of `extend`'s extractions.
+    Over 2^62 cells, whose int64 indices would overflow, is a ValueError."""
     if bound == 0.0 or side == 0.0:
         return np.zeros(len(values), dtype=int)
+    if 2.0 * bound / side > 2.0 ** 62:
+        raise ValueError(f"over 2^62 cells of width {side!r} in [-{bound!r}, {bound!r}]")
     ncells = max(1, math.ceil(2.0 * bound / side))
     cells = np.floor((values + bound) / side).astype(int)
     return np.clip(cells, 0, ncells - 1)

@@ -162,11 +162,6 @@ def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
     return out
 
 
-def _cycle(base: np.ndarray, K: int, lo: int = 0) -> np.ndarray:
-    """Entries lo..K-1 of base repeated cyclically."""
-    return base[np.arange(lo, K) % len(base)]
-
-
 def _number_rows(rows, what: str) -> np.ndarray:
     """A nonempty list of equal-length rows of finite numbers, as a
     float matrix; anything else (a scalar, strings, ragged rows) is a
@@ -199,6 +194,7 @@ class SeparableSpace:
     element_from_json, describe, and `_width(t)`, the entries of a
     level-t row. Row k - 1 of `_U` is the k-th net point and of `_Phi`
     the data of its functional, zero-padded to the widest level cached.
+    `_ensure` grows the cache; `CustomNet` overrides it to repeat its cycle.
     """
 
     kind = "abstract"
@@ -606,7 +602,7 @@ class CustomNet(FiniteDimLp):
 
     Exists so tests and examples do not depend on the grid enumeration
     order. Functionals default to the duality map of each point. The
-    cache holds the cycle and never grows.
+    net cache grows by repeating the cycle; reads are `FiniteDimLp`'s.
     """
 
     kind = "custom"
@@ -617,33 +613,26 @@ class CustomNet(FiniteDimLp):
         for pt in points:
             if abs(_pnorm(pt, self.p) - 1.0) > UNIT_TOL:
                 raise ConfigError(f"custom net point {pt} is not unit")
-        self._U = points
         if functionals is None:
-            self._Phi = _duality_rows(self._U, self.p)
-            return
-        self._Phi = _number_rows(functionals, "custom net functionals")
-        if self._Phi.shape != self._U.shape:
-            raise ConfigError("one functional per net point, of its dimension, required")
-        if np.any(np.abs(np.sum(self._Phi * self._U, axis=1) - 1.0) > UNIT_TOL):
-            raise ConfigError("functional does not norm its point")
+            functionals = _duality_rows(points, self.p)
+        else:
+            functionals = _number_rows(functionals, "custom net functionals")
+            if functionals.shape != points.shape:
+                raise ConfigError("one functional per net point, of its dimension, required")
+            if np.any(np.abs(np.sum(functionals * points, axis=1) - 1.0) > UNIT_TOL):
+                raise ConfigError("functional does not norm its point")
+        self._points, self._functionals = points, functionals
 
     def describe(self):
-        return f"custom:dim={self.dim},p={self.p:g},cycle={len(self._U)}"
+        return f"custom:dim={self.dim},p={self.p:g},cycle={len(self._points)}"
 
-    def _index(self, k: int) -> int:
-        if k < 1:
-            raise IndexZero(f"k = {k} < 1")
-        return (k - 1) % len(self._U)
-
-    def functional_values(self, x, K: int) -> np.ndarray:
-        return _cycle(_dot_rows(self._Phi, self.canonical(x).tolist()), K)
-
-    def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
-        v = self.canonical(v)
-        return _cycle(np.array([_pnorm(pt - v, self.p) for pt in self._U]), K, lo)
+    def _ensure(self, K: int):
+        if K > len(self._U):
+            rows = np.arange(max(K, 2 * len(self._U))) % len(self._points)
+            self._U, self._Phi = self._points[rows], self._functionals[rows]
 
     def lattice_sample(self, rng):
-        return float(rng.uniform(0.25, 4.0)) * self.net_point(int(rng.integers(1, len(self._U) + 1)))
+        return float(rng.uniform(0.25, 4.0)) * self.net_point(int(rng.integers(1, len(self._points) + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ class NotInC:
 @dataclass(frozen=True)
 class Unknown:
     budget_used: int
-    clusters_seen: tuple
+    clusters_seen: int
 
 
 def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
@@ -76,7 +76,7 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
             witness = _witness_from_clusters(hi_cluster, lo_cluster)
             if witness.gap >= gap_floor and reverify_witness(s, witness):
                 return NotInC(witness=witness)
-    return Unknown(budget_used=budget, clusters_seen=tuple(estimates))
+    return Unknown(budget_used=budget, clusters_seen=len(estimates))
 
 
 def _witness_from_clusters(hi_cluster, lo_cluster) -> OscillationWitness:
@@ -103,7 +103,7 @@ def verdict_to_json(verdict) -> dict:
                 "plus_indices": list(w.plus_indices),
                 "minus_indices": list(w.minus_indices)}
     return {"kind": "Unknown", "budget_used": verdict.budget_used,
-            "clusters_seen": len(verdict.clusters_seen)}
+            "clusters_seen": verdict.clusters_seen}
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +127,7 @@ def check_isometry(space: SeparableSpace, samples, K: int) -> dict:
                            "achieved": rec.achieved, "upper": rec.upper,
                            "pass": ok})
     return {"per_sample": per_sample, "errors": errors,
-            "max_relative_defect": max_rel,
-            "all_pass": bool(per_sample) and all(r["pass"] for r in per_sample)
-            and not errors}
+            "max_relative_defect": max_rel}
 
 
 def check_separation(space: SeparableSpace, D: SubspaceD,
@@ -162,8 +160,7 @@ def check_separation(space: SeparableSpace, D: SubspaceD,
                               "plus_indices": list(w.plus_indices),
                               "minus_indices": list(w.minus_indices)})
     return {"witnesses": witnesses, "errors": errors,
-            "budget_exhausted": exhausted,
-            "all_pass": not errors and not exhausted and bool(witnesses)}
+            "budget_exhausted": exhausted}
 
 
 # ---------------------------------------------------------------------------

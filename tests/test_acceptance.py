@@ -126,7 +126,7 @@ def _brute_force_cluster(coord_lists, bounds, depth, budget):
 
 def test_criterion_4_extraction_correctness():
     w1, w2 = periodic([-1.0, 1.0]), periodic([1.0, -1.0, 0.0])
-    D = SubspaceD.finite([w1, w2])
+    D = SubspaceD("finite", (w1, w2))
     sch = bw_extract(D, depth=4, scan_budget=4096)
 
     delta = sch.tol_schedule[-1]
@@ -189,7 +189,7 @@ def test_criterion_7_diagonalization():
     schedule = (0.5, 0.25, 0.125, 0.0625, 0.03125)
     base = periodic([-1.0, 1.0])
     members = [combine([1.0 + 1.0 / i], [base]) for i in range(1, 6)]
-    D = SubspaceD.countable(members)
+    D = SubspaceD("countable", tuple(members))
     sch = diagonal_extract(D, 5, schedule, 10 ** 4)
 
     tail = sch.prefix[5:]

@@ -69,6 +69,15 @@ def test_validate_config_rejects_unknown_field():
         validate_config({"space": "c01", "budgett": 3})
 
 
+def test_validate_config_defaults():
+    assert validate_config({"space": "c01"}) == {
+        "name": "run", "space_spec": "c01", "out": None, "gap_floor": None,
+        "d_mode": "finite", "d_basis": [], "samples": [], "sequences": [],
+        "epsilon": 0.2, "count": 5, "K": 64, "depth": 4, "scan_budget": 4096,
+        "witness_budget": 100000, "classify_budget": 4096, "m": None,
+        "tol_schedule": None, "d_samples": None, "random_d": 0, "seed": 0}
+
+
 def test_validate_config_ranges():
     with pytest.raises(ConfigError):
         validate_config({"space": "c01", "epsilon": 0.0})
@@ -112,6 +121,7 @@ def test_exit_one_on_malformed_space(tmp_path):
     ("space", {"kind": "custom", "points": [["0.6", "0.8"]]}),
     ("d_basis", ["limit:nan,rate=1"]), ("d_basis", ["evconst:inf"]),
     ("d_basis", ["periodic:nan,1"]), ("tol_schedule", [0.5, 0.0]),
+    ("count", None), ("samples", None), ("budgett", 3),
 ])
 def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     cfg = {"space": "fdlp:dim=2,p=2", "d_mode": "countable",
@@ -128,6 +138,32 @@ def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     assert main([command, "--config", str(path)] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--budget", "abc"], ["suite", "--config", "basic", "--bogus"],
+    ["classify", "--space", "c01"], ["frobnicate"], [],
+])
+def test_exit_one_on_malformed_command_line(argv, capsys):
+    # argparse's own exit status 2 would read as an exhausted budget
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert run_cli(*argv).returncode == 1
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+    assert run_cli("classify", "--help").returncode == 0
+
+
+def test_exit_one_on_gap_floor_too_fine_for_cells():
+    # 2 / (1e-20 / 4) cells: past 2^62 their int64 indices would overflow
+    proc = run_cli("classify", "--spec", "periodic:-1,1", "--gap-floor", "1e-20",
+                   "--budget", "64")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("ConfigError:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_exit_three_on_unexpected_error(monkeypatch, capsys):

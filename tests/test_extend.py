@@ -17,7 +17,7 @@ W2 = periodic([1.0, -1.0, 0.0])
 
 
 def finite_d():
-    return SubspaceD.finite([W1, W2])
+    return SubspaceD("finite", (W1, W2))
 
 
 # -- subspace descriptors --------------------------------------------------
@@ -81,7 +81,7 @@ def test_scheme_json_roundtrip():
 def test_bw_extract_single_periodic():
     # (-1)^n clusters at -1 (odd n) and +1; the odd indices win the tie
     # at every level because their cell corner is smaller
-    D = SubspaceD.finite([W1])
+    D = SubspaceD("finite", (W1,))
     sch = bw_extract(D, depth=3, scan_budget=64)
     assert sch.alpha[0] == pytest.approx(-0.875)
     assert sch.prefix == tuple(range(1, 64, 2))
@@ -114,9 +114,9 @@ def test_bw_extract_respects_budget():
 
 def test_bw_extract_mode_check():
     with pytest.raises(EmptyBasis):
-        bw_extract(SubspaceD.countable([W1]), 2, 64)
+        bw_extract(SubspaceD("countable", (W1,)), 2, 64)
     with pytest.raises(EmptyBasis):
-        bw_extract(SubspaceD.finite([]), 2, 64)
+        bw_extract(SubspaceD("finite", ()), 2, 64)
 
 
 def test_extraction_stops_at_level_62():
@@ -129,14 +129,24 @@ def test_extraction_stops_at_level_62():
         diagonal_extract(scaled_family(), 2, (0.5, 2.0 ** -62), 1000)
 
 
+@pytest.mark.parametrize("schedule", [(0.5, 0.0), (0.5, -0.25)])
+def test_diagonal_rejects_non_positive_tolerance(schedule):
+    # a zero-bound member never gets a cell side below a tolerance <= 0;
+    # only entries among the first m count
+    D = SubspaceD("countable", (W1, zero_seq(), W2))
+    with pytest.raises(ValueError, match="positive"):
+        diagonal_extract(D, 2, schedule, 64)
+    assert diagonal_extract(D, 2, (0.5, 0.25, -1.0), 64).tol_schedule == (0.5, 0.25)
+
+
 # -- diagonal extraction -----------------------------------------------------
 
 SCHEDULE = (0.5, 0.25, 0.125, 0.0625, 0.03125)
 
 
 def scaled_family(r=5):
-    return SubspaceD.countable(
-        [combine([1.0 + 1.0 / i], [W1]) for i in range(1, r + 1)])
+    return SubspaceD("countable", tuple(
+        combine([1.0 + 1.0 / i], [W1]) for i in range(1, r + 1)))
 
 
 def test_diagonal_extract_stagewise_tolerance():
@@ -147,7 +157,7 @@ def test_diagonal_extract_stagewise_tolerance():
     # every member stabilizes along the tail of the prefix: variation
     # around its stage value stays within the stage tolerance
     for i in range(1, 6):
-        w = D.member(i)
+        w = D.members[i - 1]
         tail = sch.prefix[5:]
         vals = [coordinate(w, n) for n in tail]
         assert max(vals) - min(vals) <= SCHEDULE[i - 1]
@@ -216,7 +226,7 @@ def ref_diagonal_extract(D, m, schedule, scan_budget):
     S = np.arange(1, scan_budget + 1)
     betas, diagonal = [], []
     for i in range(1, m + 1):
-        w = D.member(i)
+        w = D.members[i - 1]
         vals = w.coordinates(1, scan_budget)
         if w.bound == 0.0:
             betas.append(0.0)
@@ -276,7 +286,7 @@ _DEPTHS = st.one_of(st.integers(1, 6), st.integers(30, 44), st.integers(56, 62))
 @given(data=st.data(), budget=st.integers(1, 120), r=st.integers(1, 4),
        depth=_DEPTHS)
 def test_bw_extract_matches_row_bucketing(data, budget, r, depth):
-    D = SubspaceD.finite([data.draw(_members(budget)) for _ in range(r)])
+    D = SubspaceD("finite", tuple(data.draw(_members(budget)) for _ in range(r)))
     assert (_outcome(bw_extract, D, depth, budget)
             == _outcome(ref_bw_extract, D, depth, budget))
 
@@ -285,7 +295,7 @@ def test_bw_extract_matches_row_bucketing(data, budget, r, depth):
 @given(data=st.data(), budget=st.integers(1, 120), r=st.integers(1, 4),
        last=_DEPTHS, base=st.sampled_from([1.0, 0.75, 3.0]))
 def test_diagonal_extract_matches_column_bucketing(data, budget, r, last, base):
-    D = SubspaceD.countable([data.draw(_members(budget)) for _ in range(r)])
+    D = SubspaceD("countable", tuple(data.draw(_members(budget)) for _ in range(r)))
     # exponents past 59 would need levels past 62
     exps = sorted(data.draw(st.lists(st.integers(0, min(last + r, 59)),
                                      min_size=r, max_size=r, unique=True)))
@@ -299,8 +309,8 @@ def test_bw_extract_many_members_matches_row_bucketing():
     # between the rows (period 10) go by the first column, whose digit
     # a key of the last 63 columns alone would lose
     rng = np.random.default_rng(7)
-    D = SubspaceD.finite([W1] + [periodic(rng.integers(-2, 3, size=5) / 2.0)
-                                 for _ in range(69)])
+    D = SubspaceD("finite", (W1,) + tuple(periodic(rng.integers(-2, 3, size=5) / 2.0)
+                                          for _ in range(69)))
     for depth in (1, 2, 4):
         assert (_outcome(bw_extract, D, depth, 400)
                 == _outcome(ref_bw_extract, D, depth, 400))
@@ -398,7 +408,7 @@ def test_limit_along_is_linear_on_the_basis():
     sch = bw_extract(D, depth=4, scan_budget=4096)
     coeffs = [1.5, -2.0]
     est = limit_along(D.combination(coeffs), sch, sch.length)
-    parts = [limit_along(D.member(i + 1), sch, sch.length) for i in range(2)]
+    parts = [limit_along(D.members[i], sch, sch.length) for i in range(2)]
     combined = sum(c * p.L for c, p in zip(coeffs, parts))
     tol = sum(abs(c) * p.err for c, p in zip(coeffs, parts)) + est.err
     assert abs(est.L - combined) <= tol + 1e-12
@@ -464,7 +474,7 @@ def test_separation_witness_budget():
 # -- scheme selection ------------------------------------------------------
 
 def test_extract_scheme_identity_for_trivial_d():
-    sch = extract_scheme(SubspaceD.finite([]), depth=4, scan_budget=4096)
+    sch = extract_scheme(SubspaceD("finite", ()), depth=4, scan_budget=4096)
     assert sch == identity_scheme()
 
 
@@ -482,8 +492,8 @@ def test_extract_scheme_countable_defaults():
 
 
 def test_extract_scheme_dense_family():
-    D = SubspaceD.dense([eventually_constant(1.0),
-                         eventually_constant(0.5)])
+    D = SubspaceD("dense", (eventually_constant(1.0),
+                           eventually_constant(0.5)))
     sch = extract_scheme(D, depth=4, scan_budget=4096, m=2,
                          tol_schedule=(0.5, 0.25))
     assert sch.mode == "diagonal"

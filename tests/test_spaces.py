@@ -249,6 +249,38 @@ def test_custom_net_cycles():
     assert list(vals) == [2.0, 5.0, 2.0, 5.0, 2.0]
 
 
+def _cycle_points(p):
+    rows = [np.array(w) for w in ([3.0, -2.0], [1.0, 0.0], [-1.0, 4.0])]
+    return [w / FiniteDimLp(2, p).norm(w) for w in rows]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_custom_net_reads_its_cycle_rows(p):
+    # the cycle's own rows, read point by point: values by
+    # apply_functional, profiles by the norm of each difference
+    pts = _cycle_points(p)
+    ref = CustomNet(pts, p)
+    x = np.array([0.7, -1.3])
+    v = ref.unit(np.array([2.0, 1.0]))
+    phis = [ref.norming_functional(k) for k in (1, 2, 3)]
+    vals = np.tile([ref.apply_functional(phi, x) for phi in phis], 3)
+    prof = np.tile([ref.norm(ref.subtract(pt, v)) for pt in pts], 3)
+    stepped = CustomNet(pts, p)
+    for K in range(1, 10):
+        for k in (K, 1):                # grown one index at a time, then read back
+            assert _bits(stepped.net_point(k)) == _bits(pts[(k - 1) % 3])
+            assert stepped.norming_functional(k) == phis[(k - 1) % 3]
+        assert _bits(stepped.functional_values(x, K)) == _bits(vals[:K])
+        assert _bits(CustomNet(pts, p).functional_values(x, K)) == _bits(vals[:K])
+        for lo in range(K):
+            part = stepped.distance_profile(v, K, lo)
+            assert _bits(CustomNet(pts, p).distance_profile(v, K, lo)) == _bits(part)
+            if p != 1.5:                # _pnorm's scalar root may round apart
+                assert _bits(part) == _bits(prof[lo:K])
+            assert part == pytest.approx(prof[lo:K], rel=1e-15)
+    assert len(stepped._U) >= 9         # the cache grows with K, as for every kind
+
+
 def test_custom_net_validates_points():
     with pytest.raises(ConfigError):
         CustomNet([(2.0, 0.0)])

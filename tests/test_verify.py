@@ -59,6 +59,7 @@ def test_opaque_convergent_never_in_c():
     v = classify_c(s, 256, 0.5)
     assert isinstance(v, Unknown)
     assert v.budget_used == 256
+    assert v.clusters_seen == 5     # the cells of width 1/8 that 1/n hits
 
 
 def test_opaque_oscillation_still_not_in_c():
@@ -71,6 +72,14 @@ def test_starved_budget_gives_unknown():
     # only 3 coordinates per side: below the 5-member floor
     v = classify_c(periodic([-1.0, 1.0]), 6, 1.0)
     assert isinstance(v, Unknown)
+
+
+def test_gap_floor_at_the_int64_cell_limit():
+    # quarter-gap cells over [-1, 1]: 2^62 of them at 2^-59, past the
+    # limit at 2^-60, where int64 indices overflowed into an Unknown
+    assert isinstance(classify_c(periodic([-1.0, 1.0]), 64, 2.0 ** -59), NotInC)
+    with pytest.raises(ValueError):
+        classify_c(periodic([-1.0, 1.0]), 64, 2.0 ** -60)
 
 
 def test_gap_floor_above_oscillation_gives_unknown():
@@ -99,7 +108,7 @@ def test_embedded_images_never_in_c():
 def test_check_isometry_report():
     sp = FiniteDimLp(2, 2)
     out = check_isometry(sp, [np.array([3.0, 4.0]), np.array([1.0, 1.0])], 64)
-    assert out["all_pass"]
+    assert all(r["pass"] for r in out["per_sample"]) and not out["errors"]
     assert len(out["per_sample"]) == 2
     assert out["max_relative_defect"] < 0.05
     assert all(r["lower"] <= r["achieved"] <= r["upper"] for r in out["per_sample"])
@@ -108,17 +117,17 @@ def test_check_isometry_report():
 def test_check_isometry_flags_zero_sample():
     sp = FiniteDimLp(2, 2)
     out = check_isometry(sp, [np.zeros(2)], 16)
-    assert not out["all_pass"]
+    assert out["per_sample"] == []
     assert out["errors"] and "ZeroElement" in out["errors"][0]["error"]
 
 
 def test_check_separation_includes_zero_d():
     sp = FiniteDimLp(2, 2)
-    D = SubspaceD.finite([periodic([-1.0, 1.0]), periodic([1.0, -1.0, 0.0])])
+    D = SubspaceD("finite", (periodic([-1.0, 1.0]), periodic([1.0, -1.0, 0.0])))
     sch = bw_extract(D, 4, 4096)
     out = check_separation(sp, D, sch, [np.array([3.0, 4.0])],
                            [[1.0, 0.0]], 0.2, 5)
-    assert out["all_pass"]
+    assert not out["errors"] and not out["budget_exhausted"]
     # zero combination was prepended
     assert [w["d_id"] for w in out["witnesses"]] == [0, 1]
     assert all(w["gap"] > 0 for w in out["witnesses"])
