@@ -145,7 +145,7 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     cfg = {}
     for key, (default, check, what) in _FIELDS.items():
-        value = raw.get(key, default)
+        value = raw.get(key, list(default) if isinstance(default, list) else default)
         if value is _REQUIRED:
             raise ConfigError(f"config field {key!r} is required")
         if not (value is None and default is None or check(value)):
@@ -394,7 +394,10 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(_summarize(report))
+    try:
+        print(_summarize(report), flush=True)
+    except BrokenPipeError:
+        sys.stdout = None   # the reader left; the flush at exit must not fail too
     return code
 
 

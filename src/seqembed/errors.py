@@ -72,3 +72,12 @@ def _finite(values, what: str):
     """Reject NaN and infinities (from JSON input or overflow)."""
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"{what} has a non-finite value")
+
+
+def _numbers(values, what: str):
+    """Reject strings and booleans, which float() would take, then
+    non-finite values: JSON input gives its coordinates as numbers."""
+    values = list(values)
+    if any(isinstance(v, (str, bool)) for v in values):
+        raise ConfigError(f"{what} has a value that is not a number")
+    _finite(values, what)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, IndexZero, KindMismatch, NotUnitVector,
-                     ZeroElement, _finite)
+                     ZeroElement, _finite, _numbers)
 
 UNIT_TOL = 1e-9
 
@@ -29,25 +29,14 @@ UNIT_TOL = 1e-9
 # functionals
 
 @dataclass(frozen=True)
-class DualVector:
-    """Dual coordinate vector; applied as an inner product."""
+class Functional:
+    """The norming functional of net point k: row k - 1 of the net
+    cache's `_Phi` without its trailing zeros, which only pad it to the
+    widest level cached. For fdlp, seqlp and custom nets `row` holds the
+    coefficients of coordinates 1, 2, ...; for c01 it is the (location,
+    sign) of a point mass."""
     space_kind: str
-    coords: tuple
-
-
-@dataclass(frozen=True)
-class DualMap:
-    """Finitely supported dual map for sequence spaces."""
-    space_kind: str
-    entries: tuple  # ((index, value), ...) sorted by index
-
-
-@dataclass(frozen=True)
-class PointMass:
-    """Signed point evaluation at t in [0, 1]."""
-    space_kind: str
-    location: float
-    sign: float
+    row: tuple
 
 
 @dataclass(frozen=True)
@@ -184,17 +173,23 @@ def _number_rows(rows, what: str) -> np.ndarray:
 class SeparableSpace:
     """Common surface: norm, net enumeration, norming functionals.
 
+    Row k - 1 of `_U` is the k-th net point and row k - 1 of `_Phi` its
+    norming functional, zero-padded to the widest level cached;
+    `norming_functional(k)` hands that row out as a `Functional`.
+    `_ensure` grows the cache; `CustomNet` overrides it to repeat its
+    cycle. The p-norm kinds share one row arithmetic here:
+    apply_functional, functional_values(x, K) = [phi_1(x), ...,
+    phi_K(x)] (bit for bit the same sums) and distance_profile(v, K,
+    lo=0) = [||v - u_{lo+1}||, ..., ||v - u_K||] (each row bit for bit
+    as in the profile from row 0). Each p-norm kind states only
+    `_coords(x, width)`, the first `width` coordinates of x as a list,
+    and `_outside(x, width)`, the p-th powers of x past them.
+
     Each kind implements norm, canonical (validate an element), scale,
-    subtract, apply_functional, net_point(k), norming_functional(k),
-    functional_values(x, K) = [phi_1(x), ..., phi_K(x)],
-    distance_profile(v, K, lo=0) = [||v - u_{lo+1}||, ..., ||v - u_K||]
-    (each row bit for bit as in the profile from row 0),
-    random_element, lattice_sample (a multiple of a small grid
-    direction, near early net points), element_to_json,
+    subtract, net_point(k), random_element, lattice_sample (a multiple
+    of a small grid direction, near early net points), element_to_json,
     element_from_json, describe, and `_width(t)`, the entries of a
-    level-t row. Row k - 1 of `_U` is the k-th net point and of `_Phi`
-    the data of its functional, zero-padded to the widest level cached.
-    `_ensure` grows the cache; `CustomNet` overrides it to repeat its cycle.
+    level-t row.
     """
 
     kind = "abstract"
@@ -262,6 +257,38 @@ class SeparableSpace:
             raise NotUnitVector(f"norm(v) = {self.norm(v)!r}")
         return float(np.min(self.distance_profile(v, K)))
 
+    def norming_functional(self, k: int) -> Functional:
+        i = self._index(k)      # grows _Phi, so read _Phi after
+        row = self._Phi[i].tolist()
+        while not row[-1]:      # a duality row has a nonzero entry
+            row.pop()
+        return Functional(self.kind, tuple(row))
+
+    def apply_functional(self, phi, x) -> float:
+        # the arithmetic of _dot_rows, one index at a time; the ±0.0 that
+        # _dot_rows adds for padding leaves its sums (never -0.0) as they are
+        self._check_kind(phi)
+        acc = 0.0
+        for f, v in zip(phi.row, self._coords(self.canonical(x), len(phi.row))):
+            acc += f * v
+        return acc
+
+    def functional_values(self, x, K: int) -> np.ndarray:
+        self._ensure(K)
+        Phi = self._Phi[:K]
+        return _dot_rows(Phi, self._coords(self.canonical(x), Phi.shape[1]))
+
+    def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
+        self._ensure(K)
+        v = self.canonical(v)
+        # the columns the first K rows use; support past them is orthogonal
+        width = self._width(self._level_of(K - 1))
+        return _row_norms(self._U[lo:K, :width] - self._coords(v, width), self.p,
+                          self._outside(v, width))
+
+    def _outside(self, x, width: int) -> float:
+        return 0.0
+
     def _check_kind(self, phi):
         if getattr(phi, "space_kind", None) != self.kind:
             raise KindMismatch(
@@ -313,25 +340,8 @@ class FiniteDimLp(SeparableSpace):
         row = self._index(k)
         return self._U[row].copy()
 
-    def norming_functional(self, k: int):
-        row = self._index(k)
-        return DualVector(self.kind, tuple(self._Phi[row].tolist()))
-
-    def apply_functional(self, phi, x) -> float:
-        # the arithmetic of _dot_rows, one index at a time
-        self._check_kind(phi)
-        acc = 0.0
-        for f, v in zip(phi.coords, self.canonical(x).tolist()):
-            acc += f * v
-        return acc
-
-    def functional_values(self, x, K: int) -> np.ndarray:
-        self._ensure(K)
-        return _dot_rows(self._Phi[:K], self.canonical(x).tolist())
-
-    def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
-        self._ensure(K)
-        return _row_norms(self._U[lo:K] - self.canonical(v), self.p)
+    def _coords(self, x, width: int) -> list:
+        return x.tolist()
 
     def random_element(self, rng):
         while True:
@@ -351,7 +361,7 @@ class FiniteDimLp(SeparableSpace):
 
     def element_from_json(self, obj):
         x = self.canonical(obj)
-        _finite(x.tolist(), f"{self.kind} element")
+        _numbers(obj, f"{self.kind} element")
         return x
 
 
@@ -392,12 +402,11 @@ class SeqLp(SeparableSpace):
                 f"support size {len(out)} exceeds cap {self.support_cap}")
         return out
 
-    def _dense(self, x: dict, width: int) -> np.ndarray:
-        out = np.zeros(width)
-        for i, v in x.items():
-            if i <= width:
-                out[i - 1] = v
-        return out
+    def _coords(self, x: dict, width: int) -> list:
+        return [x.get(i, 0.0) for i in range(1, width + 1)]
+
+    def _outside(self, x: dict, width: int) -> float:
+        return sum(abs(v) ** self.p for i, v in x.items() if i > width)
 
     def norm(self, x) -> float:
         x = self.canonical(x)
@@ -420,33 +429,6 @@ class SeqLp(SeparableSpace):
         row = self._index(k)
         return {i + 1: v for i, v in enumerate(self._U[row].tolist()) if v != 0.0}
 
-    def norming_functional(self, k: int):
-        row = self._index(k)
-        entries = tuple((i + 1, v) for i, v in enumerate(self._Phi[row].tolist()) if v != 0.0)
-        return DualMap(self.kind, entries)
-
-    def apply_functional(self, phi, x) -> float:
-        # the arithmetic of _dot_rows, one index at a time
-        self._check_kind(phi)
-        x = self.canonical(x)
-        acc = 0.0
-        for i, v in phi.entries:
-            acc += v * x.get(i, 0.0)
-        return acc
-
-    def functional_values(self, x, K: int) -> np.ndarray:
-        self._ensure(K)
-        Phi = self._Phi[:K]
-        return _dot_rows(Phi, self._dense(self.canonical(x), Phi.shape[1]).tolist())
-
-    def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
-        self._ensure(K)
-        v = self.canonical(v)
-        # the columns the first K rows use; support past them is orthogonal
-        width = self._width(self._level_of(K - 1))
-        extra = sum(abs(val) ** self.p for i, val in v.items() if i > width)
-        return _row_norms(self._U[lo:K, :width] - self._dense(v, width), self.p, extra)
-
     def random_element(self, rng):
         size = int(rng.integers(1, min(self.support_cap, 4) + 1))
         support = 1 + rng.permutation(6)[:size]
@@ -468,7 +450,7 @@ class SeqLp(SeparableSpace):
         if not isinstance(obj, dict):
             raise ConfigError("seqlp element must be a JSON object")
         x = self.canonical({int(k): float(v) for k, v in obj.items()})
-        _finite(x.values(), "seqlp element")
+        _numbers(obj.values(), "seqlp element")
         return x
 
 
@@ -529,15 +511,11 @@ class ContinuousPL(SeparableSpace):
         grid = self._grid(self._level_of(row))
         return PLFunction(tuple(grid.tolist()), tuple(self._U[row, :len(grid)].tolist()))
 
-    def norming_functional(self, k: int):
-        row = self._index(k)
-        location, sign = self._Phi[row].tolist()
-        return PointMass(self.kind, location, sign)
-
     def apply_functional(self, phi, x) -> float:
         self._check_kind(phi)
         x = self.canonical(x)
-        return phi.sign * float(np.interp(phi.location, x.breaks, x.values))
+        location, sign = phi.row
+        return sign * float(np.interp(location, x.breaks, x.values))
 
     def functional_values(self, x, K: int) -> np.ndarray:
         self._ensure(K)
@@ -590,7 +568,7 @@ class ContinuousPL(SeparableSpace):
         if not isinstance(obj, dict) or "breaks" not in obj or "values" not in obj:
             raise ConfigError("c01 element must be {breaks: [...], values: [...]}")
         x = pl_function(obj["breaks"], obj["values"])
-        _finite(x.breaks + x.values, "c01 element")
+        _numbers(list(obj["breaks"]) + list(obj["values"]), "c01 element")
         return x
 
 
@@ -630,6 +608,9 @@ class CustomNet(FiniteDimLp):
         if K > len(self._U):
             rows = np.arange(max(K, 2 * len(self._U))) % len(self._points)
             self._U, self._Phi = self._points[rows], self._functionals[rows]
+
+    def net_size_through_level(self, level: int) -> int:
+        raise KindMismatch("a custom net repeats its cycle; it has no lattice levels")
 
     def lattice_sample(self, rng):
         return float(rng.uniform(0.25, 4.0)) * self.net_point(int(rng.integers(1, len(self._points) + 1)))

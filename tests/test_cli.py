@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -78,6 +80,14 @@ def test_validate_config_defaults():
         "tol_schedule": None, "d_samples": None, "random_d": 0, "seed": 0}
 
 
+def test_validate_config_gives_each_config_its_own_lists():
+    first = validate_config({"space": "c01"})
+    for key in ("d_basis", "sequences", "samples"):
+        first[key].append("x")
+    second = validate_config({"space": "c01"})
+    assert [second[key] for key in ("d_basis", "sequences", "samples")] == [[], [], []]
+
+
 def test_validate_config_ranges():
     with pytest.raises(ConfigError):
         validate_config({"space": "c01", "epsilon": 0.0})
@@ -122,6 +132,7 @@ def test_exit_one_on_malformed_space(tmp_path):
     ("d_basis", ["limit:nan,rate=1"]), ("d_basis", ["evconst:inf"]),
     ("d_basis", ["periodic:nan,1"]), ("tol_schedule", [0.5, 0.0]),
     ("count", None), ("samples", None), ("budgett", 3),
+    ("samples", [["3", 4.0]]), ("samples", [[True, 1.0]]),
 ])
 def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     cfg = {"space": "fdlp:dim=2,p=2", "d_mode": "countable",
@@ -136,6 +147,20 @@ def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     path.write_text(json.dumps(cfg))    # NaN is written as a bare NaN
     command = "suite" if field == "gap_floor" else "extend"
     assert main([command, "--config", str(path)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("space, sample", [
+    ("seqlp:p=2,support=4", {"1": "2.5"}), ("seqlp:p=2,support=4", {"1": 1.0, "2": True}),
+    ("c01", {"breaks": ["0", 1], "values": [1.0, 2.0]}),
+    ("c01", {"breaks": [0, 1], "values": [True, "2"]}),
+])
+def test_exit_one_on_sample_coordinate_not_a_number(tmp_path, capsys, space, sample):
+    # float() would take each of these silently, as for fdlp above
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"space": space, "samples": [sample]}))
+    assert main(["embed", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
 
@@ -172,6 +197,24 @@ def test_exit_three_on_unexpected_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_extend", fail)
     assert main(["extend", "--config", "basic"]) == 3
     assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+
+
+def test_closed_stdout_is_no_error(capsys, monkeypatch):
+    # the report is written before the summary; a reader that stops
+    # early (`| head -1`) leaves the run's status and an empty stderr
+    class Closed(io.StringIO):
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["classify", "--spec", "periodic:-1,1"]) == 0
+    assert capsys.readouterr().err == ""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "seqembed.cli", "classify",
+                             "--spec", "periodic:-1,1"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 0
 
 
 def test_exit_one_on_missing_config():

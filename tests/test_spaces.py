@@ -62,12 +62,30 @@ def test_functional_is_norm_bounded():
 
 
 def test_functional_values_matches_pointwise():
-    sp = FiniteDimLp(2, 2)
-    x = np.array([0.3, -1.7])
-    vals = sp.functional_values(x, 25)
-    for k in range(1, 26):
-        pointwise = sp.apply_functional(sp.norming_functional(k), x)
-        assert vals[k - 1] == pointwise
+    # every kind, bit for bit: seqlp with support past the row width,
+    # c01 across k = 4747, where the grid {0, 1/4, ..., 1} opens
+    x3 = np.array([0.3, -1.7, 2.2])
+    cases = [(FiniteDimLp(2, 2), np.array([0.3, -1.7]), 25),
+             *((FiniteDimLp(3, p), x3, 400) for p in (1.0, 1.5, math.inf)),
+             (SeqLp(2), {1: 0.5, 7: -2.0}, 400),
+             (CustomNet(_cycle_points(1.5), 1.5), np.array([0.7, -1.3]), 10),
+             (ContinuousPL(), pl_function((0.0, 0.3, 1.0), (1.0, -2.0, 0.5)), 4800)]
+    for sp, x, K in cases:
+        vals = sp.functional_values(x, K)
+        for k in range(1, K + 1):
+            pointwise = sp.apply_functional(sp.norming_functional(k), x)
+            assert _bits([pointwise]) == _bits(vals[k - 1:k]), (sp.describe(), k)
+
+
+def test_functional_does_not_change_as_the_cache_grows():
+    # the cache pads its rows to the widest level; a functional is its
+    # row without that padding
+    sp = SeqLp(2)
+    first = sp.norming_functional(1)
+    assert sp._Phi.shape == (1, 1)
+    sp.net_point(30)
+    assert sp._Phi.shape[1] > 1
+    assert sp.norming_functional(1) == first
 
 
 @pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "fdlp:dim=3,p=1.5",
@@ -281,6 +299,11 @@ def test_custom_net_reads_its_cycle_rows(p):
     assert len(stepped._U) >= 9         # the cache grows with K, as for every kind
 
 
+def test_custom_net_has_no_lattice_levels():
+    with pytest.raises(KindMismatch):
+        CustomNet([(1.0, 0.0), (0.0, 1.0)]).net_size_through_level(1)
+
+
 def test_custom_net_validates_points():
     with pytest.raises(ConfigError):
         CustomNet([(2.0, 0.0)])
@@ -416,7 +439,7 @@ def test_fdlp_net_matches_reference_enumeration(dim, p):
     for sp in _grown(lambda: FiniteDimLp(dim, p), count):
         for k, (u, phi) in enumerate(ref, start=1):
             assert _bits(sp.net_point(k)) == _bits(u)
-            assert _bits(sp.norming_functional(k).coords) == _bits(phi)
+            assert _bits(sp.norming_functional(k).row) == _bits(np.trim_zeros(phi, "b"))
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -428,9 +451,7 @@ def test_seqlp_net_matches_reference_enumeration(p):
             point = sp.net_point(k)
             assert list(point) == [i + 1 for i in np.flatnonzero(u)]
             assert _bits(list(point.values())) == _bits(u[u != 0.0])
-            entries = sp.norming_functional(k).entries
-            assert [i for i, _ in entries] == [i + 1 for i in np.flatnonzero(phi)]
-            assert _bits([v for _, v in entries]) == _bits(phi[phi != 0.0])
+            assert _bits(sp.norming_functional(k).row) == _bits(np.trim_zeros(phi, "b"))
 
 
 def test_c01_net_matches_reference_enumeration():
@@ -445,9 +466,8 @@ def test_c01_net_matches_reference_enumeration():
             f = sp.net_point(k)
             assert _bits(f.breaks) == _bits(np.linspace(0.0, 1.0, len(u)))
             assert _bits(f.values) == _bits(u)
-            mass = sp.norming_functional(k)
             i = int(np.flatnonzero(phi)[0])
-            assert _bits([mass.location, mass.sign]) == \
+            assert _bits(sp.norming_functional(k).row) == \
                 _bits([np.linspace(0.0, 1.0, len(u))[i], phi[i]])
 
 
