@@ -13,8 +13,7 @@ from .errors import (BudgetExhausted, ConfigError, EmptyBasis, EmptyWindow,
                      SchemeExhausted, SeqEmbedError, ZeroElement)
 from .seqcore import (BoundedSeq, ClusterEstimate, cluster_estimates, combine,
                       coordinate, eventually_constant, explicit_limit,
-                      explicit_list, from_function, periodic, prefix_sup,
-                      zero_seq)
+                      from_function, periodic, prefix_sup, zero_seq)
 from .spaces import (ContinuousPL, CustomNet, FiniteDimLp, PLFunction, SeqLp,
                      SeparableSpace, parse_space, pl_function)
 from .embed import (DefectRecord, IndexScheme, OscillationWitness, embed_t1,

@@ -15,18 +15,18 @@ import argparse
 import datetime
 import importlib.resources
 import json
-import math
 import platform
+import reprlib
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, EmptyBasis, KindMismatch, SeqEmbedError
+from .errors import ConfigError, EmptyBasis, KindMismatch, SeqEmbedError, _is_number
 from .extend import SubspaceD, extract_scheme
 from .seqcore import BoundedSeq, combine, eventually_constant, \
     explicit_limit, periodic, zero_seq
-from .embed import embed_t1, oscillation_witness
+from .embed import WITNESS_BUDGET, embed_t1, oscillation_witness
 from .errors import BudgetExhausted, ZeroElement
 from .spaces import parse_space
 from .verify import (check_isometry, check_separation, classify_c,
@@ -90,16 +90,11 @@ def load_config(ref: str) -> dict:
             raise ConfigError(f"cannot read config {ref!r}: {exc}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:           # also an int past Python's digit limit
         raise ConfigError(f"config {ref!r} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {ref!r} must be a JSON object")
     return raw
-
-
-def _is_number(v) -> bool:
-    """A finite JSON number; JSON input can carry NaN and Infinity."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _int_at_least(least: int):
@@ -133,7 +128,7 @@ _FIELDS = {
     **{key: (default, _int_at_least(least), f"an integer >= {least}")
        for key, default, least in (
            ("count", 5, 1), ("K", 64, 1), ("depth", 4, 1), ("scan_budget", 4096, 1),
-           ("witness_budget", 100000, 1), ("classify_budget", 4096, 2),
+           ("witness_budget", WITNESS_BUDGET, 1), ("classify_budget", 4096, 2),
            ("m", None, 1), ("random_d", 0, 0), ("seed", 0, 0))},
 }
 
@@ -149,7 +144,7 @@ def validate_config(raw: dict) -> dict:
         if value is _REQUIRED:
             raise ConfigError(f"config field {key!r} is required")
         if not (value is None and default is None or check(value)):
-            raise ConfigError(f"{key} = {value!r} must be {what}")
+            raise ConfigError(f"{key} = {reprlib.repr(value)} must be {what}")
         cfg[key] = value
     cfg["space_spec"] = cfg.pop("space")
     return cfg

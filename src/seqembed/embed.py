@@ -17,12 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, SchemeExhausted, ZeroElement, _finite
+from .errors import BudgetExhausted, SchemeExhausted, ZeroElement, _numbers
 from .seqcore import BoundedSeq, coordinate, prefix_sup
 from .spaces import SeparableSpace
 
 #: block size for witness scans over the net enumeration
 _SCAN_BLOCK = 4096
+#: default scan budget of the witness searches, and of the CLI's witness_budget
+WITNESS_BUDGET = 100000
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ def _element(space: SeparableSpace, x, nonzero_for: Optional[str] = None):
     and a zero one a ZeroElement when `nonzero_for` names the use."""
     x = space.canonical(x)
     nx = space.norm(x)
-    _finite((nx,), f"{space.kind} element norm")
+    _numbers((nx,), f"{space.kind} element norm")
     if nx == 0.0 and nonzero_for:
         raise ZeroElement(f"{nonzero_for} needs a nonzero element")
     return x, nx
@@ -286,7 +288,7 @@ def _scan_witness(space: SeparableSpace, x, image: BoundedSeq,
 
 
 def oscillation_witness(space: SeparableSpace, x, epsilon: float,
-                        count: int, scan_budget: int = 100000) -> OscillationWitness:
+                        count: int, scan_budget: int = WITNESS_BUDGET) -> OscillationWitness:
     """Witness that the embedded image oscillates between +-||x||.
 
     Scans the net in enumeration order for points within `epsilon` of

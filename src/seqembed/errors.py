@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-import math
+import sys
 
 
 class SeqEmbedError(Exception):
@@ -68,16 +68,15 @@ class ConfigError(SeqEmbedError):
     """A run configuration failed to parse or validate."""
 
 
-def _finite(values, what: str):
-    """Reject NaN and infinities (from JSON input or overflow)."""
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{what} has a non-finite value")
+def _is_number(v) -> bool:
+    """An int or float, not a bool, whose magnitude a float holds: the
+    one test of a number from outside. The comparison is False for NaN,
+    infinities and ints too large for a float, and never raises."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _numbers(values, what: str):
-    """Reject strings and booleans, which float() would take, then
-    non-finite values: JSON input gives its coordinates as numbers."""
-    values = list(values)
-    if any(isinstance(v, (str, bool)) for v in values):
-        raise ConfigError(f"{what} has a value that is not a number")
-    _finite(values, what)
+    """Raise a ConfigError unless every value passes `_is_number`."""
+    if not all(map(_is_number, values)):
+        raise ConfigError(f"{what} has a value that is not a finite number")

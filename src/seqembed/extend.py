@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embed import (IndexScheme, OscillationWitness, _scan_witness,
+from .embed import (WITNESS_BUDGET, IndexScheme, OscillationWitness, _scan_witness,
                     _witness_input, identity_scheme, scheme_embed)
 from .errors import BudgetExhausted, EmptyBasis, SchemeExhausted
 from .seqcore import BoundedSeq, _bucket, combine, coordinate, zero_seq
@@ -220,7 +220,7 @@ def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstim
 
 def separation_witness(space: SeparableSpace, scheme: IndexScheme, x,
                        d: BoundedSeq, epsilon: float, count: int,
-                       scan_budget: int = 100000) -> OscillationWitness:
+                       scan_budget: int = WITNESS_BUDGET) -> OscillationWitness:
     """Witness that T(x) - d oscillates between ~(||x|| - L) and
     ~(-||x|| - L), where L is d's limit along the scheme.
 

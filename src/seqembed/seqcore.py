@@ -13,7 +13,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWindow, IndexZero, LengthMismatch, _finite
+from .errors import ConfigError, EmptyWindow, IndexZero, LengthMismatch, \
+    _is_number, _numbers
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()
     if len(head) != start - 1:
         raise LengthMismatch(f"head length {len(head)} != start-1 = {start - 1}")
     value = float(value)
-    _finite(head + (value,), "eventually constant sequence")
+    _numbers(head + (value,), "eventually constant sequence")
     bound = max([abs(value)] + [abs(v) for v in head])
 
     def oracle(n: int) -> float:
@@ -117,15 +118,10 @@ def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()
     return BoundedSeq(oracle, bound, EventuallyConstant(value, start, head), block)
 
 
-def explicit_list(prefix: Sequence[float], tail: float) -> BoundedSeq:
-    """`prefix` followed by the constant `tail`."""
-    return eventually_constant(tail, len(prefix) + 1, prefix)
-
-
 def explicit_limit(limit: float, rate: float) -> BoundedSeq:
     limit = float(limit)
     rate = float(rate)
-    _finite((limit, rate), "explicit limit")
+    _numbers((limit, rate), "explicit limit")
 
     def oracle(n: int) -> float:
         if n < 1:
@@ -142,7 +138,7 @@ def periodic(pattern: Sequence[float]) -> BoundedSeq:
     pattern = tuple(float(v) for v in pattern)
     if not pattern:
         raise LengthMismatch("empty pattern")
-    _finite(pattern, "periodic pattern")
+    _numbers(pattern, "periodic pattern")
     m = len(pattern)
 
     def oracle(n: int) -> float:
@@ -165,7 +161,7 @@ def zero_seq() -> BoundedSeq:
 def from_function(fn: Callable[[int], float], bound: float) -> BoundedSeq:
     """Wrap an opaque pure oracle with a caller-certified bound."""
     bound = float(bound)
-    if not (math.isfinite(bound) and bound >= 0.0):
+    if not (_is_number(bound) and bound >= 0.0):
         raise ConfigError(f"bound = {bound} must be finite and >= 0")
 
     def oracle(n: int) -> float:
@@ -199,7 +195,7 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
     if not seqs:
         raise LengthMismatch("empty combination")
     coeffs = tuple(float(c) for c in coeffs)
-    _finite(coeffs, "coefficient list")
+    _numbers(coeffs, "coefficient list")
     seqs = tuple(seqs)
     bound = sum(abs(c) * s.bound for c, s in zip(coeffs, seqs))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, IndexZero, KindMismatch, NotUnitVector,
-                     ZeroElement, _finite, _numbers)
+                     ZeroElement, _is_number, _numbers)
 
 UNIT_TOL = 1e-9
 
@@ -152,19 +152,17 @@ def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
 
 
 def _number_rows(rows, what: str) -> np.ndarray:
-    """A nonempty list of equal-length rows of finite numbers, as a
-    float matrix; anything else (a scalar, strings, ragged rows) is a
-    ConfigError."""
+    """A nonempty list of equal-length rows of numbers, as a float
+    matrix; anything else (a scalar, strings, booleans, ragged rows) is
+    a ConfigError."""
     try:
-        M = np.asarray(rows)
-    except ValueError:                  # ragged rows
-        M = None
-    if M is None or M.ndim != 2 or len(M) == 0 or M.dtype.kind not in "iuf":
-        raise ConfigError(f"{what} must be a nonempty list of equal-length "
-                          f"rows of numbers, got {reprlib.repr(rows)}")
-    M = M.astype(float)
-    _finite(M.ravel().tolist(), what)
-    return M
+        if len({len(r) for r in rows}) == 1:
+            _numbers((v for r in rows for v in r), what)
+            return np.asarray(rows, dtype=float)
+    except TypeError:                   # a scalar, or rows float() cannot read
+        pass
+    raise ConfigError(f"{what} must be a nonempty list of equal-length "
+                      f"rows of numbers, got {reprlib.repr(rows)}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +358,8 @@ class FiniteDimLp(SeparableSpace):
         return [float(c) for c in self.canonical(x)]
 
     def element_from_json(self, obj):
-        x = self.canonical(obj)
         _numbers(obj, f"{self.kind} element")
-        return x
+        return self.canonical(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +446,13 @@ class SeqLp(SeparableSpace):
     def element_from_json(self, obj):
         if not isinstance(obj, dict):
             raise ConfigError("seqlp element must be a JSON object")
-        x = self.canonical({int(k): float(v) for k, v in obj.items()})
+        # int() would also take "01", "1_0" and " 2"
+        bad = [k for k in obj if not (isinstance(k, str) and k.isascii()
+                                      and k.isdigit() and str(int(k)) == k)]
+        if bad:
+            raise ConfigError(f"seqlp element keys {bad} are not plain decimal indices")
         _numbers(obj.values(), "seqlp element")
-        return x
+        return self.canonical({int(k): float(v) for k, v in obj.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +568,8 @@ class ContinuousPL(SeparableSpace):
     def element_from_json(self, obj):
         if not isinstance(obj, dict) or "breaks" not in obj or "values" not in obj:
             raise ConfigError("c01 element must be {breaks: [...], values: [...]}")
-        x = pl_function(obj["breaks"], obj["values"])
         _numbers(list(obj["breaks"]) + list(obj["values"]), "c01 element")
-        return x
+        return pl_function(obj["breaks"], obj["values"])
 
 
 # ---------------------------------------------------------------------------
@@ -620,14 +620,19 @@ class CustomNet(FiniteDimLp):
 # CLI-facing parsing
 
 def _parse_p(token) -> float:
-    return math.inf if str(token) == "oo" else _parse_num(float, token, "exponent")
+    return math.inf if token in ("inf", "oo") else _parse_num(float, token, "exponent")
 
 
 def _parse_num(cast, token, what: str):
+    """A spec field, a JSON number or a string, as `cast` reads it; the
+    number and its value must pass `_is_number`."""
     try:
-        return cast(str(token))
+        value = cast(str(token)) if isinstance(token, str) or _is_number(token) else None
     except ValueError:
-        raise ConfigError(f"bad {what} {token!r}") from None
+        value = None
+    if not _is_number(value):
+        raise ConfigError(f"bad {what} {reprlib.repr(token)}")
+    return value
 
 
 #: per space kind: its required fields, and its optional fields with defaults

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import OscillationWitness, isometry_defect, reverify_witness
+from .embed import (WITNESS_BUDGET, OscillationWitness, isometry_defect,
+                    reverify_witness)
 from .errors import BudgetExhausted, KindMismatch, ZeroElement
 from .extend import SubspaceD, IndexScheme, separation_witness
 from .seqcore import BoundedSeq, cluster_estimates, structural_limit
@@ -133,7 +134,7 @@ def check_isometry(space: SeparableSpace, samples, K: int) -> dict:
 def check_separation(space: SeparableSpace, D: SubspaceD,
                      scheme: IndexScheme, samples, d_samples,
                      epsilon: float, count: int,
-                     scan_budget: int = 100000) -> dict:
+                     scan_budget: int = WITNESS_BUDGET) -> dict:
     """A separation witness per (x, d) pair, d ranging over the given
     coefficient combinations (d = 0 always included)."""
     d_samples = list(d_samples)

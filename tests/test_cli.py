@@ -1,14 +1,16 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from seqembed import cli
 from seqembed.cli import main, parse_seq_spec, validate_config
-from seqembed.errors import ConfigError
+from seqembed.errors import ConfigError, _is_number
 from seqembed.seqcore import coordinate
 
 BUNDLED = ("basic", "finite_basis", "countable_family", "dense_family")
@@ -88,6 +90,13 @@ def test_validate_config_gives_each_config_its_own_lists():
     assert [second[key] for key in ("d_basis", "sequences", "samples")] == [[], [], []]
 
 
+def test_is_number_is_finite_int_or_float():
+    assert _is_number(np.float64(2.0)) and _is_number(sys.float_info.max)
+    assert _is_number(-sys.float_info.max) and _is_number(3)
+    for v in (True, "3", math.nan, math.inf, -math.inf, 10**400, -10**400):
+        assert not _is_number(v), v
+
+
 def test_validate_config_ranges():
     with pytest.raises(ConfigError):
         validate_config({"space": "c01", "epsilon": 0.0})
@@ -133,6 +142,15 @@ def test_exit_one_on_malformed_space(tmp_path):
     ("d_basis", ["periodic:nan,1"]), ("tol_schedule", [0.5, 0.0]),
     ("count", None), ("samples", None), ("budgett", 3),
     ("samples", [["3", 4.0]]), ("samples", [[True, 1.0]]),
+    # ints too large for a float, a bool in a custom net, an exponent past float range
+    pytest.param("epsilon", 10**400, id="epsilon-10**400"),
+    pytest.param("gap_floor", 10**400, id="gap_floor-10**400"),
+    ("tol_schedule", [0.5, 10**400]),
+    ("d_samples", [[1.0, 10**400]]), ("samples", [[10**400, 4.0]]),
+    ("space", {"kind": "custom", "points": [[True, 0.0], [0.0, 1.0]]}),
+    ("space", {"kind": "custom", "points": [[1.0, 0.0], [0.0, 1.0]],
+               "functionals": [[True, 0.0], [0.0, 1.0]]}),
+    ("space", {"kind": "fdlp", "dim": 2, "p": 10**400}), ("space", "fdlp:dim=2,p=1e400"),
 ])
 def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     cfg = {"space": "fdlp:dim=2,p=2", "d_mode": "countable",
@@ -155,11 +173,25 @@ def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     ("seqlp:p=2,support=4", {"1": "2.5"}), ("seqlp:p=2,support=4", {"1": 1.0, "2": True}),
     ("c01", {"breaks": ["0", 1], "values": [1.0, 2.0]}),
     ("c01", {"breaks": [0, 1], "values": [True, "2"]}),
+    ("seqlp:p=2,support=4", {"1": 10**400}),
+    ("c01", {"breaks": [0, 1], "values": [10**400, 1.0]}),
+    # int() would read these keys as indices 1, 10 and 2
+    ("seqlp:p=2,support=4", {"01": 2.0}), ("seqlp:p=2,support=4", {"1_0": 2.0}),
+    ("seqlp:p=2,support=4", {" 2": 2.0}),
 ])
 def test_exit_one_on_sample_coordinate_not_a_number(tmp_path, capsys, space, sample):
     # float() would take each of these silently, as for fdlp above
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"space": space, "samples": [sample]}))
+    assert main(["embed", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+def test_exit_one_on_int_past_python_digit_limit(tmp_path, capsys):
+    # json.loads raises a ValueError that is not a JSONDecodeError
+    path = tmp_path / "bad.json"
+    path.write_text('{"space": "c01", "samples": [1%s]}' % ("0" * 5000))
     assert main(["embed", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqembed import (BoundedSeq, ConfigError, IndexZero, LengthMismatch, EmptyWindow,
                       cluster_estimates, combine, coordinate,
-                      eventually_constant, explicit_limit, explicit_list,
+                      eventually_constant, explicit_limit,
                       from_function, periodic, prefix_sup, zero_seq)
 from seqembed.seqcore import structural_limit
 
@@ -72,12 +72,12 @@ def test_eventually_constant_head_length_checked():
         eventually_constant(1.0, start=4, head=(0.0,))
 
 
-def test_explicit_list_tail():
-    s = explicit_list([5.0, -5.0], 0.5)
+def test_eventually_constant_after_prefix():
+    s = eventually_constant(0.5, 3, [5.0, -5.0])
     assert coordinate(s, 2) == -5.0
     assert coordinate(s, 3) == 0.5
     assert s.bound == 5.0
-    assert structural_limit(explicit_list([5.0, -5.0], 0.5), 10) == (0.5, 0.0, 3)
+    assert structural_limit(s, 10) == (0.5, 0.0, 3)
 
 
 def test_explicit_limit_values():
