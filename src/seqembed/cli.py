@@ -35,6 +35,10 @@ from .verify import (check_isometry, check_separation, classify_c,
 # ---------------------------------------------------------------------------
 # sequence spec mini-language
 
+#: largest start n of `evconst:v@n`, whose head of n - 1 zeros is built
+EVCONST_MAX_START = 2 ** 20
+
+
 def parse_seq_spec(spec: str) -> BoundedSeq:
     """`periodic:<v1,...>`, `evconst:<v>@<n>`, `limit:<v>,rate=<r>`,
     `zero`, or `combo:<c1>*<spec1>+<c2>*<spec2>+...`."""
@@ -47,6 +51,10 @@ def parse_seq_spec(spec: str) -> BoundedSeq:
             return periodic([float(v) for v in rest.split(",")])
         if head == "evconst":
             value, at, start = rest.partition("@")
+            if at and not (start.isascii() and start.isdigit()
+                           and 1 <= int(start) <= EVCONST_MAX_START):
+                raise ConfigError(f"evconst start in {spec!r} must be decimal "
+                                  f"digits n with 1 <= n <= {EVCONST_MAX_START}")
             start = int(start) if at else 1
             return eventually_constant(float(value), start,
                                        head=(0.0,) * (start - 1))

@@ -153,17 +153,21 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     """sign * phi_k(x) at eta+(k), -sign * phi_k(x) at eta-(k), 0 off I.
 
     Negation is exact in floating point, so sign = -1.0 gives the
-    bit-exact negation of the sign = +1.0 placement. Only images under
-    the identity scheme (T(x) and the D = {0} placement) have a block;
-    windows of the others are read through the oracle.
+    bit-exact negation of the sign = +1.0 placement. The oracle reads
+    phi_k(x) through the space's per-index path `functional_oracle`,
+    set up once for the canonical x; it builds no object per call. Only
+    images under the identity scheme (T(x) and the D = {0} placement)
+    have a block, `functional_values`, with the same bits; windows of
+    the others are read through the oracle.
     """
     x, bound = _element(space, x)
+    phi = space.functional_oracle(x)
 
     def oracle(n: int) -> float:
         s, k = scheme.classify(n)
         if s == 0.0:
             return 0.0
-        val = space.apply_functional(space.norming_functional(k), x)
+        val = phi(k)
         return val if s == sign else -val
 
     if scheme.mode != "identity":

@@ -65,7 +65,9 @@ class BoundedSeq:
     identity scheme (`embed_t1`, and `scheme_embed` of the identity
     scheme) have one; `from_function` has none. The oracle stays the
     reference: `embed.reverify_witness` reads nothing else, so a
-    witness built from block values is checked against it.
+    witness built from block values is checked against it. A space
+    image's oracle reads phi_k(x) one cached row at a time through the
+    space's `functional_oracle`, never through its block.
     """
     oracle: Callable[[int], float]
     bound: float

@@ -143,12 +143,30 @@ def _stack(blocks) -> np.ndarray:
 
 def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
     """sum_i phi_i x_i for every row of Phi, accumulated in index order
-    from 0.0 one column at a time: bit for bit the per-index sums of
-    `apply_functional`, whatever the number of rows."""
+    from 0.0 one column at a time: bit for bit the sums of `_dot_row`,
+    whatever the number of rows."""
     out = np.zeros(len(Phi))
     for j, v in enumerate(x):
         out += Phi[:, j] * v
     return out
+
+
+def _dot_row(row, x) -> float:
+    """sum_i phi_i x_i over the shorter of row and x, accumulated in
+    index order from 0.0: the one per-index arithmetic of the p-norm
+    kinds. The sum is never -0.0, so the +-0.0 terms of a zero-padded
+    row (or of `_dot_rows`' padding) leave it as it is."""
+    acc = 0.0
+    for f, v in zip(row, x):
+        acc += f * v
+    return acc
+
+
+def _point_value(row, breaks, values) -> float:
+    """A c01 functional row (location, sign) applied to the PL function
+    with these breaks and values."""
+    location, sign = row
+    return sign * float(np.interp(location, breaks, values))
 
 
 def _number_rows(rows, what: str) -> np.ndarray:
@@ -175,11 +193,16 @@ class SeparableSpace:
     norming functional, zero-padded to the widest level cached;
     `norming_functional(k)` hands that row out as a `Functional`.
     `_ensure` grows the cache; `CustomNet` overrides it to repeat its
-    cycle. The p-norm kinds share one row arithmetic here:
-    apply_functional, functional_values(x, K) = [phi_1(x), ...,
-    phi_K(x)] (bit for bit the same sums) and distance_profile(v, K,
-    lo=0) = [||v - u_{lo+1}||, ..., ||v - u_K||] (each row bit for bit
-    as in the profile from row 0). Each p-norm kind states only
+    cycle. There are two ways to phi_k(x), bit for bit alike: the block
+    functional_values(x, K) = [phi_1(x), ..., phi_K(x)], and the one
+    per-index path functional_oracle(x), which takes x once and returns
+    k -> phi_k(x), reading cache row k - 1 with no object built per
+    call. apply_functional(norming_functional(k), x) gives the same
+    bits as a reference; nothing in the library calls it. The p-norm
+    kinds share one row arithmetic here: `_dot_rows` for blocks,
+    `_dot_row` for single rows, and distance_profile(v, K, lo=0) =
+    [||v - u_{lo+1}||, ..., ||v - u_K||] (each row bit for bit as in
+    the profile from row 0). Each p-norm kind states only
     `_coords(x, width)`, the first `width` coordinates of x as a list,
     and `_outside(x, width)`, the p-th powers of x past them.
 
@@ -263,13 +286,27 @@ class SeparableSpace:
         return Functional(self.kind, tuple(row))
 
     def apply_functional(self, phi, x) -> float:
-        # the arithmetic of _dot_rows, one index at a time; the ±0.0 that
-        # _dot_rows adds for padding leaves its sums (never -0.0) as they are
         self._check_kind(phi)
-        acc = 0.0
-        for f, v in zip(phi.row, self._coords(self.canonical(x), len(phi.row))):
-            acc += f * v
-        return acc
+        return _dot_row(phi.row, self._coords(self.canonical(x), len(phi.row)))
+
+    def functional_oracle(self, x):
+        """k -> phi_k(x) as a float, bit for bit apply_functional(
+        norming_functional(k), x), with no object built per call: each
+        call sums cache row k - 1 against x's coordinates, which are
+        rebuilt only when the cache's width changes, so they never
+        outgrow the cached rows."""
+        x = self.canonical(x)
+        width, coords = -1, None
+
+        def value(k: int) -> float:
+            nonlocal width, coords
+            i = self._index(k)
+            Phi = self._Phi         # growing the cache replaces the matrix
+            if Phi.shape[1] != width:
+                width = Phi.shape[1]
+                coords = self._coords(x, width)
+            return _dot_row(Phi[i].tolist(), coords)
+        return value
 
     def functional_values(self, x, K: int) -> np.ndarray:
         self._ensure(K)
@@ -515,8 +552,16 @@ class ContinuousPL(SeparableSpace):
     def apply_functional(self, phi, x) -> float:
         self._check_kind(phi)
         x = self.canonical(x)
-        location, sign = phi.row
-        return sign * float(np.interp(location, x.breaks, x.values))
+        return _point_value(phi.row, x.breaks, x.values)
+
+    def functional_oracle(self, x):
+        x = self.canonical(x)
+        breaks, values = np.array(x.breaks), np.array(x.values)
+
+        def value(k: int) -> float:
+            i = self._index(k)
+            return _point_value(self._Phi[i].tolist(), breaks, values)
+        return value
 
     def functional_values(self, x, K: int) -> np.ndarray:
         self._ensure(K)

@@ -151,6 +151,8 @@ def test_exit_one_on_malformed_space(tmp_path):
     ("space", {"kind": "custom", "points": [[1.0, 0.0], [0.0, 1.0]],
                "functionals": [[True, 0.0], [0.0, 1.0]]}),
     ("space", {"kind": "fdlp", "dim": 2, "p": 10**400}), ("space", "fdlp:dim=2,p=1e400"),
+    # an evconst start past EVCONST_MAX_START, or not plain decimal digits
+    ("d_basis", ["evconst:1@99999999999999999999"]), ("d_basis", ["evconst:1@1_000"]),
 ])
 def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     cfg = {"space": "fdlp:dim=2,p=2", "d_mode": "countable",

@@ -1,13 +1,16 @@
 """Memory stays about linear in the budget: the tracemalloc peak at
 budget 4B is compared with the one at B, each after one untraced
-warm-up run. Linear growth gives a ratio near 4, quadratic near 16."""
+warm-up run. Linear growth gives a ratio near 4, quadratic near 16.
+The per-index oracle of an image stays bounded by the cached net rows,
+whatever x's support."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from seqembed import (BudgetExhausted, CustomNet, SubspaceD, bw_extract,
-                      classify_c, from_function, oscillation_witness, periodic)
+from seqembed import (BudgetExhausted, CustomNet, SeqLp, SubspaceD, bw_extract,
+                      classify_c, coordinate, embed_t1, from_function,
+                      oscillation_witness, periodic)
 
 B = 10000
 
@@ -41,3 +44,15 @@ def _custom_witness(budget):
 @pytest.mark.parametrize("run", [_bw_extract, _classify_c, _custom_witness])
 def test_peak_memory_at_most_linear_in_budget(run):
     assert _peak(run, 4 * B) < 6 * _peak(run, B)
+
+
+def _far_support(n):
+    s = embed_t1(SeqLp(2.0), {10 ** 9: 1.0})
+    for i in range(1, n + 1):
+        coordinate(s, i)
+
+
+def test_oracle_memory_bounded_by_the_cached_rows():
+    # x's coordinates are kept as wide as the cached rows, not as its
+    # largest support index: a dense list to 10**9 would be 8 GB
+    assert _peak(_far_support, 2000) < 2 * 2 ** 20

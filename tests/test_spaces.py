@@ -63,18 +63,24 @@ def test_functional_is_norm_bounded():
 
 def test_functional_values_matches_pointwise():
     # every kind, bit for bit: seqlp with support past the row width,
-    # c01 across k = 4747, where the grid {0, 1/4, ..., 1} opens
+    # c01 across k = 4747, where the grid {0, 1/4, ..., 1} opens. The
+    # per-index oracle is built on a cold cache and read once before
+    # the block grows the cache past that read's rows and width.
     x3 = np.array([0.3, -1.7, 2.2])
     cases = [(FiniteDimLp(2, 2), np.array([0.3, -1.7]), 25),
              *((FiniteDimLp(3, p), x3, 400) for p in (1.0, 1.5, math.inf)),
-             (SeqLp(2), {1: 0.5, 7: -2.0}, 400),
+             (SeqLp(2), {1: 0.5, 3: 1.25, 7: -2.0}, 400),
              (CustomNet(_cycle_points(1.5), 1.5), np.array([0.7, -1.3]), 10),
              (ContinuousPL(), pl_function((0.0, 0.3, 1.0), (1.0, -2.0, 0.5)), 4800)]
     for sp, x, K in cases:
+        value = sp.functional_oracle(x)
+        first = value(1)
         vals = sp.functional_values(x, K)
+        assert _bits([first]) == _bits(vals[:1]), sp.describe()
         for k in range(1, K + 1):
             pointwise = sp.apply_functional(sp.norming_functional(k), x)
-            assert _bits([pointwise]) == _bits(vals[k - 1:k]), (sp.describe(), k)
+            assert _bits([pointwise]) == _bits([value(k)]) == _bits(vals[k - 1:k]), \
+                (sp.describe(), k)
 
 
 def test_functional_does_not_change_as_the_cache_grows():
