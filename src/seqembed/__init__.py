@@ -21,5 +21,5 @@ from .embed import (DefectRecord, IndexScheme, OscillationWitness, embed_t1,
                     reverify_witness, scheme_embed)
 from .extend import (LimitEstimate, SubspaceD, bw_extract, diagonal_extract,
                      extract_scheme, limit_along, separation_witness)
-from .verify import (InC, NotInC, Unknown, brute_force_sup, check_isometry,
-                     check_separation, classify_c)
+from .verify import (InC, NotInC, Unknown, check_isometry, check_separation,
+                     classify_c)

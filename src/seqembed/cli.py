@@ -6,8 +6,9 @@ report, and print a short summary table. Every config field, its
 default and its check live in one table, `_FIELDS`. Exit status: 0 when
 all certificates pass, 2 on any exhausted scan budget, 1 on a malformed
 command line or config (including a gap floor too fine for the cell
-grid), 3 on any other error. Reports are byte-identical across runs of
-the same (config, seed) apart from the timestamp field.
+grid or a bound over float_max / 2), 3 on any other error (a report
+holding a NaN or infinity is not written). Reports are byte-identical
+across runs of the same (config, seed) apart from the timestamp field.
 """
 from __future__ import annotations
 
@@ -388,9 +389,9 @@ def main(argv=None) -> int:
         code = _status(report)
         out = args.out or cfg["out"]
         if out:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
             with open(out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(text + "\n")
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 1

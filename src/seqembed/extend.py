@@ -101,7 +101,9 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
     deltas = []
     for level in range(1, depth + 1):
         sides = bounds / 2.0 ** (level - 1)
-        deltas.append(0.5 * float(np.sqrt(np.sum(sides ** 2))))
+        # on sides * 2^-e the squares cannot overflow; powers of two scale exactly
+        e = np.frexp(np.max(sides))[1]
+        deltas.append(float(np.ldexp(0.5 * np.sqrt(np.sum(np.ldexp(sides, -e) ** 2)), e)))
         survivors, mids = _refine(Z, bounds, survivors, level)
 
     alpha = tuple(float(a) for a in mids)

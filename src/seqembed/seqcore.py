@@ -123,7 +123,7 @@ def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()
 def explicit_limit(limit: float, rate: float) -> BoundedSeq:
     limit = float(limit)
     rate = float(rate)
-    _numbers((limit, rate), "explicit limit")
+    _numbers((limit, rate, abs(limit) + abs(rate)), "explicit limit or its bound")
 
     def oracle(n: int) -> float:
         if n < 1:
@@ -200,6 +200,7 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
     _numbers(coeffs, "coefficient list")
     seqs = tuple(seqs)
     bound = sum(abs(c) * s.bound for c, s in zip(coeffs, seqs))
+    _numbers((bound,), "bound of a combination")
 
     # both paths add c * s(n) in child order from 0.0; Python 3.12's
     # compensated `sum` would round differently from the block
@@ -226,9 +227,12 @@ def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
     """Cell of each value among the ceil(2 bound / side) cells of width
     `side` from -bound, the top edge +bound clamped into the last: the
     one cell rule of `cluster_estimates` and of `extend`'s extractions.
-    Over 2^62 cells, whose int64 indices would overflow, is a ValueError."""
+    A bound over float_max / 2 or over 2^62 cells (int64 indices) is a ValueError."""
     if bound == 0.0 or side == 0.0:
         return np.zeros(len(values), dtype=int)
+    bound, side = float(bound), float(side)
+    if math.isinf(2.0 * bound):
+        raise ValueError(f"bound {bound!r} is over float_max / 2: 2 * bound overflows")
     if 2.0 * bound / side > 2.0 ** 62:
         raise ValueError(f"over 2^62 cells of width {side!r} in [-{bound!r}, {bound!r}]")
     ncells = max(1, math.ceil(2.0 * bound / side))

@@ -207,7 +207,7 @@ class SeparableSpace:
     and `_outside(x, width)`, the p-th powers of x past them.
 
     Each kind implements norm, canonical (validate an element), scale,
-    subtract, net_point(k), random_element, lattice_sample (a multiple
+    net_point(k), random_element, lattice_sample (a multiple
     of a small grid direction, near early net points), element_to_json,
     element_from_json, describe, and `_width(t)`, the entries of a
     level-t row.
@@ -353,9 +353,6 @@ class FiniteDimLp(SeparableSpace):
     def _width(self, t):
         return self.dim
 
-    def net_size_through_level(self, level: int) -> int:
-        return next(start for t, start, _ in self._levels() if t > level)
-
     def canonical(self, x):
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.dim,):
@@ -367,9 +364,6 @@ class FiniteDimLp(SeparableSpace):
 
     def scale(self, c, x):
         return c * self.canonical(x)
-
-    def subtract(self, x, y):
-        return self.canonical(x) - self.canonical(y)
 
     def net_point(self, k: int):
         row = self._index(k)
@@ -451,14 +445,6 @@ class SeqLp(SeparableSpace):
     def scale(self, c, x):
         return {i: c * v for i, v in self.canonical(x).items() if c * v != 0.0}
 
-    def subtract(self, x, y):
-        x = self.canonical(x)
-        y = self.canonical(y)
-        out = dict(x)
-        for i, v in y.items():
-            out[i] = out.get(i, 0.0) - v
-        return {i: v for i, v in out.items() if v != 0.0}
-
     def net_point(self, k: int):
         row = self._index(k)
         return {i + 1: v for i, v in enumerate(self._U[row].tolist()) if v != 0.0}
@@ -536,13 +522,6 @@ class ContinuousPL(SeparableSpace):
     def scale(self, c, x):
         x = self.canonical(x)
         return PLFunction(x.breaks, tuple(c * v for v in x.values))
-
-    def subtract(self, x, y):
-        x = self.canonical(x)
-        y = self.canonical(y)
-        breaks = np.union1d(x.breaks, y.breaks)
-        vals = np.interp(breaks, x.breaks, x.values) - np.interp(breaks, y.breaks, y.values)
-        return PLFunction(tuple(float(b) for b in breaks), tuple(float(v) for v in vals))
 
     def net_point(self, k: int):
         row = self._index(k)
@@ -653,9 +632,6 @@ class CustomNet(FiniteDimLp):
         if K > len(self._U):
             rows = np.arange(max(K, 2 * len(self._U))) % len(self._points)
             self._U, self._Phi = self._points[rows], self._functionals[rows]
-
-    def net_size_through_level(self, level: int) -> int:
-        raise KindMismatch("a custom net repeats its cycle; it has no lattice levels")
 
     def lattice_sample(self, rng):
         return float(rng.uniform(0.25, 4.0)) * self.net_point(int(rng.integers(1, len(self._points) + 1)))

@@ -8,18 +8,14 @@ otherwise. Numeric "looks convergent" never yields InC.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .embed import (WITNESS_BUDGET, OscillationWitness, isometry_defect,
                     reverify_witness)
-from .errors import BudgetExhausted, KindMismatch, ZeroElement
+from .errors import BudgetExhausted, ZeroElement
 from .extend import SubspaceD, IndexScheme, separation_witness
 from .seqcore import BoundedSeq, cluster_estimates, structural_limit
-from .spaces import FiniteDimLp, SeparableSpace
+from .spaces import SeparableSpace
 
 
 # ---------------------------------------------------------------------------
@@ -163,38 +159,3 @@ def check_separation(space: SeparableSpace, D: SubspaceD,
     return {"witnesses": witnesses, "errors": errors,
             "budget_exhausted": exhausted}
 
-
-# ---------------------------------------------------------------------------
-# independent oracle
-
-def brute_force_sup(space: FiniteDimLp, x, level: int) -> float:
-    """max |phi(x)| over functionals dual to all grid directions
-    through `level`, enumerated and normed independently of the
-    space's net cache. Cross-checks both the norm and achieved defects.
-    """
-    if getattr(space, "kind", None) != FiniteDimLp.kind:   # not a CustomNet
-        raise KindMismatch("brute_force_sup needs a finite-dimensional p-norm space")
-    if level < 1:
-        raise ValueError(f"level = {level} must be >= 1")
-    x = space.canonical(x)
-    p = space.p
-    best = 0.0
-    for t in range(1, level + 1):
-        for w in itertools.product(range(-t, t + 1), repeat=space.dim):
-            if not any(w):
-                continue
-            w = np.array(w, dtype=float)
-            if math.isinf(p):
-                nw = np.max(np.abs(w))
-            else:
-                nw = np.sum(np.abs(w) ** p) ** (1.0 / p)
-            u = w / nw
-            if math.isinf(p):
-                i = int(np.argmax(np.abs(u) >= 1.0 - 1e-12))
-                val = math.copysign(1.0, u[i]) * x[i]
-            elif p == 1.0:
-                val = float(np.dot(np.sign(u), x))
-            else:
-                val = float(np.dot(np.sign(u) * np.abs(u) ** (p - 1.0), x))
-            best = max(best, abs(val))
-    return best

@@ -1,0 +1,59 @@
+"""Independent references the tests compare the package against.
+
+Each is written from the definitions, apart from the net cache and the
+row arithmetic of `seqembed.spaces`: the sup over all grid directions
+through a level, the difference of two PL functions on the union of
+their breakpoints, and the closed-form count of lattice net points.
+"""
+import itertools
+import math
+
+import numpy as np
+
+from seqembed import FiniteDimLp, KindMismatch, PLFunction
+
+
+def net_size_through_level(dim: int, level: int) -> int:
+    """Net points of a `dim`-dimensional lattice net through `level`:
+    level t holds the (2t+1)^dim - 1 nonzero rows of {-t..t}^dim."""
+    return sum((2 * t + 1) ** dim - 1 for t in range(1, level + 1))
+
+
+def brute_force_sup(space: FiniteDimLp, x, level: int) -> float:
+    """max |phi(x)| over functionals dual to all grid directions
+    through `level`, enumerated and normed independently of the
+    space's net cache. Cross-checks both the norm and achieved defects.
+    """
+    if getattr(space, "kind", None) != FiniteDimLp.kind:   # not a CustomNet
+        raise KindMismatch("brute_force_sup needs a finite-dimensional p-norm space")
+    if level < 1:
+        raise ValueError(f"level = {level} must be >= 1")
+    x = space.canonical(x)
+    p = space.p
+    best = 0.0
+    for t in range(1, level + 1):
+        for w in itertools.product(range(-t, t + 1), repeat=space.dim):
+            if not any(w):
+                continue
+            w = np.array(w, dtype=float)
+            if math.isinf(p):
+                nw = np.max(np.abs(w))
+            else:
+                nw = np.sum(np.abs(w) ** p) ** (1.0 / p)
+            u = w / nw
+            if math.isinf(p):
+                i = int(np.argmax(np.abs(u) >= 1.0 - 1e-12))
+                val = math.copysign(1.0, u[i]) * x[i]
+            elif p == 1.0:
+                val = float(np.dot(np.sign(u), x))
+            else:
+                val = float(np.dot(np.sign(u) * np.abs(u) ** (p - 1.0), x))
+            best = max(best, abs(val))
+    return best
+
+
+def pl_subtract(x: PLFunction, y: PLFunction) -> PLFunction:
+    """x - y on the union of their breakpoints."""
+    breaks = np.union1d(x.breaks, y.breaks)
+    vals = np.interp(breaks, x.breaks, x.values) - np.interp(breaks, y.breaks, y.values)
+    return PLFunction(tuple(float(b) for b in breaks), tuple(float(v) for v in vals))

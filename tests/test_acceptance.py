@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from seqembed import (ContinuousPL, FiniteDimLp, InC, NotInC, SeqLp,
-                      SubspaceD, brute_force_sup, bw_extract, classify_c,
+                      SubspaceD, bw_extract, classify_c,
                       combine, coordinate, diagonal_extract, embed_t1,
                       identity_scheme, isometry_defect, limit_along,
                       oscillation_witness, periodic, prefix_sup,
                       reverify_witness, scheme_embed, separation_witness)
 from seqembed.cli import build_run, load_config, validate_config
+from reference import brute_force_sup, net_size_through_level
 
 SEED = 20260823
 N_SAMPLES = 200
@@ -239,7 +240,7 @@ def test_criterion_8_verdict_soundness():
         sp = FiniteDimLp(dim, p)
         x = np.arange(1.0, dim + 1.0) * np.where(np.arange(dim) % 2, -1.0, 1.0)
         for level in (1, 2, 3):
-            K = sp.net_size_through_level(level)
+            K = net_size_through_level(dim, level)
             a = brute_force_sup(sp, x, level)
             b = prefix_sup(embed_t1(sp, x), 2 * K)
             if abs(a - b) > 1e-9:

@@ -16,9 +16,11 @@ from seqembed.seqcore import coordinate
 BUNDLED = ("basic", "finite_basis", "countable_family", "dense_family")
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "seqembed.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+def run(capsys, *argv):
+    """(exit status, stdout, stderr) of `main(argv)`, run in-process."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def load_report(path):
@@ -108,25 +110,25 @@ def test_validate_config_ranges():
 
 # -- exit-code contract ---------------------------------------------------
 
-def test_exit_zero_on_bundled_suites(tmp_path):
+def test_exit_zero_on_bundled_suites(tmp_path, capsys):
     for name in BUNDLED:
         out = tmp_path / f"{name}.json"
-        proc = run_cli("suite", "--config", name, "--out", str(out))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        code, stdout, err = run(capsys, "suite", "--config", name, "--out", str(out))
+        assert code == 0, stdout + err
         report = load_report(out)
         assert report["status"] == "pass"
         assert all(r["pass"] for r in report["per_sample"])
         assert report["errors"] == []
 
 
-def test_exit_one_on_malformed_space(tmp_path):
+def test_exit_one_on_malformed_space(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"space": "fdlp:dim=0,p=2",
                                "samples": [[1.0]]}))
-    proc = run_cli("embed", "--config", str(cfg))
-    assert proc.returncode == 1
-    assert "ConfigError" in proc.stderr
-    assert "dim" in proc.stderr
+    code, _, err = run(capsys, "embed", "--config", str(cfg))
+    assert code == 1
+    assert "ConfigError" in err
+    assert "dim" in err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -207,22 +209,22 @@ def test_exit_one_on_malformed_command_line(argv, capsys):
     # argparse's own exit status 2 would read as an exhausted budget
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
-    assert run_cli(*argv).returncode == 1
 
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
-    assert run_cli("classify", "--help").returncode == 0
+    assert main(["classify", "--help"]) == 0
+    assert "--gap-floor" in capsys.readouterr().out
 
 
-def test_exit_one_on_gap_floor_too_fine_for_cells():
+def test_exit_one_on_gap_floor_too_fine_for_cells(capsys):
     # 2 / (1e-20 / 4) cells: past 2^62 their int64 indices would overflow
-    proc = run_cli("classify", "--spec", "periodic:-1,1", "--gap-floor", "1e-20",
-                   "--budget", "64")
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stderr.startswith("ConfigError:") and proc.stderr.count("\n") == 1, proc.stderr
-    assert proc.stdout == ""
+    code, out, err = run(capsys, "classify", "--spec", "periodic:-1,1",
+                         "--gap-floor", "1e-20", "--budget", "64")
+    assert code == 1, out + err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+    assert out == ""
 
 
 def test_exit_three_on_unexpected_error(monkeypatch, capsys):
@@ -242,6 +244,7 @@ def test_closed_stdout_is_no_error(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", Closed())
     assert main(["classify", "--spec", "periodic:-1,1"]) == 0
     assert capsys.readouterr().err == ""
+    # only a process shows the flush of a closed stdout at interpreter exit
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen([sys.executable, "-m", "seqembed.cli", "classify",
                              "--spec", "periodic:-1,1"], env=env,
@@ -251,34 +254,107 @@ def test_closed_stdout_is_no_error(capsys, monkeypatch):
     assert proc.wait() == 0
 
 
-def test_exit_one_on_missing_config():
-    proc = run_cli("extend", "--config", "/no/such/file.json")
-    assert proc.returncode == 1
+def test_exit_one_on_missing_config(capsys):
+    code, _, err = run(capsys, "extend", "--config", "/no/such/file.json")
+    assert code == 1
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
 
 
-def test_exit_two_on_starved_budget(tmp_path):
+STARVED = {
+    "space": "fdlp:dim=2,p=2",
+    "samples": [[3.0, 4.0]],
+    "epsilon": 0.01,          # essentially no net point qualifies
+    "count": 50,
+    "witness_budget": 16,
+}
+
+
+def test_exit_two_on_starved_budget(tmp_path, capsys):
     cfg = tmp_path / "starved.json"
-    cfg.write_text(json.dumps({
-        "space": "fdlp:dim=2,p=2",
-        "samples": [[3.0, 4.0]],
-        "epsilon": 0.01,          # essentially no net point qualifies
-        "count": 50,
-        "witness_budget": 16,
-    }))
+    cfg.write_text(json.dumps(STARVED))
     out = tmp_path / "r.json"
-    proc = run_cli("embed", "--config", str(cfg), "--out", str(out))
-    assert proc.returncode == 2, proc.stdout + proc.stderr
+    code, stdout, err = run(capsys, "embed", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stdout + err
     report = load_report(out)
     assert report["status"] == "budget-exhausted"
     assert report["budget_exhausted"]
 
 
+@pytest.mark.parametrize("argv, status, stream, text", [
+    pytest.param(["frobnicate"], 1, "stderr", "usage: seqembed", id="malformed-command-line"),
+    pytest.param(["embed", "--config", "STARVED"], 2, "stdout", "[budget-exhausted]",
+                 id="starved-budget"),
+])
+def test_process_exit_status(tmp_path, argv, status, stream, text):
+    # `python -m seqembed.cli` hands main's return value to sys.exit; the
+    # installed console script is checked the same way in CI
+    cfg = tmp_path / "starved.json"
+    cfg.write_text(json.dumps(STARVED))
+    argv = [str(cfg) if a == "STARVED" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "seqembed.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == status, proc.stdout + proc.stderr
+    assert text in getattr(proc, stream), proc.stdout + proc.stderr
+
+
+# -- reports hold finite numbers -------------------------------------------
+
+def test_huge_basis_bound_gives_finite_tolerances(tmp_path, capsys):
+    # the squares of the cell sides 1e200 / 2^(level - 1) are past float range
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"space": "fdlp:dim=2,p=2",
+                               "d_basis": ["periodic:1e200,-1e200"],
+                               "samples": [[3.0, 4.0]]}))
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "extend", "--config", str(cfg), "--out", str(out))
+    assert code == 0, stdout + err
+    report = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"report holds {c}"))
+    assert report["scheme"]["tol_schedule"] == [5e199, 2.5e199, 1.25e199, 6.25e198]
+
+
+@pytest.mark.parametrize("spec, gap_floor, says", [
+    # 80 cells, but 2 * bound is past float range
+    pytest.param("periodic:1e308,-1e308", "1e307", "bound 1e+308 is over float_max / 2",
+                 id="cell-offsets"),
+    # finite values whose sup-norm bound, 2e308, is past float range
+    pytest.param("combo:2*periodic:1e308,-1e308", "1", "bound of a combination",
+                 id="combination"),
+    pytest.param("limit:1e308,rate=1e308", "1", "explicit limit or its bound",
+                 id="explicit-limit"),
+])
+def test_exit_one_on_bound_past_float_range(capsys, spec, gap_floor, says):
+    code, out, err = run(capsys, "classify", "--spec", spec, "--gap-floor", gap_floor)
+    assert code == 1, out + err
+    assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+    assert says in err
+
+
+def test_extraction_errors_print_plain_floats(tmp_path, capsys):
+    # the cell bounds of an extraction are numpy scalars
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"space": "fdlp:dim=2,p=2", "d_basis": ["periodic:1,-1"],
+                               "samples": [[3.0, 4.0]], "depth": 70}))
+    code, _, err = run(capsys, "extend", "--config", str(cfg))
+    assert code == 1
+    assert err == ("ConfigError: over 2^62 cells of width 2.168404344971009e-19 "
+                   "in [-1.0, 1.0]\n")
+
+
+def test_report_with_nan_is_not_written(tmp_path, monkeypatch, capsys):
+    def nan_defect(cfg, report):
+        report["max_relative_defect"] = math.nan
+    monkeypatch.setattr(cli, "run_extend", nan_defect)
+    out = tmp_path / "r.json"
+    assert main(["extend", "--config", "basic", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ValueError: Out of range float")
+    assert not out.exists()
+
+
 # -- report shape and determinism ------------------------------------------
 
-def test_report_schema(tmp_path):
+def test_report_schema(tmp_path, capsys):
     out = tmp_path / "r.json"
-    proc = run_cli("suite", "--config", "finite_basis", "--out", str(out))
-    assert proc.returncode == 0
+    assert run(capsys, "suite", "--config", "finite_basis", "--out", str(out))[0] == 0
     report = load_report(out)
     for key in ("config_echo", "per_sample", "witnesses", "verdicts",
                 "seed", "versions", "timestamp", "scheme"):
@@ -292,17 +368,7 @@ def test_report_schema(tmp_path):
     assert report["scheme"]["alpha"] == pytest.approx([-0.9375, 0.0625])
 
 
-def test_reports_deterministic_modulo_timestamp(tmp_path):
-    for name in BUNDLED:
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run_cli("suite", "--config", name, "--out", str(a)).returncode == 0
-        assert run_cli("suite", "--config", name, "--out", str(b)).returncode == 0
-        ra, rb = load_report(a), load_report(b)
-        ra.pop("timestamp"), rb.pop("timestamp")
-        assert ra == rb, name
-
-
-def test_seed_flag_controls_random_d(tmp_path):
+def test_seed_flag_controls_random_d(tmp_path, capsys):
     cfg = tmp_path / "seeded.json"
     cfg.write_text(json.dumps({
         "space": "fdlp:dim=2,p=2",
@@ -314,9 +380,9 @@ def test_seed_flag_controls_random_d(tmp_path):
     outs = []
     for seed in ("7", "7", "8"):
         out = tmp_path / f"s{len(outs)}.json"
-        proc = run_cli("extend", "--config", str(cfg), "--seed", seed,
-                       "--out", str(out))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        code, stdout, err = run(capsys, "extend", "--config", str(cfg), "--seed", seed,
+                                "--out", str(out))
+        assert code == 0, stdout + err
         r = load_report(out)
         r.pop("timestamp")
         outs.append(r)
@@ -324,32 +390,32 @@ def test_seed_flag_controls_random_d(tmp_path):
     assert outs[0]["config_echo"]["seed"] != outs[2]["config_echo"]["seed"]
 
 
-def test_classify_subcommand_verdicts():
-    proc = run_cli("classify", "--spec", "periodic:-1,1",
-                   "--budget", "64", "--gap-floor", "1")
-    assert proc.returncode == 0
-    assert "NotInC" in proc.stdout
+def test_classify_subcommand_verdicts(capsys):
+    code, out, _ = run(capsys, "classify", "--spec", "periodic:-1,1",
+                       "--budget", "64", "--gap-floor", "1")
+    assert code == 0
+    assert "NotInC" in out
 
 
-def test_classify_reports_gap(tmp_path):
+def test_classify_reports_gap(tmp_path, capsys):
     out = tmp_path / "c.json"
-    proc = run_cli("classify", "--spec", "periodic:-1,1", "--budget", "64",
-                   "--gap-floor", "1", "--out", str(out))
-    assert proc.returncode == 0
+    code, _, _ = run(capsys, "classify", "--spec", "periodic:-1,1", "--budget", "64",
+                     "--gap-floor", "1", "--out", str(out))
+    assert code == 0
     report = load_report(out)
     (verdict,) = report["verdicts"]
     assert verdict["kind"] == "NotInC"
     assert verdict["detail"]["gap"] == pytest.approx(2.0)
 
 
-def test_classify_tagged_in_c():
-    proc = run_cli("classify", "--spec", "limit:1,rate=2")
-    assert proc.returncode == 0
-    assert "InC" in proc.stdout
+def test_classify_tagged_in_c(capsys):
+    code, out, _ = run(capsys, "classify", "--spec", "limit:1,rate=2")
+    assert code == 0
+    assert "InC" in out
 
 
-def test_summary_table_printed():
-    proc = run_cli("embed", "--config", "basic")
-    assert proc.returncode == 0
-    assert "achieved" in proc.stdout
-    assert "witnesses" in proc.stdout
+def test_summary_table_printed(capsys):
+    code, out, _ = run(capsys, "embed", "--config", "basic")
+    assert code == 0
+    assert "achieved" in out
+    assert "witnesses" in out

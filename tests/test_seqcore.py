@@ -42,6 +42,9 @@ NAN, INF = float("nan"), float("inf")
     lambda: from_function(lambda n: 0.0, -1.0),
     lambda: from_function(lambda n: 0.0, NAN),
     lambda: from_function(lambda n: 0.0, INF),
+    # finite values whose sup-norm bound overflows
+    lambda: combine((2.0,), (periodic([1e308, -1e308]),)),
+    lambda: explicit_limit(1e308, 1e308),
 ])
 def test_constructors_reject_non_finite_values(build):
     with pytest.raises(ConfigError):

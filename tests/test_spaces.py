@@ -8,6 +8,7 @@ import pytest
 from seqembed import (ConfigError, CustomNet, FiniteDimLp, IndexZero,
                       KindMismatch, NotUnitVector, SeqLp, ContinuousPL,
                       ZeroElement, parse_space, pl_function)
+from reference import net_size_through_level, pl_subtract
 
 SQ2 = math.sqrt(2.0)
 
@@ -30,9 +31,15 @@ def test_fdlp_net_enumeration_order():
     # dim 2: first candidate (-1,-1) normalized
     e2 = FiniteDimLp(2, 2)
     assert np.allclose(e2.net_point(1), [-1 / SQ2, -1 / SQ2])
-    assert e2.net_size_through_level(1) == 8
-    assert e2.net_size_through_level(2) == 8 + 24
-    assert FiniteDimLp(3, 2).net_size_through_level(0) == 0
+    assert [net_size_through_level(2, L) for L in (0, 1, 2)] == [0, 8, 8 + 24]
+    # level L closes with rows (L, L - 1), (L, L); level L + 1 opens
+    # with (-L - 1, -L - 1), (-L - 1, -L)
+    for L in (1, 2, 3):
+        end = net_size_through_level(2, L)
+        assert np.allclose(e2.net_point(end - 1), e2.unit(np.array([L, L - 1.0])))
+        assert np.allclose(e2.net_point(end), [1 / SQ2, 1 / SQ2])
+        assert np.allclose(e2.net_point(end + 1), [-1 / SQ2, -1 / SQ2])
+        assert np.allclose(e2.net_point(end + 2), e2.unit(np.array([-L - 1.0, -L])))
 
 
 def test_fdlp_net_points_are_unit():
@@ -199,11 +206,6 @@ def test_seqlp_distance_profile_ignores_cache_depth():
             assert fresh.tobytes() == warm.distance_profile(v, K).tobytes()
 
 
-def test_seqlp_subtract():
-    sp = SeqLp(2.0)
-    assert sp.subtract({1: 2.0, 2: 1.0}, {2: 1.0}) == {1: 2.0}
-
-
 # -- piecewise-linear functions ------------------------------------------
 
 def test_pl_function_validation():
@@ -246,21 +248,12 @@ def test_c01_point_mass_application():
     assert abs(sp.apply_functional(phi, f)) <= sp.norm(f)
 
 
-def test_c01_subtract_merges_grids():
-    sp = ContinuousPL()
-    f = pl_function((0.0, 0.5, 1.0), (1.0, 1.0, 1.0))
-    g = pl_function((0.0, 0.25, 1.0), (1.0, 0.0, 1.0))
-    h = sp.subtract(f, g)
-    assert h(0.25) == pytest.approx(1.0)
-    assert h(0.0) == 0.0
-
-
 def test_c01_distance_profile_matches_direct():
     sp = ContinuousPL()
     v = sp.unit(pl_function((0.0, 0.5, 1.0), (1.0, -1.0, 0.5)))
     prof = sp.distance_profile(v, 30)
     for k in (1, 7, 19, 30):
-        diff = sp.subtract(sp.net_point(k), v)
+        diff = pl_subtract(sp.net_point(k), v)
         assert prof[k - 1] == pytest.approx(sp.norm(diff), abs=1e-12)
 
 
@@ -288,7 +281,7 @@ def test_custom_net_reads_its_cycle_rows(p):
     v = ref.unit(np.array([2.0, 1.0]))
     phis = [ref.norming_functional(k) for k in (1, 2, 3)]
     vals = np.tile([ref.apply_functional(phi, x) for phi in phis], 3)
-    prof = np.tile([ref.norm(ref.subtract(pt, v)) for pt in pts], 3)
+    prof = np.tile([ref.norm(pt - v) for pt in pts], 3)
     stepped = CustomNet(pts, p)
     for K in range(1, 10):
         for k in (K, 1):                # grown one index at a time, then read back
@@ -303,11 +296,6 @@ def test_custom_net_reads_its_cycle_rows(p):
                 assert _bits(part) == _bits(prof[lo:K])
             assert part == pytest.approx(prof[lo:K], rel=1e-15)
     assert len(stepped._U) >= 9         # the cache grows with K, as for every kind
-
-
-def test_custom_net_has_no_lattice_levels():
-    with pytest.raises(KindMismatch):
-        CustomNet([(1.0, 0.0), (0.0, 1.0)]).net_size_through_level(1)
 
 
 def test_custom_net_validates_points():
