@@ -305,6 +305,45 @@ def run_suite(cfg: dict, report: dict):
 
 
 # ---------------------------------------------------------------------------
+# report text
+
+#: the C encoder, which json.dumps does not use when given an `indent`
+_ENCODE = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
+
+
+def _report_text(obj) -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False), or its error: a NaN or infinity is its ValueError,
+    whose message names the value."""
+    try:
+        return _indented(obj, "")
+    except ValueError:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _indented(obj, pad: str) -> str:
+    """obj's text nested at indent `pad`. Leaves, and lists of only ints
+    and floats (a scheme prefix, a witness's indices), go through the C
+    encoder in one call each; a dict with a key that is not a string
+    goes through json.dumps."""
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= {int, float}:
+            body = _ENCODE(obj)[1:-1].replace(",", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join([_indented(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if not isinstance(obj, dict) or not obj:
+        return _ENCODE(obj)
+    if not all(isinstance(k, str) for k in obj):
+        return json.dumps(obj, sort_keys=True, indent=2,
+                          allow_nan=False).replace("\n", "\n" + pad)
+    body = (",\n" + inner).join([f"{_ENCODE(k)}: {_indented(obj[k], inner)}"
+                                  for k in sorted(obj)])
+    return f"{{\n{inner}{body}\n{pad}}}"
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
 def _status(report: dict) -> int:
@@ -389,7 +428,7 @@ def main(argv=None) -> int:
         code = _status(report)
         out = args.out or cfg["out"]
         if out:
-            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+            text = _report_text(report)
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
     except ConfigError as exc:

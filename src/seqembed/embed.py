@@ -12,6 +12,8 @@ witnesses from the one scan loop that `oscillation_witness` and
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -162,9 +164,10 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     """
     x, bound = _element(space, x)
     phi = space.functional_oracle(x)
+    classify = scheme.classify
 
     def oracle(n: int) -> float:
-        s, k = scheme.classify(n)
+        s, k = classify(n)
         if s == 0.0:
             return 0.0
         val = phi(k)
@@ -213,24 +216,24 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
     """Re-check a witness directly against the coordinate oracle.
 
     Stored values must match re-evaluation bit-identically; index lists
-    must be nonempty and strictly increase; the gap must be consistent
-    and positive.
+    must be nonempty, start at an index >= 1 and strictly increase; the
+    gap must be consistent and positive. A witness that breaks any of
+    these rules is False, never an error.
     """
     if not (0 < len(w.plus_indices) == len(w.minus_indices)
             == len(w.plus_values) == len(w.minus_values)):
         return False
     for idxs in (w.plus_indices, w.minus_indices):
-        if any(a >= b for a, b in zip(idxs, idxs[1:])):
+        if idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:])):
             return False
-    for n, v in zip(w.plus_indices + w.minus_indices,
-                    w.plus_values + w.minus_values):
-        if coordinate(s, n) != v:
-            return False
-    if any(v < w.target_hi for v in w.plus_values):
+    reread = map(coordinate, itertools.repeat(s), w.plus_indices + w.minus_indices)
+    if any(map(operator.ne, reread, w.plus_values + w.minus_values)):
         return False
-    if any(v > w.target_lo for v in w.minus_values):
+    # no value is NaN now (NaN != NaN), so min and max bound them all
+    low_plus, high_minus = min(w.plus_values), max(w.minus_values)
+    if low_plus < w.target_hi or high_minus > w.target_lo:
         return False
-    gap = min(w.plus_values) - max(w.minus_values)
+    gap = low_plus - high_minus
     return gap == w.gap and gap > 0.0
 
 

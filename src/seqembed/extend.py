@@ -205,7 +205,9 @@ def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstim
         raise ValueError(f"j_window = {j_window} must be >= 2")
     if scheme.length is not None and scheme.length < j_window:
         raise SchemeExhausted(j_window, scheme.length)
-    idx = np.array([scheme.index_at(j) for j in range(j_window // 2 + 1, j_window + 1)])
+    # n_j for j = j_window // 2 + 1, ..., j_window
+    idx = (np.arange(j_window // 2 + 1, j_window + 1) if scheme.length is None
+           else np.array(scheme.prefix[j_window // 2:j_window]))
     if d.block is not None:
         lo = int(idx.min())
         vals = d.coordinates(lo, int(idx.max()))[idx - lo]

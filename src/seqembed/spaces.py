@@ -294,18 +294,21 @@ class SeparableSpace:
         norming_functional(k), x), with no object built per call: each
         call sums cache row k - 1 against x's coordinates, which are
         rebuilt only when the cache's width changes, so they never
-        outgrow the cached rows."""
+        outgrow the cached rows. A k within the cached rows is read as
+        it is; any other k goes through `_index`, so k < 1 raises
+        IndexZero and a k past the cache grows it."""
         x = self.canonical(x)
         width, coords = -1, None
 
         def value(k: int) -> float:
             nonlocal width, coords
-            i = self._index(k)
+            if not 0 < k <= len(self._Phi):
+                self._index(k)
             Phi = self._Phi         # growing the cache replaces the matrix
             if Phi.shape[1] != width:
                 width = Phi.shape[1]
                 coords = self._coords(x, width)
-            return _dot_row(Phi[i].tolist(), coords)
+            return _dot_row(Phi[k - 1].tolist(), coords)
         return value
 
     def functional_values(self, x, K: int) -> np.ndarray:

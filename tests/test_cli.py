@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from seqembed import cli
 from seqembed.cli import main, parse_seq_spec, validate_config
@@ -348,6 +349,57 @@ def test_report_with_nan_is_not_written(tmp_path, monkeypatch, capsys):
     assert main(["extend", "--config", "basic", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ValueError: Out of range float")
     assert not out.exists()
+
+
+# -- report text -----------------------------------------------------------
+
+def stdlib_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+_STRINGS = st.text(st.characters() | st.sampled_from(',"[{}]\n\\:'), max_size=6)
+_LEAVES = (st.none() | st.booleans() | st.integers(-2**200, 2**200) | _STRINGS
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308]))
+# flat lists of ints and floats take the C encoder's path; a flat list
+# with any other leaf recurses
+_NUMBERS = st.integers(-2**70, 2**70) | st.floats(allow_nan=False, allow_infinity=False)
+_FLAT = st.lists(_NUMBERS, max_size=12) | st.lists(_NUMBERS | _LEAVES, max_size=6)
+_TREES = st.recursive(
+    _LEAVES | _FLAT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREES)
+@example({"empty": [[], {}, ()], "numbers": [-0.0, 5e-324, 1e308, 2**100, -1],
+          "mixed": [[1, 2.5], [True, None, False], [1, "a,b", 2.5]],
+          "text": ',"[{\n\u00e9\u4e2d'})
+@example({"a": [{1: "x", 2.5: [1, 2]}, {None: True}]})     # keys json.dumps converts
+def test_report_text_is_stdlib_json_text(obj):
+    assert cli._report_text(obj) == stdlib_text(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_report_text_rejects_non_finite_floats_as_stdlib_does(bad):
+    for obj in (bad, [bad], [1, 2.5, bad], [[bad]], (True, bad),
+                {"a": {"b": [0.0, bad]}}):
+        with pytest.raises(ValueError) as ours:
+            cli._report_text(obj)
+        with pytest.raises(ValueError) as stdlib:
+            stdlib_text(obj)
+        assert str(ours.value) == str(stdlib.value)
+
+
+def test_bundled_suite_reports_are_stdlib_json_text(tmp_path, capsys):
+    for name in BUNDLED:
+        out = tmp_path / f"{name}.json"
+        assert run(capsys, "suite", "--config", name, "--out", str(out))[0] == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == stdlib_text(json.loads(text)) + "\n"
 
 
 # -- report shape and determinism ------------------------------------------

@@ -162,6 +162,22 @@ def test_reverify_rejects_tampering():
     assert not reverify_witness(s, forged)
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("field", ["plus_indices", "minus_indices"])
+@pytest.mark.parametrize("source", ["periodic", "fdlp"])
+def test_reverify_rejects_indices_below_one(source, field, bad):
+    if source == "periodic":
+        s = periodic([-1.0, 1.0])
+        w = OscillationWitness((2, 4), (1, 3), (1.0, 1.0), (-1.0, -1.0),
+                               2.0, 0.5, 0.5, -0.5)
+    else:
+        sp, x = FiniteDimLp(2, 2), np.array([1.0, 2.0])
+        s, w = embed_t1(sp, x), oscillation_witness(sp, x, 0.3, 3)
+    assert reverify_witness(s, w)
+    forged = dataclasses.replace(w, **{field: (bad,) + getattr(w, field)[1:]})
+    assert not reverify_witness(s, forged)
+
+
 @functools.lru_cache(maxsize=None)
 def _witnesses():
     """(sequence, witness) pairs from each witness builder."""

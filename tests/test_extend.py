@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from seqembed import (BudgetExhausted, EmptyBasis, FiniteDimLp, IndexScheme,
                       SchemeExhausted, SeqLp, SubspaceD, bw_extract, combine,
                       coordinate, diagonal_extract, embed_t1,
-                      eventually_constant, extract_scheme, from_function,
+                      eventually_constant, explicit_limit, extract_scheme,
+                      from_function,
                       identity_scheme, limit_along, oscillation_witness,
                       parse_space, periodic, scheme_embed,
                       separation_witness, zero_seq)
@@ -420,6 +422,32 @@ def test_limit_along_validates_window():
         limit_along(W1, sch, 1)
     with pytest.raises(SchemeExhausted):
         limit_along(W1, sch, sch.length + 1)
+
+
+def _limit_at_each_index(d, scheme, j_window):
+    """(L, err) of limit_along from d's oracle at index_at(j), one j at a time."""
+    vals = np.array([coordinate(d, scheme.index_at(j))
+                     for j in range(j_window // 2 + 1, j_window + 1)])
+    L = float(np.mean(vals))
+    delta = scheme.tol_schedule[-1] if scheme.tol_schedule else 0.0
+    return L, float(np.max(np.abs(vals - L))) + delta
+
+
+@pytest.mark.parametrize("kind", ["identity", "bw", "diagonal"])
+def test_limit_along_window_matches_reading_each_index(kind):
+    sch = {"identity": identity_scheme,
+           "bw": lambda: bw_extract(finite_d(), depth=4, scan_budget=4096),
+           "diagonal": lambda: diagonal_extract(scaled_family(), 5, SCHEDULE, 10000),
+           }[kind]()
+    length = sch.length or 300
+    # with a block, without one, and a combination of periodic members
+    for d in (explicit_limit(0.2, 1.0), from_function(lambda n: math.sin(n) / n, 1.0),
+              combine([1.0, 0.5], [W1, W2])):
+        for j_window in (2, 3, 7, length - 1, length):
+            est = limit_along(d, sch, j_window)
+            want = _limit_at_each_index(d, sch, j_window)
+            assert (est.L.hex(), est.err.hex()) == tuple(v.hex() for v in want), \
+                (kind, j_window)
 
 
 # -- separation witnesses ----------------------------------------------------

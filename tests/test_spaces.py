@@ -90,6 +90,28 @@ def test_functional_values_matches_pointwise():
                 (sp.describe(), k)
 
 
+@pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
+def test_functional_oracle_rejects_indices_below_one(spec):
+    sp = parse_space(spec)
+    value = sp.functional_oracle(sp.random_element(np.random.default_rng(3)))
+    value(5)        # cached rows, so only the lower bound can reject
+    for k in (0, -1):
+        with pytest.raises(IndexZero):
+            value(k)
+
+
+@pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
+def test_functional_oracle_grows_the_cache_past_its_rows(spec):
+    sp = parse_space(spec)
+    x = sp.random_element(np.random.default_rng(5))
+    value = sp.functional_oracle(x)
+    value(3)
+    rows = len(sp._Phi)
+    got = value(rows + 1)
+    assert len(sp._Phi) > rows
+    assert _bits([got]) == _bits(sp.functional_values(x, rows + 1)[rows:])
+
+
 def test_functional_does_not_change_as_the_cache_grows():
     # the cache pads its rows to the widest level; a functional is its
     # row without that padding
