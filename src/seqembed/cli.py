@@ -28,10 +28,10 @@ from .extend import SubspaceD, extract_scheme
 from .seqcore import BoundedSeq, combine, eventually_constant, \
     explicit_limit, periodic, zero_seq
 from .embed import WITNESS_BUDGET, embed_t1, oscillation_witness
-from .errors import BudgetExhausted, ZeroElement
+from .errors import BudgetExhausted
 from .spaces import parse_space
-from .verify import (check_isometry, check_separation, classify_c,
-                     verdict_to_json)
+from .verify import (_witness_table, check_isometry, check_separation,
+                     classify_c, verdict_to_json)
 
 # ---------------------------------------------------------------------------
 # sequence spec mini-language
@@ -243,23 +243,21 @@ def _classify_embedded(space, samples, cfg, report):
                 "error": f"embedded image classified {kind}, expected NotInC"})
 
 
+def _add_witnesses(report: dict, table: dict):
+    """Append a `verify._witness_table`'s rows to the report's lists."""
+    for key, rows in table.items():
+        report[key].extend(rows)
+
+
 def run_embed(cfg: dict, report: dict):
     space, _, samples, _ = build_run(cfg)
     # sets per_sample, max_relative_defect and errors, none recorded yet
     report.update(check_isometry(space, samples, cfg["K"]))
-    for sid, x in enumerate(samples):
-        try:
-            w = oscillation_witness(space, x, cfg["epsilon"], cfg["count"],
-                                    cfg["witness_budget"])
-            report["witnesses"].append(
-                {"x_id": sid, "d_id": 0, "gap": w.gap,
-                 "plus_indices": list(w.plus_indices),
-                 "minus_indices": list(w.minus_indices)})
-        except BudgetExhausted as exc:
-            report["budget_exhausted"].append(
-                {"x_id": sid, "d_id": 0, "found": exc.found, "detail": str(exc)})
-        except ZeroElement as exc:
-            report["errors"].append({"x_id": sid, "error": str(exc)})
+    # D = {0}: one d row, the empty combination, as in a suite without D
+    _add_witnesses(report, _witness_table(
+        samples, [[]],
+        lambda x, _: oscillation_witness(space, x, cfg["epsilon"], cfg["count"],
+                                         cfg["witness_budget"])))
     _classify_embedded(space, samples, cfg, report)
 
 
@@ -278,12 +276,9 @@ def run_extend(cfg: dict, report: dict):
     k_cap = scheme.max_k()
     K_eff = cfg["K"] if k_cap is None else min(cfg["K"], k_cap)
     report.update(check_isometry(space, samples, K_eff))
-    sep = check_separation(space, D, scheme, samples, d_samples,
-                           cfg["epsilon"], cfg["count"],
-                           scan_budget=cfg["witness_budget"])
-    report["witnesses"] = sep["witnesses"]
-    report["errors"].extend(sep["errors"])
-    report["budget_exhausted"].extend(sep["budget_exhausted"])
+    _add_witnesses(report, check_separation(space, D, scheme, samples, d_samples,
+                                            cfg["epsilon"], cfg["count"],
+                                            scan_budget=cfg["witness_budget"]))
     return space, samples
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, SchemeExhausted, ZeroElement, _numbers
+from .errors import BudgetExhausted, IndexZero, SchemeExhausted, ZeroElement, _numbers
 from .seqcore import BoundedSeq, coordinate, prefix_sup
 from .spaces import SeparableSpace
 
@@ -54,6 +54,20 @@ class OscillationWitness:
     target_lo: float
 
 
+def _witness(plus_idx, minus_idx, plus_vals, minus_vals, epsilon: float,
+             target_hi: float, target_lo: float) -> OscillationWitness:
+    """The one place an OscillationWitness is built, by the witness
+    scans and by `verify.classify_c`: the lists become tuples and
+    gap = min(plus_vals) - max(minus_vals), or 0.0 for a partial
+    witness without pairs."""
+    plus_vals, minus_vals = tuple(plus_vals), tuple(minus_vals)
+    return OscillationWitness(
+        plus_indices=tuple(plus_idx), minus_indices=tuple(minus_idx),
+        plus_values=plus_vals, minus_values=minus_vals,
+        gap=min(plus_vals) - max(minus_vals) if plus_vals else 0.0,
+        epsilon=epsilon, target_hi=target_hi, target_lo=target_lo)
+
+
 # ---------------------------------------------------------------------------
 # index schemes
 
@@ -84,7 +98,9 @@ class IndexScheme:
         return None if self.mode == "identity" else len(self.prefix)
 
     def index_at(self, j: int) -> int:
-        """n_j (1-based)."""
+        """n_j (1-based); j < 1 is IndexZero on either mode."""
+        if j < 1:
+            raise IndexZero(f"scheme position {j} < 1")
         if self.mode == "identity":
             return j
         if j > len(self.prefix):
@@ -216,14 +232,17 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
     """Re-check a witness directly against the coordinate oracle.
 
     Stored values must match re-evaluation bit-identically; index lists
-    must be nonempty, start at an index >= 1 and strictly increase; the
-    gap must be consistent and positive. A witness that breaks any of
-    these rules is False, never an error.
+    must be nonempty, hold only ints (not bools, floats or strings),
+    start at an index >= 1 and strictly increase; the gap must be
+    consistent and positive. A witness that breaks any of these rules
+    is False, never an error.
     """
     if not (0 < len(w.plus_indices) == len(w.minus_indices)
             == len(w.plus_values) == len(w.minus_values)):
         return False
     for idxs in (w.plus_indices, w.minus_indices):
+        if set(map(type, idxs)) != {int}:
+            return False
         if idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:])):
             return False
     reread = map(coordinate, itertools.repeat(s), w.plus_indices + w.minus_indices)
@@ -278,16 +297,8 @@ def _scan_witness(space: SeparableSpace, x, image: BoundedSeq,
                     break
         k = hi
 
-    witness = OscillationWitness(
-        plus_indices=tuple(h[0] for h in hits),
-        minus_indices=tuple(h[1] for h in hits),
-        plus_values=tuple(h[2] for h in hits),
-        minus_values=tuple(h[3] for h in hits),
-        gap=(min(h[2] for h in hits) - max(h[3] for h in hits)) if hits else 0.0,
-        epsilon=epsilon,
-        target_hi=target_hi,
-        target_lo=target_lo,
-    )
+    columns = tuple(zip(*hits)) or ((), (), (), ())
+    witness = _witness(*columns, epsilon, target_hi, target_lo)
     if len(hits) < count:
         raise BudgetExhausted(f"found {len(hits)} of {count} {shortfall}",
                               partial=witness, found=len(hits))

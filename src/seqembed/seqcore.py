@@ -56,7 +56,10 @@ class BoundedSeq:
     """A lazily evaluated bounded sequence.
 
     `oracle` must be pure: repeated evaluation at the same index returns
-    bit-identical scalars. `bound` is a certified sup-norm upper bound.
+    bit-identical scalars. It is only called with n >= 1: a sequence is
+    read through `coordinate` and `coordinates`, which raise IndexZero
+    below 1, so no oracle checks its index again. `bound` is a
+    certified sup-norm upper bound.
     `block` (optional) evaluates coordinates lo..hi inclusive as an
     array of the values `oracle` gives there, bit for bit; it is only a
     fast path for windows. `periodic`, `eventually_constant`,
@@ -105,8 +108,6 @@ def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()
     bound = max([abs(value)] + [abs(v) for v in head])
 
     def oracle(n: int) -> float:
-        if n < 1:
-            raise IndexZero(f"index {n} < 1")
         return head[n - 1] if n < start else value
 
     head_arr = np.array(head, dtype=float)
@@ -126,8 +127,6 @@ def explicit_limit(limit: float, rate: float) -> BoundedSeq:
     _numbers((limit, rate, abs(limit) + abs(rate)), "explicit limit or its bound")
 
     def oracle(n: int) -> float:
-        if n < 1:
-            raise IndexZero(f"index {n} < 1")
         return limit + rate / n
 
     def block(lo: int, hi: int) -> np.ndarray:
@@ -144,8 +143,6 @@ def periodic(pattern: Sequence[float]) -> BoundedSeq:
     m = len(pattern)
 
     def oracle(n: int) -> float:
-        if n < 1:
-            raise IndexZero(f"index {n} < 1")
         return pattern[(n - 1) % m]
 
     pattern_arr = np.array(pattern)
@@ -167,8 +164,6 @@ def from_function(fn: Callable[[int], float], bound: float) -> BoundedSeq:
         raise ConfigError(f"bound = {bound} must be finite and >= 0")
 
     def oracle(n: int) -> float:
-        if n < 1:
-            raise IndexZero(f"index {n} < 1")
         return float(fn(n))
 
     return BoundedSeq(oracle, bound, Opaque())
@@ -205,8 +200,6 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
     # both paths add c * s(n) in child order from 0.0; Python 3.12's
     # compensated `sum` would round differently from the block
     def oracle(n: int) -> float:
-        if n < 1:
-            raise IndexZero(f"index {n} < 1")
         acc = 0.0
         for c, s in zip(coeffs, seqs):
             acc += c * s.oracle(n)
@@ -246,13 +239,12 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
     One ClusterEstimate per nonempty cell (value = cell midpoint),
     sorted by descending hit count then ascending value. The union of
     the returned index lists is exactly the window. The window is read
-    once, through `s.coordinates` (the block when `s` has one), and
-    each estimate carries the values it bucketed.
+    once, through `s.coordinates` (the block when `s` has one), which
+    rejects a window starting below 1, and each estimate carries the
+    values it bucketed.
     """
     if len(window) == 0:
         raise EmptyWindow("empty window")
-    if window[0] < 1:
-        raise IndexZero(f"window starts at {window[0]}")
     if cell_width <= 0:
         raise ValueError(f"cell_width {cell_width} must be positive")
 

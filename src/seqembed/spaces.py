@@ -514,9 +514,7 @@ class ContinuousPL(SeparableSpace):
     def canonical(self, x):
         if isinstance(x, PLFunction):
             return x
-        if isinstance(x, (tuple, list)) and len(x) == 2:
-            return pl_function(x[0], x[1])
-        raise KindMismatch("c01 elements are PL functions (breaks, values)")
+        raise KindMismatch("c01 elements are PLFunction values (see pl_function)")
 
     def norm(self, x) -> float:
         x = self.canonical(x)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embed import (WITNESS_BUDGET, OscillationWitness, isometry_defect,
-                    reverify_witness)
+from .embed import (WITNESS_BUDGET, OscillationWitness, _witness,
+                    isometry_defect, reverify_witness)
 from .errors import BudgetExhausted, ZeroElement
 from .extend import SubspaceD, IndexScheme, separation_witness
 from .seqcore import BoundedSeq, cluster_estimates, structural_limit
@@ -70,24 +70,21 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
         separation = (hi_cluster.value - hi_cluster.spread) - \
                      (lo_cluster.value + lo_cluster.spread)
         if separation >= gap_floor:
-            witness = _witness_from_clusters(hi_cluster, lo_cluster)
+            m = min(len(hi_cluster.indices), len(lo_cluster.indices))
+            plus_vals, minus_vals = hi_cluster.values[:m], lo_cluster.values[:m]
+            witness = _witness(hi_cluster.indices[:m], lo_cluster.indices[:m],
+                               plus_vals, minus_vals,
+                               hi_cluster.spread + lo_cluster.spread,
+                               min(plus_vals), max(minus_vals))
             if witness.gap >= gap_floor and reverify_witness(s, witness):
                 return NotInC(witness=witness)
     return Unknown(budget_used=budget, clusters_seen=len(estimates))
 
 
-def _witness_from_clusters(hi_cluster, lo_cluster) -> OscillationWitness:
-    m = min(len(hi_cluster.indices), len(lo_cluster.indices))
-    plus_idx = hi_cluster.indices[:m]
-    minus_idx = lo_cluster.indices[:m]
-    plus_vals = hi_cluster.values[:m]
-    minus_vals = lo_cluster.values[:m]
-    return OscillationWitness(
-        plus_indices=plus_idx, minus_indices=minus_idx,
-        plus_values=plus_vals, minus_values=minus_vals,
-        gap=min(plus_vals) - max(minus_vals),
-        epsilon=hi_cluster.spread + lo_cluster.spread,
-        target_hi=min(plus_vals), target_lo=max(minus_vals))
+def _witness_json(w: OscillationWitness) -> dict:
+    """A witness as reports print it: its gap and its index lists."""
+    return {"gap": w.gap, "plus_indices": list(w.plus_indices),
+            "minus_indices": list(w.minus_indices)}
 
 
 def verdict_to_json(verdict) -> dict:
@@ -95,10 +92,7 @@ def verdict_to_json(verdict) -> dict:
         return {"kind": "InC", "limit": verdict.limit,
                 "tail_variation": verdict.tail_variation}
     if isinstance(verdict, NotInC):
-        w = verdict.witness
-        return {"kind": "NotInC", "gap": w.gap,
-                "plus_indices": list(w.plus_indices),
-                "minus_indices": list(w.minus_indices)}
+        return {"kind": "NotInC", **_witness_json(verdict.witness)}
     return {"kind": "Unknown", "budget_used": verdict.budget_used,
             "clusters_seen": verdict.clusters_seen}
 
@@ -136,26 +130,30 @@ def check_separation(space: SeparableSpace, D: SubspaceD,
     d_samples = list(d_samples)
     if not any(all(c == 0.0 for c in coeffs) for coeffs in d_samples):
         d_samples = [[0.0] * D.size] + d_samples
-    witnesses = []
-    errors = []
-    exhausted = []
-    for sid, x in enumerate(samples):
-        for did, coeffs in enumerate(d_samples):
-            d = D.combination(coeffs)
-            try:
-                w = separation_witness(space, scheme, x, d, epsilon, count,
-                                       scan_budget=scan_budget)
-            except BudgetExhausted as exc:
-                exhausted.append({"x_id": sid, "d_id": did,
-                                  "found": exc.found, "detail": str(exc)})
-                continue
-            except ZeroElement as exc:
-                errors.append({"x_id": sid, "d_id": did,
-                               "error": f"ZeroElement: {exc}"})
-                continue
-            witnesses.append({"x_id": sid, "d_id": did, "gap": w.gap,
-                              "plus_indices": list(w.plus_indices),
-                              "minus_indices": list(w.minus_indices)})
-    return {"witnesses": witnesses, "errors": errors,
-            "budget_exhausted": exhausted}
+    return _witness_table(
+        samples, d_samples,
+        lambda x, coeffs: separation_witness(space, scheme, x,
+                                             D.combination(coeffs), epsilon,
+                                             count, scan_budget=scan_budget))
 
+
+def _witness_table(samples, d_rows, find) -> dict:
+    """The witness stage of every report: find(x, d_row) for each sample
+    x and d row, in that order, each outcome a row keyed by x_id and
+    d_id. A witness is a row of "witnesses", an exhausted scan one of
+    "budget_exhausted" (found, detail), and a zero x one of "errors"
+    ("ZeroElement: <message>")."""
+    table = {"witnesses": [], "errors": [], "budget_exhausted": []}
+    for sid, x in enumerate(samples):
+        for did, d_row in enumerate(d_rows):
+            key = {"x_id": sid, "d_id": did}
+            try:
+                w = find(x, d_row)
+            except BudgetExhausted as exc:
+                table["budget_exhausted"].append(
+                    {**key, "found": exc.found, "detail": str(exc)})
+            except ZeroElement as exc:
+                table["errors"].append({**key, "error": f"ZeroElement: {exc}"})
+            else:
+                table["witnesses"].append({**key, **_witness_json(w)})
+    return table

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqembed import cli
+from seqembed import BudgetExhausted, SubspaceD, bw_extract, cli, periodic
 from seqembed.cli import main, parse_seq_spec, validate_config
 from seqembed.errors import ConfigError, _is_number
 from seqembed.seqcore import coordinate
@@ -279,6 +279,56 @@ def test_exit_two_on_starved_budget(tmp_path, capsys):
     report = load_report(out)
     assert report["status"] == "budget-exhausted"
     assert report["budget_exhausted"]
+
+
+def test_exit_two_on_extraction_out_of_budget(tmp_path, capsys):
+    # 6 scanned indices leave 3 survivors, short of the 2 * depth = 8 a
+    # scheme needs: no witnesses, and the partial scheme is reported
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"space": "fdlp:dim=2,p=2", "samples": [[3.0, 4.0]],
+                               "d_basis": ["periodic:-1,1"], "depth": 4,
+                               "scan_budget": 6}))
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "extend", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stdout + err
+    report = load_report(out)
+    with pytest.raises(BudgetExhausted) as exc:
+        bw_extract(SubspaceD("finite", (periodic([-1.0, 1.0]),)), 4, 6)
+    assert report["budget_exhausted"] == [{"stage": "extraction",
+                                           "detail": str(exc.value)}]
+    assert report["scheme"] == exc.value.partial.to_json()
+    assert report["witnesses"] == [] and report["errors"] == []
+
+
+def test_exit_one_when_embedded_image_is_not_not_in_c(tmp_path, capsys):
+    # no two clusters of T(x) are 100 apart when ||x|| = 5
+    cfg = tmp_path / "floor.json"
+    cfg.write_text(json.dumps({"space": "fdlp:dim=2,p=2", "samples": [[3.0, 4.0]],
+                               "gap_floor": 100.0}))
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "embed", "--config", str(cfg), "--out", str(out))
+    assert code == 1, stdout + err
+    report = load_report(out)
+    assert [v["kind"] for v in report["verdicts"]] == ["Unknown"]
+    assert report["errors"] == [{"seq_id": "T(x0)", "error":
+                                 "embedded image classified Unknown, expected NotInC"}]
+
+
+@pytest.mark.parametrize("command, kind", [("embed", "oscillation"),
+                                           ("suite", "separation")])
+def test_zero_sample_error_rows(tmp_path, capsys, command, kind):
+    # the defect row has no d; the witness row has the shape of every
+    # witness-stage row, in embed (d = 0 only) as in suite
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"space": "fdlp:dim=2,p=2",
+                               "samples": [[0.0, 0.0], [3.0, 4.0]]}))
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 1, stdout + err
+    assert load_report(out)["errors"] == [
+        {"x_id": 0, "error": "ZeroElement: isometry defect needs a nonzero element"},
+        {"x_id": 0, "d_id": 0,
+         "error": f"ZeroElement: {kind} witness needs a nonzero element"}]
 
 
 @pytest.mark.parametrize("argv, status, stream, text", [

@@ -160,6 +160,11 @@ def test_reverify_rejects_tampering():
     assert not reverify_witness(s, forged)
     forged = dataclasses.replace(w, minus_indices=w.minus_indices[:-1])
     assert not reverify_witness(s, forged)
+    # values, indices and gap agree, but a value misses its target
+    forged = dataclasses.replace(w, target_hi=min(w.plus_values) + 1e-9)
+    assert not reverify_witness(s, forged)
+    forged = dataclasses.replace(w, target_lo=max(w.minus_values) - 1e-9)
+    assert not reverify_witness(s, forged)
 
 
 @pytest.mark.parametrize("bad", [0, -1])
@@ -175,6 +180,21 @@ def test_reverify_rejects_indices_below_one(source, field, bad):
         s, w = embed_t1(sp, x), oscillation_witness(sp, x, 0.3, 3)
     assert reverify_witness(s, w)
     forged = dataclasses.replace(w, **{field: (bad,) + getattr(w, field)[1:]})
+    assert not reverify_witness(s, forged)
+
+
+@pytest.mark.parametrize("bad", [float, str, bool])
+@pytest.mark.parametrize("field", ["plus_indices", "minus_indices"])
+def test_reverify_rejects_indices_that_are_not_ints(field, bad):
+    # index 1 as 1.0, "1" or True: each names the right coordinate to a
+    # lenient reader, and each is refused, never raised on
+    s = periodic([1.0, -1.0] if field == "plus_indices" else [-1.0, 1.0])
+    ones, twos = (1, 3), (2, 4)
+    plus, minus = (ones, twos) if field == "plus_indices" else (twos, ones)
+    w = OscillationWitness(plus, minus, (1.0, 1.0), (-1.0, -1.0), 2.0, 0.5,
+                           0.5, -0.5)
+    assert reverify_witness(s, w)
+    forged = dataclasses.replace(w, **{field: (bad(1),) + getattr(w, field)[1:]})
     assert not reverify_witness(s, forged)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqembed import (BudgetExhausted, EmptyBasis, FiniteDimLp, IndexScheme,
-                      SchemeExhausted, SeqLp, SubspaceD, bw_extract, combine,
+                      IndexZero, SchemeExhausted, SeqLp, SubspaceD, bw_extract, combine,
                       coordinate, diagonal_extract, embed_t1,
                       eventually_constant, explicit_limit, extract_scheme,
                       from_function,
@@ -67,6 +67,23 @@ def test_finite_scheme_positional_split():
     with pytest.raises(SchemeExhausted):
         sch.index_at(5)
     assert sch.max_k() == 2
+
+
+@pytest.mark.parametrize("scheme", [
+    identity_scheme(),
+    bw_extract(SubspaceD("finite", (W1,)), 2, 64),
+], ids=["identity", "extracted"])
+def test_index_at_rejects_positions_below_one(scheme):
+    # on a prefix tuple, j = 0 and -1 would wrap to its last entries
+    for j in (0, -1):
+        with pytest.raises(IndexZero):
+            scheme.index_at(j)
+    for k in (0, -1):
+        with pytest.raises(IndexZero):
+            scheme.plus_index(k)
+        with pytest.raises(IndexZero):
+            scheme.minus_index(k)
+    assert scheme.index_at(1) >= 1
 
 
 def test_scheme_json_roundtrip():
@@ -465,6 +482,29 @@ def test_separation_witness_gap_contract():
     # indices live on the scheme
     on = set(sch.prefix)
     assert all(n in on for n in w.plus_indices + w.minus_indices)
+
+
+def test_separation_witness_skips_pairs_off_the_limit():
+    # d = 1/n still moves along the prefix 9, 10, ...: the pair of the
+    # first net point near x/||x||, (10, 9), lies farther than err from
+    # L and is skipped; every pair taken lies within L +- err
+    sp, x = FiniteDimLp(2, 2), np.array([-1.0, -1.0])
+    d = explicit_limit(0.0, 1.0)
+    sch = bw_extract(SubspaceD("finite", (d,)), depth=4, scan_budget=4096)
+    est = limit_along(d, sch, sch.length)
+    w = separation_witness(sp, sch, x, d, 0.2, 5)
+
+    def near(n):
+        return abs(coordinate(d, n) - est.L) <= est.err
+
+    assert all(map(near, w.plus_indices + w.minus_indices))
+    k_last = sch.classify(w.plus_indices[-1])[1]
+    dists = sp.distance_profile(sp.unit(x), k_last)
+    skipped = [k for k in range(1, k_last + 1) if dists[k - 1] <= 0.2
+               and sch.plus_index(k) not in w.plus_indices]
+    assert skipped
+    assert not any(near(sch.plus_index(k)) and near(sch.minus_index(k))
+                   for k in skipped)
 
 
 def test_separation_witness_zero_d_matches_oscillation():

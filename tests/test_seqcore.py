@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqembed import (BoundedSeq, ConfigError, IndexZero, LengthMismatch, EmptyWindow,
-                      cluster_estimates, combine, coordinate,
+from seqembed import (BoundedSeq, ConfigError, FiniteDimLp, IndexZero,
+                      LengthMismatch, EmptyWindow, SubspaceD, bw_extract,
+                      cluster_estimates, combine, coordinate, embed_t1,
                       eventually_constant, explicit_limit,
-                      from_function, periodic, prefix_sup, zero_seq)
+                      from_function, periodic, prefix_sup, scheme_embed,
+                      zero_seq)
 from seqembed.seqcore import structural_limit
 
 
@@ -52,13 +54,20 @@ def test_constructors_reject_non_finite_values(build):
 
 
 def test_index_zero_rejected():
-    s = periodic([1.0])
+    # the readers check the index; no oracle checks it again
+    sp, x = FiniteDimLp(2, 2), np.array([3.0, 4.0])
+    scheme = bw_extract(SubspaceD("finite", (periodic([-1.0, 1.0]),)), 2, 64)
+    for s in (periodic([1.0]), eventually_constant(2.0, 3, (0.0, 1.0)),
+              explicit_limit(1.0, 2.0), zero_seq(),
+              from_function(lambda n: 1.0 / n, 1.0),
+              combine([1.0, 2.0], [periodic([1.0]), from_function(float, 1e9)]),
+              embed_t1(sp, x), scheme_embed(sp, scheme, x)):
+        with pytest.raises(IndexZero):
+            coordinate(s, 0)
+        with pytest.raises(IndexZero):
+            s.coordinates(0, 5)
     with pytest.raises(IndexZero):
-        coordinate(s, 0)
-    with pytest.raises(IndexZero):
-        s.coordinates(0, 5)
-    with pytest.raises(IndexZero):
-        prefix_sup(s, 0)
+        prefix_sup(periodic([1.0]), 0)
 
 
 def test_eventually_constant_head():
