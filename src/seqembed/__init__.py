@@ -12,7 +12,7 @@ from .errors import (BudgetExhausted, ConfigError, EmptyBasis, EmptyWindow,
                      IndexZero, KindMismatch, LengthMismatch, NotUnitVector,
                      SchemeExhausted, SeqEmbedError, ZeroElement)
 from .seqcore import (BoundedSeq, ClusterEstimate, cluster_estimates, combine,
-                      coordinate, eventually_constant, explicit_limit,
+                      coordinate, coordinates_at, eventually_constant, explicit_limit,
                       from_function, periodic, prefix_sup, zero_seq)
 from .spaces import (ContinuousPL, CustomNet, FiniteDimLp, PLFunction, SeqLp,
                      SeparableSpace, parse_space, pl_function)

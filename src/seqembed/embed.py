@@ -4,23 +4,27 @@ One core puts +phi_k(x) at eta+(k) and -phi_k(x) at eta-(k) of an
 `IndexScheme` (defined here, built in `extend`), where phi_k norms the
 k-th dense net point: that is `scheme_embed`. The plain embedding
 `embed_t1` (+phi_k at 2k-1, -phi_k at 2k) is its exact negation under
-the identity scheme, the D = {0} case; only images under the identity
-scheme have a block path for windows. At finite truncation the
-isometry is certified by a defect interval, and non-convergence by
-witnesses from the one scan loop that `oscillation_witness` and
-`extend.separation_witness` share.
+the identity scheme, the D = {0} case. Every image has the scalar
+oracle, which the witness scans read, and the by-index read `at`, which
+`reverify_witness` reads; only images under the identity scheme have
+the window read `block`, which `verify.classify_c`'s cluster scan
+reads. At finite truncation the isometry is certified by a defect
+interval, and non-convergence by witnesses from the one scan loop that
+`oscillation_witness` and `extend.separation_witness` share.
 """
 from __future__ import annotations
 
 import itertools
 import operator
+import reprlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, IndexZero, SchemeExhausted, ZeroElement, _numbers
-from .seqcore import BoundedSeq, coordinate, prefix_sup
+from .errors import (BudgetExhausted, ConfigError, IndexZero, SchemeExhausted,
+                     ZeroElement, _numbers)
+from .seqcore import BoundedSeq, coordinate, coordinates_at, prefix_sup
 from .spaces import SeparableSpace
 
 #: block size for witness scans over the net enumeration
@@ -80,7 +84,9 @@ class IndexScheme:
     the order-preserving enumerations of each half. `coverage` is the
     scan range within which membership is fully decided; classifying
     past it raises SchemeExhausted. mode "identity" is the degenerate
-    D = {0} scheme over all indices (evens = I+, odds = I-).
+    D = {0} scheme over all indices (evens = I+, odds = I-). The prefix
+    holds ints (not bools) from 1 up to 2^63 - 1 in strictly increasing
+    order, or the scheme is a ConfigError.
     """
     mode: str
     prefix: tuple
@@ -89,8 +95,13 @@ class IndexScheme:
     coverage: Optional[int]
 
     def __post_init__(self):
-        pos = {n: j + 1 for j, n in enumerate(self.prefix)}
-        object.__setattr__(self, "_pos", pos)
+        p = self.prefix
+        if p and not (set(map(type, p)) == {int} and 1 <= p[0] and p[-1] < 2 ** 63
+                      and all(map(operator.lt, p, p[1:]))):
+            raise ConfigError(f"scheme prefix {reprlib.repr(p)} is not a strictly "
+                              f"increasing list of ints from 1 up to 2^63 - 1")
+        object.__setattr__(self, "_pos", {n: j + 1 for j, n in enumerate(p)})
+        object.__setattr__(self, "_prefix", np.array(p, dtype=np.int64))
 
     # -- geometry ------------------------------------------------------------
     @property
@@ -120,13 +131,36 @@ class IndexScheme:
         return self.index_at(2 * k - 1)
 
     def classify(self, n: int):
-        """(sign, k): +1 if n = eta+(k), -1 if n = eta-(k), 0 if n off I."""
+        """(sign, k): +1 if n = eta+(k), -1 if n = eta-(k), 0 if n off I
+        within coverage; n < 1 is IndexZero and n off I past coverage
+        SchemeExhausted."""
+        if n < 1:
+            raise IndexZero(f"index {n} < 1")
         j = n if self.mode == "identity" else self._pos.get(n)
         if j is not None:
             return (1.0, j // 2) if j % 2 == 0 else (-1.0, (j + 1) // 2)
         if self.coverage is not None and n <= self.coverage:
             return (0.0, 0)
         raise SchemeExhausted(n, self.coverage)
+
+    def classify_at(self, ns: np.ndarray):
+        """(signs, ks): `classify` at each entry of an int64 array, as a
+        float array and an int64 array (k = 0 off I). The first entry in
+        `ns` order that `classify` rejects raises the same error."""
+        if len(ns) and ns.min() < 1:
+            raise IndexZero(f"index {int(ns.min())} < 1")
+        if self.mode == "identity":
+            j = ns
+        else:
+            pos = np.searchsorted(self._prefix, ns)
+            hit = pos < len(self._prefix)
+            hit[hit] = self._prefix[pos[hit]] == ns[hit]
+            j = np.where(hit, pos + 1, 0)
+            past = ~hit if self.coverage is None else ~hit & (ns > self.coverage)
+            if past.any():
+                raise SchemeExhausted(int(ns[past.argmax()]), self.coverage)
+        signs = np.where(j == 0, 0.0, np.where(j % 2 == 0, 1.0, -1.0))
+        return signs, j // 2 + j % 2
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
@@ -140,8 +174,12 @@ class IndexScheme:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IndexScheme":
+        """The scheme `to_json` wrote; a prefix that is not a list of
+        ints as `IndexScheme` requires is a ConfigError, never coerced."""
+        if not isinstance(obj["prefix"], list):
+            raise ConfigError(f"scheme prefix {reprlib.repr(obj['prefix'])} is not a list")
         return cls(mode=obj["mode"],
-                   prefix=tuple(int(n) for n in obj["prefix"]),
+                   prefix=tuple(obj["prefix"]),
                    alpha=tuple(float(a) for a in obj["alpha"]),
                    tol_schedule=tuple(float(t) for t in obj["tol_schedule"]),
                    coverage=obj["scan_budget_used"])
@@ -173,10 +211,12 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     Negation is exact in floating point, so sign = -1.0 gives the
     bit-exact negation of the sign = +1.0 placement. The oracle reads
     phi_k(x) through the space's per-index path `functional_oracle`,
-    set up once for the canonical x; it builds no object per call. Only
-    images under the identity scheme (T(x) and the D = {0} placement)
-    have a block, `functional_values`, with the same bits; windows of
-    the others are read through the oracle.
+    set up once for the canonical x; it builds no object per call.
+    `at` classifies all its indices at once (`classify_at`) and gathers
+    their rows through `functional_values_at`. Only images under the
+    identity scheme (T(x) and the D = {0} placement) have a block,
+    `functional_values`; windows of the others are read through the
+    oracle. All three give the same bits.
     """
     x, bound = _element(space, x)
     phi = space.functional_oracle(x)
@@ -189,8 +229,16 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
         val = phi(k)
         return val if s == sign else -val
 
+    def at(ns: np.ndarray) -> np.ndarray:
+        signs, ks = scheme.classify_at(ns)
+        on = signs != 0.0
+        out = np.zeros(len(ns))
+        vals = space.functional_values_at(x, ks[on])
+        out[on] = np.where(signs[on] == sign, vals, -vals)
+        return out
+
     if scheme.mode != "identity":
-        return BoundedSeq(oracle, bound)
+        return BoundedSeq(oracle, bound, at=at)
 
     def block(lo: int, hi: int) -> np.ndarray:
         k_hi = (hi + 1) // 2
@@ -200,7 +248,7 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
         out[1::2] = sign * vals
         return out[lo - 1:hi]
 
-    return BoundedSeq(oracle, bound, block=block)
+    return BoundedSeq(oracle, bound, block=block, at=at)
 
 
 def embed_t1(space: SeparableSpace, x) -> BoundedSeq:
@@ -229,13 +277,18 @@ def isometry_defect(space: SeparableSpace, x, K: int) -> DefectRecord:
 
 
 def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
-    """Re-check a witness directly against the coordinate oracle.
+    """Re-check a witness by re-reading its indices in one call of
+    `coordinates_at`: the by-index read `at` when `s` has one, the
+    scalar oracle otherwise, never the block.
 
-    Stored values must match re-evaluation bit-identically; index lists
-    must be nonempty, hold only ints (not bools, floats or strings),
-    start at an index >= 1 and strictly increase; the gap must be
-    consistent and positive. A witness that breaks any of these rules
-    is False, never an error.
+    Index lists must be nonempty, hold only ints (not bools, floats or
+    strings), start at an index >= 1 and strictly increase; these are
+    checked before anything is read. Stored values must then equal the
+    re-read values under Python's `!=` (a stored NaN never does, -0.0
+    equals 0.0); the gap must be consistent and positive. A witness
+    that breaks any of these rules is False, never an error. A read
+    that fails (an index past an extracted scheme's coverage) raises
+    unless a stored value before that index differs.
     """
     if not (0 < len(w.plus_indices) == len(w.minus_indices)
             == len(w.plus_values) == len(w.minus_values)):
@@ -245,7 +298,14 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
             return False
         if idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:])):
             return False
-    reread = map(coordinate, itertools.repeat(s), w.plus_indices + w.minus_indices)
+    indices = w.plus_indices + w.minus_indices
+    try:
+        reread = coordinates_at(s, indices).tolist()
+    except Exception:
+        # a read failed (an index past a scheme's coverage, say): read
+        # index by index, so a mismatch before that index is False and
+        # the failure itself is raised, as with one oracle call each
+        reread = map(coordinate, itertools.repeat(s), indices)
     if any(map(operator.ne, reread, w.plus_values + w.minus_values)):
         return False
     # no value is NaN now (NaN != NaN), so min and max bound them all

@@ -25,7 +25,7 @@ import numpy as np
 from .embed import (WITNESS_BUDGET, IndexScheme, OscillationWitness, _scan_witness,
                     _witness_input, identity_scheme, scheme_embed)
 from .errors import BudgetExhausted, EmptyBasis, SchemeExhausted
-from .seqcore import BoundedSeq, _bucket, combine, coordinate, zero_seq
+from .seqcore import BoundedSeq, _bucket, combine, coordinate, coordinates_at, zero_seq
 from .spaces import SeparableSpace
 
 
@@ -197,10 +197,8 @@ class LimitEstimate:
 
 def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstimate:
     """L = mean of d(n_j) over the last half of the window; err = max
-    deviation over that half plus the scheme's final tolerance.
-
-    With a block, d is read over one window spanning those n_j;
-    without, at the n_j alone."""
+    deviation over that half plus the scheme's final tolerance. d is
+    read at those n_j alone, in one `coordinates_at` call."""
     if j_window < 2:
         raise ValueError(f"j_window = {j_window} must be >= 2")
     if scheme.length is not None and scheme.length < j_window:
@@ -208,11 +206,7 @@ def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstim
     # n_j for j = j_window // 2 + 1, ..., j_window
     idx = (np.arange(j_window // 2 + 1, j_window + 1) if scheme.length is None
            else np.array(scheme.prefix[j_window // 2:j_window]))
-    if d.block is not None:
-        lo = int(idx.min())
-        vals = d.coordinates(lo, int(idx.max()))[idx - lo]
-    else:
-        vals = np.array([coordinate(d, int(n)) for n in idx])
+    vals = coordinates_at(d, idx)
     L = float(np.mean(vals))
     dev = float(np.max(np.abs(vals - L)))
     delta = scheme.tol_schedule[-1] if scheme.tol_schedule else 0.0

@@ -53,29 +53,27 @@ class Opaque:
 
 @dataclass(frozen=True)
 class BoundedSeq:
-    """A lazily evaluated bounded sequence.
+    """A lazily evaluated bounded sequence, read three ways.
 
-    `oracle` must be pure: repeated evaluation at the same index returns
-    bit-identical scalars. It is only called with n >= 1: a sequence is
-    read through `coordinate` and `coordinates`, which raise IndexZero
-    below 1, so no oracle checks its index again. `bound` is a
-    certified sup-norm upper bound.
-    `block` (optional) evaluates coordinates lo..hi inclusive as an
-    array of the values `oracle` gives there, bit for bit; it is only a
-    fast path for windows. `periodic`, `eventually_constant`,
-    `explicit_limit` and `zero_seq` have one, `combine` has one when
-    every child has, and of the space images only those under the
-    identity scheme (`embed_t1`, and `scheme_embed` of the identity
-    scheme) have one; `from_function` has none. The oracle stays the
-    reference: `embed.reverify_witness` reads nothing else, so a
-    witness built from block values is checked against it. A space
-    image's oracle reads phi_k(x) one cached row at a time through the
-    space's `functional_oracle`, never through its block.
+    The scalar `oracle(n)` is the reference. It must be pure (the same
+    index gives bit-identical scalars) and is only called with n >= 1:
+    `coordinate`, `coordinates` and `coordinates_at` raise IndexZero
+    below 1. `bound` is a certified sup-norm upper bound. Two optional
+    reads give the oracle's bits: the window `block(lo, hi)`, read by
+    `coordinates`, and the by-index `at(ns)` (an int64 array of indices
+    in any order), read by `coordinates_at`. The tagged constructors
+    have both, `combine` each one its children all have, and
+    `from_function` neither. Every space image has `at`; only images
+    under the identity scheme have a block. `verify.classify_c` builds
+    its witness from the block and `embed.reverify_witness` re-reads it
+    through `at` (the oracle when there is none), so a certificate is
+    checked by a second evaluation, not by the array it came from.
     """
     oracle: Callable[[int], float]
     bound: float
     tag: object = Opaque()
     block: Optional[Callable[[int, int], np.ndarray]] = None
+    at: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def coordinates(self, lo: int, hi: int) -> np.ndarray:
         if lo < 1:
@@ -99,6 +97,11 @@ class ClusterEstimate:
 # ---------------------------------------------------------------------------
 # constructors
 
+def _window(at):
+    """The block of a tagged sequence: its `at` over lo..hi."""
+    return lambda lo, hi: at(np.arange(lo, hi + 1))
+
+
 def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()) -> BoundedSeq:
     head = tuple(float(v) for v in head)
     if len(head) != start - 1:
@@ -112,13 +115,14 @@ def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()
 
     head_arr = np.array(head, dtype=float)
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        out = np.full(hi - lo + 1, value)
-        if lo < start:
-            out[:min(hi + 1, start) - lo] = head_arr[lo - 1:hi]
+    def at(ns: np.ndarray) -> np.ndarray:
+        out = np.full(len(ns), value)
+        early = ns < start
+        out[early] = head_arr[ns[early] - 1]
         return out
 
-    return BoundedSeq(oracle, bound, EventuallyConstant(value, start, head), block)
+    return BoundedSeq(oracle, bound, EventuallyConstant(value, start, head),
+                      _window(at), at)
 
 
 def explicit_limit(limit: float, rate: float) -> BoundedSeq:
@@ -129,10 +133,11 @@ def explicit_limit(limit: float, rate: float) -> BoundedSeq:
     def oracle(n: int) -> float:
         return limit + rate / n
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        return limit + rate / np.arange(lo, hi + 1, dtype=float)
+    def at(ns: np.ndarray) -> np.ndarray:
+        return limit + rate / ns.astype(float)
 
-    return BoundedSeq(oracle, abs(limit) + abs(rate), ExplicitLimit(limit, rate), block)
+    return BoundedSeq(oracle, abs(limit) + abs(rate), ExplicitLimit(limit, rate),
+                      _window(at), at)
 
 
 def periodic(pattern: Sequence[float]) -> BoundedSeq:
@@ -147,10 +152,11 @@ def periodic(pattern: Sequence[float]) -> BoundedSeq:
 
     pattern_arr = np.array(pattern)
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        return pattern_arr[np.arange(lo - 1, hi) % m]
+    def at(ns: np.ndarray) -> np.ndarray:
+        return pattern_arr[(ns - 1) % m]
 
-    return BoundedSeq(oracle, max(abs(v) for v in pattern), Periodic(pattern), block)
+    return BoundedSeq(oracle, max(abs(v) for v in pattern), Periodic(pattern),
+                      _window(at), at)
 
 
 def zero_seq() -> BoundedSeq:
@@ -178,6 +184,24 @@ def coordinate(s: BoundedSeq, n: int) -> float:
     return float(s.oracle(n))
 
 
+def coordinates_at(s: BoundedSeq, indices) -> np.ndarray:
+    """The coordinates at `indices` (any order, repeats allowed) as a
+    float array, bit for bit [coordinate(s, n) for n in indices]. One
+    call of `s.at` when `s` has one and the indices are an int64 array
+    or convert to one; otherwise (no `at`, an index past int64, or
+    indices that are not ints) the oracle per index in order, each
+    index a Python int when they are ints. An index below 1 is
+    IndexZero either way."""
+    ns = np.asarray(indices)
+    if ns.ndim == 1 and ns.dtype.kind == "i":
+        if len(ns) and ns.min() < 1:
+            raise IndexZero(f"index {int(ns.min())} < 1")
+        if s.at is not None:
+            return np.asarray(s.at(ns.astype(np.int64, copy=False)), dtype=float)
+        indices = ns.tolist()
+    return np.array([coordinate(s, n) for n in indices], dtype=float)
+
+
 def prefix_sup(s: BoundedSeq, N: int) -> float:
     """max |coordinate| over 1..N; nondecreasing in N and <= s.bound."""
     if N < 1:
@@ -197,7 +221,7 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
     bound = sum(abs(c) * s.bound for c, s in zip(coeffs, seqs))
     _numbers((bound,), "bound of a combination")
 
-    # both paths add c * s(n) in child order from 0.0; Python 3.12's
+    # every path adds c * s(n) in child order from 0.0; Python 3.12's
     # compensated `sum` would round differently from the block
     def oracle(n: int) -> float:
         acc = 0.0
@@ -211,9 +235,16 @@ def combine(coeffs: Sequence[float], seqs: Sequence[BoundedSeq]) -> BoundedSeq:
             out += c * s.coordinates(lo, hi)
         return out
 
+    def at(ns: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(ns))
+        for c, s in zip(coeffs, seqs):
+            out += c * s.at(ns)
+        return out
+
     has_block = all(s.block is not None for s in seqs)
+    has_at = all(s.at is not None for s in seqs)
     return BoundedSeq(oracle, bound, LinearCombo(coeffs, seqs),
-                      block if has_block else None)
+                      block if has_block else None, at if has_at else None)
 
 
 def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:

@@ -46,8 +46,10 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
     are separated by at least gap_floor, a witness is assembled from
     the values `cluster_estimates` bucketed (one read of the window,
     through the block when `s` has one) and NotInC returned only if
-    `reverify_witness` accepts it against the oracle, so the block is
-    cross-checked too; Unknown is the fallback, never an error.
+    `reverify_witness` accepts it. That re-reads the witness indices
+    through `s.at` (the scalar oracle when `s` has none), never the
+    block, so the block is cross-checked by a second evaluation;
+    Unknown is the fallback, never an error.
     """
     if budget < 2:
         raise ValueError(f"budget = {budget} must be >= 2")

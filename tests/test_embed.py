@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqembed import (BudgetExhausted, ConfigError, CustomNet, FiniteDimLp,
-                      OscillationWitness, SeqLp, ZeroElement, classify_c,
-                      combine, coordinate, embed_t1, explicit_limit,
+                      OscillationWitness, SchemeExhausted, SeqLp, SubspaceD,
+                      ZeroElement, bw_extract, classify_c, combine, coordinate,
+                      embed_t1, explicit_limit, from_function,
                       identity_scheme, isometry_defect, oscillation_witness,
-                      periodic, prefix_sup, reverify_witness,
+                      periodic, prefix_sup, reverify_witness, scheme_embed,
                       separation_witness, zero_seq)
 
 SQ2 = math.sqrt(2.0)
@@ -243,3 +244,51 @@ def test_reverify_rejects_witness_without_pairs():
     assert not reverify_witness(s, exc.value.partial)
     empty = OscillationWitness((), (), (), (), 0.0, 0.2, 4.0, -4.0)
     assert not reverify_witness(s, empty)
+
+
+_PAIR = periodic([-1.0, 1.0])
+_SCHEME = bw_extract(SubspaceD("finite", (_PAIR,)), 2, 64)
+_SCHEMED = scheme_embed(FiniteDimLp(2, 2), _SCHEME, np.array([3.0, 4.0]))
+_SCHEMED_PLUS = coordinate(_SCHEMED, _SCHEME.plus_index(1))
+_GOOD = OscillationWitness((2, 4), (1, 3), (1.0, 1.0), (-1.0, -1.0), 2.0, 0.5,
+                           0.5, -0.5)
+_VERDICTS = {
+    # name: (sequence, changes to _GOOD, verdict)
+    "as built": (_PAIR, {}, True),
+    "no by-index read": (from_function(_PAIR.oracle, 1.0), {}, True),
+    "stored NaN": (_PAIR, {"plus_values": (math.nan, 1.0)}, False),
+    "stored -0.0, read 0.0": (periodic([0.0, 1.0]),
+                              {"minus_values": (-0.0, 0.0), "gap": 1.0,
+                               "target_lo": 0.0}, True),
+    "stored 0.0, read -0.0": (periodic([-0.0, 1.0]),
+                              {"minus_values": (0.0, 0.0), "gap": 1.0,
+                               "target_lo": 0.0}, True),
+    "bool index": (_PAIR, {"minus_indices": (True, 3)}, False),
+    "float index": (_PAIR, {"plus_indices": (2.0, 4)}, False),
+    "index 0": (_PAIR, {"minus_indices": (0, 3)}, False),
+    "index 2**70": (_PAIR, {"plus_indices": (2, 2 ** 70)}, True),
+    "index 2**70 + 1": (_PAIR, {"plus_indices": (2, 2 ** 70 + 1)}, False),
+    "forged value": (_PAIR, {"plus_values": (1.0, math.nextafter(1.0, 2.0))}, False),
+    # index 65 is past the scheme's coverage of 64: it fails to read
+    # only when every stored value before it matches
+    "past coverage": (_SCHEMED, {"plus_indices": (_SCHEME.plus_index(1), 65),
+                                 "plus_values": (_SCHEMED_PLUS, 1.0)},
+                      SchemeExhausted),
+    "past coverage after a forged value": (
+        _SCHEMED, {"plus_indices": (_SCHEME.plus_index(1), 65),
+                   "plus_values": (math.nextafter(_SCHEMED_PLUS, 9.0), _SCHEMED_PLUS)},
+        False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERDICTS))
+def test_reverify_verdict_table(case):
+    # the verdicts of reading each index through the scalar oracle with
+    # `!=`: 2**70 is past int64, so it is read through the oracle
+    s, changes, verdict = _VERDICTS[case]
+    w = dataclasses.replace(_GOOD, **changes)
+    if isinstance(verdict, bool):
+        assert reverify_witness(s, w) is verdict
+    else:
+        with pytest.raises(verdict):
+            reverify_witness(s, w)

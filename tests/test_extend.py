@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqembed import (BudgetExhausted, EmptyBasis, FiniteDimLp, IndexScheme,
-                      IndexZero, SchemeExhausted, SeqLp, SubspaceD, bw_extract, combine,
-                      coordinate, diagonal_extract, embed_t1,
+from seqembed import (BudgetExhausted, ConfigError, EmptyBasis, FiniteDimLp,
+                      IndexScheme, IndexZero, SchemeExhausted, SeqLp, SubspaceD,
+                      bw_extract, combine, coordinate, coordinates_at,
+                      diagonal_extract, embed_t1,
                       eventually_constant, explicit_limit, extract_scheme,
                       from_function,
                       identity_scheme, limit_along, oscillation_witness,
@@ -93,6 +94,30 @@ def test_scheme_json_roundtrip():
     assert back.alpha == sch.alpha
     assert back.tol_schedule == sch.tol_schedule
     assert back.coverage == 64
+
+
+@pytest.mark.parametrize("prefix", [
+    [2.7, True, "5", 4],        # int() would read this as (2, 1, 5, 4)
+    [3, 3, 9],                  # a repeated entry
+    [9, 3, 15], [0, 3, 9], [True, 3], [3.0, 9], [3, 2 ** 63], "39", 39,
+])
+def test_scheme_from_json_rejects_malformed_prefix(prefix):
+    obj = IndexScheme("finite", (3, 9, 15), (-0.5,), (0.5,), 64).to_json()
+    obj["prefix"] = prefix
+    with pytest.raises(ConfigError):
+        IndexScheme.from_json(obj)
+
+
+@pytest.mark.parametrize("scheme", [
+    identity_scheme(),
+    bw_extract(SubspaceD("finite", (W1,)), 2, 64),
+], ids=["identity", "extracted"])
+def test_classify_rejects_indices_below_one(scheme):
+    for n in (0, -1, -64):
+        with pytest.raises(IndexZero):
+            scheme.classify(n)
+        with pytest.raises(IndexZero):
+            scheme.classify_at(np.array([5, n, 3]))
 
 
 # -- cell-refinement extraction ----------------------------------------------
@@ -409,6 +434,70 @@ def test_embed_t1_negates_identity_placement(spec, seed, lo, width):
     assert all(np.float64(coordinate(t1, n)).tobytes()
                == np.float64(-coordinate(t2, n)).tobytes()
                for n in range(lo, hi + 1))
+
+
+_AT_SPECS = ["fdlp:dim=2,p=1", "fdlp:dim=3,p=1.5", "fdlp:dim=2,p=2",
+             "fdlp:dim=2,p=3", "fdlp:dim=3,p=inf", "seqlp:p=1,support=4",
+             "seqlp:p=1.5,support=4", "seqlp:p=2,support=4", "c01",
+             {"kind": "custom", "p": 2, "points": [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]}]
+
+
+def _same_rows(a, b):
+    """The leading rows both cache matrices hold agree; columns only one
+    of them has (the padding of a wider level) are zero."""
+    n, w = min(len(a), len(b)), min(a.shape[1], b.shape[1])
+    return (np.array_equal(a[:n, :w], b[:n, :w])
+            and not a[:n, w:].any() and not b[:n, w:].any())
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=st.sampled_from(_AT_SPECS), mode=st.sampled_from(sorted(_PLACEMENTS)),
+       seed=st.integers(0, 2 ** 32 - 1), warm=st.integers(1, 200),
+       ns=st.lists(st.integers(1, 4096), max_size=40))
+def test_coordinates_at_matches_oracle(spec, mode, seed, warm, ns):
+    # two spaces warmed alike: one image read by index in one call, the
+    # other index by index through the oracle; indices are unsorted,
+    # repeated, off I and past the warmed net cache
+    x = parse_space(spec).lattice_sample(np.random.default_rng(seed))
+    by_index, scalar = parse_space(spec), parse_space(spec)
+    for sp in (by_index, scalar):
+        sp.net_point(warm)
+    got = coordinates_at(_PLACEMENTS[mode](by_index, x), ns)
+    want = [coordinate(_PLACEMENTS[mode](scalar, x), n) for n in ns]
+    assert np.asarray(want, dtype=float).tobytes() == got.tobytes()
+    assert _same_rows(by_index._U, scalar._U)
+    assert _same_rows(by_index._Phi, scalar._Phi)
+
+
+@pytest.mark.parametrize("mode", ["identity", "bw_extract", "diagonal_extract"])
+def test_classify_at_matches_classify(mode):
+    scheme = {"identity": identity_scheme(), "bw_extract": _BW,
+              "diagonal_extract": _DIAG}[mode]
+    ns = np.arange(1, 4097)[::-1]
+    if mode == "identity":
+        ns = np.concatenate([ns, [2 ** 62, 2 ** 63 - 1]])
+    signs, ks = scheme.classify_at(ns)
+    assert signs.dtype == float and ks.dtype == np.int64
+    assert list(zip(signs.tolist(), ks.tolist())) == [scheme.classify(int(n)) for n in ns]
+
+
+@pytest.mark.parametrize("mode", ["bw_extract", "diagonal_extract"])
+def test_coordinates_at_off_and_past_the_scheme(mode):
+    scheme = {"bw_extract": _BW, "diagonal_extract": _DIAG}[mode]
+    s = _PLACEMENTS[mode](FiniteDimLp(2, 2), np.array([3.0, 4.0]))
+    ns = np.arange(1, scheme.coverage + 1)
+    off = scheme.classify_at(ns)[0] == 0.0
+    vals = coordinates_at(s, ns)
+    assert off.any() and vals[off].tobytes() == np.zeros(off.sum()).tobytes()
+    assert vals[~off].all()
+    past = scheme.coverage + 1
+    # the first index past coverage, in the order given, is the one named
+    for bad, first in (([past], past), ([5, past + 6, 3, past], past + 6)):
+        with pytest.raises(SchemeExhausted) as by_index:
+            coordinates_at(s, bad)
+        with pytest.raises(SchemeExhausted) as scalar:
+            [coordinate(s, n) for n in bad]
+        assert by_index.value.index == scalar.value.index == first
 
 
 # -- limit functionals -----------------------------------------------------

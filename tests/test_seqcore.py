@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from seqembed import (BoundedSeq, ConfigError, FiniteDimLp, IndexZero,
                       LengthMismatch, EmptyWindow, SubspaceD, bw_extract,
-                      cluster_estimates, combine, coordinate, embed_t1,
+                      cluster_estimates, combine, coordinate,
+                      coordinates_at, embed_t1,
                       eventually_constant, explicit_limit,
                       from_function, periodic, prefix_sup, scheme_embed,
                       zero_seq)
@@ -66,6 +67,8 @@ def test_index_zero_rejected():
             coordinate(s, 0)
         with pytest.raises(IndexZero):
             s.coordinates(0, 5)
+        with pytest.raises(IndexZero):
+            coordinates_at(s, [3, 0])
     with pytest.raises(IndexZero):
         prefix_sup(periodic([1.0]), 0)
 
@@ -157,11 +160,50 @@ def test_combine_has_a_block_only_when_every_child_has():
     assert combine([1.0, 2.0], [periodic([1.0]), explicit_limit(0.0, 1.0)]).block is not None
 
 
+def test_combine_reads_by_index_only_when_every_child_does():
+    opaque = from_function(lambda n: 1.0 / n, 1.0)
+    assert opaque.at is None
+    assert combine([1.0, 2.0], [periodic([1.0]), opaque]).at is None
+    assert combine([1.0, 2.0], [periodic([1.0]), explicit_limit(0.0, 1.0)]).at is not None
+
+
+# indices in any order, repeated, and past every eventually-constant head drawn
+_INDICES = st.lists(st.integers(1, 40), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_LEAVES, _COMBOS, _NESTED), _INDICES)
+def test_coordinates_at_matches_oracle_bit_for_bit(s, ns):
+    assert s.at is not None
+    assert _bits(coordinates_at(s, ns)) == _bits([coordinate(s, n) for n in ns])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_LEAVES, _COMBOS), _VALUES, _INDICES)
+def test_coordinates_at_without_by_index_read(s, c, ns):
+    # a child without `at` leaves the combination without one: every
+    # index is read through the oracle
+    s = combine([c, 1.0], [s, from_function(lambda n: math.sin(n) / n, 1.0)])
+    assert s.at is None
+    assert _bits(coordinates_at(s, ns)) == _bits([coordinate(s, n) for n in ns])
+
+
+def test_coordinates_at_past_int64_reads_the_oracle():
+    # 2**63 and 2**70 do not fit int64; the oracle takes Python ints
+    for s in (periodic([1.0, -2.0, 0.5]), explicit_limit(1.0, 3.0),
+              eventually_constant(2.0, 3, (0.0, 1.0)),
+              combine([1.0, -1.0], [periodic([1.0, -2.0, 0.5]), explicit_limit(1.0, 3.0)])):
+        ns = [2 ** 70, 1, 2 ** 63, 2 ** 63 - 1, 2]
+        assert _bits(coordinates_at(s, ns)) == _bits([coordinate(s, n) for n in ns])
+        with pytest.raises(IndexZero):
+            coordinates_at(s, [2 ** 70, 0])
+
+
 def test_combine_adds_in_child_order():
     # on Python >= 3.12 `sum` of floats is compensated: sum([1e16, 1.0, -1e16])
     # is 1.0 there, while left-to-right addition (and the block) gives 0.0
     s = combine([1e16, 1.0, -1e16], [periodic([1.0])] * 3)
-    assert coordinate(s, 1) == 0.0 == s.coordinates(1, 1)[0]
+    assert coordinate(s, 1) == 0.0 == s.coordinates(1, 1)[0] == coordinates_at(s, [1])[0]
 
 
 def test_combine_pointwise_linearity():

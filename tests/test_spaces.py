@@ -88,6 +88,8 @@ def test_functional_values_matches_pointwise():
             pointwise = sp.apply_functional(sp.norming_functional(k), x)
             assert _bits([pointwise]) == _bits([value(k)]) == _bits(vals[k - 1:k]), \
                 (sp.describe(), k)
+        ks = np.concatenate([np.arange(K, 0, -1), [1, K, 1]])
+        assert _bits(sp.functional_values_at(x, ks)) == _bits(vals[ks - 1]), sp.describe()
 
 
 @pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
@@ -110,6 +112,23 @@ def test_functional_oracle_grows_the_cache_past_its_rows(spec):
     got = value(rows + 1)
     assert len(sp._Phi) > rows
     assert _bits([got]) == _bits(sp.functional_values(x, rows + 1)[rows:])
+
+
+@pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
+def test_functional_values_at_grows_the_cache_once(spec):
+    # to max(ks) as `_ensure` grows it, whatever the order of ks
+    sp, ref = parse_space(spec), parse_space(spec)
+    x = sp.random_element(np.random.default_rng(7))
+    for s in (sp, ref):
+        s.net_point(40)
+    got = sp.functional_values_at(x, np.array([900, 3, 41, 900]))
+    ref._ensure(900)
+    assert sp._Phi.shape == ref._Phi.shape and np.array_equal(sp._Phi, ref._Phi)
+    assert _bits(got) == _bits(ref.functional_values(x, 900)[[899, 2, 40, 899]])
+    assert sp.functional_values_at(x, np.zeros(0, dtype=np.int64)).shape == (0,)
+    for ks in ([0], [3, -1]):
+        with pytest.raises(IndexZero):
+            sp.functional_values_at(x, np.array(ks))
 
 
 def test_functional_does_not_change_as_the_cache_grows():
