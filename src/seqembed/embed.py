@@ -14,7 +14,6 @@ interval, and non-convergence by witnesses from the one scan loop that
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import reprlib
 from dataclasses import dataclass
@@ -285,10 +284,9 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
     strings), start at an index >= 1 and strictly increase; these are
     checked before anything is read. Stored values must then equal the
     re-read values under Python's `!=` (a stored NaN never does, -0.0
-    equals 0.0); the gap must be consistent and positive. A witness
-    that breaks any of these rules is False, never an error. A read
-    that fails (an index past an extracted scheme's coverage) raises
-    unless a stored value before that index differs.
+    equals 0.0); the gap must be consistent and positive. An index past
+    an extracted scheme's coverage cannot be re-read. A witness that
+    breaks any of these rules is False, never an error.
     """
     if not (0 < len(w.plus_indices) == len(w.minus_indices)
             == len(w.plus_values) == len(w.minus_values)):
@@ -298,14 +296,10 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
             return False
         if idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:])):
             return False
-    indices = w.plus_indices + w.minus_indices
     try:
-        reread = coordinates_at(s, indices).tolist()
-    except Exception:
-        # a read failed (an index past a scheme's coverage, say): read
-        # index by index, so a mismatch before that index is False and
-        # the failure itself is raised, as with one oracle call each
-        reread = map(coordinate, itertools.repeat(s), indices)
+        reread = coordinates_at(s, w.plus_indices + w.minus_indices).tolist()
+    except SchemeExhausted:
+        return False
     if any(map(operator.ne, reread, w.plus_values + w.minus_values)):
         return False
     # no value is NaN now (NaN != NaN), so min and max bound them all

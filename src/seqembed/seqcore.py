@@ -67,7 +67,11 @@ class BoundedSeq:
     under the identity scheme have a block. `verify.classify_c` builds
     its witness from the block and `embed.reverify_witness` re-reads it
     through `at` (the oracle when there is none), so a certificate is
-    checked by a second evaluation, not by the array it came from.
+    checked by a second evaluation, not by the array it came from: a
+    tagged sequence's block slices a window and its `at` indexes each
+    n; a space image's block interleaves a prefix of phi values and
+    its `at` classifies each n and gathers that row, applying rows with
+    the block's arithmetic. Tests pin both reads to the oracle.
     """
     oracle: Callable[[int], float]
     bound: float
@@ -97,11 +101,6 @@ class ClusterEstimate:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _window(at):
-    """The block of a tagged sequence: its `at` over lo..hi."""
-    return lambda lo, hi: at(np.arange(lo, hi + 1))
-
-
 def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()) -> BoundedSeq:
     head = tuple(float(v) for v in head)
     if len(head) != start - 1:
@@ -115,14 +114,19 @@ def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()
 
     head_arr = np.array(head, dtype=float)
 
+    def block(lo: int, hi: int) -> np.ndarray:
+        out = np.full(hi - lo + 1, value)
+        if lo < start:
+            out[:min(hi + 1, start) - lo] = head_arr[lo - 1:hi]
+        return out
+
     def at(ns: np.ndarray) -> np.ndarray:
         out = np.full(len(ns), value)
         early = ns < start
         out[early] = head_arr[ns[early] - 1]
         return out
 
-    return BoundedSeq(oracle, bound, EventuallyConstant(value, start, head),
-                      _window(at), at)
+    return BoundedSeq(oracle, bound, EventuallyConstant(value, start, head), block, at)
 
 
 def explicit_limit(limit: float, rate: float) -> BoundedSeq:
@@ -133,11 +137,14 @@ def explicit_limit(limit: float, rate: float) -> BoundedSeq:
     def oracle(n: int) -> float:
         return limit + rate / n
 
+    def block(lo: int, hi: int) -> np.ndarray:
+        return limit + rate / np.arange(lo, hi + 1, dtype=float)
+
     def at(ns: np.ndarray) -> np.ndarray:
         return limit + rate / ns.astype(float)
 
     return BoundedSeq(oracle, abs(limit) + abs(rate), ExplicitLimit(limit, rate),
-                      _window(at), at)
+                      block, at)
 
 
 def periodic(pattern: Sequence[float]) -> BoundedSeq:
@@ -152,11 +159,14 @@ def periodic(pattern: Sequence[float]) -> BoundedSeq:
 
     pattern_arr = np.array(pattern)
 
+    def block(lo: int, hi: int) -> np.ndarray:
+        return pattern_arr[np.arange(lo - 1, hi) % m]
+
     def at(ns: np.ndarray) -> np.ndarray:
         return pattern_arr[(ns - 1) % m]
 
     return BoundedSeq(oracle, max(abs(v) for v in pattern), Periodic(pattern),
-                      _window(at), at)
+                      block, at)
 
 
 def zero_seq() -> BoundedSeq:

@@ -48,8 +48,8 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
     through the block when `s` has one) and NotInC returned only if
     `reverify_witness` accepts it. That re-reads the witness indices
     through `s.at` (the scalar oracle when `s` has none), never the
-    block, so the block is cross-checked by a second evaluation;
-    Unknown is the fallback, never an error.
+    block, so the block is cross-checked by a second evaluation (see
+    `BoundedSeq`); Unknown is the fallback, never an error.
     """
     if budget < 2:
         raise ValueError(f"budget = {budget} must be >= 2")

@@ -1,11 +1,11 @@
 """Write a BENCH_<n>.json file: measured performance of this tree.
 
     python tools/bench.py --out BENCH_<n>.json
-        [--plan cli-suite:601:10 cli-suite:619:5 net-cold:601:5 ...]
-        [--seconds 20] [--baseline DIR] [--trace-seed 601] [--no-tier1]
+        --plan cli-suite:601:10 cli-suite:619:5 net-cold:601:10 ...
+        [--baseline DIR]
 
 Every number comes from `perfbench/run.py`, run unchanged as a
-subprocess, one run at a time:
+subprocess for 20 seconds, one run at a time:
 - end to end: each plan entry WORKLOAD:SEED:RUNS makes RUNS untraced
   runs; the file keeps every run's end-to-end metrics and, per
   workload, their median and quartiles. With --baseline DIR (another
@@ -13,7 +13,7 @@ subprocess, one run at a time:
   `perfbench/run.py`, the baseline running first in every other pair,
   and the file also keeps the baseline's values and, per metric, how
   many pairs this tree won (ties win for neither);
-- per layer: one `--trace 1` run per workload at --trace-seed. The file
+- per layer: one `--trace 1` run per workload at seed 601. The file
   keeps the metrics run.py declares, and the calls and self seconds of
   every span in its span file (spans BENCHMARK.json does not declare
   included). Self times are raw wall seconds, so the run's host factor
@@ -39,12 +39,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cli-suite", "net-cold", "session-warm")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+SECONDS = 20
+TRACE_SEED = 601
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One run of tree's perfbench/run.py: its result file, as written."""
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(seconds),
+                    "--seed", str(seed), "--seconds", str(SECONDS),
                     "--trace", str(trace)],
                    cwd=tree, check=True, stdout=subprocess.DEVNULL)
     out = tree / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
@@ -69,7 +71,7 @@ def span_table(path: Path) -> dict:
             for i, n in enumerate(names) if calls[i]}
 
 
-def end_to_end(plan, seconds: float, baseline) -> dict:
+def end_to_end(plan, baseline) -> dict:
     """Per workload: every run (paired with a baseline run when one is
     given), the failures summed, and each metric's median and quartiles."""
     better = {m["name"]: m["better"] for m in
@@ -81,7 +83,7 @@ def end_to_end(plan, seconds: float, baseline) -> dict:
             # the side that runs first alternates from pair to pair
             sides = [("tree", ROOT)] + ([("baseline", baseline)] if baseline else [])
             for side, tree in sides[::-1] if i % 2 == 0 else sides:
-                pair[side] = compact(run_once(tree, workload, seed, seconds, 0))
+                pair[side] = compact(run_once(tree, workload, seed, 0))
             runs.setdefault(workload, []).append(pair)
             print(f"{workload} seed {seed}: {pair['tree']['metrics']['ops_per_s']:.1f} ops/s",
                   file=sys.stderr)
@@ -132,29 +134,25 @@ def parse_plan(items) -> list:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--plan", nargs="+", default=[f"{w}:601:3" for w in WORKLOADS],
-                   help="WORKLOAD:SEED:RUNS entries (default: 3 runs of each at seed 601)")
-    p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--plan", nargs="+", required=True, help="WORKLOAD:SEED:RUNS entries")
     p.add_argument("--baseline", type=Path, help="another checkout to pair each run with")
-    p.add_argument("--trace-seed", type=int, default=601)
-    p.add_argument("--no-tier1", action="store_true")
     args = p.parse_args(argv)
     src = sorted((ROOT / "src" / "seqembed").glob("*.py"))
     report = {
-        "settings": {"plan": args.plan, "seconds": args.seconds,
-                     "trace_seed": args.trace_seed, "paired_with_baseline": bool(args.baseline)},
+        "settings": {"plan": args.plan, "seconds": SECONDS,
+                     "trace_seed": TRACE_SEED, "paired_with_baseline": bool(args.baseline)},
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "cores": os.cpu_count(), "machine": platform.machine()},
         "src_lines": sum(len(f.read_text(encoding="utf-8").splitlines()) for f in src),
-        "tier1": None if args.no_tier1 else tier1(),
-        "end_to_end": end_to_end(parse_plan(args.plan), args.seconds,
+        "tier1": tier1(),
+        "end_to_end": end_to_end(parse_plan(args.plan),
                                  args.baseline.resolve() if args.baseline else None),
         "per_layer": {},
     }
     for workload in WORKLOADS:
-        result = run_once(ROOT, workload, args.trace_seed, args.seconds, 1)
+        result = run_once(ROOT, workload, TRACE_SEED, 1)
         report["per_layer"][workload] = {
-            "seed": args.trace_seed, "failed": result["failed"],
+            "seed": TRACE_SEED, "failed": result["failed"],
             "host_factor_median": result["host_factor_median"],
             "declared": {m: v["value"] for m, v in result["metrics"].items()},
             "spans": span_table(ROOT / "perfbench" / "out" / f"spans-{workload}.npz")}
