@@ -5,15 +5,16 @@ One core puts +phi_k(x) at eta+(k) and -phi_k(x) at eta-(k) of an
 k-th dense net point: that is `scheme_embed`. The plain embedding
 `embed_t1` (+phi_k at 2k-1, -phi_k at 2k) is its exact negation under
 the identity scheme, the D = {0} case. Every image has the scalar
-oracle, which the witness scans read, and the by-index read `at`, which
-`reverify_witness` reads; only images under the identity scheme have
-the window read `block`, which `verify.classify_c`'s cluster scan
-reads. At finite truncation the isometry is certified by a defect
-interval, and non-convergence by witnesses from the one scan loop that
-`oscillation_witness` and `extend.separation_witness` share.
+oracle, which the witness scans read; an extracted scheme's images have
+only it. Identity-scheme images add the window read `block` (read by
+`verify.classify_c`'s cluster scan) and the by-index read `at` (read by
+`reverify_witness`). At finite truncation the isometry is certified by
+a defect interval, and non-convergence by witnesses from the one scan
+loop that `oscillation_witness` and `extend.separation_witness` share.
 """
 from __future__ import annotations
 
+import bisect
 import operator
 import reprlib
 from dataclasses import dataclass
@@ -83,9 +84,12 @@ class IndexScheme:
     the order-preserving enumerations of each half. `coverage` is the
     scan range within which membership is fully decided; classifying
     past it raises SchemeExhausted. mode "identity" is the degenerate
-    D = {0} scheme over all indices (evens = I+, odds = I-). The prefix
+    D = {0} scheme over all indices (evens = I+, odds = I-), with no
+    prefix, alpha, tolerances or coverage; mode "finite" or "diagonal"
+    has an int coverage >= 1 and >= its last prefix entry. The prefix
     holds ints (not bools) from 1 up to 2^63 - 1 in strictly increasing
-    order, or the scheme is a ConfigError.
+    order, and alpha and tol_schedule hold finite numbers, or the
+    scheme is a ConfigError.
     """
     mode: str
     prefix: tuple
@@ -94,13 +98,21 @@ class IndexScheme:
     coverage: Optional[int]
 
     def __post_init__(self):
-        p = self.prefix
+        p, cov = self.prefix, self.coverage
         if p and not (set(map(type, p)) == {int} and 1 <= p[0] and p[-1] < 2 ** 63
                       and all(map(operator.lt, p, p[1:]))):
             raise ConfigError(f"scheme prefix {reprlib.repr(p)} is not a strictly "
                               f"increasing list of ints from 1 up to 2^63 - 1")
-        object.__setattr__(self, "_pos", {n: j + 1 for j, n in enumerate(p)})
-        object.__setattr__(self, "_prefix", np.array(p, dtype=np.int64))
+        if self.mode == "identity":
+            if p or self.alpha or self.tol_schedule or cov is not None:
+                raise ConfigError("the identity scheme has no prefix, alpha, "
+                                  "tolerances or coverage")
+        elif not (self.mode in ("finite", "diagonal") and type(cov) is int
+                  and (p[-1] if p else 1) <= cov):
+            raise ConfigError(f"a scheme of mode {reprlib.repr(self.mode)} and coverage "
+                              f"{reprlib.repr(cov)} is not finite or diagonal with an int "
+                              f"coverage >= 1 and >= its last prefix entry")
+        _numbers((*self.alpha, *self.tol_schedule), "scheme alpha or tolerance schedule")
 
     # -- geometry ------------------------------------------------------------
     @property
@@ -135,31 +147,15 @@ class IndexScheme:
         SchemeExhausted."""
         if n < 1:
             raise IndexZero(f"index {n} < 1")
-        j = n if self.mode == "identity" else self._pos.get(n)
+        j = n
+        if self.mode != "identity":
+            i = bisect.bisect_left(self.prefix, n)
+            j = i + 1 if i < len(self.prefix) and self.prefix[i] == n else None
         if j is not None:
             return (1.0, j // 2) if j % 2 == 0 else (-1.0, (j + 1) // 2)
         if self.coverage is not None and n <= self.coverage:
             return (0.0, 0)
         raise SchemeExhausted(n, self.coverage)
-
-    def classify_at(self, ns: np.ndarray):
-        """(signs, ks): `classify` at each entry of an int64 array, as a
-        float array and an int64 array (k = 0 off I). The first entry in
-        `ns` order that `classify` rejects raises the same error."""
-        if len(ns) and ns.min() < 1:
-            raise IndexZero(f"index {int(ns.min())} < 1")
-        if self.mode == "identity":
-            j = ns
-        else:
-            pos = np.searchsorted(self._prefix, ns)
-            hit = pos < len(self._prefix)
-            hit[hit] = self._prefix[pos[hit]] == ns[hit]
-            j = np.where(hit, pos + 1, 0)
-            past = ~hit if self.coverage is None else ~hit & (ns > self.coverage)
-            if past.any():
-                raise SchemeExhausted(int(ns[past.argmax()]), self.coverage)
-        signs = np.where(j == 0, 0.0, np.where(j % 2 == 0, 1.0, -1.0))
-        return signs, j // 2 + j % 2
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
@@ -173,15 +169,15 @@ class IndexScheme:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IndexScheme":
-        """The scheme `to_json` wrote; a prefix that is not a list of
-        ints as `IndexScheme` requires is a ConfigError, never coerced."""
-        if not isinstance(obj["prefix"], list):
-            raise ConfigError(f"scheme prefix {reprlib.repr(obj['prefix'])} is not a list")
-        return cls(mode=obj["mode"],
-                   prefix=tuple(obj["prefix"]),
-                   alpha=tuple(float(a) for a in obj["alpha"]),
-                   tol_schedule=tuple(float(t) for t in obj["tol_schedule"]),
-                   coverage=obj["scan_budget_used"])
+        """The scheme `to_json` wrote, its lists turned into tuples and
+        nothing converted: a missing key, a non-list prefix, alpha or
+        tol_schedule, or fields `IndexScheme` rejects are a ConfigError."""
+        keys = ("mode", "prefix", "alpha", "tol_schedule", "scan_budget_used")
+        if not (isinstance(obj, dict) and obj.keys() >= set(keys)
+                and all(isinstance(obj[k], list) for k in keys[1:4])):
+            raise ConfigError(f"scheme {reprlib.repr(obj)} lacks a key of {keys} or has "
+                              f"a prefix, alpha or tol_schedule that is not a list")
+        return cls(obj["mode"], *(tuple(obj[k]) for k in keys[1:4]), obj["scan_budget_used"])
 
 
 def identity_scheme() -> IndexScheme:
@@ -211,11 +207,11 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     bit-exact negation of the sign = +1.0 placement. The oracle reads
     phi_k(x) through the space's per-index path `functional_oracle`,
     set up once for the canonical x; it builds no object per call.
-    `at` classifies all its indices at once (`classify_at`) and gathers
-    their rows through `functional_values_at`. Only images under the
-    identity scheme (T(x) and the D = {0} placement) have a block,
-    `functional_values`; windows of the others are read through the
-    oracle. All three give the same bits.
+    Images under an extracted scheme have the oracle alone. Images
+    under the identity scheme (T(x) and the D = {0} placement) also
+    have a block, `functional_values`, and `at`, which gathers the rows
+    k = ceil(n / 2) through `functional_values_at`. All three give the
+    same bits.
     """
     x, bound = _element(space, x)
     phi = space.functional_oracle(x)
@@ -228,16 +224,8 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
         val = phi(k)
         return val if s == sign else -val
 
-    def at(ns: np.ndarray) -> np.ndarray:
-        signs, ks = scheme.classify_at(ns)
-        on = signs != 0.0
-        out = np.zeros(len(ns))
-        vals = space.functional_values_at(x, ks[on])
-        out[on] = np.where(signs[on] == sign, vals, -vals)
-        return out
-
     if scheme.mode != "identity":
-        return BoundedSeq(oracle, bound, at=at)
+        return BoundedSeq(oracle, bound)
 
     def block(lo: int, hi: int) -> np.ndarray:
         k_hi = (hi + 1) // 2
@@ -246,6 +234,11 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
         out[0::2] = -sign * vals
         out[1::2] = sign * vals
         return out[lo - 1:hi]
+
+    def at(ns: np.ndarray) -> np.ndarray:
+        # (ns + 1) // 2 would wrap at 2^63 - 1
+        vals = space.functional_values_at(x, ns // 2 + ns % 2)
+        return np.where(ns % 2 == 0, sign * vals, -sign * vals)
 
     return BoundedSeq(oracle, bound, block=block, at=at)
 
@@ -277,8 +270,8 @@ def isometry_defect(space: SeparableSpace, x, K: int) -> DefectRecord:
 
 def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
     """Re-check a witness by re-reading its indices in one call of
-    `coordinates_at`: the by-index read `at` when `s` has one, the
-    scalar oracle otherwise, never the block.
+    `coordinates_at`: the by-index read `at` when `s` has one (T(x)
+    does), the scalar oracle otherwise, never the block.
 
     Index lists must be nonempty, hold only ints (not bools, floats or
     strings), start at an index >= 1 and strictly increase; these are

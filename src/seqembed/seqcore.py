@@ -63,15 +63,15 @@ class BoundedSeq:
     `coordinates`, and the by-index `at(ns)` (an int64 array of indices
     in any order), read by `coordinates_at`. The tagged constructors
     have both, `combine` each one its children all have, and
-    `from_function` neither. Every space image has `at`; only images
-    under the identity scheme have a block. `verify.classify_c` builds
-    its witness from the block and `embed.reverify_witness` re-reads it
-    through `at` (the oracle when there is none), so a certificate is
-    checked by a second evaluation, not by the array it came from: a
-    tagged sequence's block slices a window and its `at` indexes each
-    n; a space image's block interleaves a prefix of phi values and
-    its `at` classifies each n and gathers that row, applying rows with
-    the block's arithmetic. Tests pin both reads to the oracle.
+    `from_function` neither; of the space images only T(x) (the identity
+    scheme) has them, and extracted images are read through the oracle.
+    `verify.classify_c` builds its witness from the block and
+    `embed.reverify_witness` re-reads it through `at` (the oracle when
+    there is none), so a certificate is checked by a second evaluation,
+    not by the array it came from: a tagged sequence's block slices a
+    window and its `at` indexes each n; T(x)'s block interleaves a prefix
+    of phi values and its `at` gathers the row of each n with the
+    block's arithmetic. Tests pin both reads to the oracle.
     """
     oracle: Callable[[int], float]
     bound: float

@@ -441,6 +441,9 @@ class SeqLp(SeparableSpace):
             raise KindMismatch("seqlp elements are index->value maps")
         out = {}
         for i, v in x.items():
+            # int() would also take 1.5, True, "01" and "1_0"
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise KindMismatch(f"support index {i!r} is not an int")
             i = int(i)
             v = float(v)
             if i < 1:

@@ -108,6 +108,43 @@ def test_scheme_from_json_rejects_malformed_prefix(prefix):
         IndexScheme.from_json(obj)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("alpha", ["0.5"]),             # float() would read this as (0.5,)
+    ("tol_schedule", [0.5, "0.25"]),
+    ("alpha", [float("nan")]), ("tol_schedule", [float("inf")]), ("alpha", [True]),
+    ("alpha", "0.5"), ("tol_schedule", (0.5,)),
+    ("scan_budget_used", "abc"),    # classify(2) would compare int with str
+    ("scan_budget_used", 64.0), ("scan_budget_used", True), ("scan_budget_used", None),
+    ("scan_budget_used", 0),
+    ("scan_budget_used", 3),        # index 9 would be SchemeExhausted
+    ("mode", "bogus"), ("mode", None),
+    ("mode", "identity"),           # its prefix would be ignored
+])
+def test_scheme_from_json_rejects_malformed_fields(key, value):
+    obj = IndexScheme("finite", (3, 9, 15), (-0.5,), (0.5,), 64).to_json()
+    obj[key] = value
+    with pytest.raises(ConfigError):
+        IndexScheme.from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["mode", "prefix", "alpha", "tol_schedule",
+                                 "scan_budget_used"])
+def test_scheme_from_json_rejects_a_missing_key(key):
+    obj = IndexScheme("finite", (3, 9, 15), (-0.5,), (0.5,), 64).to_json()
+    del obj[key]
+    with pytest.raises(ConfigError):
+        IndexScheme.from_json(obj)
+
+
+def test_identity_scheme_has_no_fields():
+    identity = identity_scheme().to_json()
+    assert IndexScheme.from_json(identity) == identity_scheme()
+    for key, value in (("prefix", [1, 2]), ("alpha", [0.5]), ("tol_schedule", [0.5]),
+                       ("scan_budget_used", 64)):
+        with pytest.raises(ConfigError):
+            IndexScheme.from_json({**identity, key: value})
+
+
 @pytest.mark.parametrize("scheme", [
     identity_scheme(),
     bw_extract(SubspaceD("finite", (W1,)), 2, 64),
@@ -116,8 +153,6 @@ def test_classify_rejects_indices_below_one(scheme):
     for n in (0, -1, -64):
         with pytest.raises(IndexZero):
             scheme.classify(n)
-        with pytest.raises(IndexZero):
-            scheme.classify_at(np.array([5, n, 3]))
 
 
 # -- cell-refinement extraction ----------------------------------------------
@@ -469,16 +504,29 @@ def test_coordinates_at_matches_oracle(spec, mode, seed, warm, ns):
     assert _same_rows(by_index._Phi, scalar._Phi)
 
 
-@pytest.mark.parametrize("mode", ["identity", "bw_extract", "diagonal_extract"])
-def test_classify_at_matches_classify(mode):
-    scheme = {"identity": identity_scheme(), "bw_extract": _BW,
-              "diagonal_extract": _DIAG}[mode]
-    ns = np.arange(1, 4097)[::-1]
-    if mode == "identity":
-        ns = np.concatenate([ns, [2 ** 62, 2 ** 63 - 1]])
-    signs, ks = scheme.classify_at(ns)
-    assert signs.dtype == float and ks.dtype == np.int64
-    assert list(zip(signs.tolist(), ks.tolist())) == [scheme.classify(int(n)) for n in ns]
+@pytest.mark.parametrize("mode", ["bw_extract", "diagonal_extract"])
+def test_classify_matches_prefix_positions(mode):
+    # n_j is eta-((j + 1) / 2) for odd j and eta+(j / 2) for even j;
+    # every other index within coverage is off I, and past it exhausted
+    scheme = {"bw_extract": _BW, "diagonal_extract": _DIAG}[mode]
+    pos = {n: j for j, n in enumerate(scheme.prefix, 1)}
+    for n in range(1, scheme.coverage + 1):
+        j = pos.get(n)
+        want = (0.0, 0) if j is None else (1.0, j // 2) if j % 2 == 0 else (-1.0, (j + 1) // 2)
+        assert scheme.classify(n) == want
+    with pytest.raises(SchemeExhausted):
+        scheme.classify(scheme.coverage + 1)
+
+
+@pytest.mark.parametrize("mode", ["bw_extract", "diagonal_extract"])
+def test_only_identity_images_read_by_index(mode):
+    # extracted images are read through the oracle; T(x) keeps `at` and `block`
+    sp, x = FiniteDimLp(2, 2), np.array([3.0, 4.0])
+    s = _PLACEMENTS[mode](sp, x)
+    assert s.at is None and s.block is None
+    for placement in ("embed_t1", "identity"):
+        t = _PLACEMENTS[placement](sp, x)
+        assert t.at is not None and t.block is not None
 
 
 @pytest.mark.parametrize("mode", ["bw_extract", "diagonal_extract"])
@@ -486,7 +534,7 @@ def test_coordinates_at_off_and_past_the_scheme(mode):
     scheme = {"bw_extract": _BW, "diagonal_extract": _DIAG}[mode]
     s = _PLACEMENTS[mode](FiniteDimLp(2, 2), np.array([3.0, 4.0]))
     ns = np.arange(1, scheme.coverage + 1)
-    off = scheme.classify_at(ns)[0] == 0.0
+    off = np.array([scheme.classify(n)[0] == 0.0 for n in ns.tolist()])
     vals = coordinates_at(s, ns)
     assert off.any() and vals[off].tobytes() == np.zeros(off.sum()).tobytes()
     assert vals[~off].all()

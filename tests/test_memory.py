@@ -2,14 +2,15 @@
 budget 4B is compared with the one at B, each after one untraced
 warm-up run. Linear growth gives a ratio near 4, quadratic near 16.
 The per-index oracle of an image stays bounded by the cached net rows,
-whatever x's support."""
+whatever x's support, and an index scheme keeps no table beside its
+prefix."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from seqembed import (BudgetExhausted, CustomNet, SeqLp, SubspaceD, bw_extract,
-                      classify_c, coordinate, embed_t1, from_function,
+from seqembed import (BudgetExhausted, CustomNet, IndexScheme, SeqLp, SubspaceD,
+                      bw_extract, classify_c, coordinate, embed_t1, from_function,
                       oscillation_witness, periodic)
 
 B = 10000
@@ -56,3 +57,15 @@ def test_oracle_memory_bounded_by_the_cached_rows():
     # x's coordinates are kept as wide as the cached rows, not as its
     # largest support index: a dense list to 10**9 would be 8 GB
     assert _peak(_far_support, 2000) < 2 * 2 ** 20
+
+
+def test_scheme_retains_little_beyond_its_prefix():
+    prefix = tuple(range(1, 2 * 4096, 2))
+    tracemalloc.start()
+    try:
+        scheme = IndexScheme("finite", prefix, (0.5,), (0.25,), 2 * 4096)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scheme.prefix is prefix
+    assert retained < 4096

@@ -214,6 +214,26 @@ def test_seqlp_rejects_bad_support():
         SeqLp(2.0).canonical([1.0, 2.0])
 
 
+@pytest.mark.parametrize("x", [
+    {1.5: 2.0, True: 3.0},          # int() would fold both into {1: 3.0}
+    {"01": 2.0, "1": 3.0}, {"1_0": 2.0}, {1.9: 1.0, 1: 1.0}, {False: 1.0},
+    {np.float64(2.0): 1.0}, {np.bool_(True): 1.0},
+])
+def test_seqlp_keys_are_ints_not_folded(x):
+    sp = SeqLp(2.0)
+    with pytest.raises(KindMismatch):
+        sp.canonical(x)
+    with pytest.raises(KindMismatch):
+        sp.norm(x)
+
+
+def test_seqlp_takes_numpy_int_keys():
+    sp = SeqLp(2.0)
+    x = sp.canonical({np.int64(2): 1.0, np.int32(5): -2.0})
+    assert x == {2: 1.0, 5: -2.0} and set(map(type, x)) == {int}
+    assert sp.norm({1: 1.0, 2: 1.0}) == SQ2
+
+
 def test_seqlp_net_and_functionals():
     sp = SeqLp(2.0)
     # level 1: supports {1} with values -1, 1
