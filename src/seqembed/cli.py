@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import importlib.resources
 import json
 import platform
@@ -373,7 +374,9 @@ def _summarize(report: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="seqembed",
         description="constructive embeddings into bounded sequences "
@@ -387,11 +390,15 @@ def main(argv=None) -> int:
         p.add_argument("--budget", type=int, default=None,
                        help="override classify/witness budget")
         if name == "classify":
-            p.add_argument("--spec", action="append", default=[],
+            p.add_argument("--spec", action="append",
                            help="sequence spec (repeatable)")
             p.add_argument("--gap-floor", type=float, default=None)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:   # argparse's usage exit 2 would read as an exhausted budget
         return 1 if exc.code else 0
 

@@ -207,22 +207,28 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     bit-exact negation of the sign = +1.0 placement. The oracle reads
     phi_k(x) through the space's per-index path `functional_oracle`,
     set up once for the canonical x; it builds no object per call.
-    Images under an extracted scheme have the oracle alone. Images
-    under the identity scheme (T(x) and the D = {0} placement) also
-    have a block, `functional_values`, and `at`, which gathers the rows
+    Each image's oracle keeps one slot, the last (k, phi_k(x)) it read,
+    so the two members of a pair read in turn cost one phi_k(x); phi_k
+    is pure, so a read from the slot has a fresh read's bits. Images
+    under an extracted scheme have the oracle alone. Images under the
+    identity scheme (T(x) and the D = {0} placement) also have a block,
+    `functional_values`, and `at`, which gathers the rows
     k = ceil(n / 2) through `functional_values_at`. All three give the
     same bits.
     """
     x, bound = _element(space, x)
     phi = space.functional_oracle(x)
     classify = scheme.classify
+    last_k, last_val = 0, 0.0       # the last (k, phi_k(x)) read; k = 0 is none
 
     def oracle(n: int) -> float:
+        nonlocal last_k, last_val
         s, k = classify(n)
         if s == 0.0:
             return 0.0
-        val = phi(k)
-        return val if s == sign else -val
+        if k != last_k:
+            last_val, last_k = phi(k), k
+        return last_val if s == sign else -last_val
 
     if scheme.mode != "identity":
         return BoundedSeq(oracle, bound)

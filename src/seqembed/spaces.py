@@ -162,13 +162,6 @@ def _dot_row(row, x) -> float:
     return acc
 
 
-def _point_value(row, breaks, values) -> float:
-    """A c01 functional row (location, sign) applied to the PL function
-    with these breaks and values."""
-    location, sign = row
-    return sign * float(np.interp(location, breaks, values))
-
-
 def _number_rows(rows, what: str) -> np.ndarray:
     """A nonempty list of equal-length rows of numbers, as a float
     matrix; anything else (a scalar, strings, booleans, ragged rows) is
@@ -198,8 +191,10 @@ class SeparableSpace:
     by-index read functional_values_at(x, ks), which gathers rows
     ks - 1; and the scalar path functional_oracle(x), which takes x
     once and returns k -> phi_k(x), reading cache row k - 1 with no
-    object built per call. The first two apply their rows through
-    `_apply_rows`, each kind's one array arithmetic.
+    object built per call (c01's also keeps x's value at each grid
+    location it read, at most one grid's points per oracle). The first
+    two apply their rows through `_apply_rows`, each kind's one array
+    arithmetic.
     apply_functional(norming_functional(k), x) gives the same bits as a
     reference; nothing in the library calls it. The p-norm
     kinds share one row arithmetic here: `_dot_rows` for blocks,
@@ -554,15 +549,27 @@ class ContinuousPL(SeparableSpace):
     def apply_functional(self, phi, x) -> float:
         self._check_kind(phi)
         x = self.canonical(x)
-        return _point_value(phi.row, x.breaks, x.values)
+        location, sign = phi.row
+        return sign * float(np.interp(location, x.breaks, x.values))
 
     def functional_oracle(self, x):
+        """k -> phi_k(x), bit for bit apply_functional's arithmetic on
+        row k - 1, with x interpolated once per grid location: the
+        closure's dict maps each location read to x there, so it holds
+        at most the widest cached grid's points (3 for rows 1..4746).
+        Cached rows are read as they are; any other k goes through
+        `_index`."""
         x = self.canonical(x)
         breaks, values = np.array(x.breaks), np.array(x.values)
+        x_at = {}
 
         def value(k: int) -> float:
-            i = self._index(k)
-            return _point_value(self._Phi[i].tolist(), breaks, values)
+            if not 0 < k <= len(self._Phi):
+                self._index(k)
+            location, sign = self._Phi[k - 1].tolist()
+            if location not in x_at:
+                x_at[location] = float(np.interp(location, breaks, values))
+            return sign * x_at[location]
         return value
 
     def _apply_rows(self, Phi, x):

@@ -219,6 +219,22 @@ def test_help_exits_zero(capsys):
     assert "--gap-floor" in capsys.readouterr().out
 
 
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # the parser is built once per process: --spec lists do not carry
+    # over from one call to the next, and help and a usage error still
+    # give 0 and 1 between calls
+    assert cli._parser() is cli._parser()
+    specs = [["periodic:-1,1"], ["limit:1,rate=2", "periodic:2,-2,0"], ["periodic:-1,1"]]
+    for i, these in enumerate(specs):
+        out = tmp_path / f"c{i}.json"
+        argv = ["classify", "--budget", "64", "--gap-floor", "1", "--out", str(out)]
+        assert main(argv + [a for s in these for a in ("--spec", s)]) == 0
+        assert [v["seq_id"] for v in load_report(out)["verdicts"]] == these
+        assert main(["classify", "--help"]) == 0
+        assert main(["classify", "--budget", "abc"]) == 1
+        capsys.readouterr()
+
+
 def test_exit_one_on_gap_floor_too_fine_for_cells(capsys):
     # 2 / (1e-20 / 4) cells: past 2^62 their int64 indices would overflow
     code, out, err = run(capsys, "classify", "--spec", "periodic:-1,1",

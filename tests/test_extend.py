@@ -548,6 +548,78 @@ def test_coordinates_at_off_and_past_the_scheme(mode):
         assert by_index.value.index == scalar.value.index == first
 
 
+_MEMO_SPECS = ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"]
+
+
+def _counted_values(monkeypatch, sp):
+    """The k of every phi_k(x) that images built on sp from now on ask
+    of `functional_oracle`, in order."""
+    calls, build = [], sp.functional_oracle
+
+    def counted(x):
+        value = build(x)
+
+        def read(k):
+            calls.append(k)
+            return value(k)
+        return read
+    monkeypatch.setattr(sp, "functional_oracle", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", _MEMO_SPECS)
+def test_pair_reads_share_one_functional_value(spec, monkeypatch):
+    sp = parse_space(spec)
+    x = sp.random_element(np.random.default_rng(11))
+    calls = _counted_values(monkeypatch, sp)
+    t = embed_t1(sp, x)
+    vals = [coordinate(t, n) for n in range(1, 601)]
+    assert calls == list(range(1, 301))
+    assert np.asarray(vals).tobytes() == t.block(1, 600).tobytes()
+    for scheme in (_BW, _DIAG):
+        calls.clear()
+        s = scheme_embed(sp, scheme, x)
+        for k in range(1, scheme.max_k() + 1):
+            coordinate(s, scheme.minus_index(k))
+            coordinate(s, scheme.plus_index(k))
+        assert calls == list(range(1, scheme.max_k() + 1))
+
+
+@pytest.mark.parametrize("spec", _MEMO_SPECS)
+@pytest.mark.parametrize("mode", ["embed_t1", "bw_extract", "diagonal_extract"])
+def test_scrambled_reads_keep_their_bits(spec, mode):
+    # pair members apart, repeated and reversed, with reads off I (0.0)
+    # and past coverage (SchemeExhausted) between them: every value has
+    # the bits of the block (T(x), sign -1) or of the signed
+    # functional_values (extracted schemes, sign +1)
+    sp = parse_space(spec)
+    x = sp.random_element(np.random.default_rng(13))
+    s = _PLACEMENTS[mode](sp, x)
+    if mode == "embed_t1":
+        ns = [1, 2, 2, 1, 4, 3, 9, 3, 10, 4, 1, 10, 9]
+        want = dict(zip(range(1, 11), s.block(1, 10).tolist()))
+        off = None
+    else:
+        scheme = {"bw_extract": _BW, "diagonal_extract": _DIAG}[mode]
+        at = scheme.index_at
+        off = min(set(range(1, scheme.coverage + 1)) - set(scheme.prefix))
+        past = scheme.coverage + 1
+        ns = [at(1), off, at(2), past, at(2), at(1), at(4), off, at(3), past,
+              at(3), at(6), at(1), at(5), past, at(2), off, at(6)]
+        vals = parse_space(spec).functional_values(x, 3)
+        want = {at(j): (1.0 if j % 2 == 0 else -1.0) * vals[(j + 1) // 2 - 1]
+                for j in range(1, 7)}
+        want[off] = 0.0
+    # a pair member read with the other's sign would show
+    assert all(v != 0.0 for n, v in want.items() if n != off)
+    for n in ns:
+        if n not in want:
+            with pytest.raises(SchemeExhausted):
+                coordinate(s, n)
+            continue
+        assert np.float64(coordinate(s, n)).tobytes() == np.float64(want[n]).tobytes(), n
+
+
 # -- limit functionals -----------------------------------------------------
 
 def test_limit_along_recovers_cluster_value():

@@ -114,6 +114,29 @@ def test_functional_oracle_grows_the_cache_past_its_rows(spec):
     assert _bits([got]) == _bits(sp.functional_values(x, rows + 1)[rows:])
 
 
+def test_c01_oracle_interpolates_once_per_location(monkeypatch):
+    # rows 1..4746 sit on the grid {0, 1/2, 1}; k = 4747 opens
+    # {0, 1/4, ..., 1}, whose rows first leave location 0 past 55300.
+    # Read on a cold cache, up, down and across the opening, every
+    # value keeps the block's bits
+    x = pl_function((0.0, 0.3, 1.0), (1.0, -2.0, 0.5))
+    want = ContinuousPL().functional_values(x, 55400)
+    sp, interp, locations = ContinuousPL(), np.interp, []
+
+    def counted(t, *args, **kwargs):
+        if np.ndim(t) == 0:
+            locations.append(t)
+        return interp(t, *args, **kwargs)
+    monkeypatch.setattr(np, "interp", counted)
+    value = sp.functional_oracle(x)
+    got = [value(k) for k in range(1, 4747)]
+    assert sorted(locations) == [0.0, 0.5, 1.0]
+    ks = [*range(4747, 4801), *range(55400, 55300, -1), *range(4800, 0, -1), 4747, 1]
+    got += [value(k) for k in ks]
+    assert sorted(locations) == [0.0, 0.25, 0.5, 1.0]
+    assert _bits(got) == _bits(want[[*range(4746), *(k - 1 for k in ks)]])
+
+
 @pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
 def test_functional_values_at_grows_the_cache_once(spec):
     # to max(ks) as `_ensure` grows it, whatever the order of ks
