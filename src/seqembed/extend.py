@@ -125,7 +125,9 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
     by level; tie: the smaller cell corner).
     The prefix takes the j-th element of stage j's survivor set for
     j <= m and continues along the final stage, so every member's tail
-    variation meets its schedule entry.
+    variation meets its schedule entry. Like `bw_extract`'s, the scheme
+    supplies at least one eta-/eta+ pair: a prefix of fewer than 2
+    indices raises BudgetExhausted with the partial scheme.
     """
     if D.mode not in ("countable", "dense"):
         raise EmptyBasis(f"diagonal_extract needs a countable or dense family, got {D.mode!r}")
@@ -162,8 +164,12 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
         diagonal.append(int(S[i - 1]) + 1)
 
     prefix = tuple(diagonal + (S[S >= diagonal[-1]] + 1).tolist())
-    return IndexScheme("diagonal", prefix, tuple(betas), tuple(schedule[:m]),
-                       scan_budget)
+    scheme = IndexScheme("diagonal", prefix, tuple(betas), tuple(schedule[:m]),
+                         scan_budget)
+    if len(prefix) < 2:
+        raise BudgetExhausted(f"prefix has {len(prefix)} index < 2: no eta-/eta+ pair",
+                              partial=scheme, found=len(prefix))
+    return scheme
 
 
 def extract_scheme(D: SubspaceD, depth: int, scan_budget: int,

@@ -87,13 +87,13 @@ class BoundedSeq:
         return np.array([self.oracle(n) for n in range(lo, hi + 1)], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterEstimate:
-    """Finite-truncation stand-in for a subsequential limit: the member
-    indices in increasing order, their coordinates in the same order,
-    the cell midpoint and the largest distance of a member from it."""
-    indices: tuple
-    values: tuple
+    """Finite-truncation stand-in for a subsequential limit: its members'
+    indices (int64, increasing) and coordinates (float64) as arrays, the
+    cell midpoint and the largest distance of a member from it."""
+    indices: np.ndarray
+    values: np.ndarray
     value: float
     spread: float
 
@@ -277,21 +277,21 @@ def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
 def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
     """Bucket coordinates over `window` by `_bucket`, the extractions' cell rule.
 
-    One ClusterEstimate per nonempty cell (value = cell midpoint),
-    sorted by descending hit count then ascending value. The union of
-    the returned index lists is exactly the window. The window is read
+    One ClusterEstimate per nonempty cell (value = cell midpoint), in
+    cell order, so ascending value; their member arrays tile the window.
+    The window, a range of step 1 (any other is a ValueError), is read
     once, through `s.coordinates` (the block when `s` has one), which
-    rejects a window starting below 1, and each estimate carries the
-    values it bucketed.
+    rejects a window starting below 1.
     """
+    if not isinstance(window, range) or window.step != 1:
+        raise ValueError(f"window {window!r} is not a range of step 1")
     if len(window) == 0:
         raise EmptyWindow("empty window")
     if cell_width <= 0:
         raise ValueError(f"cell_width {cell_width} must be positive")
 
-    indices = np.sort(np.fromiter(window, dtype=int))
-    lo, hi = int(indices[0]), int(indices[-1])
-    vals = s.coordinates(lo, hi)[indices - lo]
+    indices = np.arange(window.start, window.stop, dtype=np.int64)
+    vals = s.coordinates(window.start, window.stop - 1)
 
     b = s.bound
     width = cell_width if b != 0.0 else 0.0     # bound 0: one cell, the point 0
@@ -300,10 +300,9 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
     for cell in np.unique(cells):
         mask = cells == cell
         mid = -b + (cell + 0.5) * width
-        spread = float(np.max(np.abs(vals[mask] - mid)))
-        out.append(ClusterEstimate(tuple(indices[mask].tolist()),
-                                   tuple(vals[mask].tolist()), float(mid), spread))
-    out.sort(key=lambda e: (-len(e.indices), e.value))
+        members = vals[mask]
+        out.append(ClusterEstimate(indices[mask], members, float(mid),
+                                   float(np.max(np.abs(members - mid)))))
     return out
 
 

@@ -42,14 +42,14 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
     """Three-valued convergence verdict for a bounded sequence.
 
     Structural InC for convergence-tagged sequences; otherwise cluster
-    analysis over 1..budget: if two cells with at least 5 members each
-    are separated by at least gap_floor, a witness is assembled from
-    the values `cluster_estimates` bucketed (one read of the window,
-    through the block when `s` has one) and NotInC returned only if
-    `reverify_witness` accepts it. That re-reads the witness indices
-    through `s.at` (the scalar oracle when `s` has none), never the
-    block, so the block is cross-checked by a second evaluation (see
-    `BoundedSeq`); Unknown is the fallback, never an error.
+    analysis over 1..budget, from `cluster_estimates`' one read of the
+    window (through the block when `s` has one): if the lowest and the
+    highest cell with at least 5 members each are separated by at least
+    gap_floor, a witness pairs their first m members, and NotInC is
+    returned only if `reverify_witness` accepts it. That re-reads the
+    witness indices through `s.at` (the scalar oracle when `s` has
+    none), never the block, so the block is cross-checked by a second
+    evaluation (see `BoundedSeq`); Unknown is the fallback, never an error.
     """
     if budget < 2:
         raise ValueError(f"budget = {budget} must be >= 2")
@@ -67,16 +67,14 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
     estimates = cluster_estimates(s, range(1, budget + 1), gap_floor / 4.0)
     populated = [e for e in estimates if len(e.indices) >= 5]
     if len(populated) >= 2:
-        lo_cluster = min(populated, key=lambda e: e.value)
-        hi_cluster = max(populated, key=lambda e: e.value)
-        separation = (hi_cluster.value - hi_cluster.spread) - \
-                     (lo_cluster.value + lo_cluster.spread)
+        lo, hi = populated[0], populated[-1]
+        separation = (hi.value - hi.spread) - (lo.value + lo.spread)
         if separation >= gap_floor:
-            m = min(len(hi_cluster.indices), len(lo_cluster.indices))
-            plus_vals, minus_vals = hi_cluster.values[:m], lo_cluster.values[:m]
-            witness = _witness(hi_cluster.indices[:m], lo_cluster.indices[:m],
-                               plus_vals, minus_vals,
-                               hi_cluster.spread + lo_cluster.spread,
+            # Python ints and floats: reverify_witness rejects numpy ints
+            m = min(len(hi.indices), len(lo.indices))
+            plus_vals, minus_vals = hi.values[:m].tolist(), lo.values[:m].tolist()
+            witness = _witness(hi.indices[:m].tolist(), lo.indices[:m].tolist(),
+                               plus_vals, minus_vals, hi.spread + lo.spread,
                                min(plus_vals), max(minus_vals))
             if witness.gap >= gap_floor and reverify_witness(s, witness):
                 return NotInC(witness=witness)

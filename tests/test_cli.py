@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqembed import BudgetExhausted, SubspaceD, bw_extract, cli, periodic
+from seqembed import (BudgetExhausted, SubspaceD, bw_extract, cli,
+                      diagonal_extract, periodic)
 from seqembed.cli import main, parse_seq_spec, validate_config
 from seqembed.errors import ConfigError, _is_number
 from seqembed.seqcore import coordinate
@@ -314,6 +315,26 @@ def test_exit_two_on_extraction_out_of_budget(tmp_path, capsys):
                                            "detail": str(exc.value)}]
     assert report["scheme"] == exc.value.partial.to_json()
     assert report["witnesses"] == [] and report["errors"] == []
+
+
+@pytest.mark.parametrize("command", ["extend", "suite"])
+def test_exit_two_on_one_entry_diagonal_prefix(tmp_path, capsys, command):
+    # one member and one scanned index leave a one-entry prefix, no
+    # pair to place phi_1 on: an extraction row, not IndexZero's exit 3
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"space": "fdlp:dim=2,p=2", "samples": [[3.0, 4.0]],
+                               "d_mode": "countable", "d_basis": ["periodic:-1,1"],
+                               "m": 1, "scan_budget": 1}))
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 2, stdout + err
+    report = load_report(out)
+    with pytest.raises(BudgetExhausted) as exc:
+        diagonal_extract(SubspaceD("countable", (periodic([-1.0, 1.0]),)), 1, [0.5], 1)
+    assert report["budget_exhausted"] == [{"stage": "extraction",
+                                           "detail": str(exc.value)}]
+    assert report["scheme"] == exc.value.partial.to_json()
+    assert report["witnesses"] == [] and report["per_sample"] == []
 
 
 def test_exit_one_when_embedded_image_is_not_not_in_c(tmp_path, capsys):

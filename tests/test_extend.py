@@ -262,6 +262,16 @@ def test_diagonal_extract_budget():
         diagonal_extract(scaled_family(), 5, SCHEDULE, 4)
 
 
+@pytest.mark.parametrize("scan_budget", [1, 2])
+def test_diagonal_extract_needs_one_pair(scan_budget):
+    # m = 1 with one survivor: a one-entry prefix, no eta-/eta+ pair
+    D = SubspaceD("countable", (W1,))
+    with pytest.raises(BudgetExhausted, match="no eta-/eta\\+ pair") as exc:
+        diagonal_extract(D, 1, (0.5,), scan_budget)
+    assert exc.value.partial.prefix == (1,) and exc.value.found == 1
+    assert diagonal_extract(D, 1, (0.5,), 4).prefix == (1, 3)
+
+
 # -- both extractions against whole-row bucketing -------------------------
 
 def _ref_bucket(values, bound, side):
@@ -330,8 +340,12 @@ def ref_diagonal_extract(D, m, schedule, scan_budget):
                 partial=scheme, found=i - 1)
         diagonal.append(int(S[i - 1]))
     prefix = tuple(diagonal + [int(n) for n in S if n > diagonal[-1]])
-    return IndexScheme("diagonal", prefix, tuple(betas), tuple(schedule[:m]),
-                       scan_budget)
+    scheme = IndexScheme("diagonal", prefix, tuple(betas), tuple(schedule[:m]),
+                         scan_budget)
+    if len(prefix) < 2:
+        raise BudgetExhausted(f"prefix has {len(prefix)} index < 2: no eta-/eta+ pair",
+                              partial=scheme, found=len(prefix))
+    return scheme
 
 
 def _outcome(extract, *args):

@@ -259,10 +259,30 @@ def test_cluster_estimates_cover_window():
     assert seen == list(window)
 
 
-def test_cluster_estimates_sorted_by_count_then_value():
-    s = periodic([0.0, 0.0, 0.0, 2.0])
-    clusters = cluster_estimates(s, range(1, 41), 1.0)
-    assert len(clusters[0].indices) >= len(clusters[1].indices)
+@pytest.mark.parametrize("s, window, width", [
+    (periodic([2.0, 2.0, 2.0, 0.0]), range(1, 41), 1.0),
+    (from_function(lambda n: math.cos(0.7 * n), 1.0), range(5, 40), 0.3),
+    (embed_t1(FiniteDimLp(2, 2), np.array([3.0, 4.0])), range(3, 300), 1.25),
+], ids=["most-hits-on-top", "opaque", "embedded-block"])
+def test_cluster_estimates_in_cell_order(s, window, width):
+    clusters = cluster_estimates(s, window, width)
+    values = [c.value for c in clusters]
+    assert values == sorted(values) and len(set(values)) == len(values)
+    assert all(c.indices.dtype == np.int64 and c.values.dtype == np.float64
+               for c in clusters)
+    # the member arrays tile the window, each value read at its index
+    indices = np.concatenate([c.indices for c in clusters])
+    order = np.argsort(indices)
+    assert indices[order].tolist() == list(window)
+    assert (np.concatenate([c.values for c in clusters])[order].tolist()
+            == [coordinate(s, n) for n in window])
+
+
+@pytest.mark.parametrize("window", [range(1, 20, 2), range(10, 0, -1), [1, 2, 3]],
+                         ids=["step-2", "descending", "list"])
+def test_cluster_estimates_take_step_one_ranges_only(window):
+    with pytest.raises(ValueError, match="step 1"):
+        cluster_estimates(periodic([-1.0, 1.0]), window, 0.5)
 
 
 def test_cluster_estimates_zero_bound():
@@ -270,7 +290,7 @@ def test_cluster_estimates_zero_bound():
     assert len(clusters) == 1
     assert clusters[0].value == 0.0
     assert clusters[0].spread == 0.0
-    assert clusters[0].indices == tuple(range(1, 11))
+    assert clusters[0].indices.tolist() == list(range(1, 11))
 
 
 def test_cluster_estimates_empty_window():

@@ -54,6 +54,20 @@ def test_periodic_oscillation_detected():
     assert reverify_witness(periodic([-1.0, 1.0]), v.witness)
 
 
+def test_witness_pairs_the_end_cells_not_the_most_hit():
+    # per period: -1 twice, 0 four times (the most-hit cell), 0.5 and 1
+    # once; the witness pairs the first 8 members of the top cell (1)
+    # with the first 8 of the bottom one (-1), as Python ints and floats
+    s = periodic([-1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.5, 0.0])
+    w = classify_c(s, 64, 1.0).witness
+    assert w.plus_indices == tuple(range(5, 64, 8))
+    assert w.minus_indices == (1, 3, 9, 11, 17, 19, 25, 27)
+    assert w.plus_values == (1.0,) * 8 and w.minus_values == (-1.0,) * 8
+    assert {type(n) for n in w.plus_indices + w.minus_indices} == {int}
+    assert {type(v) for v in w.plus_values + w.minus_values + (w.gap,)} == {float}
+    assert w.gap == 2.0
+
+
 def test_opaque_convergent_never_in_c():
     # numerically convergent but untagged: the honest verdict is Unknown
     s = from_function(lambda n: 1.0 / n, 1.0)
