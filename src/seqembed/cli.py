@@ -18,6 +18,7 @@ import functools
 import importlib.resources
 import json
 import platform
+import re
 import reprlib
 import sys
 
@@ -67,7 +68,8 @@ def parse_seq_spec(spec: str) -> BoundedSeq:
             return explicit_limit(float(value), float(rate[5:]))
         if head == "combo":
             coeffs, children = [], []
-            for term in rest.split("+"):
+            # a + after <digit or .>e is an exponent sign, not a term break
+            for term in re.split(r"(?<![0-9.][eE])\+", rest):
                 c, star, child = term.partition("*")
                 if not star:
                     raise ConfigError(f"combo term {term!r} needs <coeff>*<spec>")

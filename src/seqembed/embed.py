@@ -212,9 +212,9 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     is pure, so a read from the slot has a fresh read's bits. Images
     under an extracted scheme have the oracle alone. Images under the
     identity scheme (T(x) and the D = {0} placement) also have a block,
-    `functional_values`, and `at`, which gathers the rows
-    k = ceil(n / 2) through `functional_values_at`. All three give the
-    same bits.
+    which interleaves `functional_values`, and `at`, which gathers the
+    values k = ceil(n / 2) from a fresh `functional_values` read to the
+    largest such k. All three give the same bits.
     """
     x, bound = _element(space, x)
     phi = space.functional_oracle(x)
@@ -242,8 +242,11 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
         return out[lo - 1:hi]
 
     def at(ns: np.ndarray) -> np.ndarray:
+        if not len(ns):
+            return np.zeros(0)
         # (ns + 1) // 2 would wrap at 2^63 - 1
-        vals = space.functional_values_at(x, ns // 2 + ns % 2)
+        ks = ns // 2 + ns % 2
+        vals = space.functional_values(x, int(ks.max()))[ks - 1]
         return np.where(ns % 2 == 0, sign * vals, -sign * vals)
 
     return BoundedSeq(oracle, bound, block=block, at=at)

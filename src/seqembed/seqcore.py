@@ -70,8 +70,8 @@ class BoundedSeq:
     there is none), so a certificate is checked by a second evaluation,
     not by the array it came from: a tagged sequence's block slices a
     window and its `at` indexes each n; T(x)'s block interleaves a prefix
-    of phi values and its `at` gathers the row of each n with the
-    block's arithmetic. Tests pin both reads to the oracle.
+    of phi values and its `at` gathers from a fresh read of that prefix
+    and signs by parity. Tests pin both reads to the oracle.
     """
     oracle: Callable[[int], float]
     bound: float

@@ -186,15 +186,15 @@ class SeparableSpace:
     norming functional, zero-padded to the widest level cached;
     `norming_functional(k)` hands that row out as a `Functional`.
     `_ensure` grows the cache; `CustomNet` overrides it to repeat its
-    cycle. There are three ways to phi_k(x), bit for bit alike: the
-    block functional_values(x, K) = [phi_1(x), ..., phi_K(x)]; the
-    by-index read functional_values_at(x, ks), which gathers rows
-    ks - 1; and the scalar path functional_oracle(x), which takes x
+    cycle. There are two ways to phi_k(x), bit for bit alike: the
+    block functional_values(x, K) = [phi_1(x), ..., phi_K(x)], which
+    applies rows 1..K through `_apply_rows`, each kind's one array
+    arithmetic; and the scalar path functional_oracle(x), which takes x
     once and returns k -> phi_k(x), reading cache row k - 1 with no
     object built per call (c01's also keeps x's value at each grid
-    location it read, at most one grid's points per oracle). The first
-    two apply their rows through `_apply_rows`, each kind's one array
-    arithmetic.
+    location it read, at most one grid's points per oracle). A read of
+    phi_k(x) at scattered k (T(x)'s `at` in `embed`) gathers from a
+    block.
     apply_functional(norming_functional(k), x) gives the same bits as a
     reference; nothing in the library calls it. The p-norm
     kinds share one row arithmetic here: `_dot_rows` for blocks,
@@ -310,28 +310,16 @@ class SeparableSpace:
         return value
 
     def functional_values(self, x, K: int) -> np.ndarray:
-        self._ensure(K)
+        """[phi_1(x), ..., phi_K(x)]; K < 1 is IndexZero."""
+        self._index(K)
         return self._apply_rows(self._Phi[:K], x)
-
-    def functional_values_at(self, x, ks: np.ndarray) -> np.ndarray:
-        """[phi_k(x) for k in ks] for an int64 array ks in any order,
-        bit for bit functional_oracle(x)(k): the cache grows once, to
-        max(ks) as `_ensure` grows it, and the rows are gathered and
-        applied as `functional_values` applies its block. k < 1 is
-        IndexZero."""
-        if not len(ks):
-            return np.zeros(0)
-        if ks.min() < 1:
-            raise IndexZero(f"k = {int(ks.min())} < 1")
-        self._ensure(int(ks.max()))
-        return self._apply_rows(self._Phi[ks - 1], x)
 
     def _apply_rows(self, Phi: np.ndarray, x) -> np.ndarray:
         """The functional rows Phi applied to x, one value per row."""
         return _dot_rows(Phi, self._coords(self.canonical(x), Phi.shape[1]))
 
     def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
-        self._ensure(K)
+        self._index(K)          # K < 1 is IndexZero
         v = self.canonical(v)
         # the columns the first K rows use; support past them is orthogonal
         width = self._width(self._level_of(K - 1))
@@ -577,7 +565,7 @@ class ContinuousPL(SeparableSpace):
         return Phi[:, 1] * np.interp(Phi[:, 0], x.breaks, x.values)
 
     def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
-        self._ensure(K)
+        self._index(K)          # K < 1 is IndexZero
         v = self.canonical(v)
         out = np.empty(K - lo)
         first = lo

@@ -65,6 +65,30 @@ def test_parse_spec_rejects(bad):
         parse_seq_spec(bad)
 
 
+@pytest.mark.parametrize("spec, plain", [
+    ("combo:1e+0*periodic:1,-1", "combo:1*periodic:1,-1"),
+    ("combo:1*periodic:1e+0,-1", "combo:1*periodic:1,-1"),
+    ("combo:2.5E+1*periodic:1e+0,-1E+0+1.e-1*limit:1e+1,rate=2e+0",
+     "combo:25*periodic:1,-1+0.1*limit:10,rate=2"),
+    (f"combo:{1e16!r}*periodic:1,-1+1*evconst:1e+0@2",
+     "combo:10000000000000000*periodic:1,-1+1*evconst:1@2"),
+], ids=["coeff", "pattern", "two-terms", "repr-1e16"])
+def test_parse_combo_spec_with_exponents(spec, plain):
+    # a + after <digit>e is an exponent sign, not a term break, as in
+    # repr(1e16) == '1e+16'
+    s, want = parse_seq_spec(spec), parse_seq_spec(plain)
+    assert s.tag.coeffs == want.tag.coeffs
+    assert [c.tag for c in s.tag.children] == [c.tag for c in want.tag.children]
+    assert [coordinate(s, n) for n in range(1, 7)] == [coordinate(want, n) for n in range(1, 7)]
+
+
+def test_classify_combo_spec_with_exponent(capsys):
+    code, out, err = run(capsys, "classify", "--spec", "combo:1e+0*periodic:1,-1",
+                         "--budget", "64", "--gap-floor", "1")
+    assert code == 0, out + err
+    assert "verdict combo:1e+0*periodic:1,-1: NotInC" in out
+
+
 # -- config validation -----------------------------------------------------
 
 def test_validate_config_requires_space():
@@ -276,6 +300,65 @@ def test_exit_one_on_missing_config(capsys):
     code, _, err = run(capsys, "extend", "--config", "/no/such/file.json")
     assert code == 1
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, cfg, says", [
+    pytest.param(["suite", "--config", "no_such_config"], None, "no bundled config",
+                 id="unknown-bundled-name"),
+    pytest.param(["embed", "--config", "CFG"], [{"space": "c01"}], "must be a JSON object",
+                 id="not-an-object"),
+    pytest.param(["embed", "--config", "CFG"], {"space": "fdlp:dim=2,p=2"},
+                 "at least one sample", id="no-samples"),
+    pytest.param(["extend", "--config", "CFG"],
+                 {"space": "fdlp:dim=2,p=2", "samples": [[3.0, 4.0]],
+                  "d_basis": ["periodic:-1,1", "evconst:0.5"], "d_samples": [[1.0]]},
+                 "d_samples row of length 1", id="d-samples-row-length"),
+    pytest.param(["classify"], None, "classify needs --spec", id="classify-without-specs"),
+    *(pytest.param([command], None, f"{command} requires --config",
+                   id=f"{command}-without-config") for command in ("embed", "extend", "suite")),
+])
+def test_exit_one_on_config_error(tmp_path, capsys, argv, cfg, says):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *(str(path) if a == "CFG" else a for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("ConfigError:") and says in err and err.count("\n") == 1, err
+
+
+#: small budgets, so these runs take milliseconds
+SMALL = {"K": 16, "count": 2, "witness_budget": 2000, "classify_budget": 256}
+
+
+@pytest.mark.parametrize("cfg, rows", [
+    pytest.param({"space": "seqlp:p=2,support=4", "samples": [{"1": 1.0, "3": -0.5}, {"2": 2.0}]},
+                 2, id="seqlp"),
+    pytest.param({"space": "c01", "samples": [{"breaks": [0, 0.5, 1], "values": [1.0, -0.5, 0.25]}]},
+                 1, id="c01"),
+])
+def test_embed_on_sequence_and_function_spaces(tmp_path, capsys, cfg, rows):
+    # pinned as they run: exit 0, and one defect row, one witness and
+    # one NotInC verdict per sample
+    path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    path.write_text(json.dumps({**cfg, **SMALL}))
+    code, stdout, err = run(capsys, "embed", "--config", str(path), "--out", str(out))
+    assert code == 0, stdout + err
+    report = load_report(out)
+    assert [len(report[k]) for k in ("per_sample", "witnesses", "verdicts")] == [rows] * 3
+    assert {v["kind"] for v in report["verdicts"]} == {"NotInC"}
+    assert report["budget_exhausted"] == report["errors"] == []
+
+
+def test_suite_classifies_config_sequences(tmp_path, capsys):
+    path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"space": "fdlp:dim=2,p=2", "samples": [[3.0, 4.0]],
+                                "d_samples": [[]], "sequences": ["zero", "periodic:1,-1"],
+                                **SMALL}))
+    code, stdout, err = run(capsys, "suite", "--config", str(path), "--out", str(out))
+    assert code == 0, stdout + err
+    verdicts = load_report(out)["verdicts"]
+    assert [(v["seq_id"], v["kind"]) for v in verdicts] == [
+        ("T(x0)", "NotInC"), ("zero", "InC"), ("periodic:1,-1", "NotInC")]
+    assert verdicts[1]["detail"]["limit"] == 0.0
 
 
 STARVED = {

@@ -243,8 +243,17 @@ def test_diagonal_extract_stagewise_tolerance():
         assert all(abs(v - sch.alpha[i - 1]) <= SCHEDULE[i - 1] for v in vals)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_bw_extract_needs_depth_one(depth):
+    with pytest.raises(ValueError, match="depth"):
+        bw_extract(finite_d(), depth, 64)
+
+
 def test_diagonal_extract_validates_schedule():
     D = scaled_family()
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m = "):
+            diagonal_extract(D, m, SCHEDULE, 1000)
     with pytest.raises(ValueError):
         diagonal_extract(D, 3, (0.5, 0.5, 0.25), 1000)
     with pytest.raises(ValueError):

@@ -285,6 +285,12 @@ def test_cluster_estimates_take_step_one_ranges_only(window):
         cluster_estimates(periodic([-1.0, 1.0]), window, 0.5)
 
 
+@pytest.mark.parametrize("width", [0.0, -0.5])
+def test_cluster_estimates_need_a_positive_cell_width(width):
+    with pytest.raises(ValueError, match="cell_width"):
+        cluster_estimates(periodic([-1.0, 1.0]), range(1, 9), width)
+
+
 def test_cluster_estimates_zero_bound():
     clusters = cluster_estimates(zero_seq(), range(1, 11), 0.5)
     assert len(clusters) == 1

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,8 @@ import pytest
 
 from seqembed import (ConfigError, CustomNet, FiniteDimLp, IndexZero,
                       KindMismatch, NotUnitVector, SeqLp, ContinuousPL,
-                      ZeroElement, parse_space, pl_function)
+                      ZeroElement, coordinates_at, embed_t1, parse_space,
+                      pl_function)
 from reference import net_size_through_level, pl_subtract
 
 SQ2 = math.sqrt(2.0)
@@ -88,8 +90,6 @@ def test_functional_values_matches_pointwise():
             pointwise = sp.apply_functional(sp.norming_functional(k), x)
             assert _bits([pointwise]) == _bits([value(k)]) == _bits(vals[k - 1:k]), \
                 (sp.describe(), k)
-        ks = np.concatenate([np.arange(K, 0, -1), [1, K, 1]])
-        assert _bits(sp.functional_values_at(x, ks)) == _bits(vals[ks - 1]), sp.describe()
 
 
 @pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
@@ -138,20 +138,82 @@ def test_c01_oracle_interpolates_once_per_location(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
-def test_functional_values_at_grows_the_cache_once(spec):
-    # to max(ks) as `_ensure` grows it, whatever the order of ks
+def test_t1_by_index_read_grows_the_cache_once(spec, monkeypatch):
+    # T(x)'s `at` reads phi_1(x)..phi_K(x) in one block for K = max
+    # ceil(n / 2), whatever the order of the indices: the cache grows
+    # once, to K as `_ensure` grows it, and n = 2k - 1 reads +phi_k(x),
+    # n = 2k reads -phi_k(x)
     sp, ref = parse_space(spec), parse_space(spec)
     x = sp.random_element(np.random.default_rng(7))
     for s in (sp, ref):
         s.net_point(40)
-    got = sp.functional_values_at(x, np.array([900, 3, 41, 900]))
+    grown, ensure = [], sp._ensure
+
+    def counted(K):
+        if K > len(sp._U):
+            grown.append(K)
+        ensure(K)
+    monkeypatch.setattr(sp, "_ensure", counted)
+    t = embed_t1(sp, x)
+    ns = np.array([1799, 5, 82, 1800, 6, 81, 1799])
+    got = coordinates_at(t, ns)
+    assert grown == [900]
     ref._ensure(900)
     assert sp._Phi.shape == ref._Phi.shape and np.array_equal(sp._Phi, ref._Phi)
-    assert _bits(got) == _bits(ref.functional_values(x, 900)[[899, 2, 40, 899]])
-    assert sp.functional_values_at(x, np.zeros(0, dtype=np.int64)).shape == (0,)
-    for ks in ([0], [3, -1]):
+    vals = ref.functional_values(x, 900)
+    assert _bits(got) == _bits([vals[899], vals[2], -vals[40], -vals[899], -vals[2],
+                                vals[40], vals[899]])
+    assert coordinates_at(t, np.zeros(0, dtype=np.int64)).shape == (0,)
+    for bad in ([0], [3, -1]):
         with pytest.raises(IndexZero):
-            sp.functional_values_at(x, np.array(ks))
+            coordinates_at(t, np.array(bad))
+    assert grown == [900]
+
+
+_KINDS = ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01",
+          {"kind": "custom", "p": 2, "points": [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]}]
+
+
+@pytest.mark.parametrize("warm", [0, 50], ids=["fresh", "warm"])
+@pytest.mark.parametrize("spec", _KINDS, ids=["fdlp", "seqlp", "c01", "custom"])
+def test_blocks_reject_k_below_one(spec, warm):
+    # K < 1 names no rows 1..K, as in net_distance and prefix_sup; the
+    # check comes before the cache grows
+    sp = parse_space(spec)
+    if warm:
+        sp.net_point(warm)
+    x = sp.random_element(np.random.default_rng(11))
+    for K in (0, -1):
+        with pytest.raises(IndexZero):
+            sp.functional_values(x, K)
+        with pytest.raises(IndexZero):
+            sp.distance_profile(sp.unit(x), K)
+    assert len(sp._U) == warm
+
+
+def _element_bits(x) -> bytes:
+    if isinstance(x, dict):
+        return np.array([v for _, v in sorted(x.items())]).tobytes() + repr(sorted(x)).encode()
+    if hasattr(x, "breaks"):
+        return np.array(x.breaks + x.values).tobytes()
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("spec, extra", [
+    ("fdlp:dim=3,p=1.5", [[619785566.3086329, -0.0, 5e-324]]),
+    ("seqlp:p=3,support=4", [{1: 619785566.3086329, 9: -1e-300, 4: 2.5}]),
+    ("c01", [pl_function((0.0, 0.1, 1.0), (-0.0, 1e16, 0.1))]),
+    (_KINDS[3], [[0.6, -0.8]]),
+], ids=["fdlp", "seqlp", "c01", "custom"])
+def test_element_json_round_trip(spec, extra):
+    # through JSON text and back, bit for bit, as the CLI reads samples
+    sp, rng = parse_space(spec), np.random.default_rng(17)
+    xs = [f(rng) for f in (sp.random_element, sp.lattice_sample) for _ in range(5)] + extra
+    for x in xs:
+        text = json.dumps(sp.element_to_json(x))
+        back = sp.element_from_json(json.loads(text))
+        assert json.dumps(sp.element_to_json(back)) == text
+        assert _element_bits(back) == _element_bits(sp.canonical(x)), text
 
 
 def test_functional_does_not_change_as_the_cache_grows():
