@@ -25,10 +25,8 @@ import numpy as np
 from .errors import (BudgetExhausted, ConfigError, IndexZero, SchemeExhausted,
                      ZeroElement, _numbers)
 from .seqcore import BoundedSeq, coordinate, coordinates_at, prefix_sup
-from .spaces import SeparableSpace
+from .spaces import SCAN_BLOCK, SeparableSpace
 
-#: block size for witness scans over the net enumeration
-_SCAN_BLOCK = 4096
 #: default scan budget of the witness searches, and of the CLI's witness_budget
 WITNESS_BUDGET = 100000
 
@@ -337,7 +335,7 @@ def _scan_witness(space: SeparableSpace, x, image: BoundedSeq,
     hits = []
     k = 0
     while k < k_limit and len(hits) < count:
-        hi = min(k + _SCAN_BLOCK, k_limit)
+        hi = min(k + SCAN_BLOCK, k_limit)
         dists = space.distance_profile(v, hi, k)
         for off in np.nonzero(dists <= epsilon)[0]:
             n_plus, n_minus = pair_at(k + int(off) + 1)

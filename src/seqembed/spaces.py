@@ -6,9 +6,10 @@ producing a norming functional for every enumerated point. The
 enumeration is one net cache in `SeparableSpace`: level t = 1, 2, ...
 lists the nonzero rows of {-t..t}^width(t) lexicographically, any rank
 range of a level is normalized and dualized in one vectorized step,
-and asking for index K with n rows cached grows the cache to
-max(K, 2n) rows, never to the end of a level it does not need.
-Duplicate directions across levels are permitted; density is unaffected.
+and asking for index K with n rows cached appends rows up to
+max(K, n + min(n, SCAN_BLOCK)) in place, never to the end of a level
+it does not need (see `SeparableSpace`). Duplicate directions across
+levels are permitted; density is unaffected.
 """
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ from .errors import (ConfigError, IndexZero, KindMismatch, NotUnitVector,
                      ZeroElement, _is_number, _numbers)
 
 UNIT_TOL = 1e-9
+#: rows per witness-scan block, and the most rows one growth of a net
+#: cache of at least that many rows adds beyond the index asked for
+SCAN_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +83,11 @@ def _duality_rows(U: np.ndarray, p: float) -> np.ndarray:
 
     p in (1, inf): sign(u)|u|^(p-1); p = 1: sign(u); p = inf: signed
     coordinate functional at the smallest index attaining |u_i| = 1.
+    At p = 2 that is U itself, bit for bit, unless U holds a -0.0
+    (which sign(u)|u| makes +0.0); lattice rows never do.
     """
+    if p == 2.0 and not np.signbit(U[U == 0.0]).any():
+        return U
     if math.isinf(p):
         rows = np.arange(len(U))
         idx = np.argmax(np.abs(U) >= 1.0 - 1e-12, axis=1)
@@ -131,14 +139,20 @@ def _lattice_rows(t: int, width: int, lo: int, hi: int) -> np.ndarray:
     return W
 
 
-def _stack(blocks) -> np.ndarray:
-    """The rows of all blocks in order, zero-padded to the widest."""
-    out = np.zeros((sum(len(b) for b in blocks), max(b.shape[1] for b in blocks)))
-    i = 0
-    for b in blocks:
-        out[i:i + len(b), :b.shape[1]] = b
-        i += len(b)
-    return out
+def _put(buf: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """buf with `rows` written from row n on: buf itself when they fit,
+    else a zero buffer holding buf's first n rows, of twice buf's row
+    capacity (or n + len(rows) rows, if more) and as wide as the wider
+    of the two. Rows below n are never written again, so a view of
+    them stays valid however the buffer grows."""
+    end, width = n + len(rows), rows.shape[1]
+    if end > len(buf) or width > buf.shape[1]:
+        grown = np.zeros((len(buf) if end <= len(buf) else max(end, 2 * len(buf)),
+                          max(width, buf.shape[1])))
+        grown[:n, :buf.shape[1]] = buf[:n]
+        buf = grown
+    buf[n:end, :width] = rows
+    return buf
 
 
 def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
@@ -185,11 +199,18 @@ class SeparableSpace:
     Row k - 1 of `_U` is the k-th net point and row k - 1 of `_Phi` its
     norming functional, zero-padded to the widest level cached;
     `norming_functional(k)` hands that row out as a `Functional`.
-    `_ensure` grows the cache; `CustomNet` overrides it to repeat its
-    cycle. There are two ways to phi_k(x), bit for bit alike: the
-    block functional_values(x, K) = [phi_1(x), ..., phi_K(x)], which
-    applies rows 1..K through `_apply_rows`, each kind's one array
-    arithmetic; and the scalar path functional_oracle(x), which takes x
+    `_ensure` is the one growth path of every kind: asked for K rows
+    with n < K cached, it builds rows n..n' - 1 for n' = max(K, n +
+    min(n, SCAN_BLOCK)), so a scan in SCAN_BLOCK steps builds exactly
+    the rows it reads and index-by-index reads still amortize. A kind
+    supplies those rows through `_rows(lo, hi)` (lattice levels by
+    default, `CustomNet`'s cycle) and never grows the cache itself.
+    They are appended to two row buffers (`_put`); `_U` and `_Phi` are
+    views of their first n rows, and at p = 2 `_Phi is _U`, since the
+    points are their own duality rows. There are two ways to phi_k(x),
+    bit for bit alike: the block functional_values(x, K) = [phi_1(x),
+    ..., phi_K(x)], which applies rows 1..K through `_apply_rows`, each
+    kind's one array arithmetic; and the scalar path functional_oracle(x), which takes x
     once and returns k -> phi_k(x), reading cache row k - 1 with no
     object built per call (c01's also keeps x's value at each grid
     location it read, at most one grid's points per oracle). A read of
@@ -199,8 +220,8 @@ class SeparableSpace:
     reference; nothing in the library calls it. The p-norm
     kinds share one row arithmetic here: `_dot_rows` for blocks,
     `_dot_row` for single rows, and distance_profile(v, K, lo=0) =
-    [||v - u_{lo+1}||, ..., ||v - u_K||] (each row bit for bit as in
-    the profile from row 0). Each p-norm kind states only
+    [||v - u_{lo+1}||, ..., ||v - u_K||] for 0 <= lo < K (each row
+    bit for bit as in the profile from row 0). Each p-norm kind states only
     `_coords(x, width)`, the first `width` coordinates of x as a list,
     and `_outside(x, width)`, the p-th powers of x past them.
 
@@ -214,8 +235,8 @@ class SeparableSpace:
     kind = "abstract"
 
     def __init__(self):
-        self._U = np.zeros((0, 0))
-        self._Phi = np.zeros((0, 0))
+        self._U_buf = self._U = np.zeros((0, 0))
+        self._Phi_buf = self._Phi = np.zeros((0, 0))
 
     def _net_rows(self, W: np.ndarray, t: int):
         """(net points, functional rows) of the level-t lattice rows W;
@@ -234,23 +255,31 @@ class SeparableSpace:
     def _level_of(self, row: int) -> int:
         return next(t for t, _, stop in self._levels() if row < stop)
 
+    def _rows(self, lo: int, hi: int):
+        """(net points, functional rows) of cache rows lo..hi-1, one
+        pair per lattice level they meet."""
+        for t, start, stop in self._levels():
+            if stop > lo:
+                end = min(stop, hi)
+                yield self._net_rows(_lattice_rows(t, self._width(t), lo - start,
+                                                   end - start), t)
+                lo = end
+                if lo == hi:
+                    return
+
     def _ensure(self, K: int):
-        """Grow the cache to max(K, 2n) rows if it holds n < K."""
+        """Grow the cache to max(K, n + min(n, SCAN_BLOCK)) rows if it
+        holds n < K."""
         n = len(self._U)
         if K <= n:
             return
-        target = max(K, 2 * n)
-        blocks = []
-        for t, start, stop in self._levels():
-            if stop > n:
-                hi = min(stop, target)
-                W = _lattice_rows(t, self._width(t), n - start, hi - start)
-                blocks.append(self._net_rows(W, t))
-                n = hi
-                if n == target:
-                    break
-        self._U = _stack([self._U] + [U for U, _ in blocks])
-        self._Phi = _stack([self._Phi] + [Phi for _, Phi in blocks])
+        for U, Phi in self._rows(n, max(K, n + min(n, SCAN_BLOCK))):
+            self._U_buf = _put(self._U_buf, n, U)
+            if Phi is not U:
+                self._Phi_buf = _put(self._Phi_buf, n, Phi)
+            n += len(U)
+        self._U = self._U_buf[:n]
+        self._Phi = self._U if Phi is U else self._Phi_buf[:n]
 
     def _index(self, k: int) -> int:
         """Cache row of net index k, grown to hold it."""
@@ -318,8 +347,16 @@ class SeparableSpace:
         """The functional rows Phi applied to x, one value per row."""
         return _dot_rows(Phi, self._coords(self.canonical(x), Phi.shape[1]))
 
+    def _profile_rows(self, K: int, lo: int):
+        """Grow the cache to rows lo..K-1 of a distance profile: K < 1
+        is IndexZero, and a lo outside 0 <= lo < K a ValueError, both
+        before the cache grows."""
+        if K >= 1 and not 0 <= lo < K:
+            raise ValueError(f"lo = {lo} must satisfy 0 <= lo < K = {K}")
+        self._index(K)
+
     def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
-        self._index(K)          # K < 1 is IndexZero
+        self._profile_rows(K, lo)
         v = self.canonical(v)
         # the columns the first K rows use; support past them is orthogonal
         width = self._width(self._level_of(K - 1))
@@ -565,7 +602,7 @@ class ContinuousPL(SeparableSpace):
         return Phi[:, 1] * np.interp(Phi[:, 0], x.breaks, x.values)
 
     def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
-        self._index(K)          # K < 1 is IndexZero
+        self._profile_rows(K, lo)
         v = self.canonical(v)
         out = np.empty(K - lo)
         first = lo
@@ -620,8 +657,10 @@ class CustomNet(FiniteDimLp):
     """A finite-dim p-norm space whose net cycles an explicit unit list.
 
     Exists so tests and examples do not depend on the grid enumeration
-    order. Functionals default to the duality map of each point. The
-    net cache grows by repeating the cycle; reads are `FiniteDimLp`'s.
+    order. Functionals default to the duality map of each point (at
+    p = 2 the points themselves, so `_Phi is _U` as for the lattice
+    kinds). `_rows` supplies the cycle's rows to the shared growth
+    path; reads are `FiniteDimLp`'s.
     """
 
     kind = "custom"
@@ -645,10 +684,10 @@ class CustomNet(FiniteDimLp):
     def describe(self):
         return f"custom:dim={self.dim},p={self.p:g},cycle={len(self._points)}"
 
-    def _ensure(self, K: int):
-        if K > len(self._U):
-            rows = np.arange(max(K, 2 * len(self._U))) % len(self._points)
-            self._U, self._Phi = self._points[rows], self._functionals[rows]
+    def _rows(self, lo: int, hi: int):
+        cycle = np.arange(lo, hi) % len(self._points)
+        U = self._points[cycle]
+        yield U, U if self._functionals is self._points else self._functionals[cycle]
 
     def lattice_sample(self, rng):
         return float(rng.uniform(0.25, 4.0)) * self.net_point(int(rng.integers(1, len(self._points) + 1)))

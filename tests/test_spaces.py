@@ -8,8 +8,9 @@ import pytest
 
 from seqembed import (ConfigError, CustomNet, FiniteDimLp, IndexZero,
                       KindMismatch, NotUnitVector, SeqLp, ContinuousPL,
-                      ZeroElement, coordinates_at, embed_t1, parse_space,
-                      pl_function)
+                      ZeroElement, coordinates_at, embed_t1, oscillation_witness,
+                      parse_space, pl_function)
+from seqembed.spaces import SCAN_BLOCK
 from reference import net_size_through_level, pl_subtract
 
 SQ2 = math.sqrt(2.0)
@@ -189,6 +190,107 @@ def test_blocks_reject_k_below_one(spec, warm):
         with pytest.raises(IndexZero):
             sp.distance_profile(sp.unit(x), K)
     assert len(sp._U) == warm
+
+
+@pytest.mark.parametrize("warm", [0, 50], ids=["fresh", "warm"])
+@pytest.mark.parametrize("spec", _KINDS, ids=["fdlp", "seqlp", "c01", "custom"])
+def test_distance_profile_rejects_lo_outside_its_window(spec, warm):
+    # rows lo + 1..K need 0 <= lo < K, on every kind; the check comes
+    # before the cache grows
+    sp = parse_space(spec)
+    if warm:
+        sp.net_point(warm)
+    v = sp.unit(sp.random_element(np.random.default_rng(13)))
+    for K, lo in ((10, -2), (10, -1), (10, 10), (10, 11), (100, 100), (100, -5), (1, 1)):
+        with pytest.raises(ValueError, match=rf"lo = {lo} .*K = {K}\b"):
+            sp.distance_profile(v, K, lo)
+    assert len(sp._U) == warm
+
+
+def test_witness_scan_builds_only_the_rows_it_reads():
+    # the scan reads 20 blocks of SCAN_BLOCK rows before its 10th hit,
+    # and each block grows the cache by exactly that block; the row
+    # buffers double their capacity when full, from 8192 rows to 131072,
+    # rather than grow by each block
+    sp = parse_space("seqlp:p=1,support=8")
+    oscillation_witness(sp, {2: -1.5}, 0.2, 10, 100000)
+    assert len(sp._U) == len(sp._Phi) == 20 * SCAN_BLOCK == 81920
+    assert len(sp._U_buf) == len(sp._Phi_buf) == 131072
+
+
+_GROWN = ["fdlp:dim=2,p=2", "fdlp:dim=3,p=1.5", "fdlp:dim=3,p=inf",
+          "seqlp:p=1,support=8", "seqlp:p=2,support=4", "c01", _KINDS[3]]
+_DEPTH = 9000       # past seqlp's width-5 level (row 6929) and c01's 5-point grid (4747)
+
+
+def _asks(way: str) -> list:
+    if way == "one-call":
+        return [_DEPTH]
+    if way == "blocks":
+        return [*range(SCAN_BLOCK, _DEPTH, SCAN_BLOCK), _DEPTH]
+    if way == "by-index":
+        return list(range(1, _DEPTH + 1))
+    return [*np.random.default_rng(23).integers(1, _DEPTH, size=60).tolist(), _DEPTH]
+
+
+def _padded_equal(a, b, rows: int) -> bool:
+    """a and b agree bit for bit on their first `rows` rows, where the
+    wider one's extra columns are zero padding."""
+    w = min(a.shape[1], b.shape[1])
+    return (a[:rows, :w].tobytes() == b[:rows, :w].tobytes()
+            and not a[:rows, w:].any() and not b[:rows, w:].any())
+
+
+@pytest.mark.parametrize("spec", _GROWN, ids=lambda s: s if isinstance(s, str) else "custom")
+def test_net_grown_any_way_is_the_same_net(spec):
+    # each ask of K > n rows leaves n' rows, K <= n' <= max(K, n +
+    # min(n, SCAN_BLOCK)); the rows, and every read of them, keep their
+    # bits whether the net grew in one call, in scan blocks, one index
+    # at a time or by random asks
+    probe = parse_space(spec)
+    x = probe.random_element(np.random.default_rng(29))
+    v = probe.unit(x)
+    nets = []
+    for way in ("one-call", "blocks", "by-index", "random"):
+        sp = parse_space(spec)
+        for K in _asks(way):
+            n = len(sp._U)
+            sp._ensure(K)
+            grown = len(sp._U)
+            assert grown == n if K <= n else K <= grown <= max(K, n + min(n, SCAN_BLOCK))
+            assert len(sp._Phi) == grown
+        nets.append(sp)
+    first = nets[0]
+    values = _bits(first.functional_values(x, _DEPTH))
+    profile = _bits(first.distance_profile(v, _DEPTH))
+    for sp in nets[1:]:
+        assert _padded_equal(sp._U, first._U, _DEPTH)
+        assert _padded_equal(sp._Phi, first._Phi, _DEPTH)
+        assert _bits(sp.functional_values(x, _DEPTH)) == values
+        assert _bits(sp.distance_profile(v, _DEPTH)) == profile
+
+
+@pytest.mark.parametrize("spec, shared", [
+    ("fdlp:dim=2,p=2", True), ("seqlp:p=2,support=4", True), (_KINDS[3], True),
+    ("fdlp:dim=2,p=1.5", False), ("fdlp:dim=3,p=inf", False),
+    ("seqlp:p=1,support=8", False), ("c01", False),
+    ({**_KINDS[3], "functionals": [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]}, False),
+    ({"kind": "custom", "p": 2, "points": [[-0.0, 1.0], [1.0, 0.0]]}, False),
+], ids=["fdlp-2", "seqlp-2", "custom-2", "fdlp-1.5", "fdlp-inf", "seqlp-1", "c01",
+        "custom-given-functionals", "custom-negative-zero"])
+def test_p2_points_are_their_own_functionals(spec, shared):
+    # at p = 2 sign(u)|u| = u bit for bit, so one matrix is built and
+    # kept for both, through every growth; not so for a -0.0 entry,
+    # which the duality map makes +0.0
+    sp = parse_space(spec)
+    for K in (1, 7, 300, 5000):
+        sp._ensure(K)
+        assert (sp._Phi is sp._U) == shared
+    if isinstance(spec, dict) and "functionals" not in spec:
+        for k in (1, 2, 3):
+            u = np.asarray(sp.net_point(k))
+            assert _bits(sp.norming_functional(k).row) == \
+                _bits(np.trim_zeros(np.sign(u) * np.abs(u), "b"))
 
 
 def _element_bits(x) -> bytes:

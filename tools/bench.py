@@ -18,6 +18,11 @@ subprocess for 20 seconds, one run at a time:
   every span in its span file (spans BENCHMARK.json does not declare
   included). Self times are raw wall seconds, so the run's host factor
   is kept beside them;
+- net growth: per space kind of GROWTH_DEPTHS, the rows its net cache
+  holds and the median wall seconds over GROWTH_SPACES fresh spaces of
+  growing it in SCAN_BLOCK-row asks to the kind's depth, and one index
+  at a time to GROWTH_BY_INDEX. It runs in a fresh interpreter on
+  each tree's `src`, so --baseline measures the baseline's nets too;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
   `src/seqembed` line count, the Python and numpy versions and the core
   count.
@@ -41,6 +46,13 @@ WORKLOADS = ("cli-suite", "net-cold", "session-warm")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 SECONDS = 20
 TRACE_SEED = 601
+#: per space kind, the depth of its SCAN_BLOCK-row growth pattern
+GROWTH_DEPTHS = {"fdlp:dim=2,p=2": 12288, "fdlp:dim=3,p=inf": 12288,
+                 "seqlp:p=1,support=8": 81920, "c01": 8192}
+GROWTH_BY_INDEX = 2000
+GROWTH_SPACES = 7
+#: seqembed's witness-scan block; a baseline tree may not export it
+SCAN_BLOCK = 4096
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -112,6 +124,38 @@ def compact(result: dict) -> dict:
             "failed": result["failed"]}
 
 
+def growth_table() -> dict:
+    """Per kind of GROWTH_DEPTHS and growth pattern, the rows held and
+    the median seconds of `_ensure` over GROWTH_SPACES fresh spaces of
+    the seqembed on sys.path; one untimed space per pattern goes first."""
+    from seqembed import parse_space
+    out = {}
+    for spec, depth in GROWTH_DEPTHS.items():
+        out[spec] = {}
+        for pattern, asks in (("blocks", range(SCAN_BLOCK, depth + 1, SCAN_BLOCK)),
+                              ("by_index", range(1, GROWTH_BY_INDEX + 1))):
+            times = []
+            for _ in range(GROWTH_SPACES + 1):
+                sp = parse_space(spec)
+                start = time.perf_counter()
+                for K in asks:
+                    sp._ensure(K)
+                times.append(time.perf_counter() - start)
+            out[spec][pattern] = {"depth": asks[-1], "rows_held": len(sp._U),
+                                  "median_s": statistics.median(times[1:])}
+    return out
+
+
+def net_growth(tree: Path) -> dict:
+    """`growth_table` of tree's `src`, measured in a fresh interpreter."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
+            "import bench; print(json.dumps(bench.growth_table()))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tree, check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    return json.loads(done.stdout)
+
+
 def tier1() -> dict:
     start = time.perf_counter()
     done = subprocess.run(TIER1, cwd=ROOT, capture_output=True, text=True,
@@ -137,6 +181,7 @@ def main(argv=None) -> int:
     p.add_argument("--plan", nargs="+", required=True, help="WORKLOAD:SEED:RUNS entries")
     p.add_argument("--baseline", type=Path, help="another checkout to pair each run with")
     args = p.parse_args(argv)
+    baseline = args.baseline.resolve() if args.baseline else None
     src = sorted((ROOT / "src" / "seqembed").glob("*.py"))
     report = {
         "settings": {"plan": args.plan, "seconds": SECONDS,
@@ -145,8 +190,9 @@ def main(argv=None) -> int:
                 "cores": os.cpu_count(), "machine": platform.machine()},
         "src_lines": sum(len(f.read_text(encoding="utf-8").splitlines()) for f in src),
         "tier1": tier1(),
-        "end_to_end": end_to_end(parse_plan(args.plan),
-                                 args.baseline.resolve() if args.baseline else None),
+        "net_growth": {side: net_growth(tree) for side, tree in
+                       (("tree", ROOT), ("baseline", baseline)) if tree},
+        "end_to_end": end_to_end(parse_plan(args.plan), baseline),
         "per_layer": {},
     }
     for workload in WORKLOADS:
