@@ -8,8 +8,11 @@ lists the nonzero rows of {-t..t}^width(t) lexicographically, any rank
 range of a level is normalized and dualized in one vectorized step,
 and asking for index K with n rows cached appends rows up to
 max(K, n + min(n, SCAN_BLOCK)) in place, never to the end of a level
-it does not need (see `SeparableSpace`). Duplicate directions across
-levels are permitted; density is unaffected.
+it does not need (see `SeparableSpace`). The duality rows of p = 1 and
+p = inf hold only -1, 0 and +1 and are kept as int8, a byte an entry;
+products with floats keep the bits of float64 rows (see
+`_duality_rows`). Duplicate directions across levels are permitted;
+density is unaffected.
 """
 from __future__ import annotations
 
@@ -38,7 +41,8 @@ class Functional:
     cache's `_Phi` without its trailing zeros, which only pad it to the
     widest level cached. For fdlp, seqlp and custom nets `row` holds the
     coefficients of coordinates 1, 2, ...; for c01 it is the (location,
-    sign) of a point mass."""
+    sign) of a point mass. Its entries are floats, also where the cache
+    row is int8 (p = 1 and p = inf)."""
     space_kind: str
     row: tuple
 
@@ -82,20 +86,26 @@ def _duality_rows(U: np.ndarray, p: float) -> np.ndarray:
     """Norming functionals of the unit rows of U in a p-norm space.
 
     p in (1, inf): sign(u)|u|^(p-1); p = 1: sign(u); p = inf: signed
-    coordinate functional at the smallest index attaining |u_i| = 1.
-    At p = 2 that is U itself, bit for bit, unless U holds a -0.0
-    (which sign(u)|u| makes +0.0); lattice rows never do.
+    coordinate functional at the first index of largest |u_i| (on a
+    lattice row |u_i| = 1 there; a custom point may fall short of 1 by
+    its unit tolerance, and its largest entry still norms it best).
+    At p = 1 and p = inf every entry is -1, 0 or +1, so the rows are
+    int8, a byte an entry: a product with a float, and a sum of them
+    from 0.0, has the bits the float rows gave (np.sign makes -0.0 a
+    +0.0, so no -0.0 is lost). At p = 2 that is U itself, bit for bit,
+    unless U holds a -0.0 (which sign(u)|u| makes +0.0); lattice rows
+    never do. Other p are float64.
     """
     if p == 2.0 and not np.signbit(U[U == 0.0]).any():
         return U
     if math.isinf(p):
         rows = np.arange(len(U))
-        idx = np.argmax(np.abs(U) >= 1.0 - 1e-12, axis=1)
-        Phi = np.zeros_like(U)
-        Phi[rows, idx] = np.copysign(1.0, U[rows, idx])
+        idx = np.argmax(np.abs(U), axis=1)
+        Phi = np.zeros(U.shape, dtype=np.int8)
+        Phi[rows, idx] = np.sign(U[rows, idx])
         return Phi
     if p == 1.0:
-        return np.sign(U)
+        return np.sign(U).astype(np.int8)
     return np.sign(U) * np.abs(U) ** (p - 1.0)
 
 
@@ -141,14 +151,14 @@ def _lattice_rows(t: int, width: int, lo: int, hi: int) -> np.ndarray:
 
 def _put(buf: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     """buf with `rows` written from row n on: buf itself when they fit,
-    else a zero buffer holding buf's first n rows, of twice buf's row
-    capacity (or n + len(rows) rows, if more) and as wide as the wider
-    of the two. Rows below n are never written again, so a view of
-    them stays valid however the buffer grows."""
+    else a zero buffer of the rows' dtype holding buf's first n rows,
+    of twice buf's row capacity (or n + len(rows) rows, if more) and as
+    wide as the wider of the two. Rows below n are never written again,
+    so a view of them stays valid however the buffer grows."""
     end, width = n + len(rows), rows.shape[1]
     if end > len(buf) or width > buf.shape[1]:
         grown = np.zeros((len(buf) if end <= len(buf) else max(end, 2 * len(buf)),
-                          max(width, buf.shape[1])))
+                          max(width, buf.shape[1])), dtype=rows.dtype)
         grown[:n, :buf.shape[1]] = buf[:n]
         buf = grown
     buf[n:end, :width] = rows
@@ -169,10 +179,12 @@ def _dot_row(row, x) -> float:
     """sum_i phi_i x_i over the shorter of row and x, accumulated in
     index order from 0.0: the one per-index arithmetic of the p-norm
     kinds. The sum is never -0.0, so the +-0.0 terms of a zero-padded
-    row (or of `_dot_rows`' padding) leave it as it is."""
+    row (or of `_dot_rows`' padding) leave it as it is. A row read
+    from an int8 matrix holds ints; v * f, a float times an int, has
+    the bits of the float product and takes float's own fast path."""
     acc = 0.0
     for f, v in zip(row, x):
-        acc += f * v
+        acc += v * f
     return acc
 
 
@@ -207,8 +219,11 @@ class SeparableSpace:
     default, `CustomNet`'s cycle) and never grows the cache itself.
     They are appended to two row buffers (`_put`); `_U` and `_Phi` are
     views of their first n rows, and at p = 2 `_Phi is _U`, since the
-    points are their own duality rows. There are two ways to phi_k(x),
-    bit for bit alike: the block functional_values(x, K) = [phi_1(x),
+    points are their own duality rows. Each buffer takes its rows'
+    dtype: the default duality rows of p = 1 and p = inf are int8 (a
+    byte an entry against the points' eight), any other `_Phi` float64;
+    the row arithmetic below reads either with the same bits. There are
+    two ways to phi_k(x), bit for bit alike: the block functional_values(x, K) = [phi_1(x),
     ..., phi_K(x)], which applies rows 1..K through `_apply_rows`, each
     kind's one array arithmetic; and the scalar path functional_oracle(x), which takes x
     once and returns k -> phi_k(x), reading cache row k - 1 with no
@@ -307,7 +322,7 @@ class SeparableSpace:
 
     def norming_functional(self, k: int) -> Functional:
         i = self._index(k)      # grows _Phi, so read _Phi after
-        row = self._Phi[i].tolist()
+        row = self._Phi[i].astype(float).tolist()
         while not row[-1]:      # a duality row has a nonzero entry
             row.pop()
         return Functional(self.kind, tuple(row))

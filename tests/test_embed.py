@@ -73,6 +73,19 @@ def test_defect_interval_tightens_with_k():
     assert all(r.lower - 1e-9 <= r.achieved <= r.upper + 1e-9 for r in recs)
 
 
+def test_default_sup_functional_norms_a_point_short_of_one():
+    # a custom point may fall short of the sphere by the unit tolerance;
+    # its default p = inf functional takes its largest entry (here the
+    # second), not the first entry within 1e-12 of 1, which none is
+    u = [0.3, 0.9999999995]
+    sp = CustomNet([u, (1.0, 0.0)], p=math.inf)
+    assert sp.norming_functional(1).row == (0.0, 1.0)
+    assert sp.norming_functional(2).row == (1.0,)
+    rec = isometry_defect(sp, u, 1)
+    assert rec.achieved == rec.upper == sp.norm(u)
+    assert rec.lower <= rec.achieved
+
+
 def test_defect_rejects_zero():
     with pytest.raises(ZeroElement):
         isometry_defect(FiniteDimLp(2, 2), np.zeros(2), 8)

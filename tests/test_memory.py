@@ -59,6 +59,26 @@ def test_oracle_memory_bounded_by_the_cached_rows():
     assert _peak(_far_support, 2000) < 2 * 2 ** 20
 
 
+def _deep_p1_scan():
+    sp = SeqLp(1.0)
+    oscillation_witness(sp, {2: -1.5}, 0.2, 10, 100000)
+    return sp
+
+
+def test_deep_p1_scan_holds_one_byte_functionals():
+    # the scan grows the net to 81 920 rows in buffers of 131 072; the
+    # p = 1 duality rows are int8, so the points' float64 buffer (5.2
+    # MB) is most of the peak, where float64 rows beside it made 16 MB
+    _deep_p1_scan()
+    tracemalloc.start()
+    try:
+        sp = _deep_p1_scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sp._U_buf.nbytes
+
+
 def test_scheme_retains_little_beyond_its_prefix():
     prefix = tuple(range(1, 2 * 4096, 2))
     tracemalloc.start()

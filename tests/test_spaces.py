@@ -270,23 +270,29 @@ def test_net_grown_any_way_is_the_same_net(spec):
         assert _bits(sp.distance_profile(v, _DEPTH)) == profile
 
 
-@pytest.mark.parametrize("spec, shared", [
-    ("fdlp:dim=2,p=2", True), ("seqlp:p=2,support=4", True), (_KINDS[3], True),
-    ("fdlp:dim=2,p=1.5", False), ("fdlp:dim=3,p=inf", False),
-    ("seqlp:p=1,support=8", False), ("c01", False),
-    ({**_KINDS[3], "functionals": [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]}, False),
-    ({"kind": "custom", "p": 2, "points": [[-0.0, 1.0], [1.0, 0.0]]}, False),
-], ids=["fdlp-2", "seqlp-2", "custom-2", "fdlp-1.5", "fdlp-inf", "seqlp-1", "c01",
-        "custom-given-functionals", "custom-negative-zero"])
-def test_p2_points_are_their_own_functionals(spec, shared):
+@pytest.mark.parametrize("spec, shared, itemsize", [
+    ("fdlp:dim=2,p=2", True, 8), ("seqlp:p=2,support=4", True, 8), (_KINDS[3], True, 8),
+    ("fdlp:dim=2,p=1.5", False, 8), ("fdlp:dim=3,p=inf", False, 1),
+    ("seqlp:p=1,support=8", False, 1), ("fdlp:dim=2,p=1", False, 1), ("c01", False, 8),
+    ({**_KINDS[3], "functionals": [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]}, False, 8),
+    ({"kind": "custom", "p": 2, "points": [[-0.0, 1.0], [1.0, 0.0]]}, False, 8),
+    ({"kind": "custom", "p": "inf", "points": [[1.0, -0.5], [0.25, -1.0]]}, False, 1),
+], ids=["fdlp-2", "seqlp-2", "custom-2", "fdlp-1.5", "fdlp-inf", "seqlp-1", "fdlp-1",
+        "c01", "custom-given-functionals", "custom-negative-zero", "custom-inf"])
+def test_p2_points_are_their_own_functionals(spec, shared, itemsize):
     # at p = 2 sign(u)|u| = u bit for bit, so one matrix is built and
     # kept for both, through every growth; not so for a -0.0 entry,
-    # which the duality map makes +0.0
+    # which the duality map makes +0.0. At p = 1 and p = inf the
+    # default duality rows hold -1, 0, +1 in one byte an entry, and a
+    # functional still hands out floats
     sp = parse_space(spec)
     for K in (1, 7, 300, 5000):
         sp._ensure(K)
         assert (sp._Phi is sp._U) == shared
-    if isinstance(spec, dict) and "functionals" not in spec:
+        assert sp._Phi.itemsize == sp._Phi_buf.itemsize == itemsize
+    for k in (1, 2, 3, 4999):
+        assert {type(f) for f in sp.norming_functional(k).row} == {float}
+    if isinstance(spec, dict) and "functionals" not in spec and sp.p == 2.0:
         for k in (1, 2, 3):
             u = np.asarray(sp.net_point(k))
             assert _bits(sp.norming_functional(k).row) == \
@@ -682,6 +688,29 @@ def test_fdlp_net_matches_reference_enumeration(dim, p):
         for k, (u, phi) in enumerate(ref, start=1):
             assert _bits(sp.net_point(k)) == _bits(u)
             assert _bits(sp.norming_functional(k).row) == _bits(np.trim_zeros(phi, "b"))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_net_whose_first_level_passes_int64(p):
+    # fdlp:dim=50's level 1 holds 3^50 - 1 rows, more than 2^63: its
+    # level ends and the zero row's rank must never be int64
+    count = 200
+    ref = _reference_net(lambda t: 50, p, count)
+    for sp in _grown(lambda: parse_space(f"fdlp:dim=50,p={p}"), count):
+        for k, (u, phi) in enumerate(ref, start=1):
+            assert _bits(sp.net_point(k)) == _bits(u)
+            assert _bits(sp.norming_functional(k).row) == _bits(np.trim_zeros(phi, "b"))
+    x = sp.random_element(np.random.default_rng(31))
+    want = []
+    for _, phi in ref:
+        acc = 0.0
+        for f, v in zip(phi.tolist(), x.tolist()):
+            acc += f * v
+        want.append(acc)
+    assert _bits(sp.functional_values(x, count)) == _bits(want)
+    v = sp.unit(x)
+    assert sp.distance_profile(v, count, 50) == pytest.approx(
+        [sp.norm(v - u) for u, _ in ref[50:]], abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

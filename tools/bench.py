@@ -19,10 +19,11 @@ subprocess for 20 seconds, one run at a time:
   included). Self times are raw wall seconds, so the run's host factor
   is kept beside them;
 - net growth: per space kind of GROWTH_DEPTHS, the rows its net cache
-  holds and the median wall seconds over GROWTH_SPACES fresh spaces of
-  growing it in SCAN_BLOCK-row asks to the kind's depth, and one index
-  at a time to GROWTH_BY_INDEX. It runs in a fresh interpreter on
-  each tree's `src`, so --baseline measures the baseline's nets too;
+  holds, the bytes of its two row buffers, and the median wall seconds
+  and minor page faults over GROWTH_SPACES fresh spaces of growing it
+  in SCAN_BLOCK-row asks to the kind's depth, and one index at a time
+  to GROWTH_BY_INDEX. It runs in a fresh interpreter on each tree's
+  `src`, so --baseline measures the baseline's nets too;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
   `src/seqembed` line count, the Python and numpy versions and the core
   count.
@@ -33,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -125,24 +127,30 @@ def compact(result: dict) -> dict:
 
 
 def growth_table() -> dict:
-    """Per kind of GROWTH_DEPTHS and growth pattern, the rows held and
-    the median seconds of `_ensure` over GROWTH_SPACES fresh spaces of
-    the seqembed on sys.path; one untimed space per pattern goes first."""
+    """Per kind of GROWTH_DEPTHS and growth pattern, the rows held, the
+    bytes of the point and functional row buffers (the latter empty when
+    they are one matrix), and the median seconds and minor page faults
+    (`ru_minflt`) of `_ensure` over GROWTH_SPACES fresh spaces of the
+    seqembed on sys.path; one unmeasured space per pattern goes first."""
     from seqembed import parse_space
     out = {}
     for spec, depth in GROWTH_DEPTHS.items():
         out[spec] = {}
         for pattern, asks in (("blocks", range(SCAN_BLOCK, depth + 1, SCAN_BLOCK)),
                               ("by_index", range(1, GROWTH_BY_INDEX + 1))):
-            times = []
+            times, faults = [], []
             for _ in range(GROWTH_SPACES + 1):
                 sp = parse_space(spec)
+                flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 for K in asks:
                     sp._ensure(K)
                 times.append(time.perf_counter() - start)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
             out[spec][pattern] = {"depth": asks[-1], "rows_held": len(sp._U),
-                                  "median_s": statistics.median(times[1:])}
+                                  "bytes_held": sp._U_buf.nbytes + sp._Phi_buf.nbytes,
+                                  "median_s": statistics.median(times[1:]),
+                                  "median_minflt": statistics.median(faults[1:])}
     return out
 
 
