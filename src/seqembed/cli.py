@@ -236,7 +236,7 @@ def _add_verdict(report: dict, seq_id: str, s, budget: int, gap_floor: float) ->
 def _classify_embedded(space, samples, cfg, report):
     for sid, x in enumerate(samples):
         nx = space.norm(x)
-        gap_floor = cfg["gap_floor"] if cfg["gap_floor"] else max(nx, 1e-6)
+        gap_floor = cfg["gap_floor"] or nx or 1.0
         seq_id = f"T(x{sid})"
         kind = _add_verdict(report, seq_id, embed_t1(space, x),
                             cfg["classify_budget"], gap_floor)
@@ -273,7 +273,7 @@ def run_extend(cfg: dict, report: dict):
     except BudgetExhausted as exc:
         report["budget_exhausted"].append({"stage": "extraction",
                                            "detail": str(exc)})
-        report["scheme"] = exc.partial.to_json() if exc.partial else None
+        report["scheme"] = exc.partial.to_json()
         return space, samples
     report["scheme"] = scheme.to_json()
     k_cap = scheme.max_k()

@@ -280,13 +280,16 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
     `coordinates_at`: the by-index read `at` when `s` has one (T(x)
     does), the scalar oracle otherwise, never the block.
 
-    Index lists must be nonempty, hold only ints (not bools, floats or
-    strings), start at an index >= 1 and strictly increase; these are
-    checked before anything is read. Stored values must then equal the
-    re-read values under Python's `!=` (a stored NaN never does, -0.0
-    equals 0.0); the gap must be consistent and positive. An index past
-    an extracted scheme's coverage cannot be re-read. A witness that
-    breaks any of these rules is False, never an error.
+    The index and value fields may be any sequences, read entry by
+    entry. Index lists must be nonempty, hold only Python ints (not
+    bools, floats, strings or numpy ints), start at an index >= 1 and
+    strictly increase; these are checked before anything is read.
+    Stored values must then equal the re-read values under Python's
+    `!=` (a stored NaN never does, -0.0 equals 0.0) and clear the
+    targets (a NaN target never is); the gap must be consistent and
+    positive. An index past an extracted scheme's coverage cannot be
+    re-read. A witness that breaks any of these rules is False, never
+    an error.
     """
     if not (0 < len(w.plus_indices) == len(w.minus_indices)
             == len(w.plus_values) == len(w.minus_values)):
@@ -297,14 +300,15 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
         if idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:])):
             return False
     try:
-        reread = coordinates_at(s, w.plus_indices + w.minus_indices).tolist()
+        reread = coordinates_at(s, (*w.plus_indices, *w.minus_indices)).tolist()
     except SchemeExhausted:
         return False
-    if any(map(operator.ne, reread, w.plus_values + w.minus_values)):
+    if any(map(operator.ne, reread, (*w.plus_values, *w.minus_values))):
         return False
-    # no value is NaN now (NaN != NaN), so min and max bound them all
-    low_plus, high_minus = min(w.plus_values), max(w.minus_values)
-    if low_plus < w.target_hi or high_minus > w.target_lo:
+    # the re-read floats equal the stored values, so none is NaN
+    n = len(w.plus_indices)
+    low_plus, high_minus = min(reread[:n]), max(reread[n:])
+    if not (low_plus >= w.target_hi and high_minus <= w.target_lo):
         return False
     gap = low_plus - high_minus
     return gap == w.gap and gap > 0.0

@@ -36,29 +36,26 @@ class EmptyBasis(SeqEmbedError):
 
 
 class SchemeExhausted(SeqEmbedError):
-    """A coordinate beyond the materialized index scheme was requested.
+    """A coordinate beyond the materialized index scheme was requested:
+    `index` passed the int `coverage`, the scheme's coverage for an
+    index or its prefix length for a position. Re-extract the scheme
+    with a larger scan budget to reach past it."""
 
-    The truncation is explicit: re-extract the scheme with a larger
-    scan budget to classify indices past its coverage.
-    """
-
-    def __init__(self, index, coverage=None):
+    def __init__(self, index, coverage):
         self.index = index
         self.coverage = coverage
-        msg = f"index {index} beyond scheme coverage"
-        if coverage is not None:
-            msg += f" ({coverage})"
-        super().__init__(msg)
+        super().__init__(f"index {index} beyond scheme coverage ({coverage})")
 
 
 class BudgetExhausted(SeqEmbedError):
     """A scan budget ran out before the request was satisfied.
 
-    Carries whatever partial result was assembled so callers can
-    diagnose density/budget quality instead of failing opaquely.
+    Carries the partial witness or scheme every raiser assembles and
+    the count it found, so callers can diagnose density/budget quality
+    instead of failing opaquely.
     """
 
-    def __init__(self, message, partial=None, found=None):
+    def __init__(self, message, partial, found):
         self.partial = partial
         self.found = found
         super().__init__(message)

@@ -307,28 +307,26 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
 
 
 def structural_limit(s: BoundedSeq, budget: int):
-    """(limit, tail_variation, stabilization_index) for convergence-
-    certifying tags, or None when the tag carries no such certificate.
+    """(limit, tail_variation) for convergence-certifying tags, or None
+    when the tag carries no such certificate.
 
     tail_variation bounds |coordinate(n) - limit| for n > budget.
     """
     tag = s.tag
     if isinstance(tag, EventuallyConstant):
-        return tag.value, 0.0, tag.start
+        return tag.value, 0.0
     if isinstance(tag, ExplicitLimit):
-        return tag.limit, abs(tag.rate) / max(budget, 1), max(budget, 1)
+        return tag.limit, abs(tag.rate) / max(budget, 1)
     if isinstance(tag, Periodic) and len(set(tag.pattern)) == 1:
-        return tag.pattern[0], 0.0, 1
+        return tag.pattern[0], 0.0
     if isinstance(tag, LinearCombo):
         limit = 0.0
         variation = 0.0
-        stab = 1
         for c, child in zip(tag.coeffs, tag.children):
             sub = structural_limit(child, budget)
             if sub is None:
                 return None
             limit += c * sub[0]
             variation += abs(c) * sub[1]
-            stab = max(stab, sub[2])
-        return limit, variation, stab
+        return limit, variation
     return None

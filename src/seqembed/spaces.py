@@ -74,7 +74,7 @@ def pl_function(breaks, values) -> PLFunction:
 
 def _pnorm(arr: np.ndarray, p: float) -> float:
     if math.isinf(p):
-        return float(np.max(np.abs(arr))) if arr.size else 0.0
+        return float(np.max(np.abs(arr)))
     if p == 1.0:
         return float(np.sum(np.abs(arr)))
     if p == 2.0:

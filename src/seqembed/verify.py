@@ -58,7 +58,7 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
 
     structural = structural_limit(s, budget)
     if structural is not None:
-        limit, variation, _ = structural
+        limit, variation = structural
         return InC(limit=limit, tail_variation=variation)
 
     # quarter-width cells leave slack between the certified cluster
@@ -112,7 +112,7 @@ def check_isometry(space: SeparableSpace, samples, K: int) -> dict:
             errors.append({"x_id": sid, "error": f"ZeroElement: {exc}"})
             continue
         ok = rec.lower - 1e-9 <= rec.achieved <= rec.upper + 1e-9
-        rel = (rec.upper - rec.achieved) / rec.upper if rec.upper > 0 else 0.0
+        rel = (rec.upper - rec.achieved) / rec.upper
         max_rel = max(max_rel, rel)
         per_sample.append({"x_id": sid, "lower": rec.lower,
                            "achieved": rec.achieved, "upper": rec.upper,

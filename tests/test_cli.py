@@ -434,6 +434,21 @@ def test_exit_one_when_embedded_image_is_not_not_in_c(tmp_path, capsys):
                                  "embedded image classified Unknown, expected NotInC"}]
 
 
+@pytest.mark.parametrize("command", ["embed", "suite"])
+def test_exit_zero_on_sample_of_norm_below_one_millionth(tmp_path, capsys, command):
+    # ||x|| = 5e-7: T(x) oscillates between +-||x||, so its gap floor is
+    # ||x||, not a fixed floor of 1e-6 that no cluster pair could clear
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"space": "fdlp:dim=2,p=2", "samples": [[3e-7, 4e-7]],
+                               "K": 16, "count": 2, "epsilon": 0.3}))
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 0, stdout + err
+    report = load_report(out)
+    assert [v["kind"] for v in report["verdicts"]] == ["NotInC"]
+    assert report["errors"] == []
+
+
 @pytest.mark.parametrize("command, kind", [("embed", "oscillation"),
                                            ("suite", "separation")])
 def test_zero_sample_error_rows(tmp_path, capsys, command, kind):

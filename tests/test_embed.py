@@ -285,6 +285,16 @@ _VERDICTS = {
     # index 65 is past the scheme's coverage of 64: it cannot be re-read
     "past coverage": (_SCHEMED, {"plus_indices": (_SCHEME.plus_index(1), 65),
                                  "plus_values": (_SCHEMED_PLUS, 1.0)}, False),
+    # fields may be any sequences: arrays, or a list beside tuples
+    "values in arrays": (_PAIR, {"plus_values": np.array([1.0, 1.0]),
+                                 "minus_values": np.array([-1.0, -1.0])}, True),
+    "forged values in arrays": (_PAIR, {"plus_values": np.array([1.0, 1.0]),
+                                        "minus_values": np.array([0.0, 0.0]),
+                                        "gap": 1.0, "target_lo": 0.0}, False),
+    "indices in a list": (_PAIR, {"minus_indices": [1, 3]}, True),
+    # a NaN target is never cleared
+    "NaN target_hi": (_PAIR, {"target_hi": math.nan}, False),
+    "NaN target_lo": (_PAIR, {"target_lo": math.nan}, False),
 }
 
 

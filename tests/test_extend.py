@@ -56,6 +56,12 @@ def test_identity_scheme_split():
     assert sch.classify(9) == (-1.0, 5)
 
 
+def _past(exc, index, coverage):
+    """A SchemeExhausted names the index asked for and the bound it passed."""
+    assert (exc.index, exc.coverage) == (index, coverage)
+    assert str(exc) == f"index {index} beyond scheme coverage ({coverage})"
+
+
 def test_finite_scheme_positional_split():
     sch = IndexScheme("finite", (4, 9, 16, 25), (0.5,), (0.25,), 100)
     assert sch.minus_index(1) == 4   # positions 1, 3 -> I-
@@ -63,10 +69,13 @@ def test_finite_scheme_positional_split():
     assert sch.minus_index(2) == 16
     assert sch.classify(9) == (1.0, 1)
     assert sch.classify(7) == (0.0, 0)
-    with pytest.raises(SchemeExhausted):
+    with pytest.raises(SchemeExhausted) as exc:
         sch.classify(101)
-    with pytest.raises(SchemeExhausted):
+    _past(exc.value, 101, 100)
+    # a position past the prefix names the prefix length
+    with pytest.raises(SchemeExhausted) as exc:
         sch.index_at(5)
+    _past(exc.value, 5, 4)
     assert sch.max_k() == 2
 
 
@@ -537,8 +546,9 @@ def test_classify_matches_prefix_positions(mode):
         j = pos.get(n)
         want = (0.0, 0) if j is None else (1.0, j // 2) if j % 2 == 0 else (-1.0, (j + 1) // 2)
         assert scheme.classify(n) == want
-    with pytest.raises(SchemeExhausted):
+    with pytest.raises(SchemeExhausted) as exc:
         scheme.classify(scheme.coverage + 1)
+    _past(exc.value, scheme.coverage + 1, scheme.coverage)
 
 
 @pytest.mark.parametrize("mode", ["bw_extract", "diagonal_extract"])
@@ -568,7 +578,8 @@ def test_coordinates_at_off_and_past_the_scheme(mode):
             coordinates_at(s, bad)
         with pytest.raises(SchemeExhausted) as scalar:
             [coordinate(s, n) for n in bad]
-        assert by_index.value.index == scalar.value.index == first
+        _past(by_index.value, first, scheme.coverage)
+        _past(scalar.value, first, scheme.coverage)
 
 
 _MEMO_SPECS = ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"]
@@ -637,8 +648,9 @@ def test_scrambled_reads_keep_their_bits(spec, mode):
     assert all(v != 0.0 for n, v in want.items() if n != off)
     for n in ns:
         if n not in want:
-            with pytest.raises(SchemeExhausted):
+            with pytest.raises(SchemeExhausted) as exc:
                 coordinate(s, n)
+            _past(exc.value, n, scheme.coverage)
             continue
         assert np.float64(coordinate(s, n)).tobytes() == np.float64(want[n]).tobytes(), n
 
@@ -669,8 +681,9 @@ def test_limit_along_validates_window():
     sch = bw_extract(finite_d(), depth=4, scan_budget=4096)
     with pytest.raises(ValueError):
         limit_along(W1, sch, 1)
-    with pytest.raises(SchemeExhausted):
+    with pytest.raises(SchemeExhausted) as exc:
         limit_along(W1, sch, sch.length + 1)
+    _past(exc.value, sch.length + 1, sch.length)
 
 
 def _limit_at_each_index(d, scheme, j_window):

@@ -92,7 +92,7 @@ def test_eventually_constant_after_prefix():
     assert coordinate(s, 2) == -5.0
     assert coordinate(s, 3) == 0.5
     assert s.bound == 5.0
-    assert structural_limit(s, 10) == (0.5, 0.0, 3)
+    assert structural_limit(s, 10) == (0.5, 0.0)
 
 
 def test_explicit_limit_values():
@@ -314,9 +314,8 @@ def test_cluster_estimates_spread_contains_members():
 # -- structural limits ---------------------------------------------------
 
 def test_structural_limit_tags():
-    assert structural_limit(eventually_constant(4.0), 10) == (4.0, 0.0, 1)
-    lim, var, stab = structural_limit(explicit_limit(2.0, 1.0), 100)
-    assert lim == 2.0 and var == 0.01 and stab == 100
+    assert structural_limit(eventually_constant(4.0), 10) == (4.0, 0.0)
+    assert structural_limit(explicit_limit(2.0, 1.0), 100) == (2.0, 0.01)
     assert structural_limit(periodic([3.0, 3.0]), 10)[0] == 3.0
     assert structural_limit(periodic([-1.0, 1.0]), 10) is None
     assert structural_limit(from_function(lambda n: 0.0, 0.0), 10) is None
@@ -325,7 +324,7 @@ def test_structural_limit_tags():
 def test_structural_limit_combo():
     s = combine([2.0, -1.0],
                 [eventually_constant(1.0), explicit_limit(3.0, 0.5)])
-    lim, var, _ = structural_limit(s, 50)
+    lim, var = structural_limit(s, 50)
     assert lim == pytest.approx(-1.0)
     assert var == pytest.approx(0.01)
 
