@@ -11,8 +11,11 @@ max(K, n + min(n, SCAN_BLOCK)) in place, never to the end of a level
 it does not need (see `SeparableSpace`). The duality rows of p = 1 and
 p = inf hold only -1, 0 and +1 and are kept as int8, a byte an entry;
 products with floats keep the bits of float64 rows (see
-`_duality_rows`). Duplicate directions across levels are permitted;
-density is unaffected.
+`_duality_rows`). Every kind's functional rows are coefficient rows
+against its coordinates, c01's point masses too (x's values at the
+nested dyadic points), so one row arithmetic reads them all.
+Duplicate directions across levels are permitted; density is
+unaffected.
 """
 from __future__ import annotations
 
@@ -39,10 +42,10 @@ SCAN_BLOCK = 4096
 class Functional:
     """The norming functional of net point k: row k - 1 of the net
     cache's `_Phi` without its trailing zeros, which only pad it to the
-    widest level cached. For fdlp, seqlp and custom nets `row` holds the
-    coefficients of coordinates 1, 2, ...; for c01 it is the (location,
-    sign) of a point mass. Its entries are floats, also where the cache
-    row is int8 (p = 1 and p = inf)."""
+    widest level cached: the coefficients of coordinates 1, 2, ... of
+    every kind (for c01, x's values at the nested dyadic points; see
+    `ContinuousPL`). Its entries are floats, also where the cache row
+    is int8 (p = 1 and p = inf)."""
     space_kind: str
     row: tuple
 
@@ -177,8 +180,8 @@ def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
 
 def _dot_row(row, x) -> float:
     """sum_i phi_i x_i over the shorter of row and x, accumulated in
-    index order from 0.0: the one per-index arithmetic of the p-norm
-    kinds. The sum is never -0.0, so the +-0.0 terms of a zero-padded
+    index order from 0.0: the one per-index arithmetic of every kind.
+    The sum is never -0.0, so the +-0.0 terms of a zero-padded
     row (or of `_dot_rows`' padding) leave it as it is. A row read
     from an int8 matrix holds ints; v * f, a float times an int, has
     the bits of the float product and takes float's own fast path."""
@@ -186,6 +189,17 @@ def _dot_row(row, x) -> float:
     for f, v in zip(row, x):
         acc += v * f
     return acc
+
+
+def _nested_points(width: int) -> np.ndarray:
+    """The first `width` points of 0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, ...:
+    each dyadic grid of 2^b + 1 points is a prefix, in which a point
+    keeps its place as the grids refine. Every entry is exact."""
+    points, step = [0.0, 1.0], 0.5
+    while len(points) < width:
+        points += [i * step for i in range(1, round(1 / step), 2)]
+        step /= 2
+    return np.array(points[:width])
 
 
 def _number_rows(rows, what: str) -> np.ndarray:
@@ -222,23 +236,23 @@ class SeparableSpace:
     points are their own duality rows. Each buffer takes its rows'
     dtype: the default duality rows of p = 1 and p = inf are int8 (a
     byte an entry against the points' eight), any other `_Phi` float64;
-    the row arithmetic below reads either with the same bits. There are
-    two ways to phi_k(x), bit for bit alike: the block functional_values(x, K) = [phi_1(x),
-    ..., phi_K(x)], which applies rows 1..K through `_apply_rows`, each
-    kind's one array arithmetic; and the scalar path functional_oracle(x), which takes x
-    once and returns k -> phi_k(x), reading cache row k - 1 with no
-    object built per call (c01's also keeps x's value at each grid
-    location it read, at most one grid's points per oracle). A read of
+    the row arithmetic below reads either with the same bits. Every
+    kind's functional rows are coefficient rows against its
+    coordinates, so one arithmetic reads them all: `_dot_rows` for
+    blocks, `_dot_row` for single rows. There are two ways to phi_k(x),
+    bit for bit alike: the block functional_values(x, K) = [phi_1(x),
+    ..., phi_K(x)], and the scalar path functional_oracle(x), which
+    takes x once and returns k -> phi_k(x), reading cache row k - 1
+    with no object built per call. A read of
     phi_k(x) at scattered k (T(x)'s `at` in `embed`) gathers from a
-    block.
-    apply_functional(norming_functional(k), x) gives the same bits as a
-    reference; nothing in the library calls it. The p-norm
-    kinds share one row arithmetic here: `_dot_rows` for blocks,
-    `_dot_row` for single rows, and distance_profile(v, K, lo=0) =
-    [||v - u_{lo+1}||, ..., ||v - u_K||] for 0 <= lo < K (each row
-    bit for bit as in the profile from row 0). Each p-norm kind states only
-    `_coords(x, width)`, the first `width` coordinates of x as a list,
-    and `_outside(x, width)`, the p-th powers of x past them.
+    block. apply_functional(norming_functional(k), x) gives the same
+    bits as a reference; nothing in the library calls it. Each kind
+    states `_coords(x, width)`, the first `width` coordinates of x as a
+    list. The p-norm kinds also share distance_profile(v, K, lo=0) =
+    [||v - u_{lo+1}||, ..., ||v - u_K||] for 0 <= lo < K (each row bit
+    for bit as in the profile from row 0), for which each states
+    `_outside(x, width)`, the p-th powers of x past those coordinates;
+    c01 has its own, on its points' grids.
 
     Each kind implements norm, canonical (validate an element), scale,
     net_point(k), random_element, lattice_sample (a multiple
@@ -356,11 +370,7 @@ class SeparableSpace:
     def functional_values(self, x, K: int) -> np.ndarray:
         """[phi_1(x), ..., phi_K(x)]; K < 1 is IndexZero."""
         self._index(K)
-        return self._apply_rows(self._Phi[:K], x)
-
-    def _apply_rows(self, Phi: np.ndarray, x) -> np.ndarray:
-        """The functional rows Phi applied to x, one value per row."""
-        return _dot_rows(Phi, self._coords(self.canonical(x), Phi.shape[1]))
+        return _dot_rows(self._Phi[:K], self._coords(self.canonical(x), self._Phi.shape[1]))
 
     def _profile_rows(self, K: int, lo: int):
         """Grow the cache to rows lo..K-1 of a distance profile: K < 1
@@ -542,8 +552,12 @@ class SeqLp(SeparableSpace):
 # piecewise-linear functions on [0, 1] with the sup norm
 
 class ContinuousPL(SeparableSpace):
-    """Net points are PL functions on the dyadic grid of step 2^-b(t);
-    a cached functional row is (location, sign) of a point mass."""
+    """Net points are PL functions on the dyadic grid of step 2^-b(t),
+    their values in `_U` in grid order. The norming functional of a
+    point is the signed point mass at its first largest |value|: an int8
+    p = inf duality row whose columns are the grid in nested order (see
+    `_nested_points`), so x's coordinates are its values there and a
+    narrower grid's row, zero-padded, is the same functional."""
 
     kind = "c01"
 
@@ -564,9 +578,15 @@ class ContinuousPL(SeparableSpace):
         return np.arange(self._width(t)) / (self._width(t) - 1)
 
     def _net_rows(self, W, t):
+        # the argmax runs in grid order, as for every p = inf row, so a
+        # row with tied largest values keeps its first grid point; only
+        # then are the columns laid out in nested order
         U, Phi = _unit_rows(W, math.inf)
-        rows, idx = np.nonzero(Phi)   # one grid point per row
-        return U, np.column_stack((idx / (W.shape[1] - 1), Phi[rows, idx]))
+        width = W.shape[1]
+        return U, Phi[:, (_nested_points(width) * (width - 1)).astype(np.intp)]
+
+    def _coords(self, x, width: int) -> list:
+        return np.interp(_nested_points(width), x.breaks, x.values).tolist()
 
     def canonical(self, x):
         if isinstance(x, PLFunction):
@@ -585,36 +605,6 @@ class ContinuousPL(SeparableSpace):
         row = self._index(k)
         grid = self._grid(self._level_of(row))
         return PLFunction(tuple(grid.tolist()), tuple(self._U[row, :len(grid)].tolist()))
-
-    def apply_functional(self, phi, x) -> float:
-        self._check_kind(phi)
-        x = self.canonical(x)
-        location, sign = phi.row
-        return sign * float(np.interp(location, x.breaks, x.values))
-
-    def functional_oracle(self, x):
-        """k -> phi_k(x), bit for bit apply_functional's arithmetic on
-        row k - 1, with x interpolated once per grid location: the
-        closure's dict maps each location read to x there, so it holds
-        at most the widest cached grid's points (3 for rows 1..4746).
-        Cached rows are read as they are; any other k goes through
-        `_index`."""
-        x = self.canonical(x)
-        breaks, values = np.array(x.breaks), np.array(x.values)
-        x_at = {}
-
-        def value(k: int) -> float:
-            if not 0 < k <= len(self._Phi):
-                self._index(k)
-            location, sign = self._Phi[k - 1].tolist()
-            if location not in x_at:
-                x_at[location] = float(np.interp(location, breaks, values))
-            return sign * x_at[location]
-        return value
-
-    def _apply_rows(self, Phi, x):
-        x = self.canonical(x)
-        return Phi[:, 1] * np.interp(Phi[:, 0], x.breaks, x.values)
 
     def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
         self._profile_rows(K, lo)
@@ -661,6 +651,9 @@ class ContinuousPL(SeparableSpace):
     def element_from_json(self, obj):
         if not isinstance(obj, dict) or "breaks" not in obj or "values" not in obj:
             raise ConfigError("c01 element must be {breaks: [...], values: [...]}")
+        unknown = [k for k in obj if k not in ("breaks", "values")]
+        if unknown:
+            raise ConfigError(f"unknown c01 element fields: {unknown}")
         _numbers(list(obj["breaks"]) + list(obj["values"]), "c01 element")
         return pl_function(obj["breaks"], obj["values"])
 

@@ -3,10 +3,13 @@
 Each is written from the definitions, apart from the net cache and the
 row arithmetic of `seqembed.spaces`: the sup over all grid directions
 through a level, the difference of two PL functions on the union of
-their breakpoints, and the closed-form count of lattice net points.
+their breakpoints, the value of a point mass at a grid point, the
+nested order of a dyadic grid, and the closed-form count of lattice net
+points.
 """
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,3 +60,19 @@ def pl_subtract(x: PLFunction, y: PLFunction) -> PLFunction:
     breaks = np.union1d(x.breaks, y.breaks)
     vals = np.interp(breaks, x.breaks, x.values) - np.interp(breaks, y.breaks, y.values)
     return PLFunction(tuple(float(b) for b in breaks), tuple(float(v) for v in vals))
+
+
+def point_mass_value(x: PLFunction, phi) -> float:
+    """phi(x) for a c01 duality row phi over the grid of len(phi) points,
+    in grid order: the sign of its one nonzero entry times x at that
+    grid point, interpolated there on its own."""
+    i = int(np.flatnonzero(phi)[0])
+    t = np.linspace(0.0, 1.0, len(phi))[i]
+    return float(phi[i]) * float(np.interp(t, x.breaks, x.values))
+
+
+def nested_order(width: int) -> list:
+    """The indices 0..width-1 of the grid i / (width - 1), a dyadic one,
+    listed coarsest point first: by the denominator of i / (width - 1)
+    in lowest terms, then by i, so 0, 1, 1/2, 1/4, 3/4, 1/8, ..."""
+    return sorted(range(width), key=lambda i: (Fraction(i, width - 1).denominator, i))

@@ -218,6 +218,19 @@ def test_exit_one_on_sample_coordinate_not_a_number(tmp_path, capsys, space, sam
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("command", ["embed", "suite"])
+def test_exit_one_on_c01_sample_with_unknown_fields(tmp_path, capsys, command):
+    # a c01 sample names its breaks and values and nothing else, as
+    # every other outside input rejects fields it does not know
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"space": "c01", "samples": [
+        {"breaks": [0, 1], "values": [1, 2], "x": 1, "y": 2}]}))
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and "['x', 'y']" in err, err
+    assert err.count("\n") == 1, err
+
+
 def test_exit_one_on_int_past_python_digit_limit(tmp_path, capsys):
     # json.loads raises a ValueError that is not a JSONDecodeError
     path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from seqembed import (ConfigError, CustomNet, FiniteDimLp, IndexZero,
                       KindMismatch, NotUnitVector, SeqLp, ContinuousPL,
                       ZeroElement, coordinates_at, embed_t1, oscillation_witness,
                       parse_space, pl_function)
-from seqembed.spaces import SCAN_BLOCK
-from reference import net_size_through_level, pl_subtract
+from seqembed.spaces import SCAN_BLOCK, _nested_points
+from reference import (nested_order, net_size_through_level, pl_subtract,
+                       point_mass_value)
 
 SQ2 = math.sqrt(2.0)
 
@@ -116,26 +118,43 @@ def test_functional_oracle_grows_the_cache_past_its_rows(spec):
 
 
 def test_c01_oracle_interpolates_once_per_location(monkeypatch):
-    # rows 1..4746 sit on the grid {0, 1/2, 1}; k = 4747 opens
-    # {0, 1/4, ..., 1}, whose rows first leave location 0 past 55300.
-    # Read on a cold cache, up, down and across the opening, every
-    # value keeps the block's bits
+    # one vector np.interp per cache width: x at the 3 points of
+    # {0, 1/2, 1}, then at the 5 of {0, 1/4, ..., 1} in nested order
+    # once the cache holds row 4747, where that grid opens. Read by
+    # index, a cold cache gets there at k = 4097 (grown to 8192 rows),
+    # one warmed to rows 1..4746 at k = 4747. Read up, down and across
+    # the opening, every value keeps the block's bits
     x = pl_function((0.0, 0.3, 1.0), (1.0, -2.0, 0.5))
     want = ContinuousPL().functional_values(x, 55400)
-    sp, interp, locations = ContinuousPL(), np.interp, []
+    interp, calls, reading = np.interp, [], 0
 
     def counted(t, *args, **kwargs):
-        if np.ndim(t) == 0:
-            locations.append(t)
+        calls.append((reading, np.asarray(t).tolist()))
         return interp(t, *args, **kwargs)
     monkeypatch.setattr(np, "interp", counted)
-    value = sp.functional_oracle(x)
-    got = [value(k) for k in range(1, 4747)]
-    assert sorted(locations) == [0.0, 0.5, 1.0]
-    ks = [*range(4747, 4801), *range(55400, 55300, -1), *range(4800, 0, -1), 4747, 1]
-    got += [value(k) for k in ks]
-    assert sorted(locations) == [0.0, 0.25, 0.5, 1.0]
-    assert _bits(got) == _bits(want[[*range(4746), *(k - 1 for k in ks)]])
+    ks = [*range(1, 4801), *range(55400, 55300, -1), *range(4800, 0, -1), 4747, 1]
+    for warm, opens in ((0, 4097), (4746, 4747)):
+        sp, got = ContinuousPL(), []
+        sp._ensure(warm)
+        calls.clear()
+        value = sp.functional_oracle(x)
+        for reading in ks:
+            got.append(value(reading))
+        assert calls == [(1, [0.0, 1.0, 0.5]), (opens, [0.0, 1.0, 0.5, 0.25, 0.75])]
+        assert _bits(got) == _bits(want[[k - 1 for k in ks]])
+
+
+def test_nested_points_list_every_grid_as_a_prefix():
+    # 0, 1, 1/2, 1/4, 3/4, 1/8, ...: the first 2^b + 1 entries are the
+    # grid of step 2^-b, each entry exact
+    widest = _nested_points(2 ** 8 + 1)
+    for width in range(1, len(widest) + 1):
+        assert _bits(_nested_points(width)) == _bits(widest[:width])
+    for b in range(9):
+        n = 2 ** b + 1
+        grid = np.arange(n) / (n - 1)
+        assert _bits(widest[:n]) == _bits(grid[nested_order(n)])
+        assert all(Fraction(t).denominator <= 2 ** b for t in widest[:n].tolist())
 
 
 @pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
@@ -273,7 +292,7 @@ def test_net_grown_any_way_is_the_same_net(spec):
 @pytest.mark.parametrize("spec, shared, itemsize", [
     ("fdlp:dim=2,p=2", True, 8), ("seqlp:p=2,support=4", True, 8), (_KINDS[3], True, 8),
     ("fdlp:dim=2,p=1.5", False, 8), ("fdlp:dim=3,p=inf", False, 1),
-    ("seqlp:p=1,support=8", False, 1), ("fdlp:dim=2,p=1", False, 1), ("c01", False, 8),
+    ("seqlp:p=1,support=8", False, 1), ("fdlp:dim=2,p=1", False, 1), ("c01", False, 1),
     ({**_KINDS[3], "functionals": [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]}, False, 8),
     ({"kind": "custom", "p": 2, "points": [[-0.0, 1.0], [1.0, 0.0]]}, False, 8),
     ({"kind": "custom", "p": "inf", "points": [[1.0, -0.5], [0.25, -1.0]]}, False, 1),
@@ -282,9 +301,9 @@ def test_net_grown_any_way_is_the_same_net(spec):
 def test_p2_points_are_their_own_functionals(spec, shared, itemsize):
     # at p = 2 sign(u)|u| = u bit for bit, so one matrix is built and
     # kept for both, through every growth; not so for a -0.0 entry,
-    # which the duality map makes +0.0. At p = 1 and p = inf the
-    # default duality rows hold -1, 0, +1 in one byte an entry, and a
-    # functional still hands out floats
+    # which the duality map makes +0.0. At p = 1 and p = inf (c01's
+    # point masses too) the default duality rows hold -1, 0, +1 in one
+    # byte an entry, and a functional still hands out floats
     sp = parse_space(spec)
     for K in (1, 7, 300, 5000):
         sp._ensure(K)
@@ -667,6 +686,10 @@ def _reference_net(width, p, count):
                 return out
 
 
+def _c01_grid_points(t):
+    return 2 ** ((t + 5) // 6) + 1
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
@@ -727,19 +750,48 @@ def test_seqlp_net_matches_reference_enumeration(p):
 
 def test_c01_net_matches_reference_enumeration():
     # levels 1-6 use the grid {0, 1/2, 1}; level 7 opens {0, 1/4, ..., 1}
-    # at k = 4747
+    # at k = 4747. A functional row is the reference duality row in the
+    # grid's nested order
     count = 4800
-    grid_points = lambda t: 2 ** ((t + 5) // 6) + 1
-    ref = _reference_net(grid_points, math.inf, count)
+    ref = _reference_net(_c01_grid_points, math.inf, count)
     assert len(ref[4745][0]) == 3 and len(ref[4746][0]) == 5
     for sp in _grown(ContinuousPL, count):
         for k, (u, phi) in enumerate(ref, start=1):
             f = sp.net_point(k)
             assert _bits(f.breaks) == _bits(np.linspace(0.0, 1.0, len(u)))
             assert _bits(f.values) == _bits(u)
-            i = int(np.flatnonzero(phi)[0])
             assert _bits(sp.norming_functional(k).row) == \
-                _bits([np.linspace(0.0, 1.0, len(u))[i], phi[i]])
+                _bits(np.trim_zeros(phi[nested_order(len(u))], "b"))
+
+
+def _c01_samples():
+    """A generic PL function, and one that vanishes at grid points 0
+    and 3/4, where a point mass of sign -1 reads -1 * 0.0 = -0.0."""
+    return [pl_function((0.0, 0.3, 1.0), (1.0, -2.0, 0.5)),
+            pl_function((0.0, 0.5, 1.0), (0.0, 2.0, -2.0))]
+
+
+def test_c01_functionals_are_point_masses():
+    # phi_k(x) against sign * x(t_k), with t_k and the sign from the
+    # reference net and x interpolated at t_k alone: equal up to the
+    # sign of zero (adding 0.0 makes a -0.0 +0.0 and leaves the rest)
+    count = 4800
+    ref = _reference_net(_c01_grid_points, math.inf, count)
+    for x in _c01_samples():
+        want = np.array([point_mass_value(x, phi) for _, phi in ref])
+        got = ContinuousPL().functional_values(x, count)
+        assert _bits(got + 0.0) == _bits(want + 0.0)
+
+
+def test_c01_functional_is_never_negative_zero():
+    # each read sums from 0.0, as for every kind, and 0.0 + -0.0 is +0.0
+    sp = ContinuousPL()
+    x = _c01_samples()[1]
+    value = sp.functional_oracle(x)
+    for vals in (sp.functional_values(x, 4800), [value(k) for k in range(1, 4801)],
+                 [sp.apply_functional(sp.norming_functional(k), x) for k in range(1, 4801)]):
+        vals = np.asarray(vals)
+        assert (vals == 0.0).any() and not np.signbit(vals[vals == 0.0]).any()
 
 
 def test_c01_net_lists_only_what_it_reaches():
