@@ -38,10 +38,6 @@ from .verify import (_witness_table, check_isometry, check_separation,
 # ---------------------------------------------------------------------------
 # sequence spec mini-language
 
-#: largest start n of `evconst:v@n`, whose head of n - 1 zeros is built
-EVCONST_MAX_START = 2 ** 20
-
-
 def parse_seq_spec(spec: str) -> BoundedSeq:
     """`periodic:<v1,...>`, `evconst:<v>@<n>`, `limit:<v>,rate=<r>`,
     `zero`, or `combo:<c1>*<spec1>+<c2>*<spec2>+...`."""
@@ -54,13 +50,9 @@ def parse_seq_spec(spec: str) -> BoundedSeq:
             return periodic([float(v) for v in rest.split(",")])
         if head == "evconst":
             value, at, start = rest.partition("@")
-            if at and not (start.isascii() and start.isdigit()
-                           and 1 <= int(start) <= EVCONST_MAX_START):
-                raise ConfigError(f"evconst start in {spec!r} must be decimal "
-                                  f"digits n with 1 <= n <= {EVCONST_MAX_START}")
-            start = int(start) if at else 1
-            return eventually_constant(float(value), start,
-                                       head=(0.0,) * (start - 1))
+            if at and not (start.isascii() and start.isdigit()):
+                raise ConfigError(f"evconst start in {spec!r} must be decimal digits")
+            return eventually_constant(float(value), int(start) if at else 1)
         if head == "limit":
             value, _, rate = rest.partition(",")
             if not rate.startswith("rate="):
@@ -118,16 +110,16 @@ def _list_of(check):
     return lambda v: isinstance(v, list) and all(map(check, v))
 
 
-_ANY, _REQUIRED = (lambda v: True), object()
-_SPECS = (_list_of(lambda v: isinstance(v, str)), "a list of sequence specs")
+_ANY, _STRING, _REQUIRED = (lambda v: True), (lambda v: isinstance(v, str)), object()
+_SPECS = (_list_of(_STRING), "a list of sequence specs")
 
 #: every config field: (default, check, what the check asks for), where
 #: _REQUIRED is no default and null passes only where the default is
 #: None; `parse_space` checks the space when it is built
 _FIELDS = {
-    "name": ("run", _ANY, "anything"),
+    "name": ("run", _STRING, "a string"),
     "space": (_REQUIRED, _ANY, "a space spec"),
-    "out": (None, lambda v: isinstance(v, str), "a path"),
+    "out": (None, _STRING, "a path"),
     "gap_floor": (None, lambda v: _is_number(v) and v > 0.0, "a number > 0"),
     "d_mode": ("finite", ("finite", "countable", "dense").__contains__,
                "finite|countable|dense"),

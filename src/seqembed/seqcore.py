@@ -22,10 +22,9 @@ from .errors import ConfigError, EmptyWindow, IndexZero, LengthMismatch, \
 
 @dataclass(frozen=True)
 class EventuallyConstant:
-    """Constant `value` from index `start` on; `head` fills 1..start-1."""
+    """0.0 at the indices below `start`, `value` from `start` on."""
     value: float
     start: int = 1
-    head: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -101,32 +100,29 @@ class ClusterEstimate:
 # ---------------------------------------------------------------------------
 # constructors
 
-def eventually_constant(value: float, start: int = 1, head: Sequence[float] = ()) -> BoundedSeq:
-    head = tuple(float(v) for v in head)
-    if len(head) != start - 1:
-        raise LengthMismatch(f"head length {len(head)} != start-1 = {start - 1}")
+def eventually_constant(value: float, start: int = 1) -> BoundedSeq:
+    """0.0 at indices 1..start-1 and `value` from `start` on. `start` is
+    an int (not a bool) below 2^63, the index range of IndexScheme: a
+    start below 1 is IndexZero, any other bad start a ConfigError."""
+    if not (type(start) is int and start < 2 ** 63):
+        raise ConfigError(f"start = {start!r} must be an int < 2^63")
+    if start < 1:
+        raise IndexZero(f"start {start} < 1")
     value = float(value)
-    _numbers(head + (value,), "eventually constant sequence")
-    bound = max([abs(value)] + [abs(v) for v in head])
+    _numbers((value,), "eventually constant sequence")
 
     def oracle(n: int) -> float:
-        return head[n - 1] if n < start else value
-
-    head_arr = np.array(head, dtype=float)
+        return value if n >= start else 0.0
 
     def block(lo: int, hi: int) -> np.ndarray:
         out = np.full(hi - lo + 1, value)
-        if lo < start:
-            out[:min(hi + 1, start) - lo] = head_arr[lo - 1:hi]
+        out[:max(0, start - lo)] = 0.0
         return out
 
     def at(ns: np.ndarray) -> np.ndarray:
-        out = np.full(len(ns), value)
-        early = ns < start
-        out[early] = head_arr[ns[early] - 1]
-        return out
+        return np.where(ns < start, 0.0, value)
 
-    return BoundedSeq(oracle, bound, EventuallyConstant(value, start, head), block, at)
+    return BoundedSeq(oracle, abs(value), EventuallyConstant(value, start), block, at)
 
 
 def explicit_limit(limit: float, rate: float) -> BoundedSeq:

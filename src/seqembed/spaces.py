@@ -368,9 +368,12 @@ class SeparableSpace:
         return value
 
     def functional_values(self, x, K: int) -> np.ndarray:
-        """[phi_1(x), ..., phi_K(x)]; K < 1 is IndexZero."""
+        """[phi_1(x), ..., phi_K(x)]; K < 1 is IndexZero. Only the columns
+        rows 1..K use are summed, as in distance_profile: the rest are
+        their zero padding."""
         self._index(K)
-        return _dot_rows(self._Phi[:K], self._coords(self.canonical(x), self._Phi.shape[1]))
+        width = self._width(self._level_of(K - 1))
+        return _dot_rows(self._Phi[:K, :width], self._coords(self.canonical(x), width))
 
     def _profile_rows(self, K: int, lo: int):
         """Grow the cache to rows lo..K-1 of a distance profile: K < 1
@@ -667,8 +670,9 @@ class CustomNet(FiniteDimLp):
     Exists so tests and examples do not depend on the grid enumeration
     order. Functionals default to the duality map of each point (at
     p = 2 the points themselves, so `_Phi is _U` as for the lattice
-    kinds). `_rows` supplies the cycle's rows to the shared growth
-    path; reads are `FiniteDimLp`'s.
+    kinds); given ones must take 1 at their point and have q-norm at
+    most 1 + UNIT_TOL, the dual norm. `_rows` supplies the cycle's rows
+    to the shared growth path; reads are `FiniteDimLp`'s.
     """
 
     kind = "custom"
@@ -687,6 +691,11 @@ class CustomNet(FiniteDimLp):
                 raise ConfigError("one functional per net point, of its dimension, required")
             if np.any(np.abs(np.sum(functionals * points, axis=1) - 1.0) > UNIT_TOL):
                 raise ConfigError("functional does not norm its point")
+            # the dual norm is the q-norm, 1/p + 1/q = 1
+            q = (math.inf if self.p == 1.0 else 1.0 if math.isinf(self.p)
+                 else self.p / (self.p - 1.0))
+            if np.any(_row_norms(functionals, q) > 1.0 + UNIT_TOL):
+                raise ConfigError(f"functional has dual ({q:g}-)norm over 1")
         self._points, self._functionals = points, functionals
 
     def describe(self):

@@ -89,6 +89,20 @@ def test_classify_combo_spec_with_exponent(capsys):
     assert "verdict combo:1e+0*periodic:1,-1: NotInC" in out
 
 
+@pytest.mark.parametrize("start, code", [("1048577", 0), ("0", 1),
+                                         ("99999999999999999999", 1)])
+def test_classify_evconst_start(capsys, start, code):
+    # nothing is built per index below the start: any start in 1..2^63-1 reads
+    spec = f"evconst:1@{start}"
+    got, out, err = run(capsys, "classify", "--spec", spec, "--budget", "64",
+                        "--gap-floor", "1")
+    assert got == code, out + err
+    if code == 0:
+        assert f"verdict {spec}: InC" in out
+    else:
+        assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
 # -- config validation -----------------------------------------------------
 
 def test_validate_config_requires_space():
@@ -179,8 +193,13 @@ def test_exit_one_on_malformed_space(tmp_path, capsys):
     ("space", {"kind": "custom", "points": [[1.0, 0.0], [0.0, 1.0]],
                "functionals": [[True, 0.0], [0.0, 1.0]]}),
     ("space", {"kind": "fdlp", "dim": 2, "p": 10**400}), ("space", "fdlp:dim=2,p=1e400"),
-    # an evconst start past EVCONST_MAX_START, or not plain decimal digits
+    # an evconst start of 2^63 or more, or not plain decimal digits
     ("d_basis", ["evconst:1@99999999999999999999"]), ("d_basis", ["evconst:1@1_000"]),
+    # an evconst start below 1; a name that is not a string
+    ("d_basis", ["evconst:1@0"]), ("name", math.nan), ("name", {"x": math.inf}),
+    # custom functionals that take 1 at their points, one with dual norm over 1
+    ("space", {"kind": "custom", "points": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+               "functionals": [[1, 5], [0, 1], [-1, 0], [0, -1]]}),
 ])
 def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     cfg = {"space": "fdlp:dim=2,p=2", "d_mode": "countable",

@@ -12,6 +12,7 @@ import pytest
 from seqembed import (BudgetExhausted, CustomNet, IndexScheme, SeqLp, SubspaceD,
                       bw_extract, classify_c, coordinate, embed_t1, from_function,
                       oscillation_witness, periodic)
+from seqembed.cli import parse_seq_spec
 
 B = 10000
 
@@ -57,6 +58,12 @@ def test_oracle_memory_bounded_by_the_cached_rows():
     # x's coordinates are kept as wide as the cached rows, not as its
     # largest support index: a dense list to 10**9 would be 8 GB
     assert _peak(_far_support, 2000) < 2 * 2 ** 20
+
+
+def test_late_evconst_start_builds_no_head():
+    # an eventually constant sequence is (value, start): nothing per index
+    peak = _peak(lambda _: parse_seq_spec("evconst:1@1048576"), None)
+    assert peak < 64 * 2 ** 10
 
 
 def _deep_p1_scan():

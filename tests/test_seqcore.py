@@ -11,7 +11,7 @@ from seqembed import (BoundedSeq, ConfigError, FiniteDimLp, IndexZero,
                       eventually_constant, explicit_limit,
                       from_function, periodic, prefix_sup, scheme_embed,
                       zero_seq)
-from seqembed.seqcore import structural_limit
+from seqembed.seqcore import EventuallyConstant, structural_limit
 
 
 def test_periodic_coordinates():
@@ -38,7 +38,7 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize("build", [
     lambda: periodic([NAN, 1.0]),
     lambda: eventually_constant(INF),
-    lambda: eventually_constant(1.0, start=2, head=(NAN,)),
+    lambda: eventually_constant(NAN, start=2),
     lambda: explicit_limit(NAN, 1.0),
     lambda: explicit_limit(0.0, -INF),
     lambda: combine((1.0, NAN), (periodic([1.0]), periodic([-1.0]))),
@@ -58,7 +58,7 @@ def test_index_zero_rejected():
     # the readers check the index; no oracle checks it again
     sp, x = FiniteDimLp(2, 2), np.array([3.0, 4.0])
     scheme = bw_extract(SubspaceD("finite", (periodic([-1.0, 1.0]),)), 2, 64)
-    for s in (periodic([1.0]), eventually_constant(2.0, 3, (0.0, 1.0)),
+    for s in (periodic([1.0]), eventually_constant(2.0, 3),
               explicit_limit(1.0, 2.0), zero_seq(),
               from_function(lambda n: 1.0 / n, 1.0),
               combine([1.0, 2.0], [periodic([1.0]), from_function(float, 1e9)]),
@@ -74,25 +74,43 @@ def test_index_zero_rejected():
 
 
 def test_eventually_constant_head():
-    s = eventually_constant(3.0, start=3, head=(7.0, -2.0))
-    assert coordinate(s, 1) == 7.0
-    assert coordinate(s, 2) == -2.0
-    assert coordinate(s, 3) == 3.0
-    assert coordinate(s, 1000) == 3.0
-    assert s.bound == 7.0
+    # the head, indices 1..start-1, is zeros
+    s = eventually_constant(-3.0, start=3)
+    assert [coordinate(s, n) for n in (1, 2, 3, 1000)] == [0.0, 0.0, -3.0, -3.0]
+    assert s.bound == 3.0
+    assert s.tag == EventuallyConstant(-3.0, 3)
 
 
-def test_eventually_constant_head_length_checked():
-    with pytest.raises(LengthMismatch):
-        eventually_constant(1.0, start=4, head=(0.0,))
+def test_eventually_constant_start_checked():
+    for start in (0, -1):
+        with pytest.raises(IndexZero):
+            eventually_constant(1.0, start=start)
+    for start in (2.5, True, 2 ** 63, np.int64(3), "3"):
+        with pytest.raises(ConfigError):
+            eventually_constant(1.0, start=start)
+    assert coordinate(eventually_constant(1.0, 2 ** 63 - 1), 2 ** 63 - 1) == 1.0
 
 
 def test_eventually_constant_after_prefix():
-    s = eventually_constant(0.5, 3, [5.0, -5.0])
-    assert coordinate(s, 2) == -5.0
+    s = eventually_constant(0.5, 3)
+    assert coordinate(s, 2) == 0.0
     assert coordinate(s, 3) == 0.5
-    assert s.bound == 5.0
+    assert s.bound == 0.5
     assert structural_limit(s, 10) == (0.5, 0.0)
+
+
+@pytest.mark.parametrize("start", [1, 2, 7, 2 ** 62, 2 ** 63 - 4])
+@pytest.mark.parametrize("value", [2.5, -0.0])
+def test_eventually_constant_reads_agree_across_the_start(start, value):
+    # a window from three below the start to three past it, read by the
+    # oracle, the block and `at` (reversed, with a repeat)
+    s = eventually_constant(value, start)
+    lo, hi = max(1, start - 3), start + 3
+    oracle = [s.oracle(n) for n in range(lo, hi + 1)]
+    assert oracle == [0.0] * (start - lo) + [value] * 4
+    assert _bits(s.coordinates(lo, hi)) == _bits(oracle)
+    ns = np.array([hi, *range(hi, lo - 1, -1)], dtype=np.int64)
+    assert _bits(s.at(ns)) == _bits([s.oracle(n) for n in ns.tolist()])
 
 
 def test_explicit_limit_values():
@@ -130,8 +148,7 @@ def test_coordinates_block_agrees_with_oracle():
 _VALUES = st.floats(-10, 10)
 _LEAVES = st.one_of(
     st.lists(_VALUES, min_size=1, max_size=5).map(periodic),
-    st.builds(lambda v, head: eventually_constant(v, len(head) + 1, head),
-              _VALUES, st.lists(_VALUES, max_size=6)),
+    st.builds(eventually_constant, _VALUES, st.integers(1, 7)),
     st.builds(explicit_limit, _VALUES, _VALUES),
     st.just(zero_seq()))
 _COMBOS = st.builds(combine, st.lists(_VALUES, min_size=3, max_size=3),
@@ -148,7 +165,7 @@ def _bits(values):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_LEAVES, _COMBOS, _NESTED), st.integers(1, 12), st.integers(0, 40))
 def test_block_matches_oracle_bit_for_bit(s, lo, length):
-    # windows from 1..12 straddle every eventually-constant head drawn
+    # windows from 1..12 straddle every eventually-constant start drawn
     assert s.block is not None
     hi = lo + length
     assert _bits(s.coordinates(lo, hi)) == _bits([s.oracle(n) for n in range(lo, hi + 1)])
@@ -167,7 +184,7 @@ def test_combine_reads_by_index_only_when_every_child_does():
     assert combine([1.0, 2.0], [periodic([1.0]), explicit_limit(0.0, 1.0)]).at is not None
 
 
-# indices in any order, repeated, and past every eventually-constant head drawn
+# indices in any order, repeated, and past every eventually-constant start drawn
 _INDICES = st.lists(st.integers(1, 40), max_size=30)
 
 
@@ -191,7 +208,7 @@ def test_coordinates_at_without_by_index_read(s, c, ns):
 def test_coordinates_at_past_int64_reads_the_oracle():
     # 2**63 and 2**70 do not fit int64; the oracle takes Python ints
     for s in (periodic([1.0, -2.0, 0.5]), explicit_limit(1.0, 3.0),
-              eventually_constant(2.0, 3, (0.0, 1.0)),
+              eventually_constant(2.0, 3), eventually_constant(2.0, 2 ** 63 - 1),
               combine([1.0, -1.0], [periodic([1.0, -2.0, 0.5]), explicit_limit(1.0, 3.0)])):
         ns = [2 ** 70, 1, 2 ** 63, 2 ** 63 - 1, 2]
         assert _bits(coordinates_at(s, ns)) == _bits([coordinate(s, n) for n in ns])

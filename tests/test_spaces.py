@@ -584,6 +584,18 @@ def test_custom_net_validates_points():
             CustomNet(points)
     with pytest.raises(ConfigError):
         CustomNet([(0.6, 0.8)], functionals=[("a", "b")])
+    # each functional takes 1 at its point; these have dual (q-)norm over 1
+    cross = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    for p, points, functionals in (
+            (2.0, cross, [(1.0, 5.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]),
+            (1.0, [(1.0, 0.0)], [(1.0, 1.5)]),
+            (3.0, [(1.0, 0.0)], [(1.0, 0.5)]),
+            (math.inf, [(1.0, 1.0)], [(1.5, -0.5)])):
+        with pytest.raises(ConfigError, match="dual"):
+            CustomNet(points, p, functionals)
+    # norming functionals of dual norm 1 that are not the duality map
+    CustomNet([(1.0, 0.0)], 1.0, [(1.0, -1.0)])
+    CustomNet([(1.0, 1.0)], math.inf, [(0.25, 0.75)])
 
 
 # -- profiles from a start row -----------------------------------------------

@@ -13,7 +13,7 @@ from reference import brute_force_sup, net_size_through_level
 
 
 def test_tagged_sequences_are_in_c():
-    v = classify_c(eventually_constant(3.0, start=5, head=(9, 9, 9, 9)), 64, 1.0)
+    v = classify_c(eventually_constant(3.0, start=5), 64, 1.0)
     assert isinstance(v, InC)
     assert v.limit == 3.0 and v.tail_variation == 0.0
 
