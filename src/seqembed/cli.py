@@ -51,12 +51,12 @@ def parse_seq_spec(spec: str) -> BoundedSeq:
         if head == "evconst":
             value, at, start = rest.partition("@")
             if at and not (start.isascii() and start.isdigit()):
-                raise ConfigError(f"evconst start in {spec!r} must be decimal digits")
+                raise ConfigError("evconst start must be decimal digits")
             return eventually_constant(float(value), int(start) if at else 1)
         if head == "limit":
             value, _, rate = rest.partition(",")
             if not rate.startswith("rate="):
-                raise ConfigError(f"limit spec needs rate=, got {spec!r}")
+                raise ConfigError("limit spec needs rate=")
             return explicit_limit(float(value), float(rate[5:]))
         if head == "combo":
             coeffs, children = [], []
@@ -69,8 +69,6 @@ def parse_seq_spec(spec: str) -> BoundedSeq:
                 children.append(parse_seq_spec(child))
             return combine(coeffs, children)
     except (ValueError, SeqEmbedError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"bad sequence spec {spec!r}: {exc}") from None
     raise ConfigError(f"unknown sequence kind {head!r} in {spec!r}")
 

@@ -19,7 +19,6 @@ unaffected.
 """
 from __future__ import annotations
 
-import json
 import math
 import reprlib
 from dataclasses import dataclass
@@ -65,9 +64,6 @@ class PLFunction:
             raise ConfigError("breakpoints must start at 0 and end at 1")
         if any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
             raise ConfigError("breakpoints must strictly increase")
-
-    def __call__(self, t):
-        return np.interp(t, self.breaks, self.values)
 
 
 def pl_function(breaks, values) -> PLFunction:
@@ -668,35 +664,21 @@ class CustomNet(FiniteDimLp):
     """A finite-dim p-norm space whose net cycles an explicit unit list.
 
     Exists so tests and examples do not depend on the grid enumeration
-    order. Functionals default to the duality map of each point (at
-    p = 2 the points themselves, so `_Phi is _U` as for the lattice
-    kinds); given ones must take 1 at their point and have q-norm at
-    most 1 + UNIT_TOL, the dual norm. `_rows` supplies the cycle's rows
-    to the shared growth path; reads are `FiniteDimLp`'s.
+    order. Each point is normed by the duality map, dualized once per
+    net (at p = 2 the points themselves, so `_Phi is _U` as for the
+    lattice kinds, unless a point holds a -0.0). `_rows` supplies the
+    cycle's rows to the shared growth path; reads are `FiniteDimLp`'s.
     """
 
     kind = "custom"
 
-    def __init__(self, points, p: float = 2.0, functionals=None):
+    def __init__(self, points, p: float = 2.0):
         points = _number_rows(points, "custom net points")
         super().__init__(points.shape[1], p)
         for pt in points:
             if abs(_pnorm(pt, self.p) - 1.0) > UNIT_TOL:
                 raise ConfigError(f"custom net point {pt} is not unit")
-        if functionals is None:
-            functionals = _duality_rows(points, self.p)
-        else:
-            functionals = _number_rows(functionals, "custom net functionals")
-            if functionals.shape != points.shape:
-                raise ConfigError("one functional per net point, of its dimension, required")
-            if np.any(np.abs(np.sum(functionals * points, axis=1) - 1.0) > UNIT_TOL):
-                raise ConfigError("functional does not norm its point")
-            # the dual norm is the q-norm, 1/p + 1/q = 1
-            q = (math.inf if self.p == 1.0 else 1.0 if math.isinf(self.p)
-                 else self.p / (self.p - 1.0))
-            if np.any(_row_norms(functionals, q) > 1.0 + UNIT_TOL):
-                raise ConfigError(f"functional has dual ({q:g}-)norm over 1")
-        self._points, self._functionals = points, functionals
+        self._points, self._functionals = points, _duality_rows(points, self.p)
 
     def describe(self):
         return f"custom:dim={self.dim},p={self.p:g},cycle={len(self._points)}"
@@ -734,20 +716,13 @@ _SPACE_FIELDS = {
     "fdlp": ({"dim"}, {"p": "2"}),
     "seqlp": (set(), {"p": "2", "support": "8"}),
     "c01": (set(), {}),
-    "custom": ({"points"}, {"p": "2", "functionals": None}),
+    "custom": ({"points"}, {"p": "2"}),
 }
 
 
 def _spec_dict(spec: str) -> dict:
-    """`<kind>:<key>=<value>,...` as {"kind": kind, key: value, ...};
-    `custom:<file>` as the dict spec that the JSON file holds."""
+    """`<kind>:<key>=<value>,...` as {"kind": kind, key: value, ...}."""
     head, _, rest = spec.partition(":")
-    if head == "custom":
-        try:
-            with open(rest, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read custom net file {rest!r}: {exc}") from None
     out = {"kind": head}
     for part in filter(None, rest.split(",")):
         key, eq, val = part.partition("=")
@@ -759,8 +734,9 @@ def _spec_dict(spec: str) -> dict:
 
 def parse_space(spec) -> SeparableSpace:
     """Space specification: `fdlp:dim=<n>,p=<p|inf>`, `seqlp:p=<p>,
-    support=<m>`, `c01`, `custom:<file>`, or a dict of the same fields
-    with `kind`; every spec is checked against `_SPACE_FIELDS`."""
+    support=<m>`, `c01`, or a dict of the same fields with `kind`; a
+    custom net is only a dict, `{"kind": "custom", "points": [...]}`
+    with an optional `p`. Every spec is checked against `_SPACE_FIELDS`."""
     fields = _spec_dict(spec) if isinstance(spec, str) else spec
     if not isinstance(fields, dict):
         raise ConfigError(f"space spec must be string or object, got {type(fields).__name__}")
@@ -777,5 +753,5 @@ def parse_space(spec) -> SeparableSpace:
     if kind == "seqlp":
         return SeqLp(_parse_p(f["p"]), _parse_num(int, f["support"], "support cap"))
     if kind == "custom":
-        return CustomNet(f["points"], _parse_p(f["p"]), f["functionals"])
+        return CustomNet(f["points"], _parse_p(f["p"]))
     return ContinuousPL()

@@ -103,6 +103,19 @@ def test_classify_evconst_start(capsys, start, code):
         assert err.startswith("ConfigError:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("evconst:inf", "bad sequence spec 'evconst:inf': eventually constant"),
+    ("combo:1*limit:1,rate=1e400", "bad sequence spec 'combo:1*limit:1,rate=1e400': "
+                                   "bad sequence spec 'limit:1,rate=1e400': explicit limit"),
+], ids=["evconst-inf", "combo-limit-rate-1e400"])
+def test_classify_spec_error_names_the_spec(capsys, spec, message):
+    # a library error raised while parsing names the spec; a combo
+    # names the failing child inside itself
+    got, out, err = run(capsys, "classify", "--spec", spec)
+    assert got == 1, out + err
+    assert err.startswith(f"ConfigError: {message}") and err.count("\n") == 1, err
+
+
 # -- config validation -----------------------------------------------------
 
 def test_validate_config_requires_space():
@@ -190,6 +203,7 @@ def test_exit_one_on_malformed_space(tmp_path, capsys):
     ("tol_schedule", [0.5, 10**400]),
     ("d_samples", [[1.0, 10**400]]), ("samples", [[10**400, 4.0]]),
     ("space", {"kind": "custom", "points": [[True, 0.0], [0.0, 1.0]]}),
+    # a custom net allows no functionals field: the duality map norms its points
     ("space", {"kind": "custom", "points": [[1.0, 0.0], [0.0, 1.0]],
                "functionals": [[True, 0.0], [0.0, 1.0]]}),
     ("space", {"kind": "fdlp", "dim": 2, "p": 10**400}), ("space", "fdlp:dim=2,p=1e400"),
@@ -197,7 +211,7 @@ def test_exit_one_on_malformed_space(tmp_path, capsys):
     ("d_basis", ["evconst:1@99999999999999999999"]), ("d_basis", ["evconst:1@1_000"]),
     # an evconst start below 1; a name that is not a string
     ("d_basis", ["evconst:1@0"]), ("name", math.nan), ("name", {"x": math.inf}),
-    # custom functionals that take 1 at their points, one with dual norm over 1
+    # functionals, even ones that take 1 at their points, are not a custom net field
     ("space", {"kind": "custom", "points": [[1, 0], [0, 1], [-1, 0], [0, -1]],
                "functionals": [[1, 5], [0, 1], [-1, 0], [0, -1]]}),
 ])
@@ -216,6 +230,25 @@ def test_exit_one_on_malformed_field(tmp_path, capsys, field, value):
     assert main([command, "--config", str(path)] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+
+
+def test_custom_net_is_given_inline_only(tmp_path, capsys):
+    # the duality map norms a custom net's points, so a functionals field
+    # is unknown even when its rows norm them, and no spec names a net file
+    net = {"kind": "custom", "points": [[0.6, 0.8], [1, 0], [0, 1], [-1, 0], [0, -1]]}
+    (tmp_path / "net.json").write_text(json.dumps(net))
+    cfg = {"samples": [[3.0, 4.0]], "K": 16, "count": 2, "epsilon": 0.3}
+    for space in ({**net, "functionals": net["points"]},
+                  f"custom:{tmp_path / 'net.json'}"):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "space": space}))
+        assert main(["embed", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError:") and err.count("\n") == 1, err
+        if isinstance(space, dict):
+            assert "allows ['p']" in err
+    path.write_text(json.dumps({**cfg, "space": net}))
+    assert main(["embed", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 @pytest.mark.parametrize("space, sample", [

@@ -293,11 +293,10 @@ def test_net_grown_any_way_is_the_same_net(spec):
     ("fdlp:dim=2,p=2", True, 8), ("seqlp:p=2,support=4", True, 8), (_KINDS[3], True, 8),
     ("fdlp:dim=2,p=1.5", False, 8), ("fdlp:dim=3,p=inf", False, 1),
     ("seqlp:p=1,support=8", False, 1), ("fdlp:dim=2,p=1", False, 1), ("c01", False, 1),
-    ({**_KINDS[3], "functionals": [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]}, False, 8),
     ({"kind": "custom", "p": 2, "points": [[-0.0, 1.0], [1.0, 0.0]]}, False, 8),
     ({"kind": "custom", "p": "inf", "points": [[1.0, -0.5], [0.25, -1.0]]}, False, 1),
 ], ids=["fdlp-2", "seqlp-2", "custom-2", "fdlp-1.5", "fdlp-inf", "seqlp-1", "fdlp-1",
-        "c01", "custom-given-functionals", "custom-negative-zero", "custom-inf"])
+        "c01", "custom-negative-zero", "custom-inf"])
 def test_p2_points_are_their_own_functionals(spec, shared, itemsize):
     # at p = 2 sign(u)|u| = u bit for bit, so one matrix is built and
     # kept for both, through every growth; not so for a -0.0 entry,
@@ -311,7 +310,7 @@ def test_p2_points_are_their_own_functionals(spec, shared, itemsize):
         assert sp._Phi.itemsize == sp._Phi_buf.itemsize == itemsize
     for k in (1, 2, 3, 4999):
         assert {type(f) for f in sp.norming_functional(k).row} == {float}
-    if isinstance(spec, dict) and "functionals" not in spec and sp.p == 2.0:
+    if isinstance(spec, dict) and sp.p == 2.0:
         for k in (1, 2, 3):
             u = np.asarray(sp.net_point(k))
             assert _bits(sp.norming_functional(k).row) == \
@@ -492,13 +491,6 @@ def test_pl_function_validation():
         pl_function((0.0,), (1.0,))
 
 
-def test_pl_evaluation():
-    f = pl_function((0.0, 0.5, 1.0), (0.0, 2.0, -2.0))
-    assert f(0.25) == 1.0
-    assert f(0.75) == 0.0
-    assert f(1.0) == -2.0
-
-
 def test_c01_norm_is_breakpoint_max():
     sp = ContinuousPL()
     f = pl_function((0.0, 0.25, 1.0), (1.0, -3.0, 0.5))
@@ -574,28 +566,27 @@ def test_custom_net_reads_its_cycle_rows(p):
 def test_custom_net_validates_points():
     with pytest.raises(ConfigError):
         CustomNet([(2.0, 0.0)])
-    with pytest.raises(ConfigError):
-        CustomNet([(1.0, 0.0)], functionals=[(0.0, 1.0)])
-    with pytest.raises(ConfigError):
-        CustomNet([(0.6, 0.8)], functionals=[(5.0 / 7.0,)])
     for points in ([], 5, "ab", [["0.6", "0.8"]], [[0.6, 0.8], [1.0]],
                    [[math.nan, 1.0]], [[True, False]]):
         with pytest.raises(ConfigError):
             CustomNet(points)
-    with pytest.raises(ConfigError):
-        CustomNet([(0.6, 0.8)], functionals=[("a", "b")])
-    # each functional takes 1 at its point; these have dual (q-)norm over 1
-    cross = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    for p, points, functionals in (
-            (2.0, cross, [(1.0, 5.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]),
-            (1.0, [(1.0, 0.0)], [(1.0, 1.5)]),
-            (3.0, [(1.0, 0.0)], [(1.0, 0.5)]),
-            (math.inf, [(1.0, 1.0)], [(1.5, -0.5)])):
-        with pytest.raises(ConfigError, match="dual"):
-            CustomNet(points, p, functionals)
-    # norming functionals of dual norm 1 that are not the duality map
-    CustomNet([(1.0, 0.0)], 1.0, [(1.0, -1.0)])
-    CustomNet([(1.0, 1.0)], math.inf, [(0.25, 0.75)])
+
+
+def test_custom_net_dualizes_its_cycle_once():
+    # a -0.0 only in the second point: the duality map makes it +0.0,
+    # so Phi is not U for the net, also while it holds the first point
+    # alone; every block agrees, and reads keep the bits of the scalar
+    # oracle
+    points = np.array([[1.0, 0.0], [-0.0, 1.0]])
+    sp, x = CustomNet(points, 2.0), np.array([0.7, -1.3])
+    oracle = sp.functional_oracle(x)
+    for K in (1, 2, 7):
+        sp._ensure(K)
+        n = len(sp._U)
+        assert sp._Phi is not sp._U
+        cycled = points[np.arange(n) % 2]
+        assert _bits(sp._Phi) == _bits(np.sign(cycled) * np.abs(cycled))
+        assert _bits(sp.functional_values(x, K)) == _bits([oracle(k) for k in range(1, K + 1)])
 
 
 # -- profiles from a start row -----------------------------------------------
@@ -636,10 +627,11 @@ def test_parse_space_dict(tmp_path):
     assert isinstance(sp, CustomNet)
     sq = parse_space({"kind": "seqlp", "p": 1.5, "support": 3})
     assert isinstance(sq, SeqLp) and sq.p == 1.5 and sq.support_cap == 3
+    # a custom net is given inline only; no spec names a file to open
     path = tmp_path / "net.json"
     path.write_text('{"kind": "custom", "points": [[0.6, 0.8]], "p": 2}')
-    net = parse_space(f"custom:{path}")
-    assert isinstance(net, CustomNet) and net.describe() == "custom:dim=2,p=2,cycle=1"
+    with pytest.raises(ConfigError):
+        parse_space(f"custom:{path}")
 
 
 @pytest.mark.parametrize("bad", [
@@ -648,14 +640,10 @@ def test_parse_space_dict(tmp_path):
     "fdlp:dim=abc", "seqlp:p=2,support=x",
     {"kind": "fdlp", "dim": 2, "extra": 1}, {"kind": "custom"}, "c01:foo=1",
     {"kind": ["fdlp"], "dim": 2},
-    "fdlp:dim=2,kind=seqlp", ("file", '{"kind": "custom", "points": [[1.0, 0.0]'),
-    ("file", '{"kind": "custom", "p": 2}'), ("file", "[[1.0, 0.0]]"),
+    "fdlp:dim=2,kind=seqlp", {"kind": "custom", "p": 2}, [[1.0, 0.0]],
+    {"kind": "custom", "points": [[1.0, 0.0]], "functionals": [[1.0, 0.0]]},
 ])
-def test_parse_space_rejects(tmp_path, bad):
-    if isinstance(bad, tuple):      # the text of a custom: net file
-        path = tmp_path / "net.json"
-        path.write_text(bad[1])
-        bad = f"custom:{path}"
+def test_parse_space_rejects(bad):
     with pytest.raises(ConfigError):
         parse_space(bad)
 
