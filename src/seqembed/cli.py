@@ -160,7 +160,7 @@ def build_run(cfg: dict):
     try:
         samples = [space.element_from_json(obj) for obj in cfg["samples"]]
     except (KindMismatch, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sample for {space.describe()}: {exc}") from None
+        raise ConfigError(f"bad sample for {reprlib.repr(cfg['space_spec'])}: {exc}") from None
     if not samples:
         raise ConfigError("config needs at least one sample element")
 
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
         if args.config:
             raw = load_config(args.config)
         elif args.command == "classify":
-            # the space is never built; it is only echoed in the report
+            # the space is checked but never enumerated
             raw = {"space": "fdlp:dim=1,p=2", "samples": [[1.0]]}
         else:
             raise ConfigError(f"{args.command} requires --config")
@@ -416,6 +416,7 @@ def main(argv=None) -> int:
         elif args.command == "extend":
             run_extend(cfg, report)
         elif args.command == "classify":
+            parse_space(cfg["space_spec"])      # checked, never enumerated
             run_classify(cfg, report, args.spec)
         else:
             run_suite(cfg, report)

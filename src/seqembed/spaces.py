@@ -71,16 +71,6 @@ def pl_function(breaks, values) -> PLFunction:
                       tuple(float(v) for v in values))
 
 
-def _pnorm(arr: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(arr)))
-    if p == 1.0:
-        return float(np.sum(np.abs(arr)))
-    if p == 2.0:
-        return float(np.sqrt(np.sum(arr * arr)))
-    return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
-
-
 def _duality_rows(U: np.ndarray, p: float) -> np.ndarray:
     """Norming functionals of the unit rows of U in a p-norm space.
 
@@ -108,9 +98,29 @@ def _duality_rows(U: np.ndarray, p: float) -> np.ndarray:
     return np.sign(U) * np.abs(U) ** (p - 1.0)
 
 
+def _pnorms(W: np.ndarray, p: float) -> np.ndarray:
+    """p-norms of the rows of W: the one vector p-norm, of elements,
+    custom points and net rows alike. At p other than 1, 2 and inf each
+    row takes a scalar libm root; an empty row is 0.0 at every p < inf.
+    The ufunc reductions are called directly: np.sum's and np.max's
+    wrappers cost more than the sums of a 1-row W."""
+    if math.isinf(p):
+        return np.maximum.reduce(np.abs(W), axis=1)
+    if p == 1.0:
+        return np.add.reduce(np.abs(W), axis=1)
+    if p == 2.0:
+        return np.sqrt(np.add.reduce(W * W, axis=1))
+    return np.array([s ** (1.0 / p) for s in np.add.reduce(np.abs(W) ** p, axis=1).tolist()])
+
+
 def _row_norms(D: np.ndarray, p: float, extra=0.0) -> np.ndarray:
     """p-norms of the rows of D, with `extra` (the p-th powers summed
-    over entries outside D) added under the root."""
+    over entries outside D) added under the root: the distance
+    profiles' rule. At p other than 1, 2 and inf its root is numpy's
+    array power, which rounds apart from `_pnorms`' scalar root in the
+    last bit (in about one root in twenty at p = 3, numpy 2.4 on an
+    x86-64 Xeon); witness indices pin a profile's bits, so neither
+    root stands in for the other."""
     if math.isinf(p):
         return np.max(np.abs(D), axis=1)
     if p == 1.0:
@@ -122,13 +132,7 @@ def _row_norms(D: np.ndarray, p: float, extra=0.0) -> np.ndarray:
 
 def _unit_rows(W: np.ndarray, p: float):
     """(W with each row normalized in the p-norm, their duality rows)."""
-    if p in (1.0, 2.0) or math.isinf(p):
-        norms = _row_norms(W, p)
-    else:
-        # a scalar libm root per row, as in _pnorm: numpy's array
-        # power rounds differently in the last bit
-        norms = np.array([s ** (1.0 / p) for s in np.sum(np.abs(W) ** p, axis=1).tolist()])
-    U = W / norms[:, None]
+    U = W / _pnorms(W, p)[:, None]
     return U, _duality_rows(U, p)
 
 
@@ -253,8 +257,7 @@ class SeparableSpace:
     Each kind implements norm, canonical (validate an element), scale,
     net_point(k), random_element, lattice_sample (a multiple
     of a small grid direction, near early net points), element_to_json,
-    element_from_json, describe, and `_width(t)`, the entries of a
-    level-t row.
+    element_from_json, and `_width(t)`, the entries of a level-t row.
     """
 
     kind = "abstract"
@@ -326,8 +329,9 @@ class SeparableSpace:
         if K < 1:
             raise IndexZero(f"K = {K} < 1")
         v = self.canonical(v)
-        if abs(self.norm(v) - 1.0) > UNIT_TOL:
-            raise NotUnitVector(f"norm(v) = {self.norm(v)!r}")
+        n = self.norm(v)
+        if abs(n - 1.0) > UNIT_TOL:
+            raise NotUnitVector(f"norm(v) = {n!r}")
         return float(np.min(self.distance_profile(v, K)))
 
     def norming_functional(self, k: int) -> Functional:
@@ -412,10 +416,6 @@ class FiniteDimLp(SeparableSpace):
         self.dim = int(dim)
         self.p = float(p)
 
-    def describe(self):
-        p = "inf" if math.isinf(self.p) else f"{self.p:g}"
-        return f"fdlp:dim={self.dim},p={p}"
-
     def _width(self, t):
         return self.dim
 
@@ -426,7 +426,7 @@ class FiniteDimLp(SeparableSpace):
         return arr
 
     def norm(self, x) -> float:
-        return _pnorm(self.canonical(x), self.p)
+        return float(_pnorms(self.canonical(x)[None], self.p)[0])
 
     def scale(self, c, x):
         return c * self.canonical(x)
@@ -441,7 +441,7 @@ class FiniteDimLp(SeparableSpace):
     def random_element(self, rng):
         while True:
             x = rng.standard_normal(self.dim)
-            if _pnorm(x, self.p) > 1e-3:
+            if self.norm(x) > 1e-3:
                 return x
 
     def lattice_sample(self, rng):
@@ -474,9 +474,6 @@ class SeqLp(SeparableSpace):
         self.p = float(p)
         self.support_cap = int(support_cap)
 
-    def describe(self):
-        return f"seqlp:p={self.p:g},support={self.support_cap}"
-
     def _width(self, t):
         return t
 
@@ -506,10 +503,7 @@ class SeqLp(SeparableSpace):
         return sum(abs(v) ** self.p for i, v in x.items() if i > width)
 
     def norm(self, x) -> float:
-        x = self.canonical(x)
-        if not x:
-            return 0.0
-        return _pnorm(np.array(list(x.values())), self.p)
+        return float(_pnorms(np.array([list(self.canonical(x).values())]), self.p)[0])
 
     def scale(self, c, x):
         return {i: c * v for i, v in self.canonical(x).items() if c * v != 0.0}
@@ -565,9 +559,6 @@ class ContinuousPL(SeparableSpace):
     # dyadic grid opens, so early net levels already resolve coarse
     # directions finely enough for witness searches
     LEVELS_PER_GRID = 6
-
-    def describe(self):
-        return "c01"
 
     def _width(self, t):
         return 2 ** ((t + self.LEVELS_PER_GRID - 1) // self.LEVELS_PER_GRID) + 1
@@ -675,13 +666,10 @@ class CustomNet(FiniteDimLp):
     def __init__(self, points, p: float = 2.0):
         points = _number_rows(points, "custom net points")
         super().__init__(points.shape[1], p)
-        for pt in points:
-            if abs(_pnorm(pt, self.p) - 1.0) > UNIT_TOL:
-                raise ConfigError(f"custom net point {pt} is not unit")
+        off = np.abs(_pnorms(points, self.p) - 1.0) > UNIT_TOL
+        if off.any():
+            raise ConfigError(f"custom net point {points[off.argmax()]} is not unit")
         self._points, self._functionals = points, _duality_rows(points, self.p)
-
-    def describe(self):
-        return f"custom:dim={self.dim},p={self.p:g},cycle={len(self._points)}"
 
     def _rows(self, lo: int, hi: int):
         cycle = np.arange(lo, hi) % len(self._points)

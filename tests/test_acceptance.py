@@ -14,11 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from seqembed import (ContinuousPL, FiniteDimLp, InC, NotInC, SeqLp,
-                      SubspaceD, bw_extract, classify_c,
+from seqembed import (FiniteDimLp, InC, NotInC, SubspaceD, bw_extract, classify_c,
                       combine, coordinate, diagonal_extract, embed_t1,
                       identity_scheme, isometry_defect, limit_along,
-                      oscillation_witness, periodic, prefix_sup,
+                      oscillation_witness, parse_space, periodic, prefix_sup,
                       reverify_witness, scheme_embed, separation_witness)
 from seqembed.cli import build_run, load_config, validate_config
 from reference import brute_force_sup, net_size_through_level
@@ -38,11 +37,8 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def spaces():
-    out = [FiniteDimLp(dim, p)
-           for dim in (1, 2, 3)
-           for p in (1.0, 1.5, 2.0, math.inf)]
-    out += [SeqLp(1.0), SeqLp(2.0), ContinuousPL()]
-    return out
+    specs = [f"fdlp:dim={dim},p={p}" for dim in (1, 2, 3) for p in ("1", "1.5", "2", "inf")]
+    return [(spec, parse_space(spec)) for spec in specs + ["seqlp:p=1", "seqlp:p=2", "c01"]]
 
 
 @pytest.fixture(scope="module")
@@ -50,22 +46,22 @@ def samples(spaces):
     rng = np.random.default_rng(SEED)
     drawn = []
     for i in range(N_SAMPLES):
-        sp = spaces[i % len(spaces)]
+        spec, sp = spaces[i % len(spaces)]
         x = sp.lattice_sample(rng)
         assert sp.norm(x) > 0.0
-        drawn.append((sp, x))
+        drawn.append((spec, sp, x))
     return drawn
 
 
 @pytest.fixture(scope="module")
 def deep_defects(samples):
-    return [(sp, x, isometry_defect(sp, x, K_DEEP)) for sp, x in samples]
+    return [(spec, sp, x, isometry_defect(sp, x, K_DEEP)) for spec, sp, x in samples]
 
 
 def test_criterion_1_upper_bound_exactness(deep_defects):
     t0 = time.perf_counter()
-    bad = [(sp.describe(), rec.achieved, sp.norm(x))
-           for sp, x, rec in deep_defects
+    bad = [(spec, rec.achieved, sp.norm(x))
+           for spec, sp, x, rec in deep_defects
            if rec.achieved > sp.norm(x) + 1e-9]
     elapsed = time.perf_counter() - t0
     report(1, "upper-bound exactness",
@@ -74,7 +70,7 @@ def test_criterion_1_upper_bound_exactness(deep_defects):
 
 
 def test_criterion_2_defect_interval_contract(deep_defects):
-    bad = [rec for _, _, rec in deep_defects
+    bad = [rec for _, _, _, rec in deep_defects
            if not (rec.lower - 1e-9 <= rec.achieved <= rec.upper + 1e-9)]
     sp = FiniteDimLp(2, 2)
     rec = isometry_defect(sp, np.array([3.0, 4.0]), 8)
@@ -88,7 +84,7 @@ def test_criterion_2_defect_interval_contract(deep_defects):
 def test_criterion_3_oscillation_witnesses(samples):
     failures = []
     slowest = 0.0
-    for sp, x in samples:
+    for spec, sp, x in samples:
         t0 = time.perf_counter()
         w = oscillation_witness(sp, x, 0.2, 10, scan_budget=10 ** 5)
         dt = time.perf_counter() - t0
@@ -98,7 +94,7 @@ def test_criterion_3_oscillation_witnesses(samples):
               and w.gap >= 2.0 * nx * 0.8 - 1e-9
               and reverify_witness(embed_t1(sp, x), w))
         if not ok or dt > 5.0:
-            failures.append(sp.describe())
+            failures.append(spec)
     report(3, "oscillation witnesses", not failures,
            f"{len(samples)} samples, slowest {slowest:.2f}s, "
            f"{len(failures)} failures")

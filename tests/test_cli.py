@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import subprocess
 import sys
 
@@ -249,6 +250,16 @@ def test_custom_net_is_given_inline_only(tmp_path, capsys):
             assert "allows ['p']" in err
     path.write_text(json.dumps({**cfg, "space": net}))
     assert main(["embed", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_bad_sample_names_the_configs_space(tmp_path, capsys):
+    # the space as the config gives it, here an inline custom net
+    net = {"kind": "custom", "points": [[0.6, 0.8], [1, 0], [0, 1]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"space": net, "samples": [[3.0, 4.0, 5.0]]}))
+    code, out, err = run(capsys, "embed", "--config", str(path))
+    assert code == 1 and not out
+    assert err.startswith(f"ConfigError: bad sample for {reprlib.repr(net)}: "), err
 
 
 @pytest.mark.parametrize("space, sample", [
@@ -708,6 +719,21 @@ def test_classify_reports_gap(tmp_path, capsys):
     (verdict,) = report["verdicts"]
     assert verdict["kind"] == "NotInC"
     assert verdict["detail"]["gap"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("space, message", [
+    ("nonsense", "unknown space kind 'nonsense'"),
+    ("fdlp:dim=0", "dim = 0 must be >= 1"),
+    ({"kind": "custom", "points": [[2.0, 0.0]]}, "custom net point [2. 0.] is not unit"),
+])
+def test_classify_rejects_a_malformed_space(tmp_path, capsys, space, message):
+    # classify never enumerates the space it echoes, but checks it
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"space": space, "samples": [[1]],
+                                "sequences": ["periodic:1,-1"]}))
+    code, out, err = run(capsys, "classify", "--config", str(path))
+    assert code == 1 and not out
+    assert err == f"ConfigError: {message}\n"
 
 
 def test_classify_tagged_in_c(capsys):

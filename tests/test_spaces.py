@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from seqembed import (ConfigError, CustomNet, FiniteDimLp, IndexZero,
                       KindMismatch, NotUnitVector, SeqLp, ContinuousPL,
@@ -26,6 +27,36 @@ def test_fdlp_norms():
     assert FiniteDimLp(2, 1).norm([3.0, -4.0]) == 7.0
     assert FiniteDimLp(2, math.inf).norm([3.0, -4.0]) == 4.0
     assert FiniteDimLp(3, 1.5).norm([1.0, 0.0, 0.0]) == 1.0
+
+
+def _vector_pnorm(arr, p):
+    """The p-norm of one vector, by numpy's 1-D reductions and a scalar
+    root: the formula the spaces normed elements and custom points with
+    before one routine normed every vector."""
+    if math.isinf(p):
+        return float(np.max(np.abs(arr)))
+    if p == 1.0:
+        return float(np.sum(np.abs(arr)))
+    if p == 2.0:
+        return float(np.sqrt(np.sum(arr * arr)))
+    return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+       st.lists(st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0]),
+                min_size=1, max_size=40))
+@example(2.0, [0.0, -0.0])
+def test_norms_keep_the_vector_formula_bits(p, values):
+    # elements are normed as 1-row matrices, bit for bit the 1-D
+    # formula; the empty seqlp element (all values zero) is 0.0
+    x = np.array(values)
+    assert _bits([FiniteDimLp(len(x), p).norm(x)]) == _bits([_vector_pnorm(x, p)])
+    if not math.isinf(p):
+        nonzero = np.array([v for v in values if v != 0.0])
+        want = _vector_pnorm(nonzero, p) if len(nonzero) else 0.0
+        got = SeqLp(p, len(x)).norm(dict(enumerate(values, 1)))
+        assert _bits([got]) == _bits([want])
 
 
 def test_fdlp_net_enumeration_order():
@@ -79,20 +110,22 @@ def test_functional_values_matches_pointwise():
     # per-index oracle is built on a cold cache and read once before
     # the block grows the cache past that read's rows and width.
     x3 = np.array([0.3, -1.7, 2.2])
-    cases = [(FiniteDimLp(2, 2), np.array([0.3, -1.7]), 25),
-             *((FiniteDimLp(3, p), x3, 400) for p in (1.0, 1.5, math.inf)),
-             (SeqLp(2), {1: 0.5, 3: 1.25, 7: -2.0}, 400),
-             (CustomNet(_cycle_points(1.5), 1.5), np.array([0.7, -1.3]), 10),
-             (ContinuousPL(), pl_function((0.0, 0.3, 1.0), (1.0, -2.0, 0.5)), 4800)]
-    for sp, x, K in cases:
+    cases = [("fdlp:dim=2,p=2", np.array([0.3, -1.7]), 25),
+             *((f"fdlp:dim=3,p={p}", x3, 400) for p in ("1", "1.5", "inf")),
+             ("seqlp:p=2", {1: 0.5, 3: 1.25, 7: -2.0}, 400),
+             ({"kind": "custom", "points": _cycle_points(1.5), "p": 1.5},
+              np.array([0.7, -1.3]), 10),
+             ("c01", pl_function((0.0, 0.3, 1.0), (1.0, -2.0, 0.5)), 4800)]
+    for spec, x, K in cases:
+        sp = parse_space(spec)
         value = sp.functional_oracle(x)
         first = value(1)
         vals = sp.functional_values(x, K)
-        assert _bits([first]) == _bits(vals[:1]), sp.describe()
+        assert _bits([first]) == _bits(vals[:1]), spec
         for k in range(1, K + 1):
             pointwise = sp.apply_functional(sp.norming_functional(k), x)
             assert _bits([pointwise]) == _bits([value(k)]) == _bits(vals[k - 1:k]), \
-                (sp.describe(), k)
+                (spec, k)
 
 
 @pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
@@ -557,7 +590,7 @@ def test_custom_net_reads_its_cycle_rows(p):
         for lo in range(K):
             part = stepped.distance_profile(v, K, lo)
             assert _bits(CustomNet(pts, p).distance_profile(v, K, lo)) == _bits(part)
-            if p != 1.5:                # _pnorm's scalar root may round apart
+            if p != 1.5:                # the profile's array root may round apart
                 assert _bits(part) == _bits(prof[lo:K])
             assert part == pytest.approx(prof[lo:K], rel=1e-15)
     assert len(stepped._U) >= 9         # the cache grows with K, as for every kind
@@ -566,6 +599,9 @@ def test_custom_net_reads_its_cycle_rows(p):
 def test_custom_net_validates_points():
     with pytest.raises(ConfigError):
         CustomNet([(2.0, 0.0)])
+    # all points are normed at once; the error names the first off the sphere
+    with pytest.raises(ConfigError, match=r"point \[0\.   1\.25\] is not unit"):
+        CustomNet([[0.6, 0.8], [1.0, 0.0], [0.0, 1.25], [0.0, -1.0], [2.0, 0.0]])
     for points in ([], 5, "ab", [["0.6", "0.8"]], [[0.6, 0.8], [1.0]],
                    [[math.nan, 1.0]], [[True, False]]):
         with pytest.raises(ConfigError):
@@ -646,11 +682,6 @@ def test_parse_space_dict(tmp_path):
 def test_parse_space_rejects(bad):
     with pytest.raises(ConfigError):
         parse_space(bad)
-
-
-def test_describe_round_trips():
-    for spec in ("fdlp:dim=2,p=2", "fdlp:dim=1,p=inf", "c01"):
-        assert parse_space(spec).describe() == spec
 
 
 # -- the net cache: enumeration order and memory -----------------------------
