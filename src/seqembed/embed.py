@@ -328,13 +328,21 @@ def _witness_input(space: SeparableSpace, x, epsilon: float, count: int,
 
 def _scan_witness(space: SeparableSpace, x, image: BoundedSeq,
                   epsilon: float, count: int, k_limit: int, pair_at,
-                  target_hi: float, target_lo: float, keep,
+                  target_hi: float, target_lo: float,
                   shortfall: str) -> OscillationWitness:
     """Scan net points k = 1..k_limit in order for those within
     `epsilon` of x/||x||. Hit k offers the pair pair_at(k) = (n_plus,
-    n_minus), taken when `keep` (if given) admits it and the image
-    values clear the targets. Short of `count` pairs, raises
-    BudgetExhausted("found i of count <shortfall>") with the partial."""
+    n_minus), taken when its image values clear the targets, so every
+    witness has gap >= target_hi - target_lo. An empty band
+    (target_hi <= target_lo, or a NaN target) reads nothing and raises
+    BudgetExhausted with found = 0 and a message naming both targets;
+    short of `count` pairs, it raises BudgetExhausted("found i of count
+    <shortfall>"). Either carries the partial witness."""
+    if not target_hi > target_lo:
+        raise BudgetExhausted(f"target_hi = {target_hi!r} is not above target_lo = "
+                              f"{target_lo!r}: the target band is empty",
+                              partial=_witness((), (), (), (), epsilon, target_hi, target_lo),
+                              found=0)
     v = space.unit(x)
     hits = []
     k = 0
@@ -343,8 +351,6 @@ def _scan_witness(space: SeparableSpace, x, image: BoundedSeq,
         dists = space.distance_profile(v, hi, k)
         for off in np.nonzero(dists <= epsilon)[0]:
             n_plus, n_minus = pair_at(k + int(off) + 1)
-            if keep is not None and not keep(n_plus, n_minus):
-                continue
             plus = coordinate(image, n_plus)
             minus = coordinate(image, n_minus)
             # rounding may push a boundary hit a hair past the target;
@@ -377,5 +383,5 @@ def oscillation_witness(space: SeparableSpace, x, epsilon: float,
     target = nx * (1.0 - epsilon)
     return _scan_witness(space, x, embed_t1(space, x), epsilon, count,
                          scan_budget, lambda k: (2 * k - 1, 2 * k),
-                         target, -target, None,
+                         target, -target,
                          f"witness pairs within budget {scan_budget}")

@@ -12,7 +12,10 @@ alternating halves I+/I-, norming functionals are placed on them
 (`scheme_embed`; `IndexScheme` and the placement live in `embed` and
 are re-exported here), and the resulting embedding separates its image
 from D + (convergent sequences), certified by witnesses found by the
-scan loop shared with `embed.oscillation_witness`.
+scan loop shared with `embed.oscillation_witness`. The scan admits a
+pair by its targets alone, and the targets carry the gap contract; a
+limit error that leaves the target band empty is refused as an
+exhausted budget before any pair is read.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 from .embed import (WITNESS_BUDGET, IndexScheme, OscillationWitness, _scan_witness,
                     _witness_input, identity_scheme, scheme_embed)
 from .errors import BudgetExhausted, EmptyBasis, SchemeExhausted
-from .seqcore import BoundedSeq, _bucket, combine, coordinate, coordinates_at, zero_seq
+from .seqcore import BoundedSeq, _bucket, combine, coordinates_at, zero_seq
 from .spaces import SeparableSpace
 
 
@@ -228,21 +231,21 @@ def separation_witness(space: SeparableSpace, scheme: IndexScheme, x,
     """Witness that T(x) - d oscillates between ~(||x|| - L) and
     ~(-||x|| - L), where L is d's limit along the scheme.
 
-    Witness positions are restricted to prefix entries where d is
-    within the certified limit error, so the gap contract
-    gap >= 2 ||x|| (1 - epsilon) - 2 err(L) holds by construction.
+    The targets carry the gap contract: a pair is taken only when its
+    image values clear target_hi = ||x|| (1 - epsilon) - L - err(L) and
+    target_lo = -||x|| (1 - epsilon) - L + err(L), so
+    gap >= target_hi - target_lo = 2 ||x|| (1 - epsilon) - 2 err(L).
+    When err(L) leaves that band empty (target_hi <= target_lo), no pair
+    is read and BudgetExhausted is raised with found = 0: a deeper
+    extraction narrows err(L).
     """
     x, nx = _witness_input(space, x, epsilon, count, "separation")
 
-    L, errL, keep = 0.0, 0.0, None
+    L, errL = 0.0, 0.0
     if d.bound != 0.0:
         j_window = scheme.length if scheme.length is not None else 256
         est = limit_along(d, scheme, j_window)
         L, errL = est.L, est.err
-
-        def keep(n_plus: int, n_minus: int) -> bool:
-            return (abs(coordinate(d, n_plus) - L) <= errL
-                    and abs(coordinate(d, n_minus) - L) <= errL)
 
     target_hi = nx * (1.0 - epsilon) - L - errL
     target_lo = -nx * (1.0 - epsilon) - L + errL
@@ -252,5 +255,5 @@ def separation_witness(space: SeparableSpace, scheme: IndexScheme, x,
     k_limit = scan_budget if k_cap is None else min(scan_budget, k_cap)
     return _scan_witness(space, x, diff, epsilon, count, k_limit,
                          lambda k: (scheme.plus_index(k), scheme.minus_index(k)),
-                         target_hi, target_lo, keep,
+                         target_hi, target_lo,
                          f"separation pairs (scanned k <= {k_limit})")

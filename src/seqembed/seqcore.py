@@ -306,13 +306,21 @@ def structural_limit(s: BoundedSeq, budget: int):
     """(limit, tail_variation) for convergence-certifying tags, or None
     when the tag carries no such certificate.
 
-    tail_variation bounds |coordinate(n) - limit| for n > budget.
+    tail_variation bounds |coordinate(n) - limit| for every n > budget,
+    over the oracle's own floating-point arithmetic. An eventually
+    constant sequence contributes 0.0 when start <= budget + 1 and
+    |value| otherwise. limit + rate / n is within |rate| / budget of
+    limit before its sum rounds, which adds at most half an ulp. A
+    combination adds |c| times each child's bound and a slack for the
+    roundings of its sums; both sums round outward by `math.nextafter`.
     """
     tag = s.tag
     if isinstance(tag, EventuallyConstant):
-        return tag.value, 0.0
+        return tag.value, (0.0 if tag.start <= budget + 1 else abs(tag.value))
     if isinstance(tag, ExplicitLimit):
-        return tag.limit, abs(tag.rate) / max(budget, 1)
+        # fl(|rate| / n) <= t for n > budget, as rounding is monotone
+        t = abs(tag.rate) / max(budget, 1)
+        return tag.limit, math.nextafter(t + math.ulp(abs(tag.limit) + t) / 2, math.inf)
     if isinstance(tag, Periodic) and len(set(tag.pattern)) == 1:
         return tag.pattern[0], 0.0
     if isinstance(tag, LinearCombo):
@@ -324,5 +332,8 @@ def structural_limit(s: BoundedSeq, budget: int):
                 return None
             limit += c * sub[0]
             variation += abs(c) * sub[1]
-        return limit, variation
+        # the oracle's sum, the limit's and `variation` each round 2m
+        # times, each time by at most ulp(2 * bound) / 2 <= ulp(bound)
+        slack = 6 * len(tag.coeffs) * math.ulp(s.bound)
+        return limit, math.nextafter(variation + slack, math.inf)
     return None

@@ -476,6 +476,24 @@ def test_exit_two_on_extraction_out_of_budget(tmp_path, capsys):
     assert report["witnesses"] == [] and report["errors"] == []
 
 
+def test_exit_two_on_an_empty_target_band(tmp_path, capsys):
+    # err(L) = 0.933 of d along the depth-1 scheme exceeds ||x0|| (1 - epsilon)
+    # = 0.008: x0's band against d is empty, and x1's witnesses stand
+    cfg = tmp_path / "empty_band.json"
+    cfg.write_text(json.dumps({"space": "fdlp:dim=2,p=2", "samples": [[0.01, 0.0], [3.0, 4.0]],
+                               "d_basis": ["periodic:1,-1,0.5,-0.5,0.9,-0.2"],
+                               "d_samples": [[1.0]], "depth": 1, "K": 16}))
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "suite", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stdout + err
+    report = load_report(out)
+    [row] = report["budget_exhausted"]
+    assert (row["x_id"], row["d_id"], row["found"]) == (0, 1, 0)
+    assert "target_hi = -0.35" in row["detail"] and "target_lo = 1.49" in row["detail"]
+    assert [(w["x_id"], w["d_id"]) for w in report["witnesses"]] == [(0, 0), (1, 0), (1, 1)]
+    assert all(w["gap"] > 0.0 for w in report["witnesses"])
+
+
 @pytest.mark.parametrize("command", ["extend", "suite"])
 def test_exit_two_on_one_entry_diagonal_prefix(tmp_path, capsys, command):
     # one member and one scanned index leave a one-entry prefix, no

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from seqembed import (BudgetExhausted, ConfigError, EmptyBasis, FiniteDimLp,
                       IndexScheme, IndexZero, SchemeExhausted, SeqLp, SubspaceD,
@@ -13,7 +13,7 @@ from seqembed import (BudgetExhausted, ConfigError, EmptyBasis, FiniteDimLp,
                       from_function,
                       identity_scheme, limit_along, oscillation_witness,
                       parse_space, periodic, scheme_embed,
-                      separation_witness, zero_seq)
+                      reverify_witness, separation_witness, zero_seq)
 
 W1 = periodic([-1.0, 1.0])
 W2 = periodic([1.0, -1.0, 0.0])
@@ -729,27 +729,72 @@ def test_separation_witness_gap_contract():
     assert all(n in on for n in w.plus_indices + w.minus_indices)
 
 
-def test_separation_witness_skips_pairs_off_the_limit():
-    # d = 1/n still moves along the prefix 9, 10, ...: the pair of the
-    # first net point near x/||x||, (10, 9), lies farther than err from
-    # L and is skipped; every pair taken lies within L +- err
-    sp, x = FiniteDimLp(2, 2), np.array([-1.0, -1.0])
-    d = explicit_limit(0.0, 1.0)
-    sch = bw_extract(SubspaceD("finite", (d,)), depth=4, scan_budget=4096)
-    est = limit_along(d, sch, sch.length)
+def test_separation_witness_reads_d_once_per_index():
+    # d is read by limit_along's window, then once per index of each
+    # inspected pair, through the image T(x) - d, and nowhere else
+    reads = []
+    d = from_function(lambda n: reads.append(n) or 0.5, 0.5)
+    sp, x = FiniteDimLp(2, 2), np.array([3.0, 4.0])
+    sch = bw_extract(finite_d(), depth=4, scan_budget=4096)
+    limit_along(d, sch, sch.length)
+    window = list(reads)
+    reads.clear()
     w = separation_witness(sp, sch, x, d, 0.2, 5)
+    # d is constant at its limit, so every inspected pair is taken
+    assert reads == window + [n for pair in zip(w.plus_indices, w.minus_indices)
+                              for n in pair]
 
-    def near(n):
-        return abs(coordinate(d, n) - est.L) <= est.err
 
-    assert all(map(near, w.plus_indices + w.minus_indices))
-    k_last = sch.classify(w.plus_indices[-1])[1]
-    dists = sp.distance_profile(sp.unit(x), k_last)
-    skipped = [k for k in range(1, k_last + 1) if dists[k - 1] <= 0.2
-               and sch.plus_index(k) not in w.plus_indices]
-    assert skipped
-    assert not any(near(sch.plus_index(k)) and near(sch.minus_index(k))
-                   for k in skipped)
+def test_separation_witness_refuses_an_empty_band():
+    # err(L) = 0.933 of d along the depth-1 scheme exceeds ||x|| (1 - epsilon)
+    # = 0.008, so target_hi < target_lo: nothing is read, nothing is found
+    d = periodic([1.0, -1.0, 0.5, -0.5, 0.9, -0.2])
+    sch = bw_extract(SubspaceD("finite", (d,)), depth=1, scan_budget=4096)
+    reads = []
+    counted = from_function(lambda n: reads.append(n) or coordinate(d, n), d.bound)
+    with pytest.raises(BudgetExhausted, match="target_hi = .* target_lo = ") as exc:
+        separation_witness(FiniteDimLp(2, 2), sch, np.array([0.01, 0.0]), counted, 0.2, 5)
+    assert exc.value.found == 0 and exc.value.partial.plus_indices == ()
+    assert exc.value.partial.target_hi < exc.value.partial.target_lo
+    assert len(reads) == sch.length - sch.length // 2     # limit_along's window alone
+
+
+_SEP_SPACES = {spec: parse_space(spec)
+               for spec in ("fdlp:dim=2,p=2", "fdlp:dim=3,p=1.5", "fdlp:dim=2,p=inf",
+                            "seqlp:p=2", "seqlp:p=1")}
+_SEP_MEMBERS = st.one_of(
+    st.lists(st.floats(-1, 1), min_size=2, max_size=6).map(periodic),
+    st.builds(eventually_constant, st.floats(-1, 1), st.integers(1, 20)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_SEP_SPACES)),
+       st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(any),
+       st.floats(-3, 3),
+       st.lists(st.tuples(st.floats(-2, 2), _SEP_MEMBERS), min_size=1, max_size=2),
+       st.integers(1, 3))
+@example("fdlp:dim=2,p=2", [1.0, 0.0, 0.0], -2.0,
+         [(1.0, periodic([1.0, -1.0, 0.5, -0.5, 0.9, -0.2]))], 1)
+def test_separation_witness_clears_its_targets(spec, entries, log_norm, terms, depth):
+    space = _SEP_SPACES[spec]
+    x = (np.array(entries[:space.dim]) if spec.startswith("fdlp")
+         else dict(enumerate(entries, 1)))
+    assume(space.norm(x) > 0.0)
+    x = space.scale(10.0 ** log_norm / space.norm(x), x)
+    coeffs, members = zip(*terms)
+    D = SubspaceD("finite", members)
+    try:
+        sch = bw_extract(D, depth, scan_budget=512)
+    except BudgetExhausted:
+        return
+    d = D.combination(coeffs)
+    try:
+        w = separation_witness(space, sch, x, d, 0.2, 3, scan_budget=2000)
+    except BudgetExhausted:
+        return
+    assert w.gap > 0.0 and w.gap >= w.target_hi - w.target_lo
+    image = combine((1.0, -1.0), (scheme_embed(space, sch, x), d))
+    assert reverify_witness(image, w)
 
 
 def test_separation_witness_zero_d_matches_oscillation():

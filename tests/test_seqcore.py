@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from seqembed import (BoundedSeq, ConfigError, FiniteDimLp, IndexZero,
                       LengthMismatch, EmptyWindow, SubspaceD, bw_extract,
@@ -332,7 +332,12 @@ def test_cluster_estimates_spread_contains_members():
 
 def test_structural_limit_tags():
     assert structural_limit(eventually_constant(4.0), 10) == (4.0, 0.0)
-    assert structural_limit(explicit_limit(2.0, 1.0), 100) == (2.0, 0.01)
+    # |rate| / budget, rounded outward by half an ulp of 2.01 and one step
+    assert structural_limit(explicit_limit(2.0, 1.0), 100) == (
+        2.0, math.nextafter(0.01 + math.ulp(2.0) / 2, math.inf))
+    # a start past budget + 1 leaves a 0.0 at budget + 1
+    assert structural_limit(eventually_constant(4.0, 11), 10) == (4.0, 0.0)
+    assert structural_limit(eventually_constant(-4.0, 12), 10) == (-4.0, 4.0)
     assert structural_limit(periodic([3.0, 3.0]), 10)[0] == 3.0
     assert structural_limit(periodic([-1.0, 1.0]), 10) is None
     assert structural_limit(from_function(lambda n: 0.0, 0.0), 10) is None
@@ -350,3 +355,40 @@ def test_structural_limit_combo_with_opaque_child():
     s = combine([1.0, 1.0],
                 [eventually_constant(1.0), from_function(lambda n: 0.0, 0.0)])
     assert structural_limit(s, 50) is None
+
+
+# _LEAVES with eventually constant starts drawn up to past every budget below
+_LATE_LEAVES = st.one_of(_LEAVES, st.builds(eventually_constant, _VALUES,
+                                            st.integers(1, 200)))
+_LATE_COMBOS = st.lists(st.tuples(_VALUES, _LATE_LEAVES), min_size=1, max_size=3).map(
+    lambda terms: combine(*zip(*terms)))
+
+
+def _starts(s):
+    tag = s.tag
+    if isinstance(tag, EventuallyConstant):
+        return [tag.start]
+    return [n for child in getattr(tag, "children", ()) for n in _starts(child)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_LATE_LEAVES, _LATE_COMBOS,
+                 st.builds(lambda c, a, b: combine([c, 1.0], [a, b]),
+                           _VALUES, _LATE_COMBOS, _LATE_LEAVES)),
+       st.integers(0, 150))
+@example(eventually_constant(1.0, 1048577), 64)
+@example(combine((1, -1), (eventually_constant(1.0), eventually_constant(1.0, 100))), 64)
+@example(explicit_limit(1.0, 0.7 * math.ulp(1.0) * 1000), 1000)
+# the same rounding in a combination's sum, not in its child
+@example(combine([1.0, 1.0], [periodic([1.0]), explicit_limit(0.0, 0.7 * math.ulp(1.0) * 1000)]),
+         1000)
+def test_structural_limit_holds_past_the_budget(s, budget):
+    certificate = structural_limit(s, budget)
+    assume(certificate is not None)     # a periodic member that is not constant
+    limit, tail = certificate
+    late = [n for start in _starts(s) for n in (start - 1, start)]
+    ns = [budget + 1, *late, 2 * budget + 7, 10 ** 6 + 3, 2 ** 62 + 1]
+    reads = [coordinate(s, n) for n in ns if n > budget]
+    # a window of 4000 indices from budget + 1, read by index
+    reads += coordinates_at(s, np.arange(budget + 1, budget + 4001)).tolist()
+    assert all(abs(v - limit) <= tail for v in reads), (limit, tail)
