@@ -211,10 +211,11 @@ def _base_report(cfg: dict, command: str) -> dict:
     }
 
 
-def _add_verdict(report: dict, seq_id: str, s, budget: int, gap_floor: float) -> str:
-    """Classify s into the report; a gap floor too fine for s is a ConfigError."""
+def _add_verdict(report: dict, seq_id: str, s, cfg: dict, floor: float) -> str:
+    """Classify s into the report at cfg's budget and gap floor, or at
+    `floor` without one; a gap floor too fine for s is a ConfigError."""
     try:
-        verdict = classify_c(s, budget, gap_floor)
+        verdict = classify_c(s, cfg["classify_budget"], cfg["gap_floor"] or floor)
     except ValueError as exc:
         raise ConfigError(f"classify {seq_id}: {exc}") from None
     detail = verdict_to_json(verdict)
@@ -224,13 +225,12 @@ def _add_verdict(report: dict, seq_id: str, s, budget: int, gap_floor: float) ->
 
 
 def _classify_embedded(space, samples, cfg, report):
+    """Classify each T(x), by default at gap floor ||x||, its bound (1 for x = 0)."""
     for sid, x in enumerate(samples):
-        nx = space.norm(x)
-        gap_floor = cfg["gap_floor"] or nx or 1.0
         seq_id = f"T(x{sid})"
-        kind = _add_verdict(report, seq_id, embed_t1(space, x),
-                            cfg["classify_budget"], gap_floor)
-        if nx > 0 and kind != "NotInC":
+        t = embed_t1(space, x)
+        kind = _add_verdict(report, seq_id, t, cfg, t.bound or 1.0)
+        if t.bound > 0 and kind != "NotInC":
             report["errors"].append({
                 "seq_id": seq_id,
                 "error": f"embedded image classified {kind}, expected NotInC"})
@@ -275,21 +275,19 @@ def run_extend(cfg: dict, report: dict):
     return space, samples
 
 
-def run_classify(cfg: dict, report: dict, specs):
-    specs = list(specs) if specs else list(cfg["sequences"])
-    if not specs:
+def run_classify(cfg: dict, report: dict):
+    """Classify cfg's `sequences`, at gap floor 1 unless cfg gives one."""
+    if not cfg["sequences"]:
         raise ConfigError("classify needs --spec arguments or config 'sequences'")
-    gap_floor = cfg["gap_floor"] if cfg["gap_floor"] else 1.0
-    for spec in specs:
-        _add_verdict(report, spec, parse_seq_spec(spec),
-                     cfg["classify_budget"], gap_floor)
+    for spec in cfg["sequences"]:
+        _add_verdict(report, spec, parse_seq_spec(spec), cfg, 1.0)
 
 
 def run_suite(cfg: dict, report: dict):
     space, samples = run_extend(cfg, report)
     _classify_embedded(space, samples, cfg, report)
     if cfg["sequences"]:
-        run_classify(cfg, report, cfg["sequences"])
+        run_classify(cfg, report)
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +397,14 @@ def main(argv=None) -> int:
             raw = load_config(args.config)
         elif args.command == "classify":
             # the space is checked but never enumerated
-            raw = {"space": "fdlp:dim=1,p=2", "samples": [[1.0]]}
+            raw = {"space": "fdlp:dim=1,p=2"}
         else:
             raise ConfigError(f"{args.command} requires --config")
         # command-line values replace the config's before it is validated
         for key, value in (("seed", args.seed), ("classify_budget", args.budget),
-                           ("witness_budget", args.budget),
-                           ("gap_floor", getattr(args, "gap_floor", None))):
+                           ("witness_budget", args.budget), ("out", args.out),
+                           ("gap_floor", getattr(args, "gap_floor", None)),
+                           ("sequences", getattr(args, "spec", None))):
             if value is not None:
                 raw[key] = value
         cfg = validate_config(raw)
@@ -417,14 +416,13 @@ def main(argv=None) -> int:
             run_extend(cfg, report)
         elif args.command == "classify":
             parse_space(cfg["space_spec"])      # checked, never enumerated
-            run_classify(cfg, report, args.spec)
+            run_classify(cfg, report)
         else:
             run_suite(cfg, report)
         code = _status(report)
-        out = args.out or cfg["out"]
-        if out:
+        if cfg["out"]:
             text = _report_text(report)
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(cfg["out"], "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)

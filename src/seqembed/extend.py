@@ -97,6 +97,8 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
         raise EmptyBasis("bw_extract needs at least one basis sequence")
     if depth < 1:
         raise ValueError(f"depth = {depth} must be >= 1")
+    if scan_budget < 1:
+        raise ValueError(f"scan_budget = {scan_budget} must be >= 1")
 
     Z = np.column_stack([m.coordinates(1, scan_budget) for m in D.members])
     bounds = np.array([m.bound for m in D.members])
@@ -136,6 +138,8 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
         raise EmptyBasis(f"diagonal_extract needs a countable or dense family, got {D.mode!r}")
     if m < 1:
         raise ValueError(f"m = {m} must be >= 1")
+    if scan_budget < 1:
+        raise ValueError(f"scan_budget = {scan_budget} must be >= 1")
     schedule = [float(t) for t in tol_schedule]
     if len(schedule) < m:
         raise ValueError(f"tolerance schedule of length {len(schedule)} < m = {m}")

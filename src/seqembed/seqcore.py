@@ -79,11 +79,18 @@ class BoundedSeq:
     at: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def coordinates(self, lo: int, hi: int) -> np.ndarray:
+        """Coordinates lo..hi, through the block when there is one: the
+        one window read of `classify_c` and of `extend`'s extractions. A
+        value that is not finite is a ValueError naming the window."""
         if lo < 1:
             raise IndexZero(f"window starts at {lo}")
         if self.block is not None:
-            return np.asarray(self.block(lo, hi), dtype=float)
-        return np.array([self.oracle(n) for n in range(lo, hi + 1)], dtype=float)
+            out = np.asarray(self.block(lo, hi), dtype=float)
+        else:
+            out = np.array([self.oracle(n) for n in range(lo, hi + 1)], dtype=float)
+        if not np.isfinite(out).all():
+            raise ValueError(f"coordinates {lo}..{hi} hold a value that is not finite")
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,11 +51,15 @@ class Functional:
 
 @dataclass(frozen=True)
 class PLFunction:
-    """Piecewise-linear function on [0, 1] given by breakpoints/values."""
+    """Piecewise-linear function on [0, 1] given by breakpoints/values.
+    A breakpoint or value that is not a finite number, unequal lengths,
+    fewer than two breakpoints, or breakpoints that do not rise strictly
+    from 0 to 1 are a ConfigError."""
     breaks: tuple
     values: tuple
 
     def __post_init__(self):
+        _numbers((*self.breaks, *self.values), "PL function")
         if len(self.breaks) != len(self.values):
             raise ConfigError("breaks and values must have equal length")
         if len(self.breaks) < 2:

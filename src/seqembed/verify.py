@@ -49,7 +49,9 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
     returned only if `reverify_witness` accepts it. That re-reads the
     witness indices through `s.at` (the scalar oracle when `s` has
     none), never the block, so the block is cross-checked by a second
-    evaluation (see `BoundedSeq`); Unknown is the fallback, never an error.
+    evaluation (see `BoundedSeq`); Unknown is the fallback. A budget
+    below 2, a gap floor that is not positive, and a window value that
+    is not finite (`BoundedSeq.coordinates` refuses it) are ValueErrors.
     """
     if budget < 2:
         raise ValueError(f"budget = {budget} must be >= 2")

@@ -760,6 +760,50 @@ def test_classify_tagged_in_c(capsys):
     assert "InC" in out
 
 
+def test_classify_echoes_its_specs(tmp_path, capsys):
+    # --spec is a config override like --seed, so the report says what ran
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "classify", "--spec", "periodic:-1,1", "--spec", "zero",
+                            "--budget", "64", "--out", str(out))
+    assert code == 0, stdout + err
+    report = load_report(out)
+    assert report["config_echo"]["sequences"] == ["periodic:-1,1", "zero"]
+    assert [v["seq_id"] for v in report["verdicts"]] == ["periodic:-1,1", "zero"]
+    # without a config nothing is sampled, and nothing is echoed as sampled
+    assert report["config_echo"]["samples"] == []
+    assert report["config_echo"]["space_spec"] == "fdlp:dim=1,p=2"
+
+
+@pytest.mark.parametrize("sequences", [["evconst:1", "zero"], 5], ids=["other", "malformed"])
+def test_spec_flag_replaces_config_sequences(tmp_path, capsys, sequences):
+    path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"space": "fdlp:dim=2,p=2", "samples": [[3.0, 4.0]],
+                                "sequences": sequences}))
+    code, stdout, err = run(capsys, "classify", "--config", str(path), "--spec",
+                            "periodic:-1,1", "--budget", "64", "--out", str(out))
+    assert code == 0, stdout + err
+    report = load_report(out)
+    assert report["config_echo"]["sequences"] == ["periodic:-1,1"]
+    assert [v["seq_id"] for v in report["verdicts"]] == ["periodic:-1,1"]
+
+
+@pytest.mark.parametrize("flag, field, written", [
+    ("flag.json", None, "flag.json"),
+    (None, "field.json", "field.json"),
+    ("flag.json", "field.json", "flag.json"),
+    ("flag.json", 5, "flag.json"),          # the flag replaces a malformed field
+])
+def test_out_flag_replaces_config_out(tmp_path, capsys, monkeypatch, flag, field, written):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"space": "fdlp:dim=2,p=2", "samples": [[3.0, 4.0]], "sequences": ["zero"]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg if field is None else {**cfg, "out": field}))
+    code, stdout, err = run(capsys, "classify", "--config", "cfg.json",
+                            *(() if flag is None else ("--out", flag)))
+    assert code == 0, stdout + err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", written])
+    assert load_report(tmp_path / written)["verdicts"][0]["seq_id"] == "zero"
+
+
 def test_summary_table_printed(capsys):
     code, out, _ = run(capsys, "embed", "--config", "basic")
     assert code == 0

@@ -258,6 +258,23 @@ def test_bw_extract_needs_depth_one(depth):
         bw_extract(finite_d(), depth, 64)
 
 
+def test_extractions_need_a_scan_budget_of_one():
+    # numpy's "zero-size array to reduction operation maximum" before
+    with pytest.raises(ValueError, match="scan_budget = 0 must be >= 1"):
+        bw_extract(SubspaceD("finite", (W1,)), 1, 0)
+    with pytest.raises(ValueError, match="scan_budget = 0 must be >= 1"):
+        diagonal_extract(SubspaceD("countable", (W1,)), 1, (0.5,), 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_extractions_reject_a_window_value_that_is_not_finite(bad):
+    w = from_function(lambda n: bad if n == 7 else (-1.0) ** n, 1.0)
+    with pytest.raises(ValueError, match="coordinates 1..64 hold a value"):
+        bw_extract(SubspaceD("finite", (w,)), 1, 64)
+    with pytest.raises(ValueError, match="coordinates 1..64 hold a value"):
+        diagonal_extract(SubspaceD("countable", (w,)), 1, (0.5,), 64)
+
+
 def test_diagonal_extract_validates_schedule():
     D = scaled_family()
     for m in (0, -1):
@@ -775,11 +792,16 @@ _SEP_MEMBERS = st.one_of(
        st.integers(1, 3))
 @example("fdlp:dim=2,p=2", [1.0, 0.0, 0.0], -2.0,
          [(1.0, periodic([1.0, -1.0, 0.5, -0.5, 0.9, -0.2]))], 1)
+@example("seqlp:p=1", [0.0, 0.0, 2.2250738585e-313], 0.0, [(0.0, periodic([0.0, 0.0]))], 1)
 def test_separation_witness_clears_its_targets(spec, entries, log_norm, terms, depth):
     space = _SEP_SPACES[spec]
-    x = (np.array(entries[:space.dim]) if spec.startswith("fdlp")
-         else dict(enumerate(entries, 1)))
-    assume(space.norm(x) > 0.0)
+    used = entries[:space.dim] if spec.startswith("fdlp") else entries
+    top = max(map(abs, used))
+    assume(top > 0.0)
+    # entries over their largest first: 10^log_norm / ||x|| overflows
+    # to inf on a subnormal x, and x would leave the range ||x|| is drawn from
+    used = [e / top for e in used]
+    x = np.array(used) if spec.startswith("fdlp") else dict(enumerate(used, 1))
     x = space.scale(10.0 ** log_norm / space.norm(x), x)
     coeffs, members = zip(*terms)
     D = SubspaceD("finite", members)

@@ -54,6 +54,17 @@ def test_constructors_reject_non_finite_values(build):
         build()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coordinates_reject_values_that_are_not_finite(bad):
+    # the oracle path and the block path alike
+    oracle = lambda n: bad if n == 7 else 1.0
+    block = lambda lo, hi: np.array([oracle(n) for n in range(lo, hi + 1)])
+    for s in (BoundedSeq(oracle, 1.0), BoundedSeq(oracle, 1.0, block=block)):
+        with pytest.raises(ValueError, match="coordinates 3..9 hold a value"):
+            s.coordinates(3, 9)
+        assert s.coordinates(1, 6).tolist() == [1.0] * 6
+
+
 def test_index_zero_rejected():
     # the readers check the index; no oracle checks it again
     sp, x = FiniteDimLp(2, 2), np.array([3.0, 4.0])

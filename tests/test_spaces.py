@@ -522,6 +522,12 @@ def test_pl_function_validation():
         pl_function((0.0, 0.5, 0.5, 1.0), (1.0, 2.0, 3.0, 4.0))
     with pytest.raises(ConfigError):
         pl_function((0.0,), (1.0,))
+    # a NaN breakpoint fails no order comparison, and gave isometry_defect
+    # a NaN lower bound
+    for breaks, values in (([0, math.nan, 1], [3, -4, 1]), ([0, 1], [math.inf, 0]),
+                           ((0.0, 1.0), (1.0, -math.inf))):
+        with pytest.raises(ConfigError, match="PL function has a value that is not a finite"):
+            pl_function(breaks, values)
 
 
 def test_c01_norm_is_breakpoint_max():

@@ -83,6 +83,14 @@ def test_opaque_oscillation_still_not_in_c():
     assert isinstance(v, NotInC)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_classify_rejects_a_window_value_that_is_not_finite(bad):
+    # it reached _bucket's int cast: a numpy RuntimeWarning, and Unknown
+    s = from_function(lambda n: bad if n == 7 else (-1.0) ** n, 1.0)
+    with pytest.raises(ValueError, match="coordinates 1..64 hold a value that is not finite"):
+        classify_c(s, 64, 1.0)
+
+
 def test_starved_budget_gives_unknown():
     # only 3 coordinates per side: below the 5-member floor
     v = classify_c(periodic([-1.0, 1.0]), 6, 1.0)
