@@ -40,7 +40,8 @@ from .verify import (_witness_table, check_isometry, check_separation,
 
 def parse_seq_spec(spec: str) -> BoundedSeq:
     """`periodic:<v1,...>`, `evconst:<v>@<n>`, `limit:<v>,rate=<r>`,
-    `zero`, or `combo:<c1>*<spec1>+<c2>*<spec2>+...`."""
+    `zero`, or `combo:<c1>*<spec1>+<c2>*<spec2>+...`. The language has
+    no grouping, so a `combo` term may not itself be a `combo`."""
     spec = spec.strip()
     if spec == "zero":
         return zero_seq()
@@ -65,6 +66,9 @@ def parse_seq_spec(spec: str) -> BoundedSeq:
                 c, star, child = term.partition("*")
                 if not star:
                     raise ConfigError(f"combo term {term!r} needs <coeff>*<spec>")
+                if child.strip().partition(":")[0] == "combo":
+                    raise ConfigError(f"combo term {term!r} is a combo, and a combo "
+                                      f"cannot group terms")
                 coeffs.append(float(c))
                 children.append(parse_seq_spec(child))
             return combine(coeffs, children)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (BudgetExhausted, ConfigError, IndexZero, SchemeExhausted,
                      ZeroElement, _numbers)
+from . import spaces
 from .seqcore import BoundedSeq, coordinate, coordinates_at, prefix_sup
 from .spaces import SCAN_BLOCK, SeparableSpace
 
@@ -210,9 +211,14 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     is pure, so a read from the slot has a fresh read's bits. Images
     under an extracted scheme have the oracle alone. Images under the
     identity scheme (T(x) and the D = {0} placement) also have a block,
-    which interleaves `functional_values`, and `at`, which gathers the
+    which interleaves `functional_values` over the k of its window
+    alone, and `at`, which gathers the
     values k = ceil(n / 2) from a fresh `functional_values` read to the
-    largest such k. All three give the same bits.
+    largest such k. When that k passes `spaces.NET_CACHE_ROWS`, whose
+    rows are built from their rank, it reads instead each
+    SCAN_BLOCK-aligned block of k that holds any, from the block's
+    start to its largest k, so a deep k costs its block and no prefix
+    up to it. All three give the same bits.
     """
     x, bound = _element(space, x)
     phi = space.functional_oracle(x)
@@ -232,19 +238,26 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
         return BoundedSeq(oracle, bound)
 
     def block(lo: int, hi: int) -> np.ndarray:
-        k_hi = (hi + 1) // 2
-        vals = space.functional_values(x, k_hi)
-        out = np.empty(2 * k_hi)
+        k_lo = (lo + 1) // 2        # out[0] is coordinate 2 k_lo - 1
+        vals = space.functional_values(x, (hi + 1) // 2, k_lo - 1)
+        out = np.empty(2 * len(vals))
         out[0::2] = -sign * vals
         out[1::2] = sign * vals
-        return out[lo - 1:hi]
+        return out[lo - 2 * k_lo + 1:hi - 2 * k_lo + 2]
 
     def at(ns: np.ndarray) -> np.ndarray:
         if not len(ns):
             return np.zeros(0)
         # (ns + 1) // 2 would wrap at 2^63 - 1
         ks = ns // 2 + ns % 2
-        vals = space.functional_values(x, int(ks.max()))[ks - 1]
+        K = int(ks.max())
+        if K <= spaces.NET_CACHE_ROWS:
+            vals = space.functional_values(x, K)[ks - 1]
+        else:   # no prefix past the cache: each block that holds a k, from its start
+            blocks, vals = (ks - 1) // SCAN_BLOCK, np.empty(len(ks))
+            for b in np.unique(blocks).tolist():
+                lo, sel = b * SCAN_BLOCK, np.flatnonzero(blocks == b)
+                vals[sel] = space.functional_values(x, int(ks[sel].max()), lo)[ks[sel] - lo - 1]
         return np.where(ns % 2 == 0, sign * vals, -sign * vals)
 
     return BoundedSeq(oracle, bound, block=block, at=at)
@@ -283,7 +296,10 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
     The index and value fields may be any sequences, read entry by
     entry. Index lists must be nonempty, hold only Python ints (not
     bools, floats, strings or numpy ints), start at an index >= 1 and
-    strictly increase; these are checked before anything is read.
+    strictly increase, and stay below 2^63, as every index a scan or a
+    scheme names does; these are checked before anything is read, and
+    T(x) reads a deep index from its own block of rows, built from
+    their rank, so a forged index costs about what a real one does.
     Stored values must then equal the re-read values under Python's
     `!=` (a stored NaN never does, -0.0 equals 0.0) and clear the
     targets (a NaN target never is); the gap must be consistent and
@@ -297,7 +313,8 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
     for idxs in (w.plus_indices, w.minus_indices):
         if set(map(type, idxs)) != {int}:
             return False
-        if idxs[0] < 1 or not all(map(operator.lt, idxs, idxs[1:])):
+        if not (1 <= idxs[0] and idxs[-1] < 2 ** 63
+                and all(map(operator.lt, idxs, idxs[1:]))):
             return False
     try:
         reread = coordinates_at(s, (*w.plus_indices, *w.minus_indices)).tolist()

@@ -7,8 +7,10 @@ enumeration is one net cache in `SeparableSpace`: level t = 1, 2, ...
 lists the nonzero rows of {-t..t}^width(t) lexicographically, any rank
 range of a level is normalized and dualized in one vectorized step,
 and asking for index K with n rows cached appends rows up to
-max(K, n + min(n, SCAN_BLOCK)) in place, never to the end of a level
-it does not need (see `SeparableSpace`). The duality rows of p = 1 and
+min(max(K, n + min(n, SCAN_BLOCK)), NET_CACHE_ROWS) in place, never to
+the end of a level it does not need; rows past NET_CACHE_ROWS are
+built from their rank when read (see `SeparableSpace`). The duality
+rows of p = 1 and
 p = inf hold only -1, 0 and +1 and are kept as int8, a byte an entry;
 products with floats keep the bits of float64 rows (see
 `_duality_rows`). Every kind's functional rows are coefficient rows
@@ -19,6 +21,8 @@ unaffected.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import reprlib
 from dataclasses import dataclass
@@ -29,9 +33,13 @@ from .errors import (ConfigError, IndexZero, KindMismatch, NotUnitVector,
                      ZeroElement, _is_number, _numbers)
 
 UNIT_TOL = 1e-9
-#: rows per witness-scan block, and the most rows one growth of a net
-#: cache of at least that many rows adds beyond the index asked for
+#: rows per witness-scan block, the most rows one growth of a net cache
+#: of at least that many rows adds beyond the index asked for, and the
+#: most rows one read past NET_CACHE_ROWS builds
 SCAN_BLOCK = 4096
+#: the most rows a net cache holds; rows past it are built from their
+#: rank whenever they are read (see `SeparableSpace._window`)
+NET_CACHE_ROWS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +47,12 @@ SCAN_BLOCK = 4096
 
 @dataclass(frozen=True)
 class Functional:
-    """The norming functional of net point k: row k - 1 of the net
-    cache's `_Phi` without its trailing zeros, which only pad it to the
-    widest level cached: the coefficients of coordinates 1, 2, ... of
-    every kind (for c01, x's values at the nested dyadic points; see
-    `ContinuousPL`). Its entries are floats, also where the cache row
-    is int8 (p = 1 and p = inf)."""
+    """The norming functional of net point k: functional row k - 1 of
+    the net without its trailing zeros, which only pad it to the widest
+    level cached (or built with it): the coefficients of coordinates 1,
+    2, ... of every kind (for c01, x's values at the nested dyadic
+    points; see `ContinuousPL`). Its entries are floats, also where the
+    row is int8 (p = 1 and p = inf)."""
     space_kind: str
     row: tuple
 
@@ -156,20 +164,59 @@ def _lattice_rows(t: int, width: int, lo: int, hi: int) -> np.ndarray:
     return W
 
 
+@functools.lru_cache(maxsize=None)
+def _level_start_diffs(dim: int) -> list:
+    """The forward differences at t = 1 of the first rows of the levels
+    1..dim + 2 of a lattice net of constant width dim. The first row of
+    level t, the sum over s < t of (2s + 1)^dim - 1, is a polynomial of
+    degree dim + 1 in t, so they give it at every t."""
+    rows = list(itertools.accumulate(
+        ((2 * s + 1) ** dim - 1 for s in range(1, dim + 2)), initial=0))
+    diffs = []
+    while rows:
+        diffs.append(rows[0])
+        rows = [b - a for a, b in zip(rows, rows[1:])]
+    return diffs
+
+
 def _put(buf: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     """buf with `rows` written from row n on: buf itself when they fit,
     else a zero buffer of the rows' dtype holding buf's first n rows,
-    of twice buf's row capacity (or n + len(rows) rows, if more) and as
-    wide as the wider of the two. Rows below n are never written again,
-    so a view of them stays valid however the buffer grows."""
+    of twice buf's row capacity but at most NET_CACHE_ROWS (or n +
+    len(rows) rows, if more) and as wide as the wider of the two. Rows
+    below n are never written again, so a view of them stays valid
+    however the buffer grows."""
     end, width = n + len(rows), rows.shape[1]
     if end > len(buf) or width > buf.shape[1]:
-        grown = np.zeros((len(buf) if end <= len(buf) else max(end, 2 * len(buf)),
+        grown = np.zeros((len(buf) if end <= len(buf)
+                          else max(end, min(2 * len(buf), NET_CACHE_ROWS)),
                           max(width, buf.shape[1])), dtype=rows.dtype)
         grown[:n, :buf.shape[1]] = buf[:n]
         buf = grown
     buf[n:end, :width] = rows
     return buf
+
+
+def _fit(M: np.ndarray, width: int) -> np.ndarray:
+    """M cut, or zero-padded, to `width` columns."""
+    if M.shape[1] >= width:
+        return M[:, :width]
+    out = np.zeros((len(M), width), dtype=M.dtype)
+    out[:, :M.shape[1]] = M
+    return out
+
+
+def _stack(mats: list) -> np.ndarray:
+    """The rows of `mats` in order, each zero-padded to the widest."""
+    if len(mats) == 1:
+        return mats[0]
+    width = max(M.shape[1] for M in mats)
+    return np.concatenate([_fit(M, width) for M in mats])
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The arrays of `parts` end to end; a single part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
@@ -230,31 +277,43 @@ class SeparableSpace:
     norming functional, zero-padded to the widest level cached;
     `norming_functional(k)` hands that row out as a `Functional`.
     `_ensure` is the one growth path of every kind: asked for K rows
-    with n < K cached, it builds rows n..n' - 1 for n' = max(K, n +
-    min(n, SCAN_BLOCK)), so a scan in SCAN_BLOCK steps builds exactly
-    the rows it reads and index-by-index reads still amortize. A kind
-    supplies those rows through `_rows(lo, hi)` (lattice levels by
-    default, `CustomNet`'s cycle) and never grows the cache itself.
+    with n < K cached, it builds rows n..n' - 1 for n' = min(max(K, n +
+    min(n, SCAN_BLOCK)), NET_CACHE_ROWS), so a scan in SCAN_BLOCK steps
+    builds exactly the rows it reads and index-by-index reads still
+    amortize, and the cache never holds more than NET_CACHE_ROWS rows.
+    A kind supplies those rows through `_rows(lo, hi)` (lattice levels
+    by default, `CustomNet`'s cycle) and never grows the cache itself.
     They are appended to two row buffers (`_put`); `_U` and `_Phi` are
     views of their first n rows, and at p = 2 `_Phi is _U`, since the
     points are their own duality rows. Each buffer takes its rows'
     dtype: the default duality rows of p = 1 and p = inf are int8 (a
     byte an entry against the points' eight), any other `_Phi` float64;
-    the row arithmetic below reads either with the same bits. Every
-    kind's functional rows are coefficient rows against its
+    the row arithmetic below reads either with the same bits.
+
+    Every read of net rows goes through `_window(lo, hi)`: a slice of
+    the cache below NET_CACHE_ROWS, and past it rows built from their
+    rank by `_rows`, the last range built kept in one slot, so a scan's
+    hits re-read phi_k from the block the scan just built; a single row
+    past the cap is read with its SCAN_BLOCK-aligned block (`_row`).
+    Rows are functions of their rank, so both give the same bits. Reads
+    of more rows go in `_blocks` of at most SCAN_BLOCK rows, each at the
+    width the whole read takes, so no value depends on where a block
+    ends.
+
+    Every kind's functional rows are coefficient rows against its
     coordinates, so one arithmetic reads them all: `_dot_rows` for
     blocks, `_dot_row` for single rows. There are two ways to phi_k(x),
     bit for bit alike: the block functional_values(x, K) = [phi_1(x),
     ..., phi_K(x)], and the scalar path functional_oracle(x), which
-    takes x once and returns k -> phi_k(x), reading cache row k - 1
-    with no object built per call. A read of
-    phi_k(x) at scattered k (T(x)'s `at` in `embed`) gathers from a
-    block. apply_functional(norming_functional(k), x) gives the same
-    bits as a reference; nothing in the library calls it. Each kind
-    states `_coords(x, width)`, the first `width` coordinates of x as a
-    list. The p-norm kinds also share distance_profile(v, K, lo=0) =
-    [||v - u_{lo+1}||, ..., ||v - u_K||] for 0 <= lo < K (each row bit
-    for bit as in the profile from row 0), for which each states
+    takes x once and returns k -> phi_k(x), reading row k - 1 with no
+    object built per call. A read of phi_k(x) at scattered k (T(x)'s
+    `at` in `embed`) gathers cached k from a block and reads the others
+    one by one. apply_functional(norming_functional(k), x) gives the
+    same bits as a reference; nothing in the library calls it. Each
+    kind states `_coords(x, width)`, the first `width` coordinates of x
+    as a list. The p-norm kinds also share distance_profile(v, K, lo=0)
+    = [||v - u_{lo+1}||, ..., ||v - u_K||] for 0 <= lo < K (each row
+    bit for bit as in the profile from row 0), for which each states
     `_outside(x, width)`, the p-th powers of x past those coordinates;
     c01 has its own, on its points' grids.
 
@@ -269,6 +328,8 @@ class SeparableSpace:
     def __init__(self):
         self._U_buf = self._U = np.zeros((0, 0))
         self._Phi_buf = self._Phi = np.zeros((0, 0))
+        # (first row, points, functional rows) of the rows last built past the cache
+        self._slot = (0, self._U, self._Phi)
 
     def _net_rows(self, W: np.ndarray, t: int):
         """(net points, functional rows) of the level-t lattice rows W;
@@ -276,36 +337,48 @@ class SeparableSpace:
         return _unit_rows(W, self.p)
 
     # -- the net cache ------------------------------------------------------
-    def _levels(self):
-        """(t, first row, end row) of each level t = 1, 2, ... of the net."""
-        t, start = 1, 0
+    def _level_of(self, row: int, t: int = 1, start: int = 0):
+        """(t, first row) of the level that holds net row `row`, by a
+        walk up from level t, which starts at row `start` (level 1 by
+        default): where levels widen (seqlp, c01) they pass row 2^63
+        within about 20 levels."""
+        while True:
+            stop = start + (2 * t + 1) ** self._width(t) - 1
+            if row < stop:
+                return t, start
+            t, start = t + 1, stop
+
+    def _levels(self, row: int):
+        """(t, first row, end row) of each level t from the one that
+        holds net row `row` on."""
+        t, start = self._level_of(row)
         while True:
             stop = start + (2 * t + 1) ** self._width(t) - 1
             yield t, start, stop
             t, start = t + 1, stop
 
-    def _level_of(self, row: int) -> int:
-        return next(t for t, _, stop in self._levels() if row < stop)
+    def _row_width(self, row: int) -> int:
+        """The entries of net row `row`: its level's width."""
+        return self._width(self._level_of(row)[0])
 
     def _rows(self, lo: int, hi: int):
-        """(net points, functional rows) of cache rows lo..hi-1, one
+        """(net points, functional rows) of net rows lo..hi-1, one
         pair per lattice level they meet."""
-        for t, start, stop in self._levels():
-            if stop > lo:
-                end = min(stop, hi)
-                yield self._net_rows(_lattice_rows(t, self._width(t), lo - start,
-                                                   end - start), t)
-                lo = end
-                if lo == hi:
-                    return
+        for t, start, stop in self._levels(lo):
+            end = min(stop, hi)
+            yield self._net_rows(_lattice_rows(t, self._width(t), lo - start,
+                                               end - start), t)
+            lo = end
+            if lo == hi:
+                return
 
     def _ensure(self, K: int):
-        """Grow the cache to max(K, n + min(n, SCAN_BLOCK)) rows if it
-        holds n < K."""
-        n = len(self._U)
+        """Grow the cache to min(max(K, n + min(n, SCAN_BLOCK)),
+        NET_CACHE_ROWS) rows if it holds n < min(K, NET_CACHE_ROWS)."""
+        n, K = len(self._U), min(K, NET_CACHE_ROWS)
         if K <= n:
             return
-        for U, Phi in self._rows(n, max(K, n + min(n, SCAN_BLOCK))):
+        for U, Phi in self._rows(n, min(max(K, n + min(n, SCAN_BLOCK)), NET_CACHE_ROWS)):
             self._U_buf = _put(self._U_buf, n, U)
             if Phi is not U:
                 self._Phi_buf = _put(self._Phi_buf, n, Phi)
@@ -313,13 +386,60 @@ class SeparableSpace:
         self._U = self._U_buf[:n]
         self._Phi = self._U if Phi is U else self._Phi_buf[:n]
 
+    def _window(self, lo: int, hi: int, width=None):
+        """(net points, functional rows) of net rows lo..hi-1, all
+        below NET_CACHE_ROWS or all past it (see `_blocks`), cut or
+        zero-padded to `width` columns when it is given. Rows below it
+        are the cache's, grown to hold them. Rows past it come from the
+        slot when it holds them; otherwise they are built from their
+        rank by `_rows` and replace the slot's rows."""
+        if hi <= NET_CACHE_ROWS:
+            if hi > len(self._U):
+                self._ensure(hi)
+            U, Phi = self._U[lo:hi], self._Phi[lo:hi]
+        else:
+            first, U, Phi = self._slot
+            if not first <= lo < hi <= first + len(U):
+                built = list(self._rows(lo, hi))
+                U = _stack([u for u, _ in built])
+                Phi = U if all(f is u for u, f in built) else _stack([f for _, f in built])
+                first, self._slot = lo, (lo, U, Phi)
+            U, Phi = U[lo - first:hi - first], Phi[lo - first:hi - first]
+        if width is None:
+            return U, Phi
+        return _fit(U, width), _fit(Phi, width)
+
+    def _blocks(self, lo: int, hi: int, width=None):
+        """(first row, points, functional rows) of net rows lo..hi-1
+        read by `_window` in steps of at most SCAN_BLOCK rows, one of
+        which ends at NET_CACHE_ROWS if they cross it. The cache grows
+        once for all of them, as for one read of rows lo..hi-1."""
+        if lo < NET_CACHE_ROWS and hi - lo > SCAN_BLOCK:
+            self._ensure(hi)
+        while lo < hi:
+            end = min(lo + SCAN_BLOCK, hi)
+            if lo < NET_CACHE_ROWS < end:
+                end = NET_CACHE_ROWS
+            yield (lo, *self._window(lo, end, width))
+            lo = end
+
     def _index(self, k: int) -> int:
-        """Cache row of net index k, grown to hold it."""
+        """Net row of net index k; k < 1 is IndexZero."""
         if k < 1:
             raise IndexZero(f"k = {k} < 1")
-        if k > len(self._U):
-            self._ensure(k)
         return k - 1
+
+    def _row(self, k: int):
+        """(point, functional row) of net index k, as `_window` reads
+        them; k < 1 is IndexZero. A row past NET_CACHE_ROWS is read
+        with the rest of its SCAN_BLOCK-aligned block, as a scan reads
+        it, so reads of successive rows build each block once."""
+        i = self._index(k)
+        lo, hi = i, i + 1
+        if i >= NET_CACHE_ROWS:
+            lo, hi = max(i - i % SCAN_BLOCK, NET_CACHE_ROWS), i - i % SCAN_BLOCK + SCAN_BLOCK
+        U, Phi = self._window(lo, hi)
+        return U[i - lo], Phi[i - lo]
 
     # -- shared -------------------------------------------------------------
     def unit(self, x):
@@ -339,8 +459,7 @@ class SeparableSpace:
         return float(np.min(self.distance_profile(v, K)))
 
     def norming_functional(self, k: int) -> Functional:
-        i = self._index(k)      # grows _Phi, so read _Phi after
-        row = self._Phi[i].astype(float).tolist()
+        row = self._row(k)[1].astype(float).tolist()
         while not row[-1]:      # a duality row has a nonzero entry
             row.pop()
         return Functional(self.kind, tuple(row))
@@ -352,48 +471,50 @@ class SeparableSpace:
     def functional_oracle(self, x):
         """k -> phi_k(x) as a float, bit for bit apply_functional(
         norming_functional(k), x), with no object built per call: each
-        call sums cache row k - 1 against x's coordinates, which are
-        rebuilt only when the cache's width changes, so they never
-        outgrow the cached rows. A k within the cached rows is read as
-        it is; any other k goes through `_index`, so k < 1 raises
-        IndexZero and a k past the cache grows it."""
+        call sums row k - 1 against x's coordinates, which are rebuilt
+        only when a row is wider than they are, so they never outgrow
+        the rows read. A k within the cached rows is read as it is; any
+        other k goes through `_row`, so k < 1 raises IndexZero, a k
+        below NET_CACHE_ROWS grows the cache and a k past it is read by
+        rank, with its block."""
         x = self.canonical(x)
-        width, coords = -1, None
+        width, coords = 0, []
 
         def value(k: int) -> float:
             nonlocal width, coords
-            if not 0 < k <= len(self._Phi):
-                self._index(k)
-            Phi = self._Phi         # growing the cache replaces the matrix
-            if Phi.shape[1] != width:
-                width = Phi.shape[1]
+            row = self._Phi[k - 1] if 0 < k <= len(self._Phi) else self._row(k)[1]
+            if len(row) > width:
+                width = len(row)
                 coords = self._coords(x, width)
-            return _dot_row(Phi[k - 1].tolist(), coords)
+            return _dot_row(row.tolist(), coords)
         return value
 
-    def functional_values(self, x, K: int) -> np.ndarray:
-        """[phi_1(x), ..., phi_K(x)]; K < 1 is IndexZero. Only the columns
-        rows 1..K use are summed, as in distance_profile: the rest are
-        their zero padding."""
-        self._index(K)
-        width = self._width(self._level_of(K - 1))
-        return _dot_rows(self._Phi[:K, :width], self._coords(self.canonical(x), width))
+    def functional_values(self, x, K: int, lo: int = 0) -> np.ndarray:
+        """[phi_{lo+1}(x), ..., phi_K(x)] for 0 <= lo < K, each value bit
+        for bit as in the block from row 0; K < 1 is IndexZero and a lo
+        outside its window a ValueError, as in distance_profile. Only
+        the columns rows 1..K use are summed: the rest are their zero
+        padding."""
+        self._check_window(K, lo)
+        width = self._row_width(K - 1)
+        coords = self._coords(self.canonical(x), width)
+        return _joined([_dot_rows(Phi, coords) for _, _, Phi in self._blocks(lo, K, width)])
 
-    def _profile_rows(self, K: int, lo: int):
-        """Grow the cache to rows lo..K-1 of a distance profile: K < 1
-        is IndexZero, and a lo outside 0 <= lo < K a ValueError, both
-        before the cache grows."""
+    def _check_window(self, K: int, lo: int):
+        """K < 1 is IndexZero, and a lo outside 0 <= lo < K a
+        ValueError, both before any row is read."""
         if K >= 1 and not 0 <= lo < K:
             raise ValueError(f"lo = {lo} must satisfy 0 <= lo < K = {K}")
         self._index(K)
 
     def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
-        self._profile_rows(K, lo)
+        self._check_window(K, lo)
         v = self.canonical(v)
         # the columns the first K rows use; support past them is orthogonal
-        width = self._width(self._level_of(K - 1))
-        return _row_norms(self._U[lo:K, :width] - self._coords(v, width), self.p,
-                          self._outside(v, width))
+        width = self._row_width(K - 1)
+        coords, outside = np.array(self._coords(v, width)), self._outside(v, width)
+        return _joined([_row_norms(U - coords, self.p, outside)
+                        for _, U, _ in self._blocks(lo, K, width)])
 
     def _outside(self, x, width: int) -> float:
         return 0.0
@@ -423,6 +544,25 @@ class FiniteDimLp(SeparableSpace):
     def _width(self, t):
         return self.dim
 
+    def _row_width(self, row: int) -> int:
+        return self.dim
+
+    def _start(self, t: int) -> int:
+        """The first row of level t, exactly, in Newton's forward form."""
+        return sum(c * math.comb(t - 1, j) for j, c in enumerate(_level_start_diffs(self.dim)))
+
+    def _level_of(self, row: int, t: int = 1, start: int = 0):
+        # the first row of level t lies between (2t - 1)^(dim+1) / (2 dim
+        # + 2) - t and (2t)^(dim+1) / (2 dim + 2), its sum against two
+        # integrals, so the level one below the upper bound's root at
+        # `row` is at most row's level and at most two below it: the
+        # walk starts there
+        d = self.dim
+        est = int((2 * (d + 1) * row) ** (1 / (d + 1)) / 2) - 1
+        if est > t:
+            t, start = est, self._start(est)
+        return super()._level_of(row, t, start)
+
     def canonical(self, x):
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.dim,):
@@ -436,8 +576,7 @@ class FiniteDimLp(SeparableSpace):
         return c * self.canonical(x)
 
     def net_point(self, k: int):
-        row = self._index(k)
-        return self._U[row].copy()
+        return self._row(k)[0].copy()
 
     def _coords(self, x, width: int) -> list:
         return x.tolist()
@@ -513,8 +652,7 @@ class SeqLp(SeparableSpace):
         return {i: c * v for i, v in self.canonical(x).items() if c * v != 0.0}
 
     def net_point(self, k: int):
-        row = self._index(k)
-        return {i + 1: v for i, v in enumerate(self._U[row].tolist()) if v != 0.0}
+        return {i + 1: v for i, v in enumerate(self._row(k)[0].tolist()) if v != 0.0}
 
     def random_element(self, rng):
         size = int(rng.integers(1, min(self.support_cap, 4) + 1))
@@ -596,20 +734,20 @@ class ContinuousPL(SeparableSpace):
         return PLFunction(x.breaks, tuple(c * v for v in x.values))
 
     def net_point(self, k: int):
-        row = self._index(k)
-        grid = self._grid(self._level_of(row))
-        return PLFunction(tuple(grid.tolist()), tuple(self._U[row, :len(grid)].tolist()))
+        point = self._row(k)[0]
+        grid = self._grid(self._level_of(k - 1)[0])
+        return PLFunction(tuple(grid.tolist()), tuple(point[:len(grid)].tolist()))
 
     def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
-        self._profile_rows(K, lo)
+        self._check_window(K, lo)
         v = self.canonical(v)
         out = np.empty(K - lo)
         first = lo
         # one pass per grid: its levels are contiguous rows first..hi-1
-        for t, _, stop in self._levels():
+        for t, _, stop in self._levels(lo):
             if first >= K:
                 break
-            if stop <= first or (t % self.LEVELS_PER_GRID and stop < K):
+            if t % self.LEVELS_PER_GRID and stop < K:
                 continue
             hi = min(stop, K)
             grid = self._grid(t)
@@ -617,10 +755,10 @@ class ContinuousPL(SeparableSpace):
             pos = np.clip(np.searchsorted(grid, union, side="right") - 1,
                           0, len(grid) - 2)
             w = (union - grid[pos]) / (grid[pos + 1] - grid[pos])
-            rows = self._U[first:hi]
-            on_union = rows[:, pos] * (1.0 - w) + rows[:, pos + 1] * w
             v_union = np.interp(union, v.breaks, v.values)
-            out[first - lo:hi - lo] = np.max(np.abs(on_union - v_union), axis=1)
+            for a, rows, _ in self._blocks(first, hi):
+                on_union = rows[:, pos] * (1.0 - w) + rows[:, pos + 1] * w
+                out[a - lo:a - lo + len(rows)] = np.max(np.abs(on_union - v_union), axis=1)
             first = hi
         return out
 

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import reprlib
 import subprocess
 import sys
@@ -55,6 +56,18 @@ def test_parse_combo_spec():
     s = parse_seq_spec("combo:2*periodic:-1,1+-1*evconst:1")
     assert coordinate(s, 1) == -3.0
     assert coordinate(s, 2) == 1.0
+
+
+@pytest.mark.parametrize("spec", [
+    "combo:2*combo:1*periodic:1,-1+1*evconst:0.5",
+    "combo:1*periodic:1,-1+3* combo:1*zero",
+], ids=["first-term", "later-term"])
+def test_parse_spec_rejects_a_nested_combo(spec):
+    # the language has no grouping: the inner combo would take the outer
+    # combo's later terms as its own, so it is refused, naming the spec
+    with pytest.raises(ConfigError, match=rf"^bad sequence spec {re.escape(repr(spec))}: "
+                                          r"combo term .* is a combo"):
+        parse_seq_spec(spec)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,11 +29,14 @@ def test_embed_coordinates_are_signed_pairs():
 
 
 def test_embed_block_matches_oracle():
+    # the block reads the k of its window alone, whatever the parity of
+    # its ends
     sp = FiniteDimLp(2, 1)
     s = embed_t1(sp, np.array([1.0, -2.0]))
-    window = s.coordinates(5, 40)
-    direct = [coordinate(s, n) for n in range(5, 41)]
-    assert np.array_equal(window, direct)
+    for lo, hi in ((5, 40), (6, 40), (5, 41), (6, 41), (1, 1), (2, 2), (9, 10)):
+        window = s.coordinates(lo, hi)
+        direct = [coordinate(s, n) for n in range(lo, hi + 1)]
+        assert window.tobytes() == np.array(direct).tobytes()
 
 
 def test_embed_linearity():
@@ -259,6 +264,30 @@ def test_reverify_rejects_witness_without_pairs():
     assert not reverify_witness(s, empty)
 
 
+@pytest.mark.parametrize("n", [2 ** 62, 2 ** 63 + 1], ids=["2^62", "2^63+1"])
+def test_reverify_is_bounded_on_a_forged_index(n):
+    # a real witness's last pair moved to (n, n + 1): below 2^63 T(x)
+    # builds the two rows it reads from their rank, and from 2^63 on
+    # nothing is read; either way the verdict is False, quickly and in
+    # little memory, not a net grown toward row n / 2
+    sp = FiniteDimLp(2, 2)
+    x = np.array([3.0, 4.0])
+    s = embed_t1(sp, x)
+    w = oscillation_witness(sp, x, 0.2, 5)
+    forged = dataclasses.replace(w, plus_indices=(*w.plus_indices[:-1], n),
+                                 minus_indices=(*w.minus_indices[:-1], n + 1))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        verdict = reverify_witness(s, forged)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is False
+    assert time.perf_counter() - start < 1.0
+    assert peak < 10 * 2 ** 20
+
+
 _PAIR = periodic([-1.0, 1.0])
 _SCHEME = bw_extract(SubspaceD("finite", (_PAIR,)), 2, 64)
 _SCHEMED = scheme_embed(FiniteDimLp(2, 2), _SCHEME, np.array([3.0, 4.0]))
@@ -279,7 +308,11 @@ _VERDICTS = {
     "bool index": (_PAIR, {"minus_indices": (True, 3)}, False),
     "float index": (_PAIR, {"plus_indices": (2.0, 4)}, False),
     "index 0": (_PAIR, {"minus_indices": (0, 3)}, False),
-    "index 2**70": (_PAIR, {"plus_indices": (2, 2 ** 70)}, True),
+    # the last index below 2^63 is read; from 2^63 on none is, even
+    # where the oracle would read the stored value
+    "index 2**63 - 2": (_PAIR, {"plus_indices": (2, 2 ** 63 - 2)}, True),
+    "index 2**63": (_PAIR, {"plus_indices": (2, 2 ** 63)}, False),
+    "index 2**70": (_PAIR, {"plus_indices": (2, 2 ** 70)}, False),
     "index 2**70 + 1": (_PAIR, {"plus_indices": (2, 2 ** 70 + 1)}, False),
     "forged value": (_PAIR, {"plus_values": (1.0, math.nextafter(1.0, 2.0))}, False),
     # index 65 is past the scheme's coverage of 64: it cannot be re-read
@@ -301,7 +334,7 @@ _VERDICTS = {
 @pytest.mark.parametrize("case", sorted(_VERDICTS))
 def test_reverify_verdict_table(case):
     # the verdicts of reading each index through the scalar oracle with
-    # `!=` (2**70 is past int64, so it is read through the oracle), except
-    # that an index past coverage is False where such a read raises
+    # `!=`, except that an index past coverage is False where such a read
+    # raises, and an index from 2^63 on is False before anything is read
     s, changes, verdict = _VERDICTS[case]
     assert reverify_witness(s, dataclasses.replace(_GOOD, **changes)) is verdict

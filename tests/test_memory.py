@@ -2,8 +2,8 @@
 budget 4B is compared with the one at B, each after one untraced
 warm-up run. Linear growth gives a ratio near 4, quadratic near 16.
 The per-index oracle of an image stays bounded by the cached net rows,
-whatever x's support, and an index scheme keeps no table beside its
-prefix."""
+whatever x's support, a deep witness scan by the net cache's budget,
+and an index scheme keeps no table beside its prefix."""
 import tracemalloc
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 
 from seqembed import (BudgetExhausted, CustomNet, IndexScheme, SeqLp, SubspaceD,
                       bw_extract, classify_c, coordinate, embed_t1, from_function,
-                      oscillation_witness, periodic)
+                      oscillation_witness, parse_space, periodic, pl_function)
 from seqembed.cli import parse_seq_spec
 
 B = 10000
@@ -73,9 +73,11 @@ def _deep_p1_scan():
 
 
 def test_deep_p1_scan_holds_one_byte_functionals():
-    # the scan grows the net to 81 920 rows in buffers of 131 072; the
-    # p = 1 duality rows are int8, so the points' float64 buffer (5.2
-    # MB) is most of the peak, where float64 rows beside it made 16 MB
+    # the scan reads 81 920 rows: it caches the first NET_CACHE_ROWS
+    # (32 768) in buffers of that many rows and builds the rest a block
+    # at a time from their rank. The p = 1 duality rows are int8, so the
+    # points' float64 buffer (1.3 MB) is most of the peak, where float64
+    # rows beside it would add another buffer as large
     _deep_p1_scan()
     tracemalloc.start()
     try:
@@ -84,6 +86,22 @@ def test_deep_p1_scan_holds_one_byte_functionals():
     finally:
         tracemalloc.stop()
     assert peak < 2 * sp._U_buf.nbytes
+
+
+_FRESH_SCANS = {"seqlp:p=2,support=4": {1: 0.6, 3: -0.8},
+                "c01": pl_function((0.0, 0.5, 1.0), (1.0, -0.5, 0.25))}
+
+
+@pytest.mark.parametrize("spec", sorted(_FRESH_SCANS))
+def test_million_row_scan_holds_the_cache_budget(spec):
+    # a fresh space scans 10^6 rows (found short of its 1000 pairs): it
+    # caches NET_CACHE_ROWS of them and builds the rest a block at a
+    # time from their rank, so the peak stays at the cache budget plus
+    # a few blocks, not at the 72-85 MB that caching every row took
+    def scan(_):
+        with pytest.raises(BudgetExhausted):
+            oscillation_witness(parse_space(spec), _FRESH_SCANS[spec], 0.1, 1000, 10 ** 6)
+    assert _peak(scan, None) < 8 * 2 ** 20
 
 
 def test_scheme_retains_little_beyond_its_prefix():

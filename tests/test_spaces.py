@@ -12,7 +12,8 @@ from seqembed import (ConfigError, CustomNet, FiniteDimLp, IndexZero,
                       KindMismatch, NotUnitVector, SeqLp, ContinuousPL,
                       ZeroElement, coordinates_at, embed_t1, oscillation_witness,
                       parse_space, pl_function)
-from seqembed.spaces import SCAN_BLOCK, _nested_points
+from seqembed import spaces
+from seqembed.spaces import NET_CACHE_ROWS, SCAN_BLOCK, SeparableSpace, _nested_points
 from reference import (nested_order, net_size_through_level, pl_subtract,
                        point_mass_value)
 
@@ -76,6 +77,23 @@ def test_fdlp_net_enumeration_order():
         assert np.allclose(e2.net_point(end), [1 / SQ2, 1 / SQ2])
         assert np.allclose(e2.net_point(end + 1), [-1 / SQ2, -1 / SQ2])
         assert np.allclose(e2.net_point(end + 2), e2.unit(np.array([-L - 1.0, -L])))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+def test_fdlp_finds_a_rows_level_from_its_first_row(dim):
+    # every fdlp level is dim wide, so its first row is computed exactly
+    # and the walk starts near the row's level: each row's level agrees
+    # with the walk from level 1 that widening kinds take, and a row up
+    # to 2^63 - 1 lies between its level's first row and the next level's
+    sp = FiniteDimLp(dim, 2)
+    ends = [net_size_through_level(dim, L) for L in range(12)]
+    assert [sp._start(t) for t in range(1, 13)] == ends
+    rows = {r for end in ends[1:] for r in (end - 1, end, end + 1)} | {0, 99999}
+    for row in sorted(rows):
+        assert sp._level_of(row) == SeparableSpace._level_of(sp, row)
+    for row in (2 ** 40, 2 ** 62, 2 ** 63 - 1):
+        t, start = sp._level_of(row)
+        assert start == sp._start(t) <= row < sp._start(t + 1)
 
 
 def test_fdlp_net_points_are_unit():
@@ -223,6 +241,27 @@ def test_t1_by_index_read_grows_the_cache_once(spec, monkeypatch):
     assert grown == [900]
 
 
+def test_t1_by_index_read_past_the_cache_builds_only_its_block(monkeypatch):
+    # past NET_CACHE_ROWS, `at` reads the SCAN_BLOCK-aligned block that
+    # holds k from its start to the largest k asked for, built from
+    # their rank: a deep index grows no cache and builds no prefix, and
+    # its values are those of the rows built alone
+    sp, ref = parse_space("fdlp:dim=2,p=2"), parse_space("fdlp:dim=2,p=2")
+    x = np.array([3.0, 4.0])
+    built, rows = [], sp._rows
+
+    def counted(lo, hi):
+        built.append((lo, hi))
+        return rows(lo, hi)
+    monkeypatch.setattr(sp, "_rows", counted)
+    k = 10 ** 12 + 5
+    got = coordinates_at(embed_t1(sp, x), np.array([2 * k - 1, 2 * k + 2, 2 * k]))
+    assert built == [((k - 1) // SCAN_BLOCK * SCAN_BLOCK, k + 1)]
+    assert len(sp._U) == 0
+    phi_k, phi_k1 = (ref.apply_functional(ref.norming_functional(j), x) for j in (k, k + 1))
+    assert _bits(got) == _bits([phi_k, -phi_k1, -phi_k])
+
+
 _KINDS = ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01",
           {"kind": "custom", "p": 2, "points": [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]}]
 
@@ -247,32 +286,54 @@ def test_blocks_reject_k_below_one(spec, warm):
 @pytest.mark.parametrize("warm", [0, 50], ids=["fresh", "warm"])
 @pytest.mark.parametrize("spec", _KINDS, ids=["fdlp", "seqlp", "c01", "custom"])
 def test_distance_profile_rejects_lo_outside_its_window(spec, warm):
-    # rows lo + 1..K need 0 <= lo < K, on every kind; the check comes
-    # before the cache grows
+    # rows lo + 1..K need 0 <= lo < K, on every kind, for profiles and
+    # functional values alike; the check comes before the cache grows
     sp = parse_space(spec)
     if warm:
         sp.net_point(warm)
-    v = sp.unit(sp.random_element(np.random.default_rng(13)))
-    for K, lo in ((10, -2), (10, -1), (10, 10), (10, 11), (100, 100), (100, -5), (1, 1)):
-        with pytest.raises(ValueError, match=rf"lo = {lo} .*K = {K}\b"):
-            sp.distance_profile(v, K, lo)
+    x = sp.random_element(np.random.default_rng(13))
+    for read, arg in ((sp.distance_profile, sp.unit(x)), (sp.functional_values, x)):
+        for K, lo in ((10, -2), (10, -1), (10, 10), (10, 11), (100, 100), (100, -5), (1, 1)):
+            with pytest.raises(ValueError, match=rf"lo = {lo} .*K = {K}\b"):
+                read(arg, K, lo)
     assert len(sp._U) == warm
 
 
-def test_witness_scan_builds_only_the_rows_it_reads():
-    # the scan reads 20 blocks of SCAN_BLOCK rows before its 10th hit,
-    # and each block grows the cache by exactly that block; the row
-    # buffers double their capacity when full, from 8192 rows to 131072,
-    # rather than grow by each block
+def test_witness_scan_builds_only_the_rows_it_reads(monkeypatch):
+    # the scan reads 20 blocks of SCAN_BLOCK rows before its 10th hit
+    # and builds each row once: the first 8 blocks grow the cache by
+    # exactly that block, its row buffers doubling their capacity from
+    # 8192 rows to NET_CACHE_ROWS and no further, and the other 12 are
+    # built from their rank, the last kept in the slot; every hit
+    # re-reads phi_k from the block the scan just built. The witness is
+    # the one an uncapped net gives
     sp = parse_space("seqlp:p=1,support=8")
-    oscillation_witness(sp, {2: -1.5}, 0.2, 10, 100000)
-    assert len(sp._U) == len(sp._Phi) == 20 * SCAN_BLOCK == 81920
-    assert len(sp._U_buf) == len(sp._Phi_buf) == 131072
+    built, rows = [], sp._rows
+
+    def counted(lo, hi):
+        built.append((lo, hi))
+        return rows(lo, hi)
+    monkeypatch.setattr(sp, "_rows", counted)
+    w = oscillation_witness(sp, {2: -1.5}, 0.2, 10, 100000)
+    assert built == [(k, k + SCAN_BLOCK) for k in range(0, 20 * SCAN_BLOCK, SCAN_BLOCK)]
+    assert len(sp._U) == len(sp._Phi) == NET_CACHE_ROWS == 32768
+    assert len(sp._U_buf) == len(sp._Phi_buf) == NET_CACHE_ROWS
+    assert sp._slot[0] == 19 * SCAN_BLOCK and len(sp._slot[1]) == SCAN_BLOCK
+    monkeypatch.setattr(spaces, "NET_CACHE_ROWS", 1 << 17)
+    uncapped = parse_space("seqlp:p=1,support=8")
+    assert oscillation_witness(uncapped, {2: -1.5}, 0.2, 10, 100000) == w
+    assert len(uncapped._U) == 20 * SCAN_BLOCK == 81920
 
 
-_GROWN = ["fdlp:dim=2,p=2", "fdlp:dim=3,p=1.5", "fdlp:dim=3,p=inf",
+_GROWN = ["fdlp:dim=2,p=2", "fdlp:dim=3,p=1.5", "fdlp:dim=3,p=inf", "fdlp:dim=2,p=1",
           "seqlp:p=1,support=8", "seqlp:p=2,support=4", "c01", _KINDS[3]]
 _DEPTH = 9000       # past seqlp's width-5 level (row 6929) and c01's 5-point grid (4747)
+_CAP = 1000         # a net cache cap below both
+_KS = [1, _CAP, _CAP + 1, 4746, 4747, 4748, 6929, 6930, _DEPTH - 1, _DEPTH,
+       *np.random.default_rng(31).integers(1, _DEPTH, size=20).tolist()]
+#: (K, lo) of the windows read: whole, across the cap, past it, and in scan blocks
+_WINDOWS = [(_DEPTH, 0), (_DEPTH, _CAP - 3), (_CAP + 5000, _CAP), (2 * _CAP, 10),
+            (_CAP, 0), (SCAN_BLOCK, 0), (2 * SCAN_BLOCK, SCAN_BLOCK), (_DEPTH, 2 * SCAN_BLOCK)]
 
 
 def _asks(way: str) -> list:
@@ -294,7 +355,7 @@ def _padded_equal(a, b, rows: int) -> bool:
 
 
 @pytest.mark.parametrize("spec", _GROWN, ids=lambda s: s if isinstance(s, str) else "custom")
-def test_net_grown_any_way_is_the_same_net(spec):
+def test_net_grown_any_way_is_the_same_net(spec, monkeypatch):
     # each ask of K > n rows leaves n' rows, K <= n' <= max(K, n +
     # min(n, SCAN_BLOCK)); the rows, and every read of them, keep their
     # bits whether the net grew in one call, in scan blocks, one index
@@ -320,6 +381,55 @@ def test_net_grown_any_way_is_the_same_net(spec):
         assert _padded_equal(sp._Phi, first._Phi, _DEPTH)
         assert _bits(sp.functional_values(x, _DEPTH)) == values
         assert _bits(sp.distance_profile(v, _DEPTH)) == profile
+    # capped at _CAP rows, the cache builds every row past them from its
+    # rank: streamed blocks, single rows, blocks, profiles from any lo,
+    # the oracle and T(x)'s by-index read keep the uncapped net's bits
+    want = _reads(first, x, v)
+    monkeypatch.setattr(spaces, "NET_CACHE_ROWS", _CAP)
+    capped = parse_space(spec)
+    assert _reads(capped, x, v) == want
+    for a, U, Phi in capped._blocks(0, _DEPTH):
+        assert a + len(U) <= _CAP or a >= _CAP
+        assert _padded_equal(U, first._U[a:], len(U))
+        assert _padded_equal(Phi, first._Phi[a:], len(U))
+    assert len(capped._U) == len(capped._Phi) == len(capped._U_buf) == _CAP
+
+
+def test_oracle_reads_past_the_cache_build_each_block_once(monkeypatch):
+    # read one by one past the cap, each row comes with the rest of its
+    # SCAN_BLOCK-aligned block, so successive rows build each block once
+    sp = parse_space("seqlp:p=2,support=4")
+    x = sp.random_element(np.random.default_rng(37))
+    want = _bits(sp.functional_values(x, _DEPTH))
+    monkeypatch.setattr(spaces, "NET_CACHE_ROWS", _CAP)
+    sp = parse_space("seqlp:p=2,support=4")
+    built, rows = [], sp._rows
+
+    def counted(lo, hi):
+        built.append((lo, hi))
+        return rows(lo, hi)
+    monkeypatch.setattr(sp, "_rows", counted)
+    value = sp.functional_oracle(x)
+    assert _bits([value(k) for k in range(1, _DEPTH + 1)]) == want
+    assert [b for b in built if b[0] >= _CAP] == [(_CAP, SCAN_BLOCK), (SCAN_BLOCK, 2 * SCAN_BLOCK),
+                                                  (2 * SCAN_BLOCK, 3 * SCAN_BLOCK)]
+
+
+def _reads(sp, x, v) -> list:
+    """The bits of every read of rows 1.._DEPTH of sp's net."""
+    value = sp.functional_oracle(x)
+    out = [_bits(sp.functional_values(x, K)) for K in (_DEPTH, _CAP + 1, 5000)]
+    for K, lo in _WINDOWS:
+        out += [_bits(sp.distance_profile(v, K, lo)), _bits(sp.functional_values(x, K, lo))]
+    for k in _KS:
+        out += [_element_bits(sp.net_point(k)), _bits(sp.norming_functional(k).row),
+                _bits([value(k)])]
+    ns = np.array([n for k in _KS for n in (2 * k - 1, 2 * k)])
+    t = embed_t1(sp, x)
+    out.append(_bits(coordinates_at(t, ns)))
+    out += [_bits(t.coordinates(lo, hi)) for lo, hi in ((1, 2 * _DEPTH), (2 * _CAP - 1, 2 * _CAP + 2),
+                                                         (2 * _CAP + 2, 2 * _DEPTH - 1), (5, 5))]
+    return out
 
 
 @pytest.mark.parametrize("spec, shared, itemsize", [
@@ -394,6 +504,8 @@ def test_functional_values_do_not_depend_on_window(spec):
     full = sp.functional_values(x, 600)
     for K in (1, 2, 7, 26, 343, 599):
         assert np.array_equal(sp.functional_values(x, K), full[:K])
+        for lo in {0, K // 2, K - 1}:
+            assert _bits(sp.functional_values(x, K, lo)) == _bits(full[lo:K])
 
 
 def test_net_distance_worked_value():

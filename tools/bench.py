@@ -22,8 +22,11 @@ subprocess for 20 seconds, one run at a time:
   holds, the bytes of its two row buffers, and the median wall seconds
   and minor page faults over GROWTH_SPACES fresh spaces of growing it
   in SCAN_BLOCK-row asks to the kind's depth, and one index at a time
-  to GROWTH_BY_INDEX. It runs in a fresh interpreter on each tree's
-  `src`, so --baseline measures the baseline's nets too;
+  to GROWTH_BY_INDEX; and the wall seconds and tracemalloc peak of
+  a GROWTH_SCAN-row `distance_profile` scan in SCAN_BLOCK steps on a
+  fresh space, through public calls only. It runs in a fresh
+  interpreter on each tree's `src`, so --baseline measures the
+  baseline's nets too;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
   `src/seqembed` line count, the Python and numpy versions and the core
   count.
@@ -39,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +57,8 @@ GROWTH_DEPTHS = {"fdlp:dim=2,p=2": 12288, "fdlp:dim=3,p=inf": 12288,
                  "seqlp:p=1,support=8": 81920, "c01": 8192}
 GROWTH_BY_INDEX = 2000
 GROWTH_SPACES = 7
+#: rows of each kind's deep scan
+GROWTH_SCAN = 10 ** 6
 #: seqembed's witness-scan block; a baseline tree may not export it
 SCAN_BLOCK = 4096
 
@@ -151,7 +157,32 @@ def growth_table() -> dict:
                                   "bytes_held": sp._U_buf.nbytes + sp._Phi_buf.nbytes,
                                   "median_s": statistics.median(times[1:]),
                                   "median_minflt": statistics.median(faults[1:])}
+        out[spec]["scan"] = scan_line(spec)
     return out
+
+
+def scan_line(spec: str) -> dict:
+    """The wall seconds, and on another fresh space the tracemalloc peak
+    bytes, of `distance_profile` over rows 1..GROWTH_SCAN in SCAN_BLOCK
+    steps on a fresh space of `spec`. Only public calls, so a tree whose
+    net cache keeps every row is measured the same way."""
+    from seqembed import parse_space
+
+    def scan():
+        sp = parse_space(spec)
+        v = sp.unit(sp.random_element(np.random.default_rng(0)))
+        for lo in range(0, GROWTH_SCAN, SCAN_BLOCK):
+            sp.distance_profile(v, min(lo + SCAN_BLOCK, GROWTH_SCAN), lo)
+    start = time.perf_counter()
+    scan()
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"rows": GROWTH_SCAN, "seconds": seconds, "peak_bytes": peak}
 
 
 def net_growth(tree: Path) -> dict:
