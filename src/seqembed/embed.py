@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (BudgetExhausted, ConfigError, IndexZero, SchemeExhausted,
                      ZeroElement, _numbers)
-from . import spaces
 from .seqcore import BoundedSeq, coordinate, coordinates_at, prefix_sup
 from .spaces import SCAN_BLOCK, SeparableSpace
 
@@ -212,13 +211,11 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     under an extracted scheme have the oracle alone. Images under the
     identity scheme (T(x) and the D = {0} placement) also have a block,
     which interleaves `functional_values` over the k of its window
-    alone, and `at`, which gathers the
-    values k = ceil(n / 2) from a fresh `functional_values` read to the
-    largest such k. When that k passes `spaces.NET_CACHE_ROWS`, whose
-    rows are built from their rank, it reads instead each
-    SCAN_BLOCK-aligned block of k that holds any, from the block's
-    start to its largest k, so a deep k costs its block and no prefix
-    up to it. All three give the same bits.
+    alone, and `at`, which gathers the values k = ceil(n / 2) from one
+    `functional_values` read of each SCAN_BLOCK-aligned block of k
+    that holds any, from the block's start to its largest k, so a deep
+    k (past the net cache, built from its rank) costs its block and no
+    prefix up to it. All three give the same bits.
     """
     x, bound = _element(space, x)
     phi = space.functional_oracle(x)
@@ -245,19 +242,25 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
         out[1::2] = sign * vals
         return out[lo - 2 * k_lo + 1:hi - 2 * k_lo + 2]
 
+    def in_block(ks: np.ndarray, K: int) -> np.ndarray:
+        """phi_k(x) for ks, all in the SCAN_BLOCK-aligned block of their
+        largest k = K, read from the block's start to K."""
+        lo = (K - 1) // SCAN_BLOCK * SCAN_BLOCK
+        return space.functional_values(x, K, lo)[ks - (lo + 1)]
+
     def at(ns: np.ndarray) -> np.ndarray:
         if not len(ns):
             return np.zeros(0)
         # (ns + 1) // 2 would wrap at 2^63 - 1
         ks = ns // 2 + ns % 2
         K = int(ks.max())
-        if K <= spaces.NET_CACHE_ROWS:
-            vals = space.functional_values(x, K)[ks - 1]
-        else:   # no prefix past the cache: each block that holds a k, from its start
+        if (int(ks.min()) - 1) // SCAN_BLOCK == (K - 1) // SCAN_BLOCK:
+            vals = in_block(ks, K)
+        else:   # block by block, the last first, so the net cache grows once
             blocks, vals = (ks - 1) // SCAN_BLOCK, np.empty(len(ks))
-            for b in np.unique(blocks).tolist():
-                lo, sel = b * SCAN_BLOCK, np.flatnonzero(blocks == b)
-                vals[sel] = space.functional_values(x, int(ks[sel].max()), lo)[ks[sel] - lo - 1]
+            for b in np.unique(blocks)[::-1].tolist():
+                sel = blocks == b
+                vals[sel] = in_block(ks[sel], int(ks[sel].max()))
         return np.where(ns % 2 == 0, sign * vals, -sign * vals)
 
     return BoundedSeq(oracle, bound, block=block, at=at)

@@ -296,7 +296,8 @@ class SeparableSpace:
     hits re-read phi_k from the block the scan just built; a single row
     past the cap is read with its SCAN_BLOCK-aligned block (`_row`).
     Rows are functions of their rank, so both give the same bits. Reads
-    of more rows go in `_blocks` of at most SCAN_BLOCK rows, each at the
+    of a range go through `_blocks`: the cached part in one slice, the
+    part past the cap in blocks of at most SCAN_BLOCK rows, each at the
     width the whole read takes, so no value depends on where a block
     ends.
 
@@ -307,13 +308,14 @@ class SeparableSpace:
     ..., phi_K(x)], and the scalar path functional_oracle(x), which
     takes x once and returns k -> phi_k(x), reading row k - 1 with no
     object built per call. A read of phi_k(x) at scattered k (T(x)'s
-    `at` in `embed`) gathers cached k from a block and reads the others
-    one by one. apply_functional(norming_functional(k), x) gives the
-    same bits as a reference; nothing in the library calls it. Each
-    kind states `_coords(x, width)`, the first `width` coordinates of x
-    as a list. The p-norm kinds also share distance_profile(v, K, lo=0)
-    = [||v - u_{lo+1}||, ..., ||v - u_K||] for 0 <= lo < K (each row
-    bit for bit as in the profile from row 0), for which each states
+    `at` in `embed`) reads one block for each SCAN_BLOCK-aligned block
+    of k that holds any. apply_functional(norming_functional(k), x)
+    gives the same bits as a reference; nothing in the library calls
+    it. Each kind states `_coords(x, width)`, the first `width`
+    coordinates of x as a list. The p-norm kinds also share
+    distance_profile(v, K, lo=0) = [||v - u_{lo+1}||, ..., ||v - u_K||]
+    for 0 <= lo < K (each row bit for bit as in the profile from row
+    0), for which each states
     `_outside(x, width)`, the p-th powers of x past those coordinates;
     c01 has its own, on its points' grids.
 
@@ -411,15 +413,15 @@ class SeparableSpace:
 
     def _blocks(self, lo: int, hi: int, width=None):
         """(first row, points, functional rows) of net rows lo..hi-1
-        read by `_window` in steps of at most SCAN_BLOCK rows, one of
-        which ends at NET_CACHE_ROWS if they cross it. The cache grows
-        once for all of them, as for one read of rows lo..hi-1."""
-        if lo < NET_CACHE_ROWS and hi - lo > SCAN_BLOCK:
-            self._ensure(hi)
+        read by `_window`: the rows below NET_CACHE_ROWS as one slice
+        of the cache, grown once to hold them, and the rows past it in
+        steps of at most SCAN_BLOCK rows."""
+        if lo < NET_CACHE_ROWS:
+            end = min(hi, NET_CACHE_ROWS)
+            yield (lo, *self._window(lo, end, width))
+            lo = end
         while lo < hi:
             end = min(lo + SCAN_BLOCK, hi)
-            if lo < NET_CACHE_ROWS < end:
-                end = NET_CACHE_ROWS
             yield (lo, *self._window(lo, end, width))
             lo = end
 
@@ -741,6 +743,7 @@ class ContinuousPL(SeparableSpace):
     def distance_profile(self, v, K: int, lo: int = 0) -> np.ndarray:
         self._check_window(K, lo)
         v = self.canonical(v)
+        self._ensure(K)         # once, not once per grid
         out = np.empty(K - lo)
         first = lo
         # one pass per grid: its levels are contiguous rows first..hi-1

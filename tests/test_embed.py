@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +14,7 @@ from seqembed import (BudgetExhausted, ConfigError, CustomNet, FiniteDimLp,
                       identity_scheme, isometry_defect, oscillation_witness,
                       periodic, prefix_sup, reverify_witness, scheme_embed,
                       separation_witness, zero_seq)
+from seqembed.spaces import NET_CACHE_ROWS, SCAN_BLOCK
 
 SQ2 = math.sqrt(2.0)
 
@@ -265,10 +265,11 @@ def test_reverify_rejects_witness_without_pairs():
 
 
 @pytest.mark.parametrize("n", [2 ** 62, 2 ** 63 + 1], ids=["2^62", "2^63+1"])
-def test_reverify_is_bounded_on_a_forged_index(n):
+def test_reverify_is_bounded_on_a_forged_index(n, monkeypatch):
     # a real witness's last pair moved to (n, n + 1): below 2^63 T(x)
-    # builds the two rows it reads from their rank, and from 2^63 on
-    # nothing is read; either way the verdict is False, quickly and in
+    # builds from their rank only the rows of the two SCAN_BLOCK-aligned
+    # blocks that hold k = n / 2 and n / 2 + 1, each up to its k, and
+    # from 2^63 on nothing is read; either way the verdict is False, in
     # little memory, not a net grown toward row n / 2
     sp = FiniteDimLp(2, 2)
     x = np.array([3.0, 4.0])
@@ -276,7 +277,12 @@ def test_reverify_is_bounded_on_a_forged_index(n):
     w = oscillation_witness(sp, x, 0.2, 5)
     forged = dataclasses.replace(w, plus_indices=(*w.plus_indices[:-1], n),
                                  minus_indices=(*w.minus_indices[:-1], n + 1))
-    start = time.perf_counter()
+    built, rows = [], sp._rows
+
+    def counted(lo, hi):
+        built.append((lo, hi))
+        return rows(lo, hi)
+    monkeypatch.setattr(sp, "_rows", counted)
     tracemalloc.start()
     try:
         verdict = reverify_witness(s, forged)
@@ -284,7 +290,9 @@ def test_reverify_is_bounded_on_a_forged_index(n):
     finally:
         tracemalloc.stop()
     assert verdict is False
-    assert time.perf_counter() - start < 1.0
+    k = n // 2
+    assert [(lo, hi) for lo, hi in built if hi > NET_CACHE_ROWS] == (
+        [] if n >= 2 ** 63 else [(k, k + 1), (k - SCAN_BLOCK, k)])
     assert peak < 10 * 2 ** 20
 
 

@@ -210,35 +210,43 @@ def test_nested_points_list_every_grid_as_a_prefix():
 
 @pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
 def test_t1_by_index_read_grows_the_cache_once(spec, monkeypatch):
-    # T(x)'s `at` reads phi_1(x)..phi_K(x) in one block for K = max
-    # ceil(n / 2), whatever the order of the indices: the cache grows
-    # once, to K as `_ensure` grows it, and n = 2k - 1 reads +phi_k(x),
-    # n = 2k reads -phi_k(x)
+    # T(x)'s `at` reads k = ceil(n / 2) from each SCAN_BLOCK-aligned
+    # block that holds one, from the block's start to its largest k,
+    # the last block first, whatever the order of the indices: the
+    # cache grows once, to the largest k as `_ensure` grows it, and
+    # n = 2k - 1 reads +phi_k(x), n = 2k reads -phi_k(x)
     sp, ref = parse_space(spec), parse_space(spec)
     x = sp.random_element(np.random.default_rng(7))
     for s in (sp, ref):
         s.net_point(40)
     grown, ensure = [], sp._ensure
+    reads, values = [], sp.functional_values
 
     def counted(K):
         if K > len(sp._U):
             grown.append(K)
         ensure(K)
+
+    def read(x, K, lo=0):
+        reads.append((K, lo))
+        return values(x, K, lo)
     monkeypatch.setattr(sp, "_ensure", counted)
+    monkeypatch.setattr(sp, "functional_values", read)
     t = embed_t1(sp, x)
-    ns = np.array([1799, 5, 82, 1800, 6, 81, 1799])
+    ns = np.array([1799, 5, 82, 17999, 1800, 6, 81, 18000, 1799])
     got = coordinates_at(t, ns)
-    assert grown == [900]
-    ref._ensure(900)
+    assert grown == [9000]
+    assert reads == [(9000, 2 * SCAN_BLOCK), (900, 0)]
+    ref._ensure(9000)
     assert sp._Phi.shape == ref._Phi.shape and np.array_equal(sp._Phi, ref._Phi)
-    vals = ref.functional_values(x, 900)
-    assert _bits(got) == _bits([vals[899], vals[2], -vals[40], -vals[899], -vals[2],
-                                vals[40], vals[899]])
+    vals = ref.functional_values(x, 9000)
+    assert _bits(got) == _bits([vals[899], vals[2], -vals[40], vals[8999], -vals[899],
+                                -vals[2], vals[40], -vals[8999], vals[899]])
     assert coordinates_at(t, np.zeros(0, dtype=np.int64)).shape == (0,)
     for bad in ([0], [3, -1]):
         with pytest.raises(IndexZero):
             coordinates_at(t, np.array(bad))
-    assert grown == [900]
+    assert grown == [9000]
 
 
 def test_t1_by_index_read_past_the_cache_builds_only_its_block(monkeypatch):
@@ -357,18 +365,21 @@ def _padded_equal(a, b, rows: int) -> bool:
 @pytest.mark.parametrize("spec", _GROWN, ids=lambda s: s if isinstance(s, str) else "custom")
 def test_net_grown_any_way_is_the_same_net(spec, monkeypatch):
     # each ask of K > n rows leaves n' rows, K <= n' <= max(K, n +
-    # min(n, SCAN_BLOCK)); the rows, and every read of them, keep their
-    # bits whether the net grew in one call, in scan blocks, one index
-    # at a time or by random asks
+    # min(n, SCAN_BLOCK)), also when a profile or a block of functional
+    # values to K asks (c01's profile reads one grid at a time); the
+    # rows, and every read of them, keep their bits whether the net grew
+    # in one call, in scan blocks, one index at a time or by random asks
     probe = parse_space(spec)
     x = probe.random_element(np.random.default_rng(29))
     v = probe.unit(x)
     nets = []
-    for way in ("one-call", "blocks", "by-index", "random"):
+    for way in ("one-call", "blocks", "by-index", "random", "profiles", "values"):
         sp = parse_space(spec)
+        ask = {"profiles": lambda K: sp.distance_profile(v, K),
+               "values": lambda K: sp.functional_values(x, K)}.get(way, sp._ensure)
         for K in _asks(way):
             n = len(sp._U)
-            sp._ensure(K)
+            ask(K)
             grown = len(sp._U)
             assert grown == n if K <= n else K <= grown <= max(K, n + min(n, SCAN_BLOCK))
             assert len(sp._Phi) == grown
