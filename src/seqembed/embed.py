@@ -150,7 +150,8 @@ class IndexScheme:
             i = bisect.bisect_left(self.prefix, n)
             j = i + 1 if i < len(self.prefix) and self.prefix[i] == n else None
         if j is not None:
-            return (1.0, j // 2) if j % 2 == 0 else (-1.0, (j + 1) // 2)
+            # j // 2 + 1, not (j + 1) // 2, which wraps at an int64 j = 2^63 - 1
+            return (1.0, j // 2) if j % 2 == 0 else (-1.0, j // 2 + 1)
         if self.coverage is not None and n <= self.coverage:
             return (0.0, 0)
         raise SchemeExhausted(n, self.coverage)
@@ -208,8 +209,12 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     Each image's oracle keeps one slot, the last (k, phi_k(x)) it read,
     so the two members of a pair read in turn cost one phi_k(x); phi_k
     is pure, so a read from the slot has a fresh read's bits. Images
-    under an extracted scheme have the oracle alone. Images under the
-    identity scheme (T(x) and the D = {0} placement) also have a block,
+    under an extracted scheme have the oracle alone, which finds (sign,
+    k) by `IndexScheme.classify`. Under the identity scheme (T(x) and
+    the D = {0} placement) the oracle takes them from n itself, as
+    `classify` gives them there: k = ceil(n / 2), computed so that it
+    does not wrap at an int64 n = 2^63 - 1, and sign +1 for even n, -1
+    for odd n; n < 1 is IndexZero. These images also have a block,
     which interleaves `functional_values` over the k of its window
     alone, and `at`, which gathers the values k = ceil(n / 2) from one
     `functional_values` read of each SCAN_BLOCK-aligned block of k
@@ -233,6 +238,19 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
 
     if scheme.mode != "identity":
         return BoundedSeq(oracle, bound)
+    keep = 0 if sign == 1.0 else 1  # the parity of the n that carry sign * phi_k(x)
+
+    def by_parity(n: int) -> float:
+        """`oracle` under the identity scheme, which puts k = ceil(n / 2)
+        at n with sign +1 for even n and -1 for odd n."""
+        nonlocal last_k, last_val
+        if n < 1:
+            raise IndexZero(f"index {n} < 1")
+        r = n % 2
+        k = n // 2 + r              # (n + 1) // 2 would wrap at 2^63 - 1
+        if k != last_k:
+            last_val, last_k = phi(k), k
+        return last_val if r == keep else -last_val
 
     def block(lo: int, hi: int) -> np.ndarray:
         k_lo = (lo + 1) // 2        # out[0] is coordinate 2 k_lo - 1
@@ -263,7 +281,7 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
                 vals[sel] = in_block(ks[sel], int(ks[sel].max()))
         return np.where(ns % 2 == 0, sign * vals, -sign * vals)
 
-    return BoundedSeq(oracle, bound, block=block, at=at)
+    return BoundedSeq(by_parity, bound, block=block, at=at)
 
 
 def embed_t1(space: SeparableSpace, x) -> BoundedSeq:

@@ -40,6 +40,8 @@ SCAN_BLOCK = 4096
 #: the most rows a net cache holds; rows past it are built from their
 #: rank whenever they are read (see `SeparableSpace._window`)
 NET_CACHE_ROWS = 1 << 15
+#: the most cached rows one read of `functional_oracle` turns into lists
+ORACLE_RUN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +308,10 @@ class SeparableSpace:
     blocks, `_dot_row` for single rows. There are two ways to phi_k(x),
     bit for bit alike: the block functional_values(x, K) = [phi_1(x),
     ..., phi_K(x)], and the scalar path functional_oracle(x), which
-    takes x once and returns k -> phi_k(x), reading row k - 1 with no
-    object built per call. A read of phi_k(x) at scattered k (T(x)'s
+    takes x once and returns k -> phi_k(x), summing the list of row
+    k - 1 with no object built per call; read up from k = 1, it turns
+    the cached rows into lists ORACLE_RUN rows at a time, and any other
+    read takes its own row. A read of phi_k(x) at scattered k (T(x)'s
     `at` in `embed`) reads one block for each SCAN_BLOCK-aligned block
     of k that holds any. apply_functional(norming_functional(k), x)
     gives the same bits as a reference; nothing in the library calls
@@ -473,22 +477,43 @@ class SeparableSpace:
     def functional_oracle(self, x):
         """k -> phi_k(x) as a float, bit for bit apply_functional(
         norming_functional(k), x), with no object built per call: each
-        call sums row k - 1 against x's coordinates, which are rebuilt
-        only when a row is wider than they are, so they never outgrow
-        the rows read. A k within the cached rows is read as it is; any
-        other k goes through `_row`, so k < 1 raises IndexZero, a k
-        below NET_CACHE_ROWS grows the cache and a k past it is read by
-        rank, with its block."""
+        call sums the list of row k - 1 against x's coordinates by
+        `_dot_row`, and the coordinates are rebuilt only when a row is
+        wider than they are, so they never outgrow the rows read. The
+        oracle keeps a slot of the lists of successive rows, at most
+        ORACLE_RUN of them. A read of the row just past the slot (k = 1
+        on a new oracle) refills it with the run of ORACLE_RUN rows from
+        that row on, in one `tolist()`, after growing the cache once to
+        hold them; a run stops at NET_CACHE_ROWS. Any other k outside
+        the slot (a jump, a read going down, a row past the cap) takes
+        its own row and leaves the slot as it is, so a scan's scattered
+        hits turn no run into lists: a cached row as it is, any other
+        through `_row`, so k < 1 raises IndexZero, a k below
+        NET_CACHE_ROWS grows the cache and a k past it is read by rank,
+        with its block. Rows are functions of their rank, so a row list
+        keeps its bits however the cache grows after it was taken; no
+        phi value is kept."""
         x = self.canonical(x)
         width, coords = 0, []
+        first, rows = 0, []         # row lists of net rows first, first + 1, ...
 
         def value(k: int) -> float:
-            nonlocal width, coords
-            row = self._Phi[k - 1] if 0 < k <= len(self._Phi) else self._row(k)[1]
+            nonlocal width, coords, first, rows
+            i = k - 1 - first
+            if 0 <= i < len(rows):
+                row = rows[i]
+            elif i == len(rows) and k <= NET_CACHE_ROWS:
+                hi = k - 1 + ORACLE_RUN     # the cache holds no row from NET_CACHE_ROWS on
+                if hi > len(self._Phi):
+                    self._ensure(hi)
+                first, rows = k - 1, self._Phi[k - 1:hi].tolist()
+                row = rows[0]
+            else:
+                row = (self._Phi[k - 1] if 0 < k <= len(self._Phi) else self._row(k)[1]).tolist()
             if len(row) > width:
                 width = len(row)
                 coords = self._coords(x, width)
-            return _dot_row(row.tolist(), coords)
+            return _dot_row(row, coords)
         return value
 
     def functional_values(self, x, K: int, lo: int = 0) -> np.ndarray:

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqembed import (BudgetExhausted, ConfigError, CustomNet, FiniteDimLp,
-                      OscillationWitness, SeqLp, SubspaceD,
+                      IndexScheme, IndexZero, OscillationWitness, SeqLp, SubspaceD,
                       ZeroElement, bw_extract, classify_c, combine, coordinate,
                       embed_t1, explicit_limit, from_function,
                       identity_scheme, isometry_defect, oscillation_witness,
-                      periodic, prefix_sup, reverify_witness, scheme_embed,
+                      parse_space, periodic, prefix_sup, reverify_witness, scheme_embed,
                       separation_witness, zero_seq)
+from seqembed.embed import _placement
 from seqembed.spaces import NET_CACHE_ROWS, SCAN_BLOCK
 
 SQ2 = math.sqrt(2.0)
@@ -26,6 +27,43 @@ def test_embed_coordinates_are_signed_pairs():
     for k in range(1, 50):
         assert coordinate(s, 2 * k) == -coordinate(s, 2 * k - 1)
     assert s.bound == 5.0
+
+
+@pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "fdlp:dim=3,p=inf",
+                                  "seqlp:p=2,support=4", "c01"])
+def test_identity_images_take_the_sign_from_parity(spec):
+    # T(x) (sign -1) and the D = {0} placement (sign +1) read k = ceil(n / 2)
+    # and the sign from n's parity; a finite scheme that lists every n of
+    # 1..2N reads them through `classify`, with the same bits. So does
+    # the identity scheme's `classify` at 2^63 - 1, where n + 1 would
+    # wrap in int64, as an int and as a numpy int64; numpy int64 indices
+    # read as ints do. Below 1 both `coordinate` and the oracle raise
+    # IndexZero
+    sp = parse_space(spec)
+    x = sp.random_element(np.random.default_rng(47))
+    ns = list(range(1, 601))
+    every = IndexScheme("finite", tuple(ns), (), (), len(ns))
+    top = 2 ** 63 - 1
+    s_top, k_top = identity_scheme().classify(top)
+    assert identity_scheme().classify(np.int64(top)) == (s_top, k_top) == (-1.0, 2 ** 62)
+    phi_top = sp.functional_values(x, k_top, k_top - 1)[0]
+    for sign, image in ((-1.0, embed_t1(sp, x)), (1.0, scheme_embed(sp, identity_scheme(), x))):
+        _reject_below_one(image)    # before any read, and after reads below
+        want = [coordinate(_placement(sp, every, x, sign), n) for n in ns]
+        assert np.array([coordinate(image, n) for n in ns]).tobytes() == np.array(want).tobytes()
+        assert (np.array([coordinate(image, np.int64(n)) for n in ns[::-1]]).tobytes()
+                == np.array(want[::-1]).tobytes())
+        at_top = [coordinate(image, top), coordinate(image, np.int64(top))]
+        assert np.array(at_top).tobytes() == np.array([s_top * sign * phi_top] * 2).tobytes()
+        _reject_below_one(image)
+
+
+def _reject_below_one(image):
+    for n in (0, -1, np.int64(0)):
+        with pytest.raises(IndexZero):
+            coordinate(image, n)
+        with pytest.raises(IndexZero):
+            image.oracle(n)
 
 
 def test_embed_block_matches_oracle():

@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqembed import (ConfigError, CustomNet, FiniteDimLp, IndexZero,
                       KindMismatch, NotUnitVector, SeqLp, ContinuousPL,
-                      ZeroElement, coordinates_at, embed_t1, oscillation_witness,
-                      parse_space, pl_function)
+                      ZeroElement, coordinate, coordinates_at, embed_t1,
+                      oscillation_witness, parse_space, pl_function)
 from seqembed import spaces
-from seqembed.spaces import NET_CACHE_ROWS, SCAN_BLOCK, SeparableSpace, _nested_points
+from seqembed.spaces import (NET_CACHE_ROWS, ORACLE_RUN, SCAN_BLOCK, SeparableSpace,
+                             _nested_points)
 from reference import (nested_order, net_size_through_level, pl_subtract,
                        point_mass_value)
 
@@ -171,10 +172,12 @@ def test_functional_oracle_grows_the_cache_past_its_rows(spec):
 def test_c01_oracle_interpolates_once_per_location(monkeypatch):
     # one vector np.interp per cache width: x at the 3 points of
     # {0, 1/2, 1}, then at the 5 of {0, 1/4, ..., 1} in nested order
-    # once the cache holds row 4747, where that grid opens. Read by
-    # index, a cold cache gets there at k = 4097 (grown to 8192 rows),
-    # one warmed to rows 1..4746 at k = 4747. Read up, down and across
-    # the opening, every value keeps the block's bits
+    # once the cache holds row 4747, where that grid opens. Read up
+    # from k = 1, the oracle takes rows in ORACLE_RUN-row runs from
+    # k = 1, 65, ..., so a cold cache gets there at k = 4097 (grown to
+    # 8192 rows), and one warmed to rows 1..4746 at k = 4737, the start
+    # of the run that holds row 4747. Read up, down and across the
+    # opening, every value keeps the block's bits
     x = pl_function((0.0, 0.3, 1.0), (1.0, -2.0, 0.5))
     want = ContinuousPL().functional_values(x, 55400)
     interp, calls, reading = np.interp, [], 0
@@ -184,7 +187,7 @@ def test_c01_oracle_interpolates_once_per_location(monkeypatch):
         return interp(t, *args, **kwargs)
     monkeypatch.setattr(np, "interp", counted)
     ks = [*range(1, 4801), *range(55400, 55300, -1), *range(4800, 0, -1), 4747, 1]
-    for warm, opens in ((0, 4097), (4746, 4747)):
+    for warm, opens in ((0, 4097), (4746, 4737)):
         sp, got = ContinuousPL(), []
         sp._ensure(warm)
         calls.clear()
@@ -424,6 +427,89 @@ def test_oracle_reads_past_the_cache_build_each_block_once(monkeypatch):
     assert _bits([value(k) for k in range(1, _DEPTH + 1)]) == want
     assert [b for b in built if b[0] >= _CAP] == [(_CAP, SCAN_BLOCK), (SCAN_BLOCK, 2 * SCAN_BLOCK),
                                                   (2 * SCAN_BLOCK, 3 * SCAN_BLOCK)]
+
+
+_SLOT_KINDS = ["fdlp:dim=2,p=1", "fdlp:dim=2,p=2", "fdlp:dim=3,p=3", "fdlp:dim=3,p=inf",
+               "seqlp:p=2,support=4", "c01", _KINDS[3]]
+_SLOT_IDS = ["fdlp-p1", "fdlp-p2", "fdlp-p3", "fdlp-pinf", "seqlp", "c01", "custom"]
+
+
+@pytest.mark.parametrize("warm, widen", [(0, False), (4746, False), (6928, False), (4746, True)],
+                         ids=["cold", "warm-4746", "warm-6928", "widened-under-a-run"])
+@pytest.mark.parametrize("spec", _SLOT_KINDS, ids=_SLOT_IDS)
+def test_oracle_row_runs_keep_the_block_bits(spec, warm, widen):
+    # the oracle reads rows up from k = 1 in ORACLE_RUN-row runs and any
+    # other row on its own. Read up across every run edge, c01's 5-point
+    # grid (row 4747) and seqlp's width-5 level (row 6929), each opened
+    # mid-run by a run that grows the cache warmed to just below it, or
+    # (`widen`) with a block read to row 9000 after k = 4690, which
+    # widens the cache under a run of narrower lists; up across
+    # NET_CACHE_ROWS - 1, NET_CACHE_ROWS and NET_CACHE_ROWS + 1; then
+    # down, scattered, past the cap and back down across it: every value
+    # is the block's, bit for bit
+    probe = parse_space(spec)
+    x = probe.random_element(np.random.default_rng(43))
+    want = probe.functional_values(x, NET_CACHE_ROWS + 5000)
+    ks = [*range(4691, NET_CACHE_ROWS + 2), *range(3 * ORACLE_RUN + 5, 0, -7),
+          *np.random.default_rng(53).integers(1, NET_CACHE_ROWS + 5000, size=40).tolist(),
+          NET_CACHE_ROWS + 5000, *range(NET_CACHE_ROWS + 3, NET_CACHE_ROWS - 3, -1)]
+    sp = parse_space(spec)
+    sp._ensure(warm)
+    value = sp.functional_oracle(x)
+    got = [value(k) for k in range(1, 4691)]
+    if widen:
+        sp.functional_values(x, 9000)
+    got += [value(k) for k in ks]
+    assert _bits(got) == _bits(want[[*range(4690), *(k - 1 for k in ks)]])
+
+
+def _raising(*args):
+    raise AssertionError("the scalar path summed a block")
+
+
+@pytest.mark.parametrize("spec", _SLOT_KINDS, ids=_SLOT_IDS)
+def test_scalar_reads_never_sum_a_block(spec, monkeypatch):
+    # every phi_k(x) of the scalar path is `_dot_row` over its row list:
+    # with `_dot_rows` raising, the oracle and T(x)'s `coordinate` read up,
+    # down, scattered and past the cap, with the block's bits
+    probe = parse_space(spec)
+    x = probe.random_element(np.random.default_rng(59))
+    want = probe.functional_values(x, NET_CACHE_ROWS + 10)
+    monkeypatch.setattr(spaces, "_dot_rows", _raising)
+    ks = [*range(1, 3 * ORACLE_RUN), *range(100, 0, -9), 5000, 777, NET_CACHE_ROWS + 10]
+    sp = parse_space(spec)
+    value = sp.functional_oracle(x)
+    assert _bits([value(k) for k in ks]) == _bits(want[[k - 1 for k in ks]])
+    t = embed_t1(parse_space(spec), x)
+    assert _bits([coordinate(t, 2 * k - 1) for k in ks]) == _bits(want[[k - 1 for k in ks]])
+
+
+#: runs of successive k, each (first k, length, going down); a first k
+#: of 0 goes on from one past the last k read, any other is a jump
+_READ_ORDERS = st.lists(st.tuples(st.just(0) | st.integers(1, 1400), st.integers(1, 150),
+                                  st.booleans()), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SLOT_KINDS), st.integers(0, 1200), _READ_ORDERS)
+@example(_SLOT_KINDS[5], 0, [(1, 150, False)] + [(0, 150, False)] * 7)
+def test_oracle_reads_in_any_order_keep_the_block_bits(spec, warm, runs):
+    # under a cap of _CAP rows, which falls inside the run from k = 961,
+    # runs are cut at the cap and rows past it come by rank
+    probe = parse_space(spec)
+    x = probe.random_element(np.random.default_rng(61))
+    want = probe.functional_values(x, 2600)
+    ks = []
+    for start, length, down in runs:
+        start = start or (ks[-1] + 1 if ks else 1)
+        ks += range(start, max(start - length, 0), -1) if down else range(start, start + length)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "NET_CACHE_ROWS", _CAP)
+        sp = parse_space(spec)
+        sp._ensure(warm)
+        value = sp.functional_oracle(x)
+        got = [value(k) for k in ks]
+    assert _bits(got) == _bits(want[[k - 1 for k in ks]])
 
 
 def _reads(sp, x, v) -> list:

@@ -27,6 +27,18 @@ subprocess for 20 seconds, one run at a time:
   fresh space, through public calls only. It runs in a fresh
   interpreter on each tree's `src`, so --baseline measures the
   baseline's nets too;
+- oracle reads: per space kind of ORACLE_ROWS, the wall seconds of
+  reading coordinates 1..2K of T(x) one by one through `coordinate`, as
+  net-cold's oracle templates read them, on a fresh space and then
+  again on it warm, and the seconds a read of one coordinate at each
+  of ORACLE_SCATTERED scattered k on a net warmed to ORACLE_WARM_NET
+  rows: best and median of ORACLE_REPEATS. Through public calls only,
+  with each tree's `src` loaded in this interpreter under its own name
+  and every measurement alternating between the trees, so a load that
+  varies from minute to minute on a shared host weighs on both alike.
+  With --baseline, the file also keeps per kind and measurement the
+  median of the repeats' tree/baseline ratios and how many repeats
+  this tree won;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
   `src/seqembed` line count, the Python and numpy versions and the core
   count.
@@ -34,6 +46,7 @@ subprocess for 20 seconds, one run at a time:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -61,6 +74,13 @@ GROWTH_SPACES = 7
 GROWTH_SCAN = 10 ** 6
 #: seqembed's witness-scan block; a baseline tree may not export it
 SCAN_BLOCK = 4096
+#: per space kind, the net rows K whose coordinates 1..2K an oracle read
+#: takes: the middle of net-cold's oracle templates' ranges
+ORACLE_ROWS = {"fdlp:dim=2,p=2": 550, "fdlp:dim=3,p=3": 550,
+               "seqlp:p=2,support=4": 325, "c01": 1000}
+ORACLE_REPEATS = 101
+ORACLE_SCATTERED = 50
+ORACLE_WARM_NET = 20000
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -185,6 +205,71 @@ def scan_line(spec: str) -> dict:
     return {"rows": GROWTH_SCAN, "seconds": seconds, "peak_bytes": peak}
 
 
+def load_tree(tree: Path, name: str):
+    """tree's `src/seqembed`, imported as the package `name`, so that
+    two trees' packages can be loaded side by side."""
+    init = tree / "src" / "seqembed" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def oracle_table(sides) -> dict:
+    """Per side of `sides` and kind of ORACLE_ROWS, the best and median
+    seconds over ORACLE_REPEATS fresh spaces of reading coordinates
+    1..2K of T(x) by `coordinate`, on the fresh space ("fresh_s") and
+    again on it warm ("warm_s"), and of one coordinate read at each of
+    ORACLE_SCATTERED random k in 1..ORACLE_WARM_NET on a net warmed to
+    ORACLE_WARM_NET rows, per read ("scattered_per_read_s"). Each repeat
+    measures every side on the same x and k, the side that goes first
+    alternating; one unmeasured repeat goes first. With a baseline side,
+    "paired" holds per kind and measurement the median of the repeats'
+    tree/baseline ratios and the repeats the tree won."""
+    packages = {side: load_tree(tree, f"seqembed_{side}") for side, tree in sides}
+
+    def timed(se, s, ns):
+        start = time.perf_counter()
+        for n in ns:
+            se.coordinate(s, n)
+        return time.perf_counter() - start
+    times = {side: {} for side in packages}
+    for spec, K in ORACLE_ROWS.items():
+        for i in range(ORACLE_REPEATS + 1):
+            for side in list(packages)[::1 if i % 2 else -1]:
+                se, rng = packages[side], np.random.default_rng(i)
+                sp = se.parse_space(spec)
+                x = sp.random_element(rng)
+                fresh = timed(se, se.embed_t1(sp, x), range(1, 2 * K + 1))
+                warm = timed(se, se.embed_t1(sp, x), range(1, 2 * K + 1))
+                sp.net_point(ORACLE_WARM_NET)
+                ks = rng.integers(1, ORACLE_WARM_NET + 1, size=ORACLE_SCATTERED)
+                scattered = timed(se, se.embed_t1(sp, x), (2 * ks - 1).tolist()) / ORACLE_SCATTERED
+                if i:
+                    for m, v in (("fresh_s", fresh), ("warm_s", warm),
+                                 ("scattered_per_read_s", scattered)):
+                        times[side].setdefault(spec, {}).setdefault(m, []).append(v)
+    out = {side: {spec: {"K": ORACLE_ROWS[spec], "coordinates": 2 * ORACLE_ROWS[spec],
+                         **{m: {"best": min(v), "median": statistics.median(v)}
+                            for m, v in ms.items()}}
+                  for spec, ms in kinds.items()}
+           for side, kinds in times.items()}
+    if "baseline" in times:
+        out["paired"] = {spec: {m: paired(v, times["baseline"][spec][m]) for m, v in ms.items()}
+                         for spec, ms in times["tree"].items()}
+    return out
+
+
+def paired(tree: list, base: list) -> dict:
+    """The median of the tree/baseline ratios of paired seconds, and
+    the pairs the tree won."""
+    ratios = [t / b for t, b in zip(tree, base)]
+    return {"median_ratio": statistics.median(ratios),
+            "tree_wins": sum(r < 1.0 for r in ratios), "repeats": len(ratios)}
+
+
 def net_growth(tree: Path) -> dict:
     """`growth_table` of tree's `src`, measured in a fresh interpreter."""
     code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
@@ -222,6 +307,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     baseline = args.baseline.resolve() if args.baseline else None
     src = sorted((ROOT / "src" / "seqembed").glob("*.py"))
+    sides = [(side, tree) for side, tree in (("tree", ROOT), ("baseline", baseline)) if tree]
     report = {
         "settings": {"plan": args.plan, "seconds": SECONDS,
                      "trace_seed": TRACE_SEED, "paired_with_baseline": bool(args.baseline)},
@@ -229,8 +315,8 @@ def main(argv=None) -> int:
                 "cores": os.cpu_count(), "machine": platform.machine()},
         "src_lines": sum(len(f.read_text(encoding="utf-8").splitlines()) for f in src),
         "tier1": tier1(),
-        "net_growth": {side: net_growth(tree) for side, tree in
-                       (("tree", ROOT), ("baseline", baseline)) if tree},
+        "net_growth": {side: net_growth(tree) for side, tree in sides},
+        "oracle": oracle_table(sides),
         "end_to_end": end_to_end(parse_plan(args.plan), baseline),
         "per_layer": {},
     }
