@@ -5,13 +5,13 @@ unit vectors dense in the unit sphere, and an explicit duality map
 producing a norming functional for every enumerated point. The
 enumeration is one net cache in `SeparableSpace`: level t = 1, 2, ...
 lists the nonzero rows of {-t..t}^width(t) lexicographically, any rank
-range of a level is normalized and dualized in one vectorized step,
-and asking for index K with n rows cached appends rows up to
-min(max(K, n + min(n, SCAN_BLOCK)), NET_CACHE_ROWS) in place, never to
-the end of a level it does not need; rows past NET_CACHE_ROWS are
-built from their rank when read (see `SeparableSpace`). The duality
-rows of p = 1 and
-p = inf hold only -1, 0 and +1 and are kept as int8, a byte an entry;
+range is normalized and dualized in one vectorized step per run of
+equal-width levels, and asking for index K with n rows cached appends
+rows up to min(max(K, n + min(n, SCAN_BLOCK)), NET_CACHE_ROWS) in
+place, never to the end of a level it does not need; rows past
+NET_CACHE_ROWS are built from their rank when read (see
+`SeparableSpace`). The duality rows of p = 1 and p = inf hold only
+-1, 0 and +1 and are kept as int8, a byte an entry;
 products with floats keep the bits of float64 rows (see
 `_duality_rows`). Every kind's functional rows are coefficient rows
 against its coordinates, c01's point masses too (x's values at the
@@ -42,6 +42,12 @@ SCAN_BLOCK = 4096
 NET_CACHE_ROWS = 1 << 15
 #: the most cached rows one read of `functional_oracle` turns into lists
 ORACLE_RUN = 64
+#: the rows from which `_pnorms` roots each distinct power sum once: the
+#: sort that finds them costs more than a root per row below that
+ROOTS_UNIQUE_FROM = 256
+#: the rows from which `_columns` reduces a matrix a column at a time:
+#: below that one numpy reduction costs less than a call per column
+COLUMNS_FROM = 64
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +108,13 @@ def _duality_rows(U: np.ndarray, p: float) -> np.ndarray:
     if p == 2.0 and not np.signbit(U[U == 0.0]).any():
         return U
     if math.isinf(p):
-        rows = np.arange(len(U))
-        idx = np.argmax(np.abs(U), axis=1)
+        # np.argmax(|U|, axis=1) a column at a time: a strict > keeps
+        # the first index of a tied largest entry
+        A = np.abs(U)
+        rows, idx, best = np.arange(len(U)), np.zeros(len(U), dtype=np.intp), A[:, 0]
+        for j in range(1, U.shape[1]):
+            idx[A[:, j] > best] = j
+            best = np.maximum(best, A[:, j])
         Phi = np.zeros(U.shape, dtype=np.int8)
         Phi[rows, idx] = np.sign(U[rows, idx])
         return Phi
@@ -112,36 +123,78 @@ def _duality_rows(U: np.ndarray, p: float) -> np.ndarray:
     return np.sign(U) * np.abs(U) ** (p - 1.0)
 
 
+def _columns(ufunc, M: np.ndarray, tail=()) -> np.ndarray:
+    """ufunc.reduce(axis=1), bit for bit, over M with the constants of
+    `tail` as further columns, each the same in every row: np.add, or
+    np.maximum over entries >= 0. Below 8 columns numpy's add.reduce
+    sums a row left to right from +0.0, which this repeats one whole
+    column at a time in index order from COLUMNS_FROM rows on (an
+    axis-1 reduction over rows 2 or 3 wide costs many times the
+    arithmetic of its columns); from 8 columns on it sums pairwise, so
+    there, and below COLUMNS_FROM rows, the reduction is numpy's, over
+    M widened by `tail`. A max is exact in any order, and a max from
+    0.0 over entries >= 0 is their max, so a row of no columns is 0.0
+    for both."""
+    width = M.shape[1] + len(tail)
+    if width and (width >= 8 or len(M) < COLUMNS_FROM):
+        if len(tail):
+            # in C order, as a padded block is: numpy sums the rows of a
+            # column-major matrix column by column, not pairwise
+            padded = np.empty((len(M), width))
+            padded[:, :M.shape[1]], padded[:, M.shape[1]:] = M, tail
+            M = padded
+        return ufunc.reduce(M, axis=1)
+    out = np.zeros(len(M))
+    for j in range(M.shape[1]):
+        ufunc(out, M[:, j], out=out)
+    for c in tail:
+        ufunc(out, c, out=out)
+    return out
+
+
 def _pnorms(W: np.ndarray, p: float) -> np.ndarray:
     """p-norms of the rows of W: the one vector p-norm, of elements,
-    custom points and net rows alike. At p other than 1, 2 and inf each
-    row takes a scalar libm root; an empty row is 0.0 at every p < inf.
-    The ufunc reductions are called directly: np.sum's and np.max's
-    wrappers cost more than the sums of a 1-row W."""
+    custom points and net rows alike. Sums and maxima run over whole
+    columns in index order (`_columns`): numpy adds a row of fewer than
+    8 entries left to right from +0.0, so the sums keep the bits of
+    np.add.reduce(axis=1); a row of 8 or more entries, which numpy sums
+    pairwise, is numpy's reduction itself. An empty row is 0.0 at every
+    p. At p other than 1, 2 and inf each row takes a scalar libm root
+    of its power sum; from ROOTS_UNIQUE_FROM rows on, one root per
+    distinct sum (the rows of a lattice level share few), the same
+    bits."""
     if math.isinf(p):
-        return np.maximum.reduce(np.abs(W), axis=1)
+        return _columns(np.maximum, np.abs(W))
     if p == 1.0:
-        return np.add.reduce(np.abs(W), axis=1)
+        return _columns(np.add, np.abs(W))
     if p == 2.0:
-        return np.sqrt(np.add.reduce(W * W, axis=1))
-    return np.array([s ** (1.0 / p) for s in np.add.reduce(np.abs(W) ** p, axis=1).tolist()])
+        return np.sqrt(_columns(np.add, W * W))
+    sums, inverse = _columns(np.add, np.abs(W) ** p), None
+    if len(sums) >= ROOTS_UNIQUE_FROM:
+        sums, inverse = np.unique(sums, return_inverse=True)
+    roots = np.array([s ** (1.0 / p) for s in sums.tolist()])
+    return roots if inverse is None else roots[inverse]
 
 
-def _row_norms(D: np.ndarray, p: float, extra=0.0) -> np.ndarray:
-    """p-norms of the rows of D, with `extra` (the p-th powers summed
-    over entries outside D) added under the root: the distance
-    profiles' rule. At p other than 1, 2 and inf its root is numpy's
-    array power, which rounds apart from `_pnorms`' scalar root in the
-    last bit (in about one root in twenty at p = 3, numpy 2.4 on an
-    x86-64 Xeon); witness indices pin a profile's bits, so neither
-    root stands in for the other."""
+def _row_norms(D: np.ndarray, p: float, extra: float, tail: np.ndarray) -> np.ndarray:
+    """p-norms of the rows of D followed by the entries of `tail` (the
+    same in every row), with `extra` (the p-th powers summed over
+    entries outside both) added under the root: the distance profiles'
+    rule. Its sums and maxima run over whole columns in index order,
+    `tail` last, with numpy's bits, and a row of 8 or more entries is
+    summed by numpy's pairwise reduction (see `_pnorms`). At p other
+    than 1, 2 and inf its root is numpy's array power, which rounds
+    apart from `_pnorms`' scalar root in the last bit (in about one
+    root in twenty at p = 3, numpy 2.4 on an x86-64 Xeon); witness
+    indices pin a profile's bits, so neither root stands in for the
+    other."""
     if math.isinf(p):
-        return np.max(np.abs(D), axis=1)
+        return _columns(np.maximum, np.abs(D), np.abs(tail))
     if p == 1.0:
-        return np.sum(np.abs(D), axis=1) + extra
+        return _columns(np.add, np.abs(D), np.abs(tail)) + extra
     if p == 2.0:
-        return np.sqrt(np.sum(D * D, axis=1) + extra)
-    return (np.sum(np.abs(D) ** p, axis=1) + extra) ** (1.0 / p)
+        return np.sqrt(_columns(np.add, D * D, tail * tail) + extra)
+    return (_columns(np.add, np.abs(D) ** p, np.abs(tail) ** p) + extra) ** (1.0 / p)
 
 
 def _unit_rows(W: np.ndarray, p: float):
@@ -150,16 +203,28 @@ def _unit_rows(W: np.ndarray, p: float):
     return U, _duality_rows(U, p)
 
 
-def _lattice_rows(t: int, width: int, lo: int, hi: int) -> np.ndarray:
-    """Nonzero rows lo..hi-1 (0-based) of {-t..t}^width in lexicographic
-    order: the base-(2t+1) digits of each rank, less t, skipping the
-    rank of the zero row."""
+def _lattice_rows(levels: list, width: int) -> np.ndarray:
+    """For each (t, lo, hi) of `levels` in turn, the nonzero rows
+    lo..hi-1 (0-based) of {-t..t}^width in lexicographic order: the
+    base-(2t+1) digits of each rank, less t, skipping the rank of the
+    zero row. A single level takes its t and base as scalars; a run of
+    levels takes them row by row, in one pass of digits."""
+    if len(levels) == 1:
+        (t, lo, hi), = levels
+        rank = np.arange(lo, hi, dtype=np.int64)
+        zero = ((2 * t + 1) ** width - 1) // 2
+        if zero < hi:
+            rank[rank >= zero] += 1
+    else:
+        # a zero rank past hi, perhaps past int64, skips nothing
+        t, lo, hi, zero = np.array([(t, lo, hi, min(((2 * t + 1) ** width - 1) // 2, hi))
+                                    for t, lo, hi in levels]).T
+        count = hi - lo
+        rank = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        rank += rank >= np.repeat(zero, count)
+        t = np.repeat(t, count)
     base = 2 * t + 1
-    rank = np.arange(lo, hi, dtype=np.int64)
-    zero = (base ** width - 1) // 2
-    if zero < hi:
-        rank[rank >= zero] += 1
-    W = np.empty((hi - lo, width))
+    W = np.empty((len(rank), width))
     for j in range(width - 1, -1, -1):
         rank, digit = np.divmod(rank, base)
         W[:, j] = digit - t
@@ -199,21 +264,16 @@ def _put(buf: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _fit(M: np.ndarray, width: int) -> np.ndarray:
-    """M cut, or zero-padded, to `width` columns."""
-    if M.shape[1] >= width:
-        return M[:, :width]
-    out = np.zeros((len(M), width), dtype=M.dtype)
-    out[:, :M.shape[1]] = M
-    return out
-
-
 def _stack(mats: list) -> np.ndarray:
     """The rows of `mats` in order, each zero-padded to the widest."""
     if len(mats) == 1:
         return mats[0]
-    width = max(M.shape[1] for M in mats)
-    return np.concatenate([_fit(M, width) for M in mats])
+    out = np.zeros((sum(map(len, mats)), max(M.shape[1] for M in mats)), dtype=mats[0].dtype)
+    n = 0
+    for M in mats:
+        out[n:n + len(M), :M.shape[1]] = M
+        n += len(M)
+    return out
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -222,12 +282,12 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def _dot_rows(Phi: np.ndarray, x) -> np.ndarray:
-    """sum_i phi_i x_i for every row of Phi, accumulated in index order
-    from 0.0 one column at a time: bit for bit the sums of `_dot_row`,
-    whatever the number of rows."""
+    """sum_i phi_i x_i for every row of Phi, over the shorter of a row
+    and x, accumulated in index order from 0.0 one column at a time:
+    bit for bit the sums of `_dot_row`, whatever the number of rows."""
     out = np.zeros(len(Phi))
-    for j, v in enumerate(x):
-        out += Phi[:, j] * v
+    for col, v in zip(Phi.T, x):
+        out += col * v
     return out
 
 
@@ -299,9 +359,11 @@ class SeparableSpace:
     past the cap is read with its SCAN_BLOCK-aligned block (`_row`).
     Rows are functions of their rank, so both give the same bits. Reads
     of a range go through `_blocks`: the cached part in one slice, the
-    part past the cap in blocks of at most SCAN_BLOCK rows, each at the
-    width the whole read takes, so no value depends on where a block
-    ends.
+    part past the cap in blocks of at most SCAN_BLOCK rows, each at its
+    own width. A column a block lacks, of the ones the whole read
+    takes, is zero padding: a profile adds its constant term in its
+    place and functional values skip it, so no value depends on where
+    a block ends or how wide it is.
 
     Every kind's functional rows are coefficient rows against its
     coordinates, so one arithmetic reads them all: `_dot_rows` for
@@ -337,9 +399,9 @@ class SeparableSpace:
         # (first row, points, functional rows) of the rows last built past the cache
         self._slot = (0, self._U, self._Phi)
 
-    def _net_rows(self, W: np.ndarray, t: int):
-        """(net points, functional rows) of the level-t lattice rows W;
-        by default p-norm unit rows and their duality rows."""
+    def _net_rows(self, W: np.ndarray):
+        """(net points, functional rows) of the lattice rows W; by
+        default p-norm unit rows and their duality rows."""
         return _unit_rows(W, self.p)
 
     # -- the net cache ------------------------------------------------------
@@ -369,13 +431,19 @@ class SeparableSpace:
 
     def _rows(self, lo: int, hi: int):
         """(net points, functional rows) of net rows lo..hi-1, one
-        pair per lattice level they meet."""
+        pair per run of consecutive lattice levels of one width they
+        meet: a single run for fdlp, one per grid for c01, one per
+        level for seqlp."""
+        run, width = [], None   # (t, first rank, end rank) of each level of the run
         for t, start, stop in self._levels(lo):
-            end = min(stop, hi)
-            yield self._net_rows(_lattice_rows(t, self._width(t), lo - start,
-                                               end - start), t)
+            if run and self._width(t) != width:
+                yield self._net_rows(_lattice_rows(run, width))
+                run = []
+            width, end = self._width(t), min(stop, hi)
+            run.append((t, lo - start, end - start))
             lo = end
             if lo == hi:
+                yield self._net_rows(_lattice_rows(run, width))
                 return
 
     def _ensure(self, K: int):
@@ -392,13 +460,13 @@ class SeparableSpace:
         self._U = self._U_buf[:n]
         self._Phi = self._U if Phi is U else self._Phi_buf[:n]
 
-    def _window(self, lo: int, hi: int, width=None):
+    def _window(self, lo: int, hi: int):
         """(net points, functional rows) of net rows lo..hi-1, all
-        below NET_CACHE_ROWS or all past it (see `_blocks`), cut or
-        zero-padded to `width` columns when it is given. Rows below it
-        are the cache's, grown to hold them. Rows past it come from the
-        slot when it holds them; otherwise they are built from their
-        rank by `_rows` and replace the slot's rows."""
+        below NET_CACHE_ROWS or all past it (see `_blocks`). Rows below
+        it are the cache's, grown to hold them, as wide as its widest
+        level. Rows past it come from the slot when it holds them;
+        otherwise they are built from their rank by `_rows`, as wide as
+        their widest level, and replace the slot's rows."""
         if hi <= NET_CACHE_ROWS:
             if hi > len(self._U):
                 self._ensure(hi)
@@ -411,22 +479,20 @@ class SeparableSpace:
                 Phi = U if all(f is u for u, f in built) else _stack([f for _, f in built])
                 first, self._slot = lo, (lo, U, Phi)
             U, Phi = U[lo - first:hi - first], Phi[lo - first:hi - first]
-        if width is None:
-            return U, Phi
-        return _fit(U, width), _fit(Phi, width)
+        return U, Phi
 
-    def _blocks(self, lo: int, hi: int, width=None):
+    def _blocks(self, lo: int, hi: int):
         """(first row, points, functional rows) of net rows lo..hi-1
         read by `_window`: the rows below NET_CACHE_ROWS as one slice
         of the cache, grown once to hold them, and the rows past it in
         steps of at most SCAN_BLOCK rows."""
         if lo < NET_CACHE_ROWS:
             end = min(hi, NET_CACHE_ROWS)
-            yield (lo, *self._window(lo, end, width))
+            yield (lo, *self._window(lo, end))
             lo = end
         while lo < hi:
             end = min(lo + SCAN_BLOCK, hi)
-            yield (lo, *self._window(lo, end, width))
+            yield (lo, *self._window(lo, end))
             lo = end
 
     def _index(self, k: int) -> int:
@@ -520,12 +586,11 @@ class SeparableSpace:
         """[phi_{lo+1}(x), ..., phi_K(x)] for 0 <= lo < K, each value bit
         for bit as in the block from row 0; K < 1 is IndexZero and a lo
         outside its window a ValueError, as in distance_profile. Only
-        the columns rows 1..K use are summed: the rest are their zero
-        padding."""
+        the columns rows 1..K use, and a block holds, are summed: the
+        rest are zero padding."""
         self._check_window(K, lo)
-        width = self._row_width(K - 1)
-        coords = self._coords(self.canonical(x), width)
-        return _joined([_dot_rows(Phi, coords) for _, _, Phi in self._blocks(lo, K, width)])
+        coords = self._coords(self.canonical(x), self._row_width(K - 1))
+        return _joined([_dot_rows(Phi, coords) for _, _, Phi in self._blocks(lo, K)])
 
     def _check_window(self, K: int, lo: int):
         """K < 1 is IndexZero, and a lo outside 0 <= lo < K a
@@ -540,8 +605,13 @@ class SeparableSpace:
         # the columns the first K rows use; support past them is orthogonal
         width = self._row_width(K - 1)
         coords, outside = np.array(self._coords(v, width)), self._outside(v, width)
-        return _joined([_row_norms(U - coords, self.p, outside)
-                        for _, U, _ in self._blocks(lo, K, width)])
+        out = []
+        for _, U, _ in self._blocks(lo, K):
+            # a column a narrower block lacks is zero padding: its entry
+            # of U - coords is -c_j, which `_row_norms` reads as c_j
+            w = min(U.shape[1], width)
+            out.append(_row_norms(U[:, :w] - coords[:w], self.p, outside, coords[w:]))
+        return _joined(out)
 
     def _outside(self, x, width: int) -> float:
         return 0.0
@@ -736,7 +806,7 @@ class ContinuousPL(SeparableSpace):
         """The dyadic breakpoints of level t."""
         return np.arange(self._width(t)) / (self._width(t) - 1)
 
-    def _net_rows(self, W, t):
+    def _net_rows(self, W):
         # the argmax runs in grid order, as for every p = inf row, so a
         # row with tied largest values keeps its first grid point; only
         # then are the columns laid out in nested order
@@ -786,7 +856,7 @@ class ContinuousPL(SeparableSpace):
             v_union = np.interp(union, v.breaks, v.values)
             for a, rows, _ in self._blocks(first, hi):
                 on_union = rows[:, pos] * (1.0 - w) + rows[:, pos + 1] * w
-                out[a - lo:a - lo + len(rows)] = np.max(np.abs(on_union - v_union), axis=1)
+                out[a - lo:a - lo + len(rows)] = _columns(np.maximum, np.abs(on_union - v_union))
             first = hi
         return out
 

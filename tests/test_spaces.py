@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import json
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,6 +61,76 @@ def test_norms_keep_the_vector_formula_bits(p, values):
         want = _vector_pnorm(nonzero, p) if len(nonzero) else 0.0
         got = SeqLp(p, len(x)).norm(dict(enumerate(values, 1)))
         assert _bits([got]) == _bits([want])
+
+
+#: entries that round, tie or sign differently: signed zeros, subnormals,
+#: the smallest normal, and magnitudes whose squares and sums overflow
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                1e300, -1e300, 1.0, -1.0, 0.5, -0.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 300), st.integers(0, 12), st.floats(0.0, 1.0),
+       st.sampled_from([0, 300]), st.integers(0, 2 ** 32 - 1))
+@example(1, 9, 0, 1.0, 300, 0)
+@example(0, 5, 0, 0.0, 300, 0)
+@example(8, 17, 1, 1.0, 300, 1)      # numpy sums a column-major matrix column by column
+def test_column_reductions_keep_numpy_bits(width, rows, cut, edges, spread, seed):
+    # the column walk (taken from COLUMNS_FROM rows on, and here from
+    # one row on too), the p = inf argmax and a block's missing columns
+    # (constants the same in every row) against numpy's axis-1
+    # reductions over the whole matrix, bit for bit; a max reads
+    # entries >= 0 (-0.0 among them), as it does in every norm. Entries
+    # of one magnitude (spread 0) round apart wherever the order of a
+    # sum differs; spread 300 mixes 1e-300 to 1e300
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-spread, spread + 1, (rows, width))
+    M = np.where(rng.random((rows, width)) < edges, rng.choice(_EDGE_VALUES, (rows, width)),
+                 rng.standard_normal((rows, width)) * scale)
+    A = np.where(M == 0.0, M, np.abs(M))
+    for ufunc, X in ((np.add, M), (np.maximum, A)):
+        tail = X[0, min(cut, width):]
+        padded = np.concatenate([X[:, :min(cut, width)], np.tile(tail, (rows, 1))], axis=1)
+        for columns_from in (spaces.COLUMNS_FROM, 1):
+            with mock.patch.object(spaces, "COLUMNS_FROM", columns_from):
+                want = ufunc.reduce(X, axis=1) if width else np.zeros(rows)
+                assert _bits(spaces._columns(ufunc, X)) == _bits(want)
+                want = ufunc.reduce(padded, axis=1) if width else np.zeros(rows)
+                assert _bits(spaces._columns(ufunc, X[:, :min(cut, width)], tail)) == _bits(want)
+    if width:
+        # tied largest |u_i| are the rule here, not the exception
+        U = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], (rows, width))
+        want = np.zeros((rows, width), dtype=np.int8)
+        idx = np.argmax(np.abs(U), axis=1)
+        want[np.arange(rows), idx] = np.sign(U[np.arange(rows), idx])
+        got = spaces._duality_rows(U, math.inf)
+        assert got.dtype == np.int8 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_empty_rows_have_norm_zero(p):
+    # at p = inf too, where a max has no identity of its own
+    assert _bits(spaces._pnorms(np.zeros((3, 0)), p)) == _bits([0.0] * 3)
+    if p < math.inf:
+        assert SeqLp(p).norm({}) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_pnorms_root_each_distinct_sum_once(p, monkeypatch):
+    # past ROOTS_UNIQUE_FROM rows the roots are taken per distinct power
+    # sum, below it per row: the same bits either way
+    # lattice-like rows: their powers and sums are exact, so the root is
+    # all that could round apart
+    W = np.round(np.random.default_rng(3).standard_normal((2 * spaces.ROOTS_UNIQUE_FROM, 3)) * 4)
+    want = []
+    for row in W.tolist():
+        acc = 0.0
+        for w in row:
+            acc += abs(w) ** p
+        want.append(acc ** (1.0 / p))
+    assert _bits(spaces._pnorms(W, p)) == _bits(want)
+    monkeypatch.setattr(spaces, "ROOTS_UNIQUE_FROM", 10 ** 9)
+    assert _bits(spaces._pnorms(W, p)) == _bits(want)
 
 
 def test_fdlp_net_enumeration_order():
@@ -407,6 +479,95 @@ def test_net_grown_any_way_is_the_same_net(spec, monkeypatch):
         assert _padded_equal(U, first._U[a:], len(U))
         assert _padded_equal(Phi, first._Phi[a:], len(U))
     assert len(capped._U) == len(capped._Phi) == len(capped._U_buf) == _CAP
+
+
+#: per kind of _GROWN, the sha256 of `_net_digest`'s rows as the nets
+#: built them when each lattice level was normalized and dualized alone
+_NET_DIGESTS = {
+    "fdlp:dim=2,p=2": "e3c3fbe5e99bbd915aed6a27376f598c48c4b1224649daf37bf1dd74fe6cf767",
+    "fdlp:dim=3,p=1.5": "589b5aa4b29f73bfcdbc5b3e95c22401e22c40ed1efd645bbba68a61bd40d29f",
+    "fdlp:dim=3,p=inf": "60ec7252a8a8742e0026cdbd6e76ede3a9446763b88aa7b24791d5849ebcf61c",
+    "fdlp:dim=2,p=1": "8dd83bdc78e532e8a4ff08b9fda77d7aaea0c5315b99ec98e199850c11d0ac6e",
+    "seqlp:p=1,support=8": "ee62f3f41c51d9f2bae97b502e78f6260b6c3906d7912df3906a822bf3f81d6d",
+    "seqlp:p=2,support=4": "72d5546366bb2675165a6386a3f0cc2b2f9e0aa04dd9004d078f400df82b25cf",
+    "c01": "50cf1d072f7db3f12fd24bf661653d238bbbff88ce5aad83ec7f78d22e694675",
+    "custom": "4e8704473bf580a28dd42575abe19e06c0282212da2434120c3b276ea0a4068e",
+}
+
+
+def _net_digest(spec) -> str:
+    """The sha256 of rows 0.._DEPTH - 1 of `_U` and `_Phi`, grown in one
+    call, and on fdlp of the 4096 rows built from their rank around the
+    first rows of the levels that hold rows 2^40 and 2^62, with each
+    matrix's dtype and shape."""
+    sp = parse_space(spec)
+    sp._ensure(_DEPTH)
+    reads = [(sp._U, sp._Phi)]
+    if sp.kind == "fdlp":
+        for row in (2 ** 40, 2 ** 62):
+            start = sp._level_of(row)[1]
+            reads.append(sp._window(start - 2048, start + 2048))
+    h = hashlib.sha256()
+    for U, Phi in reads:
+        for M in (U, Phi):
+            h.update(f"{M.dtype} {M.shape}".encode())
+            h.update(np.ascontiguousarray(M).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec", _GROWN, ids=lambda s: s if isinstance(s, str) else "custom")
+def test_net_rows_keep_their_recorded_bits(spec):
+    assert _net_digest(spec) == _NET_DIGESTS[spec if isinstance(spec, str) else "custom"]
+
+
+@pytest.mark.parametrize("spec, lo, hi", [
+    ("fdlp:dim=1,p=2", 0, 3000), ("fdlp:dim=1,p=inf", 2 ** 40, None),
+    ("fdlp:dim=2,p=3", 0, 9000), ("fdlp:dim=2,p=1", 5, 1000), ("fdlp:dim=2,p=2", 2 ** 62, None),
+    ("fdlp:dim=3,p=1.5", 0, 9000), ("fdlp:dim=3,p=inf", 2 ** 62, None),
+    ("fdlp:dim=7,p=2", 2000, 2500),
+    # levels 1-6 share the 3-point grid (level 5 opens at row 1220, level
+    # 6 at 2550), and level 7 opens the 5-point one at row 4746
+    ("c01", 0, 4800), ("c01", 2000, 4748),
+])
+def test_a_run_of_levels_is_built_as_its_levels(spec, lo, hi):
+    # one build over a run of equal-width levels, its t and base row by
+    # row, gives each level's rows as that level built alone does; with
+    # no hi, the 4096 rows around the first row of the level holding lo
+    sp = parse_space(spec)
+    if hi is None:
+        lo = sp._level_of(lo)[1] - 2048
+        hi = lo + 4096
+    got, want, row = list(sp._rows(lo, hi)), [], lo
+    for t, start, stop in sp._levels(lo):
+        end = min(stop, hi)
+        want.append(sp._net_rows(spaces._lattice_rows([(t, row - start, end - start)], sp._width(t))))
+        row = end
+        if row == hi:
+            break
+    assert len(want) > len(got) == len({U.shape[1] for U, _ in want})
+    for i in (0, 1):
+        a, b = spaces._stack([r[i] for r in got]), spaces._stack([r[i] for r in want])
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_reads_of_narrower_blocks_keep_the_padded_bits(p, monkeypatch):
+    # capped at _CAP rows, the cache and the blocks built from rank below
+    # row 6928, where seqlp's width-5 level opens, are 4 wide while row
+    # K - 1 is 5 wide: a profile reads their missing column as the
+    # constant |c_5|^p, and functional values skip it, with the bits of
+    # the uncapped net, whose one cached block is 5 wide
+    x = {1: 0.5, 3: -1.25, 5: 2.0, 9: 0.75}
+    windows = [(6929, 0), (6930, 0), (6930, 500), (6930, _CAP), (6930, 6927), (_DEPTH, 2 * SCAN_BLOCK)]
+    uncapped = parse_space(f"seqlp:p={p},support=4")
+    v = uncapped.unit(x)
+    want = [(_bits(uncapped.distance_profile(v, K, lo)), _bits(uncapped.functional_values(x, K, lo)))
+            for K, lo in windows]
+    monkeypatch.setattr(spaces, "NET_CACHE_ROWS", _CAP)
+    capped = parse_space(f"seqlp:p={p},support=4")
+    assert [(_bits(capped.distance_profile(v, K, lo)), _bits(capped.functional_values(x, K, lo)))
+            for K, lo in windows] == want
+    assert [U.shape[1] for _, U, _ in capped._blocks(0, 6930)] == [4, 4, 5]
 
 
 def test_oracle_reads_past_the_cache_build_each_block_once(monkeypatch):

@@ -18,15 +18,18 @@ subprocess for 20 seconds, one run at a time:
   every span in its span file (spans BENCHMARK.json does not declare
   included). Self times are raw wall seconds, so the run's host factor
   is kept beside them;
-- net growth: per space kind of GROWTH_DEPTHS, the rows its net cache
-  holds, the bytes of its two row buffers, and the median wall seconds
-  and minor page faults over GROWTH_SPACES fresh spaces of growing it
-  in SCAN_BLOCK-row asks to the kind's depth, and one index at a time
-  to GROWTH_BY_INDEX; and the wall seconds and tracemalloc peak of
-  a GROWTH_SCAN-row `distance_profile` scan in SCAN_BLOCK steps on a
-  fresh space, through public calls only. It runs in a fresh
-  interpreter on each tree's `src`, so --baseline measures the
-  baseline's nets too;
+- net growth: per space kind of GROWTH_DEPTHS and growth pattern
+  (SCAN_BLOCK-row asks to the kind's depth, one index at a time to
+  GROWTH_BY_INDEX, one ask of GROWTH_ONE_ASK rows), the rows its net
+  cache holds, the bytes of its two row buffers and the median minor
+  page faults over GROWTH_SPACES fresh spaces, and the tracemalloc
+  peak of a GROWTH_SCAN-row `distance_profile` scan in SCAN_BLOCK
+  steps on a fresh space, through public calls only; these run in a
+  fresh interpreter on each tree's `src`, so --baseline measures the
+  baseline's nets too. The seconds of each pattern (best and median
+  of GROWTH_REPEATS fresh spaces) and of the scan (of SCAN_REPEATS)
+  are measured as the oracle reads are, below, with the paired
+  tree/baseline ratios under "paired";
 - oracle reads: per space kind of ORACLE_ROWS, the wall seconds of
   reading coordinates 1..2K of T(x) one by one through `coordinate`, as
   net-cold's oracle templates read them, on a fresh space and then
@@ -66,12 +69,17 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 SECONDS = 20
 TRACE_SEED = 601
 #: per space kind, the depth of its SCAN_BLOCK-row growth pattern
-GROWTH_DEPTHS = {"fdlp:dim=2,p=2": 12288, "fdlp:dim=3,p=inf": 12288,
+GROWTH_DEPTHS = {"fdlp:dim=2,p=2": 12288, "fdlp:dim=2,p=3": 12288, "fdlp:dim=3,p=inf": 12288,
                  "seqlp:p=1,support=8": 81920, "c01": 8192}
 GROWTH_BY_INDEX = 2000
+#: rows of the one-ask pattern: a check_isometry over fdlp asks 8000-10000
+#: rows at once, a witness scan its first block
+GROWTH_ONE_ASK = 9000
 GROWTH_SPACES = 7
+GROWTH_REPEATS = 51
 #: rows of each kind's deep scan
 GROWTH_SCAN = 10 ** 6
+SCAN_REPEATS = 5
 #: seqembed's witness-scan block; a baseline tree may not export it
 SCAN_BLOCK = 4096
 #: per space kind, the net rows K whose coordinates 1..2K an oracle read
@@ -152,57 +160,95 @@ def compact(result: dict) -> dict:
             "failed": result["failed"]}
 
 
+def growth_asks(spec: str) -> dict:
+    """Per growth pattern, the rows asked of a fresh space of `spec`."""
+    return {"blocks": range(SCAN_BLOCK, GROWTH_DEPTHS[spec] + 1, SCAN_BLOCK),
+            "by_index": range(1, GROWTH_BY_INDEX + 1),
+            "one_ask": [GROWTH_ONE_ASK]}
+
+
+def grow(sp, asks):
+    """Ask the net cache of the space `sp` for each K of `asks` in turn."""
+    for K in asks:
+        sp._ensure(K)
+
+
+def clocked(work, *args) -> float:
+    """The wall seconds of work(*args)."""
+    start = time.perf_counter()
+    work(*args)
+    return time.perf_counter() - start
+
+
 def growth_table() -> dict:
     """Per kind of GROWTH_DEPTHS and growth pattern, the rows held, the
     bytes of the point and functional row buffers (the latter empty when
-    they are one matrix), and the median seconds and minor page faults
-    (`ru_minflt`) of `_ensure` over GROWTH_SPACES fresh spaces of the
-    seqembed on sys.path; one unmeasured space per pattern goes first."""
-    from seqembed import parse_space
+    they are one matrix), and the median minor page faults (`ru_minflt`)
+    of `_ensure` over GROWTH_SPACES fresh spaces of the seqembed on
+    sys.path, one unmeasured space per pattern first; and the scan's
+    tracemalloc peak."""
+    import seqembed
     out = {}
-    for spec, depth in GROWTH_DEPTHS.items():
+    for spec in GROWTH_DEPTHS:
         out[spec] = {}
-        for pattern, asks in (("blocks", range(SCAN_BLOCK, depth + 1, SCAN_BLOCK)),
-                              ("by_index", range(1, GROWTH_BY_INDEX + 1))):
-            times, faults = [], []
+        for pattern, asks in growth_asks(spec).items():
+            faults = []
             for _ in range(GROWTH_SPACES + 1):
-                sp = parse_space(spec)
+                sp = seqembed.parse_space(spec)
                 flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                start = time.perf_counter()
-                for K in asks:
-                    sp._ensure(K)
-                times.append(time.perf_counter() - start)
+                grow(sp, asks)
                 faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
             out[spec][pattern] = {"depth": asks[-1], "rows_held": len(sp._U),
                                   "bytes_held": sp._U_buf.nbytes + sp._Phi_buf.nbytes,
-                                  "median_s": statistics.median(times[1:]),
                                   "median_minflt": statistics.median(faults[1:])}
-        out[spec]["scan"] = scan_line(spec)
+        tracemalloc.start()
+        try:
+            scan(seqembed, spec)
+            out[spec]["scan"] = {"rows": GROWTH_SCAN, "peak_bytes": tracemalloc.get_traced_memory()[1]}
+        finally:
+            tracemalloc.stop()
     return out
 
 
-def scan_line(spec: str) -> dict:
-    """The wall seconds, and on another fresh space the tracemalloc peak
-    bytes, of `distance_profile` over rows 1..GROWTH_SCAN in SCAN_BLOCK
-    steps on a fresh space of `spec`. Only public calls, so a tree whose
-    net cache keeps every row is measured the same way."""
-    from seqembed import parse_space
+def scan(se, spec: str):
+    """`distance_profile` over rows 1..GROWTH_SCAN in SCAN_BLOCK steps on
+    a fresh space of `spec` from the package `se`. Only public calls, so
+    a tree whose net cache keeps every row is measured the same way."""
+    sp = se.parse_space(spec)
+    v = sp.unit(sp.random_element(np.random.default_rng(0)))
+    for lo in range(0, GROWTH_SCAN, SCAN_BLOCK):
+        sp.distance_profile(v, min(lo + SCAN_BLOCK, GROWTH_SCAN), lo)
 
-    def scan():
-        sp = parse_space(spec)
-        v = sp.unit(sp.random_element(np.random.default_rng(0)))
-        for lo in range(0, GROWTH_SCAN, SCAN_BLOCK):
-            sp.distance_profile(v, min(lo + SCAN_BLOCK, GROWTH_SCAN), lo)
-    start = time.perf_counter()
-    scan()
-    seconds = time.perf_counter() - start
-    tracemalloc.start()
-    try:
-        scan()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"rows": GROWTH_SCAN, "seconds": seconds, "peak_bytes": peak}
+
+def growth_seconds(packages: dict) -> dict:
+    """Per side of `packages` (loaded by `load_tree`), kind of
+    GROWTH_DEPTHS and growth pattern, the best and median seconds of
+    growing GROWTH_REPEATS fresh spaces, and of SCAN_REPEATS scans; each
+    repeat times every side, the side that goes first alternating, after
+    one unmeasured repeat. With a baseline side, "paired" holds per kind
+    and measurement the median of the repeats' tree/baseline ratios and
+    the repeats the tree won."""
+    def timed(seconds, repeats):
+        times = {side: [] for side in packages}
+        for i in range(repeats + 1):
+            for side in list(packages)[::1 if i % 2 else -1]:
+                s = seconds(packages[side])
+                if i:
+                    times[side].append(s)
+        return times
+    measured = {}
+    for spec in GROWTH_DEPTHS:
+        for pattern, asks in growth_asks(spec).items():
+            measured[spec, pattern] = timed(
+                lambda se: clocked(grow, se.parse_space(spec), asks), GROWTH_REPEATS)
+        measured[spec, "scan"] = timed(lambda se: clocked(scan, se, spec), SCAN_REPEATS)
+    out = {side: {} for side in packages}
+    for (spec, m), times in measured.items():
+        for side, v in times.items():
+            out[side].setdefault(spec, {})[m] = {"best_s": min(v), "median_s": statistics.median(v)}
+        if "baseline" in times:
+            out.setdefault("paired", {}).setdefault(spec, {})[m] = paired(times["tree"], times["baseline"])
+    return out
 
 
 def load_tree(tree: Path, name: str):
@@ -217,8 +263,8 @@ def load_tree(tree: Path, name: str):
     return package
 
 
-def oracle_table(sides) -> dict:
-    """Per side of `sides` and kind of ORACLE_ROWS, the best and median
+def oracle_table(packages: dict) -> dict:
+    """Per side of `packages` (loaded by `load_tree`) and kind of ORACLE_ROWS, the best and median
     seconds over ORACLE_REPEATS fresh spaces of reading coordinates
     1..2K of T(x) by `coordinate`, on the fresh space ("fresh_s") and
     again on it warm ("warm_s"), and of one coordinate read at each of
@@ -228,8 +274,6 @@ def oracle_table(sides) -> dict:
     alternating; one unmeasured repeat goes first. With a baseline side,
     "paired" holds per kind and measurement the median of the repeats'
     tree/baseline ratios and the repeats the tree won."""
-    packages = {side: load_tree(tree, f"seqembed_{side}") for side, tree in sides}
-
     def timed(se, s, ns):
         start = time.perf_counter()
         for n in ns:
@@ -308,6 +352,7 @@ def main(argv=None) -> int:
     baseline = args.baseline.resolve() if args.baseline else None
     src = sorted((ROOT / "src" / "seqembed").glob("*.py"))
     sides = [(side, tree) for side, tree in (("tree", ROOT), ("baseline", baseline)) if tree]
+    packages = {side: load_tree(tree, f"seqembed_{side}") for side, tree in sides}
     report = {
         "settings": {"plan": args.plan, "seconds": SECONDS,
                      "trace_seed": TRACE_SEED, "paired_with_baseline": bool(args.baseline)},
@@ -316,7 +361,8 @@ def main(argv=None) -> int:
         "src_lines": sum(len(f.read_text(encoding="utf-8").splitlines()) for f in src),
         "tier1": tier1(),
         "net_growth": {side: net_growth(tree) for side, tree in sides},
-        "oracle": oracle_table(sides),
+        "growth_seconds": growth_seconds(packages),
+        "oracle": oracle_table(packages),
         "end_to_end": end_to_end(parse_plan(args.plan), baseline),
         "per_layer": {},
     }
