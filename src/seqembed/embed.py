@@ -218,9 +218,10 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     which interleaves `functional_values` over the k of its window
     alone, and `at`, which gathers the values k = ceil(n / 2) from one
     `functional_values` read of each SCAN_BLOCK-aligned block of k
-    that holds any, from the block's start to its largest k, so a deep
-    k (past the net cache, built from its rank) costs its block and no
-    prefix up to it. All three give the same bits.
+    that holds any, from the group's smallest k to its largest, so a
+    deep k (past the net cache, built from its rank) costs the rows
+    its group spans, at most SCAN_BLOCK, and no prefix up to it. All
+    three give the same bits.
     """
     x, bound = _element(space, x)
     phi = space.functional_oracle(x)
@@ -260,25 +261,24 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
         out[1::2] = sign * vals
         return out[lo - 2 * k_lo + 1:hi - 2 * k_lo + 2]
 
-    def in_block(ks: np.ndarray, K: int) -> np.ndarray:
-        """phi_k(x) for ks, all in the SCAN_BLOCK-aligned block of their
-        largest k = K, read from the block's start to K."""
-        lo = (K - 1) // SCAN_BLOCK * SCAN_BLOCK
-        return space.functional_values(x, K, lo)[ks - (lo + 1)]
+    def in_group(ks: np.ndarray) -> np.ndarray:
+        """phi_k(x) for ks, read from their smallest k to their largest."""
+        lo = int(ks.min()) - 1
+        return space.functional_values(x, int(ks.max()), lo)[ks - (lo + 1)]
 
     def at(ns: np.ndarray) -> np.ndarray:
         if not len(ns):
             return np.zeros(0)
         # (ns + 1) // 2 would wrap at 2^63 - 1
         ks = ns // 2 + ns % 2
-        K = int(ks.max())
-        if (int(ks.min()) - 1) // SCAN_BLOCK == (K - 1) // SCAN_BLOCK:
-            vals = in_block(ks, K)
+        blocks = (ks - 1) // SCAN_BLOCK
+        if blocks.min() == blocks.max():
+            vals = in_group(ks)
         else:   # block by block, the last first, so the net cache grows once
-            blocks, vals = (ks - 1) // SCAN_BLOCK, np.empty(len(ks))
+            vals = np.empty(len(ks))
             for b in np.unique(blocks)[::-1].tolist():
                 sel = blocks == b
-                vals[sel] = in_block(ks[sel], int(ks[sel].max()))
+                vals[sel] = in_group(ks[sel])
         return np.where(ns % 2 == 0, sign * vals, -sign * vals)
 
     return BoundedSeq(by_parity, bound, block=block, at=at)

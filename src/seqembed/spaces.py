@@ -9,8 +9,8 @@ range is normalized and dualized in one vectorized step per run of
 equal-width levels, and asking for index K with n rows cached appends
 rows up to min(max(K, n + min(n, SCAN_BLOCK)), NET_CACHE_ROWS) in
 place, never to the end of a level it does not need; rows past
-NET_CACHE_ROWS are built from their rank when read (see
-`SeparableSpace`). The duality rows of p = 1 and p = inf hold only
+NET_CACHE_ROWS are built from their rank by each read and never kept
+(see `SeparableSpace`). The duality rows of p = 1 and p = inf hold only
 -1, 0 and +1 and are kept as int8, a byte an entry;
 products with floats keep the bits of float64 rows (see
 `_duality_rows`). Every kind's functional rows are coefficient rows
@@ -35,12 +35,12 @@ from .errors import (ConfigError, IndexZero, KindMismatch, NotUnitVector,
 UNIT_TOL = 1e-9
 #: rows per witness-scan block, the most rows one growth of a net cache
 #: of at least that many rows adds beyond the index asked for, and the
-#: most rows one read past NET_CACHE_ROWS builds
+#: most rows one build past NET_CACHE_ROWS makes
 SCAN_BLOCK = 4096
 #: the most rows a net cache holds; rows past it are built from their
-#: rank whenever they are read (see `SeparableSpace._window`)
+#: rank whenever they are read (see `SeparableSpace._blocks`)
 NET_CACHE_ROWS = 1 << 15
-#: the most cached rows one read of `functional_oracle` turns into lists
+#: the most rows one read of `functional_oracle` turns into lists
 ORACLE_RUN = 64
 #: the rows from which `_pnorms` roots each distinct power sum once: the
 #: sort that finds them costs more than a root per row below that
@@ -264,18 +264,6 @@ def _put(buf: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _stack(mats: list) -> np.ndarray:
-    """The rows of `mats` in order, each zero-padded to the widest."""
-    if len(mats) == 1:
-        return mats[0]
-    out = np.zeros((sum(map(len, mats)), max(M.shape[1] for M in mats)), dtype=mats[0].dtype)
-    n = 0
-    for M in mats:
-        out[n:n + len(M), :M.shape[1]] = M
-        n += len(M)
-    return out
-
-
 def _joined(parts: list) -> np.ndarray:
     """The arrays of `parts` end to end; a single part as it is."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -352,18 +340,16 @@ class SeparableSpace:
     byte an entry against the points' eight), any other `_Phi` float64;
     the row arithmetic below reads either with the same bits.
 
-    Every read of net rows goes through `_window(lo, hi)`: a slice of
-    the cache below NET_CACHE_ROWS, and past it rows built from their
-    rank by `_rows`, the last range built kept in one slot, so a scan's
-    hits re-read phi_k from the block the scan just built; a single row
-    past the cap is read with its SCAN_BLOCK-aligned block (`_row`).
-    Rows are functions of their rank, so both give the same bits. Reads
-    of a range go through `_blocks`: the cached part in one slice, the
-    part past the cap in blocks of at most SCAN_BLOCK rows, each at its
-    own width. A column a block lacks, of the ones the whole read
-    takes, is zero padding: a profile adds its constant term in its
-    place and functional values skip it, so no value depends on where
-    a block ends or how wide it is.
+    Every read of net rows goes through `_blocks(lo, hi)`: the cached
+    part in one slice, and past NET_CACHE_ROWS exactly the rows asked
+    for, built from their rank by `_rows` in steps of at most
+    SCAN_BLOCK rows, each run of levels at its own width, and never
+    kept; a single row (`_row`) is the first part of its own read. Rows
+    are functions of their rank, so both give the same bits. A column
+    a part lacks, of the ones the whole read takes, is zero padding: a
+    profile adds its constant term in its place and functional values
+    skip it, so no value depends on where a part ends or how wide it
+    is.
 
     Every kind's functional rows are coefficient rows against its
     coordinates, so one arithmetic reads them all: `_dot_rows` for
@@ -371,11 +357,12 @@ class SeparableSpace:
     bit for bit alike: the block functional_values(x, K) = [phi_1(x),
     ..., phi_K(x)], and the scalar path functional_oracle(x), which
     takes x once and returns k -> phi_k(x), summing the list of row
-    k - 1 with no object built per call; read up from k = 1, it turns
-    the cached rows into lists ORACLE_RUN rows at a time, and any other
-    read takes its own row. A read of phi_k(x) at scattered k (T(x)'s
-    `at` in `embed`) reads one block for each SCAN_BLOCK-aligned block
-    of k that holds any. apply_functional(norming_functional(k), x)
+    k - 1 with no object built per call; read up from k = 1, or from
+    any k past the cache, it turns rows into lists ORACLE_RUN rows at a
+    time, and any other read takes its own row. A read of phi_k(x) at
+    scattered k (T(x)'s `at` in `embed`) reads one range for each
+    SCAN_BLOCK-aligned block of k that holds any, from its smallest k
+    to its largest. apply_functional(norming_functional(k), x)
     gives the same bits as a reference; nothing in the library calls
     it. Each kind states `_coords(x, width)`, the first `width`
     coordinates of x as a list. The p-norm kinds also share
@@ -396,8 +383,6 @@ class SeparableSpace:
     def __init__(self):
         self._U_buf = self._U = np.zeros((0, 0))
         self._Phi_buf = self._Phi = np.zeros((0, 0))
-        # (first row, points, functional rows) of the rows last built past the cache
-        self._slot = (0, self._U, self._Phi)
 
     def _net_rows(self, W: np.ndarray):
         """(net points, functional rows) of the lattice rows W; by
@@ -460,40 +445,23 @@ class SeparableSpace:
         self._U = self._U_buf[:n]
         self._Phi = self._U if Phi is U else self._Phi_buf[:n]
 
-    def _window(self, lo: int, hi: int):
-        """(net points, functional rows) of net rows lo..hi-1, all
-        below NET_CACHE_ROWS or all past it (see `_blocks`). Rows below
-        it are the cache's, grown to hold them, as wide as its widest
-        level. Rows past it come from the slot when it holds them;
-        otherwise they are built from their rank by `_rows`, as wide as
-        their widest level, and replace the slot's rows."""
-        if hi <= NET_CACHE_ROWS:
-            if hi > len(self._U):
-                self._ensure(hi)
-            U, Phi = self._U[lo:hi], self._Phi[lo:hi]
-        else:
-            first, U, Phi = self._slot
-            if not first <= lo < hi <= first + len(U):
-                built = list(self._rows(lo, hi))
-                U = _stack([u for u, _ in built])
-                Phi = U if all(f is u for u, f in built) else _stack([f for _, f in built])
-                first, self._slot = lo, (lo, U, Phi)
-            U, Phi = U[lo - first:hi - first], Phi[lo - first:hi - first]
-        return U, Phi
-
     def _blocks(self, lo: int, hi: int):
-        """(first row, points, functional rows) of net rows lo..hi-1
-        read by `_window`: the rows below NET_CACHE_ROWS as one slice
-        of the cache, grown once to hold them, and the rows past it in
-        steps of at most SCAN_BLOCK rows."""
+        """(first row, points, functional rows) of net rows lo..hi-1:
+        the rows below NET_CACHE_ROWS as one slice of the cache, grown
+        once to hold them and as wide as its widest level, then each run
+        of rows past it that `_rows` builds from their rank, in steps of
+        at most SCAN_BLOCK rows, each as wide as its own levels. Nothing
+        past the cache is kept."""
         if lo < NET_CACHE_ROWS:
             end = min(hi, NET_CACHE_ROWS)
-            yield (lo, *self._window(lo, end))
+            if end > len(self._U):
+                self._ensure(end)
+            yield lo, self._U[lo:end], self._Phi[lo:end]
             lo = end
         while lo < hi:
-            end = min(lo + SCAN_BLOCK, hi)
-            yield (lo, *self._window(lo, end))
-            lo = end
+            for U, Phi in self._rows(lo, min(lo + SCAN_BLOCK, hi)):
+                yield lo, U, Phi
+                lo += len(U)
 
     def _index(self, k: int) -> int:
         """Net row of net index k; k < 1 is IndexZero."""
@@ -502,16 +470,12 @@ class SeparableSpace:
         return k - 1
 
     def _row(self, k: int):
-        """(point, functional row) of net index k, as `_window` reads
-        them; k < 1 is IndexZero. A row past NET_CACHE_ROWS is read
-        with the rest of its SCAN_BLOCK-aligned block, as a scan reads
-        it, so reads of successive rows build each block once."""
+        """(point, functional row) of net index k, the first of
+        `_blocks`' reads of it; k < 1 is IndexZero. Past NET_CACHE_ROWS
+        that builds the one row from its rank."""
         i = self._index(k)
-        lo, hi = i, i + 1
-        if i >= NET_CACHE_ROWS:
-            lo, hi = max(i - i % SCAN_BLOCK, NET_CACHE_ROWS), i - i % SCAN_BLOCK + SCAN_BLOCK
-        U, Phi = self._window(lo, hi)
-        return U[i - lo], Phi[i - lo]
+        _, U, Phi = next(self._blocks(i, k))
+        return U[0], Phi[0]
 
     # -- shared -------------------------------------------------------------
     def unit(self, x):
@@ -548,17 +512,18 @@ class SeparableSpace:
         wider than they are, so they never outgrow the rows read. The
         oracle keeps a slot of the lists of successive rows, at most
         ORACLE_RUN of them. A read of the row just past the slot (k = 1
-        on a new oracle) refills it with the run of ORACLE_RUN rows from
-        that row on, in one `tolist()`, after growing the cache once to
-        hold them; a run stops at NET_CACHE_ROWS. Any other k outside
-        the slot (a jump, a read going down, a row past the cap) takes
-        its own row and leaves the slot as it is, so a scan's scattered
-        hits turn no run into lists: a cached row as it is, any other
-        through `_row`, so k < 1 raises IndexZero, a k below
-        NET_CACHE_ROWS grows the cache and a k past it is read by rank,
-        with its block. Rows are functions of their rank, so a row list
-        keeps its bits however the cache grows after it was taken; no
-        phi value is kept."""
+        on a new oracle), or of any row past NET_CACHE_ROWS, refills it
+        with the run of ORACLE_RUN rows from that row on, read by
+        `_blocks`: the cache grown once to hold its cached part, and
+        its part past the cap built from rank. A run may cross the cap,
+        and sequential reads past it build each row once. Any other k
+        outside the slot (a jump or a read going down, below the cap)
+        takes its own row and leaves the slot as it is, so a scan's
+        scattered cached hits turn no run into lists: a cached row as
+        it is, any other through `_row`, so k < 1 raises IndexZero and
+        a k below NET_CACHE_ROWS grows the cache. Rows are functions of
+        their rank, so a row list keeps its bits however the cache
+        grows after it was taken; no phi value is kept."""
         x = self.canonical(x)
         width, coords = 0, []
         first, rows = 0, []         # row lists of net rows first, first + 1, ...
@@ -568,11 +533,10 @@ class SeparableSpace:
             i = k - 1 - first
             if 0 <= i < len(rows):
                 row = rows[i]
-            elif i == len(rows) and k <= NET_CACHE_ROWS:
-                hi = k - 1 + ORACLE_RUN     # the cache holds no row from NET_CACHE_ROWS on
-                if hi > len(self._Phi):
-                    self._ensure(hi)
-                first, rows = k - 1, self._Phi[k - 1:hi].tolist()
+            elif i == len(rows) or k > NET_CACHE_ROWS:
+                first, rows = k - 1, []
+                for _, _, Phi in self._blocks(first, first + ORACLE_RUN):
+                    rows += Phi.tolist()
                 row = rows[0]
             else:
                 row = (self._Phi[k - 1] if 0 < k <= len(self._Phi) else self._row(k)[1]).tolist()

@@ -305,10 +305,10 @@ def test_reverify_rejects_witness_without_pairs():
 @pytest.mark.parametrize("n", [2 ** 62, 2 ** 63 + 1], ids=["2^62", "2^63+1"])
 def test_reverify_is_bounded_on_a_forged_index(n, monkeypatch):
     # a real witness's last pair moved to (n, n + 1): below 2^63 T(x)
-    # builds from their rank only the rows of the two SCAN_BLOCK-aligned
-    # blocks that hold k = n / 2 and n / 2 + 1, each up to its k, and
-    # from 2^63 on nothing is read; either way the verdict is False, in
-    # little memory, not a net grown toward row n / 2
+    # builds from their rank only the two rows of k = n / 2 and
+    # n / 2 + 1, which lie in two SCAN_BLOCK-aligned blocks, one read
+    # each, and from 2^63 on nothing is read; either way the verdict is
+    # False, in little memory, not a net grown toward row n / 2
     sp = FiniteDimLp(2, 2)
     x = np.array([3.0, 4.0])
     s = embed_t1(sp, x)
@@ -330,7 +330,7 @@ def test_reverify_is_bounded_on_a_forged_index(n, monkeypatch):
     assert verdict is False
     k = n // 2
     assert [(lo, hi) for lo, hi in built if hi > NET_CACHE_ROWS] == (
-        [] if n >= 2 ** 63 else [(k, k + 1), (k - SCAN_BLOCK, k)])
+        [] if n >= 2 ** 63 else [(k, k + 1), (k - 1, k)])
     assert peak < 10 * 2 ** 20
 
 

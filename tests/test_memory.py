@@ -3,7 +3,8 @@ budget 4B is compared with the one at B, each after one untraced
 warm-up run. Linear growth gives a ratio near 4, quadratic near 16.
 The per-index oracle of an image stays bounded by the cached net rows,
 whatever x's support, a deep witness scan by the net cache's budget,
-and an index scheme keeps no table beside its prefix."""
+which is all it keeps, and an index scheme keeps no table beside its
+prefix."""
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from seqembed import (BudgetExhausted, CustomNet, IndexScheme, SeqLp, SubspaceD,
                       bw_extract, classify_c, coordinate, embed_t1, from_function,
                       oscillation_witness, parse_space, periodic, pl_function)
 from seqembed.cli import parse_seq_spec
+from seqembed.spaces import NET_CACHE_ROWS
 
 B = 10000
 
@@ -102,6 +104,32 @@ def test_million_row_scan_holds_the_cache_budget(spec):
         with pytest.raises(BudgetExhausted):
             oscillation_witness(parse_space(spec), _FRESH_SCANS[spec], 0.1, 1000, 10 ** 6)
     assert _peak(scan, None) < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("spec", sorted(_FRESH_SCANS))
+def test_deep_scan_keeps_nothing_past_the_cache(spec):
+    # after a warm-up, a fresh space scans 2 * 10^5 rows (found short of
+    # its 1000 pairs): the rows it built past NET_CACHE_ROWS are gone
+    # once the scan ends, so the space holds its cache buffers and next
+    # to nothing else, where keeping the last block built past the cap
+    # held another 150-165 KB
+    def scan():
+        sp = parse_space(spec)
+        try:
+            oscillation_witness(sp, _FRESH_SCANS[spec], 0.1, 1000, 2 * 10 ** 5)
+        except BudgetExhausted:
+            return sp
+        raise AssertionError("the scan found all its pairs")
+    scan()
+    tracemalloc.start()
+    try:
+        sp = scan()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    buffers = sp._U_buf.nbytes + (0 if sp._Phi is sp._U else sp._Phi_buf.nbytes)
+    assert len(sp._U) == NET_CACHE_ROWS
+    assert buffers <= retained < buffers + 16 * 2 ** 10
 
 
 def test_scheme_retains_little_beyond_its_prefix():

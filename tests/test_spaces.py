@@ -286,7 +286,7 @@ def test_nested_points_list_every_grid_as_a_prefix():
 @pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
 def test_t1_by_index_read_grows_the_cache_once(spec, monkeypatch):
     # T(x)'s `at` reads k = ceil(n / 2) from each SCAN_BLOCK-aligned
-    # block that holds one, from the block's start to its largest k,
+    # block that holds one, from its smallest k there to its largest,
     # the last block first, whatever the order of the indices: the
     # cache grows once, to the largest k as `_ensure` grows it, and
     # n = 2k - 1 reads +phi_k(x), n = 2k reads -phi_k(x)
@@ -311,7 +311,7 @@ def test_t1_by_index_read_grows_the_cache_once(spec, monkeypatch):
     ns = np.array([1799, 5, 82, 17999, 1800, 6, 81, 18000, 1799])
     got = coordinates_at(t, ns)
     assert grown == [9000]
-    assert reads == [(9000, 2 * SCAN_BLOCK), (900, 0)]
+    assert reads == [(9000, 8999), (900, 2)]
     ref._ensure(9000)
     assert sp._Phi.shape == ref._Phi.shape and np.array_equal(sp._Phi, ref._Phi)
     vals = ref.functional_values(x, 9000)
@@ -324,11 +324,11 @@ def test_t1_by_index_read_grows_the_cache_once(spec, monkeypatch):
     assert grown == [9000]
 
 
-def test_t1_by_index_read_past_the_cache_builds_only_its_block(monkeypatch):
-    # past NET_CACHE_ROWS, `at` reads the SCAN_BLOCK-aligned block that
-    # holds k from its start to the largest k asked for, built from
-    # their rank: a deep index grows no cache and builds no prefix, and
-    # its values are those of the rows built alone
+def test_t1_by_index_read_past_the_cache_builds_only_its_rows(monkeypatch):
+    # past NET_CACHE_ROWS, `at` reads the k of one SCAN_BLOCK-aligned
+    # block from the smallest to the largest asked for, built from their
+    # rank: a deep index grows no cache and builds no prefix, and its
+    # values are those of the rows built alone
     sp, ref = parse_space("fdlp:dim=2,p=2"), parse_space("fdlp:dim=2,p=2")
     x = np.array([3.0, 4.0])
     built, rows = [], sp._rows
@@ -339,7 +339,8 @@ def test_t1_by_index_read_past_the_cache_builds_only_its_block(monkeypatch):
     monkeypatch.setattr(sp, "_rows", counted)
     k = 10 ** 12 + 5
     got = coordinates_at(embed_t1(sp, x), np.array([2 * k - 1, 2 * k + 2, 2 * k]))
-    assert built == [((k - 1) // SCAN_BLOCK * SCAN_BLOCK, k + 1)]
+    assert (k - 1) // SCAN_BLOCK == k // SCAN_BLOCK
+    assert built == [(k - 1, k + 1)]
     assert len(sp._U) == 0
     phi_k, phi_k1 = (ref.apply_functional(ref.norming_functional(j), x) for j in (k, k + 1))
     assert _bits(got) == _bits([phi_k, -phi_k1, -phi_k])
@@ -387,9 +388,9 @@ def test_witness_scan_builds_only_the_rows_it_reads(monkeypatch):
     # and builds each row once: the first 8 blocks grow the cache by
     # exactly that block, its row buffers doubling their capacity from
     # 8192 rows to NET_CACHE_ROWS and no further, and the other 12 are
-    # built from their rank, the last kept in the slot; every hit
-    # re-reads phi_k from the block the scan just built. The witness is
-    # the one an uncapped net gives
+    # built from their rank and not kept. The one hit past the cap, k =
+    # 80 799, builds its own ORACLE_RUN-row run to read phi_k. The
+    # witness is the one an uncapped net gives
     sp = parse_space("seqlp:p=1,support=8")
     built, rows = [], sp._rows
 
@@ -398,10 +399,11 @@ def test_witness_scan_builds_only_the_rows_it_reads(monkeypatch):
         return rows(lo, hi)
     monkeypatch.setattr(sp, "_rows", counted)
     w = oscillation_witness(sp, {2: -1.5}, 0.2, 10, 100000)
-    assert built == [(k, k + SCAN_BLOCK) for k in range(0, 20 * SCAN_BLOCK, SCAN_BLOCK)]
+    assert w.plus_indices[-1] == 2 * 80799 - 1
+    assert built == [*((k, k + SCAN_BLOCK) for k in range(0, 20 * SCAN_BLOCK, SCAN_BLOCK)),
+                     (80798, 80798 + ORACLE_RUN)]
     assert len(sp._U) == len(sp._Phi) == NET_CACHE_ROWS == 32768
     assert len(sp._U_buf) == len(sp._Phi_buf) == NET_CACHE_ROWS
-    assert sp._slot[0] == 19 * SCAN_BLOCK and len(sp._slot[1]) == SCAN_BLOCK
     monkeypatch.setattr(spaces, "NET_CACHE_ROWS", 1 << 17)
     uncapped = parse_space("seqlp:p=1,support=8")
     assert oscillation_witness(uncapped, {2: -1.5}, 0.2, 10, 100000) == w
@@ -498,15 +500,16 @@ _NET_DIGESTS = {
 def _net_digest(spec) -> str:
     """The sha256 of rows 0.._DEPTH - 1 of `_U` and `_Phi`, grown in one
     call, and on fdlp of the 4096 rows built from their rank around the
-    first rows of the levels that hold rows 2^40 and 2^62, with each
-    matrix's dtype and shape."""
+    first rows of the levels that hold rows 2^40 and 2^62 (one `_blocks`
+    part each: an fdlp net is one run of levels), with each matrix's
+    dtype and shape."""
     sp = parse_space(spec)
     sp._ensure(_DEPTH)
     reads = [(sp._U, sp._Phi)]
     if sp.kind == "fdlp":
         for row in (2 ** 40, 2 ** 62):
             start = sp._level_of(row)[1]
-            reads.append(sp._window(start - 2048, start + 2048))
+            reads += [(U, Phi) for _, U, Phi in sp._blocks(start - 2048, start + 2048)]
     h = hashlib.sha256()
     for U, Phi in reads:
         for M in (U, Phi):
@@ -518,6 +521,16 @@ def _net_digest(spec) -> str:
 @pytest.mark.parametrize("spec", _GROWN, ids=lambda s: s if isinstance(s, str) else "custom")
 def test_net_rows_keep_their_recorded_bits(spec):
     assert _net_digest(spec) == _NET_DIGESTS[spec if isinstance(spec, str) else "custom"]
+
+
+def _padded_stack(mats: list) -> np.ndarray:
+    """The rows of `mats` in order, each zero-padded to the widest."""
+    out = np.zeros((sum(map(len, mats)), max(M.shape[1] for M in mats)), dtype=mats[0].dtype)
+    n = 0
+    for M in mats:
+        out[n:n + len(M), :M.shape[1]] = M
+        n += len(M)
+    return out
 
 
 @pytest.mark.parametrize("spec, lo, hi", [
@@ -546,17 +559,19 @@ def test_a_run_of_levels_is_built_as_its_levels(spec, lo, hi):
             break
     assert len(want) > len(got) == len({U.shape[1] for U, _ in want})
     for i in (0, 1):
-        a, b = spaces._stack([r[i] for r in got]), spaces._stack([r[i] for r in want])
+        a, b = _padded_stack([r[i] for r in got]), _padded_stack([r[i] for r in want])
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_reads_of_narrower_blocks_keep_the_padded_bits(p, monkeypatch):
-    # capped at _CAP rows, the cache and the blocks built from rank below
+    # capped at _CAP rows, the cache and the runs built from rank below
     # row 6928, where seqlp's width-5 level opens, are 4 wide while row
     # K - 1 is 5 wide: a profile reads their missing column as the
     # constant |c_5|^p, and functional values skip it, with the bits of
-    # the uncapped net, whose one cached block is 5 wide
+    # the uncapped net, whose one cached block is 5 wide. Past the cap
+    # each run is its own part, so the 4-wide run that ends at row 6928
+    # and the 5-wide one after it are read apart
     x = {1: 0.5, 3: -1.25, 5: 2.0, 9: 0.75}
     windows = [(6929, 0), (6930, 0), (6930, 500), (6930, _CAP), (6930, 6927), (_DEPTH, 2 * SCAN_BLOCK)]
     uncapped = parse_space(f"seqlp:p={p},support=4")
@@ -567,12 +582,17 @@ def test_reads_of_narrower_blocks_keep_the_padded_bits(p, monkeypatch):
     capped = parse_space(f"seqlp:p={p},support=4")
     assert [(_bits(capped.distance_profile(v, K, lo)), _bits(capped.functional_values(x, K, lo)))
             for K, lo in windows] == want
-    assert [U.shape[1] for _, U, _ in capped._blocks(0, 6930)] == [4, 4, 5]
+    assert [(a, U.shape) for a, U, _ in capped._blocks(0, 6930)] == [
+        (0, (_CAP, 4)), (_CAP, (SCAN_BLOCK, 4)), (_CAP + SCAN_BLOCK, (6928 - _CAP - SCAN_BLOCK, 4)),
+        (6928, (2, 5))]
 
 
-def test_oracle_reads_past_the_cache_build_each_block_once(monkeypatch):
-    # read one by one past the cap, each row comes with the rest of its
-    # SCAN_BLOCK-aligned block, so successive rows build each block once
+def test_oracle_reads_past_the_cache_build_each_row_once(monkeypatch):
+    # read one by one up from k = 1, the oracle takes rows in
+    # ORACLE_RUN-row runs: the run from k = 961 crosses the cap, its
+    # cached part read from the cache and the rest built from rank, and
+    # every run after it is built from rank, so each row past the cap is
+    # built once, in ORACLE_RUN-row runs
     sp = parse_space("seqlp:p=2,support=4")
     x = sp.random_element(np.random.default_rng(37))
     want = _bits(sp.functional_values(x, _DEPTH))
@@ -586,8 +606,34 @@ def test_oracle_reads_past_the_cache_build_each_block_once(monkeypatch):
     monkeypatch.setattr(sp, "_rows", counted)
     value = sp.functional_oracle(x)
     assert _bits([value(k) for k in range(1, _DEPTH + 1)]) == want
-    assert [b for b in built if b[0] >= _CAP] == [(_CAP, SCAN_BLOCK), (SCAN_BLOCK, 2 * SCAN_BLOCK),
-                                                  (2 * SCAN_BLOCK, 3 * SCAN_BLOCK)]
+    assert [b for b in built if b[0] >= _CAP] == [
+        (_CAP, 16 * ORACLE_RUN), *((a, a + ORACLE_RUN) for a in range(16 * ORACLE_RUN, _DEPTH, ORACLE_RUN))]
+
+
+@pytest.mark.parametrize("spec", ["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"])
+def test_a_fresh_oracle_read_up_past_the_cache_builds_each_row_once(spec, monkeypatch):
+    # read up from k = NET_CACHE_ROWS + 7000 on a fresh oracle, every
+    # read past the cap starts or continues an ORACLE_RUN-row run, never
+    # a build of its one row: each row is built once, the cache grows
+    # not at all, and every value is the block's
+    sp = parse_space(spec)
+    x = sp.random_element(np.random.default_rng(41))
+    first, count = NET_CACHE_ROWS + 7000, 40 * ORACLE_RUN + 9
+    want = _bits(parse_space(spec).functional_values(x, first + count - 1, first - 1))
+    built, rows = [], sp._rows
+
+    def counted(lo, hi):
+        built.append((lo, hi))
+        return rows(lo, hi)
+    monkeypatch.setattr(sp, "_rows", counted)
+    value = sp.functional_oracle(x)
+    assert _bits([value(k) for k in range(first, first + count)]) == want
+    assert built == [(a, a + ORACLE_RUN) for a in range(first - 1, first + count - 1, ORACLE_RUN)]
+    assert len(sp._U) == 0
+    # a cold read of T(x) at n = 2^62 + 1 builds the one run from k = 2^61 + 1
+    built.clear()
+    assert _bits([coordinate(embed_t1(sp, x), 2 ** 62 + 1)]) == _bits([value(2 ** 61 + 1)])
+    assert built == [(2 ** 61, 2 ** 61 + ORACLE_RUN)] * 2 and len(sp._U) == 0
 
 
 _SLOT_KINDS = ["fdlp:dim=2,p=1", "fdlp:dim=2,p=2", "fdlp:dim=3,p=3", "fdlp:dim=3,p=inf",

@@ -19,9 +19,10 @@ subprocess for 20 seconds, one run at a time:
   included). Self times are raw wall seconds, so the run's host factor
   is kept beside them;
 - net growth: per space kind of GROWTH_DEPTHS and growth pattern
-  (SCAN_BLOCK-row asks to the kind's depth, one index at a time to
-  GROWTH_BY_INDEX, one ask of GROWTH_ONE_ASK rows), the rows its net
-  cache holds, the bytes of its two row buffers and the median minor
+  (SCAN_BLOCK-row asks to the kind's depth, one ask of GROWTH_ONE_ASK
+  rows; no pattern asks one index at a time, since nearly all such
+  asks grow nothing and would be most of what it timed), the rows its
+  net cache holds, the bytes of its two row buffers and the median minor
   page faults over GROWTH_SPACES fresh spaces, and the tracemalloc
   peak of a GROWTH_SCAN-row `distance_profile` scan in SCAN_BLOCK
   steps on a fresh space, through public calls only; these run in a
@@ -71,7 +72,6 @@ TRACE_SEED = 601
 #: per space kind, the depth of its SCAN_BLOCK-row growth pattern
 GROWTH_DEPTHS = {"fdlp:dim=2,p=2": 12288, "fdlp:dim=2,p=3": 12288, "fdlp:dim=3,p=inf": 12288,
                  "seqlp:p=1,support=8": 81920, "c01": 8192}
-GROWTH_BY_INDEX = 2000
 #: rows of the one-ask pattern: a check_isometry over fdlp asks 8000-10000
 #: rows at once, a witness scan its first block
 GROWTH_ONE_ASK = 9000
@@ -163,7 +163,6 @@ def compact(result: dict) -> dict:
 def growth_asks(spec: str) -> dict:
     """Per growth pattern, the rows asked of a fresh space of `spec`."""
     return {"blocks": range(SCAN_BLOCK, GROWTH_DEPTHS[spec] + 1, SCAN_BLOCK),
-            "by_index": range(1, GROWTH_BY_INDEX + 1),
             "one_ask": [GROWTH_ONE_ASK]}
 
 
