@@ -95,9 +95,9 @@ class BoundedSeq:
 
 @dataclass(frozen=True, eq=False)
 class ClusterEstimate:
-    """Finite-truncation stand-in for a subsequential limit: its members'
-    indices (int64, increasing) and coordinates (float64) as arrays, the
-    cell midpoint and the largest distance of a member from it."""
+    """An end cell of `cluster_estimates`, a finite stand-in for a limit
+    point: its members' indices (int64, increasing) and coordinates
+    (float64), the cell midpoint and a member's largest distance from it."""
     indices: np.ndarray
     values: np.ndarray
     value: float
@@ -277,15 +277,13 @@ def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
     return np.clip(cells, 0, ncells - 1)
 
 
-def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
-    """Bucket coordinates over `window` by `_bucket`, the extractions' cell rule.
-
-    One ClusterEstimate per nonempty cell (value = cell midpoint), in
-    cell order, so ascending value; their member arrays tile the window.
-    The window, a range of step 1 (any other is a ValueError), is read
-    once, through `s.coordinates` (the block when `s` has one), which
-    rejects a window starting below 1.
-    """
+def cluster_estimates(s: BoundedSeq, window: range, cell_width: float, least: int):
+    """(ends, seen): `ends` holds the ClusterEstimates of the lowest and
+    the highest cell (by `_bucket`, the extractions' cell rule) with at
+    least `least` of `window`'s coordinates, one when only one cell has
+    that many, none when none does, and is all that is built; `seen`
+    counts the nonempty cells. `window`, a range of step 1 (else a
+    ValueError), is read once by `s.coordinates`, which rejects a start below 1."""
     if not isinstance(window, range) or window.step != 1:
         raise ValueError(f"window {window!r} is not a range of step 1")
     if len(window) == 0:
@@ -299,14 +297,16 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float):
     b = s.bound
     width = cell_width if b != 0.0 else 0.0     # bound 0: one cell, the point 0
     cells = _bucket(vals, b, width)
-    out = []
-    for cell in np.unique(cells):
-        mask = cells == cell
+    populated, counts = np.unique(cells, return_counts=True)
+    full = populated[counts >= least]
+    ends = []
+    for cell in full[[0, -1]] if len(full) > 1 else full:
+        hit = np.flatnonzero(cells == cell)
         mid = -b + (cell + 0.5) * width
-        members = vals[mask]
-        out.append(ClusterEstimate(indices[mask], members, float(mid),
-                                   float(np.max(np.abs(members - mid)))))
-    return out
+        members = vals[hit]
+        ends.append(ClusterEstimate(indices[hit], members, float(mid),
+                                    float(np.max(np.abs(members - mid)))))
+    return ends, len(populated)
 
 
 def structural_limit(s: BoundedSeq, budget: int):

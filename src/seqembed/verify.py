@@ -35,7 +35,7 @@ class NotInC:
 @dataclass(frozen=True)
 class Unknown:
     budget_used: int
-    clusters_seen: int
+    clusters_seen: int      # the window's nonempty cells, as cluster_estimates counts them
 
 
 def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
@@ -43,33 +43,33 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
 
     Structural InC for convergence-tagged sequences; otherwise cluster
     analysis over 1..budget, from `cluster_estimates`' one read of the
-    window (through the block when `s` has one): if the lowest and the
-    highest cell with at least 5 members each are separated by at least
-    gap_floor, a witness pairs their first m members, and NotInC is
-    returned only if `reverify_witness` accepts it. That re-reads the
-    witness indices through `s.at` (the scalar oracle when `s` has
-    none), never the block, so the block is cross-checked by a second
-    evaluation (see `BoundedSeq`); Unknown is the fallback. A budget
-    below 2, a gap floor that is not positive, and a window value that
-    is not finite (`BoundedSeq.coordinates` refuses it) are ValueErrors.
+    window (through the block when `s` has one) in gap_floor / 4 cells:
+    if its two end cells with at least 5 members each are separated by
+    at least gap_floor, a witness pairs their first m members, and
+    NotInC is returned only if `reverify_witness` accepts it. That
+    re-reads the witness indices through `s.at` (the scalar oracle when
+    `s` has none), never the block, so the block is cross-checked by a
+    second evaluation (see `BoundedSeq`); Unknown, with the count of
+    nonempty cells, is the fallback. A budget below 2, a gap floor whose
+    quarter is not above 0 and a window value that is not finite
+    (`BoundedSeq.coordinates` refuses it) are ValueErrors.
     """
     if budget < 2:
         raise ValueError(f"budget = {budget} must be >= 2")
-    if gap_floor <= 0:
-        raise ValueError(f"gap_floor = {gap_floor} must be positive")
-
-    structural = structural_limit(s, budget)
-    if structural is not None:
-        limit, variation = structural
-        return InC(limit=limit, tail_variation=variation)
-
     # quarter-width cells leave slack between the certified cluster
     # separation and the gap floor; half-width makes them equal up to
     # rounding and verdicts flip on float noise
-    estimates = cluster_estimates(s, range(1, budget + 1), gap_floor / 4.0)
-    populated = [e for e in estimates if len(e.indices) >= 5]
-    if len(populated) >= 2:
-        lo, hi = populated[0], populated[-1]
+    width = gap_floor / 4.0
+    if not width > 0:
+        raise ValueError(f"gap_floor = {gap_floor} must be positive, and so must its quarter")
+
+    structural = structural_limit(s, budget)
+    if structural is not None:
+        return InC(*structural)
+
+    ends, seen = cluster_estimates(s, range(1, budget + 1), width, 5)
+    if len(ends) == 2:
+        lo, hi = ends
         separation = (hi.value - hi.spread) - (lo.value + lo.spread)
         if separation >= gap_floor:
             # Python ints and floats: reverify_witness rejects numpy ints
@@ -80,7 +80,7 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
                                min(plus_vals), max(minus_vals))
             if witness.gap >= gap_floor and reverify_witness(s, witness):
                 return NotInC(witness=witness)
-    return Unknown(budget_used=budget, clusters_seen=len(estimates))
+    return Unknown(budget_used=budget, clusters_seen=seen)
 
 
 def _witness_json(w: OscillationWitness) -> dict:

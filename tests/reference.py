@@ -4,8 +4,8 @@ Each is written from the definitions, apart from the net cache and the
 row arithmetic of `seqembed.spaces`: the sup over all grid directions
 through a level, the difference of two PL functions on the union of
 their breakpoints, the value of a point mass at a grid point, the
-nested order of a dyadic grid, and the closed-form count of lattice net
-points.
+nested order of a dyadic grid, the closed-form count of lattice net
+points, and every cluster of a window, each built by its own mask pass.
 """
 import itertools
 import math
@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from seqembed import FiniteDimLp, KindMismatch, PLFunction
+from seqembed import ClusterEstimate, FiniteDimLp, KindMismatch, PLFunction
+from seqembed.errors import EmptyWindow
+from seqembed.seqcore import _bucket
 
 
 def net_size_through_level(dim: int, level: int) -> int:
@@ -76,3 +78,41 @@ def nested_order(width: int) -> list:
     listed coarsest point first: by the denominator of i / (width - 1)
     in lowest terms, then by i, so 0, 1, 1/2, 1/4, 3/4, 1/8, ..."""
     return sorted(range(width), key=lambda i: (Fraction(i, width - 1).denominator, i))
+
+
+def all_cluster_estimates(s, window: range, cell_width: float) -> list:
+    """One ClusterEstimate per nonempty cell of `window`'s coordinates
+    (by `seqcore._bucket`), in cell order, so ascending value; their
+    member arrays tile the window. Each cell is built by a mask pass of
+    its own, so `cluster_estimates`' end cells and count of nonempty
+    cells can be checked against the first and last of these."""
+    if not isinstance(window, range) or window.step != 1:
+        raise ValueError(f"window {window!r} is not a range of step 1")
+    if len(window) == 0:
+        raise EmptyWindow("empty window")
+    if cell_width <= 0:
+        raise ValueError(f"cell_width {cell_width} must be positive")
+
+    indices = np.arange(window.start, window.stop, dtype=np.int64)
+    vals = s.coordinates(window.start, window.stop - 1)
+
+    b = s.bound
+    width = cell_width if b != 0.0 else 0.0     # bound 0: one cell, the point 0
+    cells = _bucket(vals, b, width)
+    out = []
+    for cell in np.unique(cells):
+        mask = cells == cell
+        mid = -b + (cell + 0.5) * width
+        members = vals[mask]
+        out.append(ClusterEstimate(indices[mask], members, float(mid),
+                                   float(np.max(np.abs(members - mid)))))
+    return out
+
+
+def end_cluster_estimates(s, window: range, cell_width: float, least: int):
+    """`cluster_estimates`' (ends, seen), read off `all_cluster_estimates`:
+    the first and the last cell with at least `least` members, and the
+    number of cells."""
+    every = all_cluster_estimates(s, window, cell_width)
+    full = [c for c in every if len(c.indices) >= least]
+    return full[:1] + full[1:][-1:], len(every)

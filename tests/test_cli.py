@@ -358,6 +358,17 @@ def test_exit_one_on_gap_floor_too_fine_for_cells(capsys):
     assert out == ""
 
 
+def test_exit_one_on_gap_floor_whose_quarter_rounds_to_zero(capsys):
+    # 1e-323 / 4 is 0.0: the message names the gap floor the user set,
+    # not the cell width derived from it
+    code, out, err = run(capsys, "classify", "--spec", "periodic:1,-1",
+                         "--budget", "64", "--gap-floor", "1e-323")
+    assert code == 1, out + err
+    assert err == ("ConfigError: classify periodic:1,-1: gap_floor = 1e-323 "
+                   "must be positive, and so must its quarter\n")
+    assert out == ""
+
+
 def test_exit_three_on_unexpected_error(monkeypatch, capsys):
     def fail(cfg, report):
         raise RuntimeError("boom")

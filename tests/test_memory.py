@@ -90,6 +90,20 @@ def test_deep_p1_scan_holds_one_byte_functionals():
     assert peak < 2 * sp._U_buf.nbytes
 
 
+@pytest.mark.parametrize("s", [
+    from_function(lambda n: float(np.sin(n)), 1.0),
+    periodic([-1.0, 0.25, 1.0]),
+    embed_t1(parse_space("fdlp:dim=2,p=2"), np.array([3.0, 4.0])),
+], ids=["opaque-unknown", "periodic-notinc", "fdlp-image-notinc"])
+def test_classify_over_many_cells_stays_linear_in_the_window(s):
+    # gap floor bound * 2^-38: quarter-width cells, 2^41 of them over
+    # [-bound, bound], against a 16 384-coordinate window. The cluster
+    # pass counts only the cells the window hits; a counter per cell
+    # would take 16 TB. The peak stays within 256 bytes a coordinate
+    window = 16384
+    assert _peak(lambda _: classify_c(s, window, s.bound * 2.0 ** -38), None) < 256 * window
+
+
 _FRESH_SCANS = {"seqlp:p=2,support=4": {1: 0.6, 3: -0.8},
                 "c01": pl_function((0.0, 0.5, 1.0), (1.0, -0.5, 0.25))}
 

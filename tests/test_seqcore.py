@@ -9,9 +9,10 @@ from seqembed import (BoundedSeq, ConfigError, FiniteDimLp, IndexZero,
                       cluster_estimates, combine, coordinate,
                       coordinates_at, embed_t1,
                       eventually_constant, explicit_limit,
-                      from_function, periodic, prefix_sup, scheme_embed,
+                      from_function, parse_space, periodic, prefix_sup, scheme_embed,
                       zero_seq)
 from seqembed.seqcore import EventuallyConstant, structural_limit
+from reference import all_cluster_estimates, end_cluster_estimates
 
 
 def test_periodic_coordinates():
@@ -267,76 +268,139 @@ def test_combine_two_periodics(c1, c2, n):
 
 # -- cluster estimates -------------------------------------------------------
 
+def _read_at_their_indices(s, c):
+    """c's arrays are int64 and float64, each value read at its index."""
+    return (c.indices.dtype == np.int64 and c.values.dtype == np.float64
+            and c.values.tolist() == [coordinate(s, int(n)) for n in c.indices])
+
+
 def test_cluster_estimates_periodic_split():
     s = periodic([-1.0, 1.0])
-    clusters = cluster_estimates(s, range(1, 65), 0.5)
-    assert len(clusters) == 2
-    sizes = sorted(len(c.indices) for c in clusters)
-    assert sizes == [32, 32]
-    values = sorted(c.value for c in clusters)
-    assert values[0] < 0 < values[1]
-    for c in clusters:
+    (lo, hi), seen = cluster_estimates(s, range(1, 65), 0.5, 5)
+    assert seen == 2
+    assert lo.indices.tolist() == list(range(1, 65, 2))
+    assert hi.indices.tolist() == list(range(2, 65, 2))
+    assert lo.value < 0 < hi.value
+    for c in (lo, hi):
         assert c.spread <= 0.25 + 1e-12
 
 
 def test_cluster_estimates_cover_window():
+    # at least 1 member: the end cells hold every index whose value is as
+    # low (as high) as theirs, and the reference's cells tile the window
     s = from_function(lambda n: math.cos(0.7 * n), 1.0)
     window = range(5, 40)
-    clusters = cluster_estimates(s, window, 0.3)
-    seen = sorted(i for c in clusters for i in c.indices)
-    assert seen == list(window)
+    (lo, hi), seen = cluster_estimates(s, window, 0.3, 1)
+    vals = {n: coordinate(s, n) for n in window}
+    assert lo.indices.tolist() == [n for n in window if vals[n] <= lo.values.max()]
+    assert hi.indices.tolist() == [n for n in window if vals[n] >= hi.values.min()]
+    every = all_cluster_estimates(s, window, 0.3)
+    assert sorted(i for c in every for i in c.indices) == list(window)
+    assert seen == len(every) == 6
 
 
-@pytest.mark.parametrize("s, window, width", [
-    (periodic([2.0, 2.0, 2.0, 0.0]), range(1, 41), 1.0),
-    (from_function(lambda n: math.cos(0.7 * n), 1.0), range(5, 40), 0.3),
-    (embed_t1(FiniteDimLp(2, 2), np.array([3.0, 4.0])), range(3, 300), 1.25),
-], ids=["most-hits-on-top", "opaque", "embedded-block"])
-def test_cluster_estimates_in_cell_order(s, window, width):
-    clusters = cluster_estimates(s, window, width)
-    values = [c.value for c in clusters]
+@pytest.mark.parametrize("s, window, width, least, sizes, seen", [
+    (periodic([2.0, 2.0, 2.0, 0.0]), range(1, 41), 1.0, 10, [10, 30], 2),
+    (periodic([2.0, 2.0, 2.0, 0.0]), range(1, 41), 1.0, 11, [30], 2),
+    (from_function(lambda n: math.cos(0.7 * n), 1.0), range(5, 40), 0.3, 1, [7, 5], 6),
+    (embed_t1(FiniteDimLp(2, 2), np.array([3.0, 4.0])), range(3, 300), 1.25, 5,
+     [73, 74], 8),
+], ids=["most-hits-on-top", "most-hits-alone", "opaque", "embedded-block"])
+def test_cluster_estimates_in_cell_order(s, window, width, least, sizes, seen):
+    ends, count = cluster_estimates(s, window, width, least)
+    assert [len(c.indices) for c in ends] == sizes and count == seen
+    values = [c.value for c in ends]
     assert values == sorted(values) and len(set(values)) == len(values)
-    assert all(c.indices.dtype == np.int64 and c.values.dtype == np.float64
-               for c in clusters)
-    # the member arrays tile the window, each value read at its index
-    indices = np.concatenate([c.indices for c in clusters])
-    order = np.argsort(indices)
-    assert indices[order].tolist() == list(window)
-    assert (np.concatenate([c.values for c in clusters])[order].tolist()
-            == [coordinate(s, n) for n in window])
+    assert all(_read_at_their_indices(s, c) for c in ends)
+    assert values == [c.value for c in end_cluster_estimates(s, window, width, least)[0]]
 
 
 @pytest.mark.parametrize("window", [range(1, 20, 2), range(10, 0, -1), [1, 2, 3]],
                          ids=["step-2", "descending", "list"])
 def test_cluster_estimates_take_step_one_ranges_only(window):
     with pytest.raises(ValueError, match="step 1"):
-        cluster_estimates(periodic([-1.0, 1.0]), window, 0.5)
+        cluster_estimates(periodic([-1.0, 1.0]), window, 0.5, 5)
 
 
 @pytest.mark.parametrize("width", [0.0, -0.5])
 def test_cluster_estimates_need_a_positive_cell_width(width):
     with pytest.raises(ValueError, match="cell_width"):
-        cluster_estimates(periodic([-1.0, 1.0]), range(1, 9), width)
+        cluster_estimates(periodic([-1.0, 1.0]), range(1, 9), width, 5)
 
 
 def test_cluster_estimates_zero_bound():
-    clusters = cluster_estimates(zero_seq(), range(1, 11), 0.5)
-    assert len(clusters) == 1
-    assert clusters[0].value == 0.0
-    assert clusters[0].spread == 0.0
-    assert clusters[0].indices.tolist() == list(range(1, 11))
+    (zero,), seen = cluster_estimates(zero_seq(), range(1, 11), 0.5, 10)
+    assert seen == 1
+    assert zero.value == 0.0
+    assert zero.spread == 0.0
+    assert zero.indices.tolist() == list(range(1, 11))
+    assert _read_at_their_indices(zero_seq(), zero)
+    assert cluster_estimates(zero_seq(), range(1, 11), 0.5, 11) == ([], 1)
 
 
 def test_cluster_estimates_empty_window():
     with pytest.raises(EmptyWindow):
-        cluster_estimates(periodic([1.0]), range(5, 5), 0.5)
+        cluster_estimates(periodic([1.0]), range(5, 5), 0.5, 5)
 
 
 def test_cluster_estimates_spread_contains_members():
     s = from_function(lambda n: ((n * 7919) % 100) / 50.0 - 1.0, 1.0)
-    for c in cluster_estimates(s, range(1, 200), 0.37):
-        for i in c.indices:
-            assert abs(coordinate(s, i) - c.value) <= c.spread + 1e-12
+    for least in (1, 3, 5, 8):
+        ends, _ = cluster_estimates(s, range(1, 200), 0.37, least)
+        assert len(ends) == 2
+        for c in ends:
+            assert _read_at_their_indices(s, c)
+            for i in c.indices:
+                assert abs(coordinate(s, i) - c.value) <= c.spread + 1e-12
+
+
+_ATOMS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-3, 3)
+_TAGGED = st.one_of(
+    st.lists(_ATOMS, min_size=1, max_size=9).map(periodic),
+    st.builds(eventually_constant, _ATOMS, st.integers(1, 300)),
+    st.builds(explicit_limit, _ATOMS, _ATOMS),
+)
+
+
+def _image(spec, seed):
+    sp = parse_space(spec)
+    return embed_t1(sp, sp.random_element(np.random.default_rng(seed)))
+
+
+_SEQUENCES = st.one_of(
+    _TAGGED,
+    st.just(zero_seq()),
+    st.builds(lambda a, amp: from_function(lambda n: amp * math.sin(a * n), abs(amp)),
+              st.floats(0.01, 3), _ATOMS),
+    st.builds(lambda k, m: from_function(lambda n: ((n * k) % m) / m * 2.0 - 1.0, 1.0),
+              st.integers(1, 10 ** 4), st.integers(1, 50)),
+    st.builds(lambda cs, kids: combine(cs[:len(kids)], kids[:len(cs)]),
+              st.lists(_ATOMS, min_size=1, max_size=3), st.lists(_TAGGED, min_size=1, max_size=3)),
+    st.builds(lambda c, kid: combine([c, 1.0], [kid, from_function(lambda n: 1.0 / n, 1.0)]),
+              _ATOMS, _TAGGED),
+    st.builds(_image, st.sampled_from(["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"]),
+              st.integers(0, 2 ** 32 - 1)),
+)
+
+
+def _same_bits(a, b):
+    return (a.indices.dtype == b.indices.dtype == np.int64
+            and a.values.dtype == b.values.dtype == np.float64
+            and a.indices.tobytes() == b.indices.tobytes()
+            and a.values.tobytes() == b.values.tobytes()
+            and a.value.hex() == b.value.hex() and a.spread.hex() == b.spread.hex())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEQUENCES, st.integers(1, 2000), st.integers(1, 2000), st.floats(-50, 1),
+       st.integers(1, 8))
+def test_cluster_estimates_are_the_reference_end_cells(s, start, length, e, least):
+    # widths from bound * 2^-50 to 2 * bound (any width when the bound is 0)
+    window, width = range(start, start + length), (s.bound or 1.0) * 2.0 ** e
+    ends, seen = cluster_estimates(s, window, width, least)
+    want, want_seen = end_cluster_estimates(s, window, width, least)
+    assert seen == want_seen
+    assert len(ends) == len(want) and all(map(_same_bits, ends, want))
 
 
 # -- structural limits ---------------------------------------------------

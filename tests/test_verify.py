@@ -7,9 +7,10 @@ from seqembed import (BoundedSeq, CustomNet, FiniteDimLp, InC, NotInC, SeqLp,
                       SubspaceD, Unknown, bw_extract, check_isometry,
                       check_separation, classify_c, combine, embed_t1,
                       eventually_constant, explicit_limit, from_function,
-                      periodic, prefix_sup, reverify_witness, zero_seq)
+                      parse_space, periodic, pl_function, prefix_sup,
+                      reverify_witness, verify, zero_seq)
 from seqembed.errors import KindMismatch
-from reference import brute_force_sup, net_size_through_level
+from reference import brute_force_sup, end_cluster_estimates, net_size_through_level
 
 
 def test_tagged_sequences_are_in_c():
@@ -117,6 +118,13 @@ def test_classify_validates_args():
         classify_c(zero_seq(), 64, 0.0)
 
 
+@pytest.mark.parametrize("gap_floor", [0.0, -1.0, math.nan, 1e-323, 5e-324])
+def test_gap_floor_without_a_positive_quarter_is_named(gap_floor):
+    # 1e-323 / 4 rounds to 0.0: the cell width, which the caller never set
+    with pytest.raises(ValueError, match=r"^gap_floor = .* must be positive, and so must its quarter$"):
+        classify_c(periodic([1.0, -1.0]), 64, gap_floor)
+
+
 def test_embedded_images_never_in_c():
     sp = FiniteDimLp(2, 2)
     for x in ([3.0, 4.0], [1.0, 0.0], [0.5, -0.5]):
@@ -124,6 +132,36 @@ def test_embedded_images_never_in_c():
         v = classify_c(embed_t1(sp, x), 4096, sp.norm(x))
         assert isinstance(v, NotInC)
         assert reverify_witness(embed_t1(sp, x), v.witness)
+
+
+def _image(spec, x):
+    return embed_t1(parse_space(spec), x)
+
+
+@pytest.mark.parametrize("s, budget, gap_floor, kind, ends", [
+    (periodic([-1.0, 1.0]), 64, 1.0, NotInC, 2),
+    (periodic([-1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.5, 0.0]), 64, 1.0, NotInC, 2),
+    (_image("fdlp:dim=2,p=2", np.array([3.0, 4.0])), 4096, 5.0, NotInC, 2),
+    (_image("seqlp:p=2,support=4", {1: 3.0, 2: 4.0}), 2048, 5.0, NotInC, 2),
+    (_image("c01", pl_function((0.0, 0.5, 1.0), (3.0, -4.0, 0.0))), 2048, 4.0, NotInC, 2),
+    (periodic([-1.0, 1.0]), 64, 5.0, Unknown, 2),
+    (from_function(lambda n: (-1.0) ** n * (1.0 - n % 5 / 4), 1.0), 256, 3.0, Unknown, 2),
+    (from_function(lambda n: 1.0 / n, 1.0), 256, 0.5, Unknown, 1),
+    (from_function(lambda n: 0.3, 1.0), 64, 1.0, Unknown, 1),
+    (from_function(lambda n: math.sin(n), 1.0), 512, 1e-6, Unknown, 0),
+], ids=["periodic", "most-hit-inside", "fdlp-image", "seqlp-image", "c01-image",
+        "floor-over-gap", "several-cells", "one-populated-cell", "one-cell",
+        "no-populated-cell"])
+def test_verdict_on_the_reference_clusters_is_the_same(monkeypatch, s, budget, gap_floor,
+                                                        kind, ends):
+    # the reference builds every cell: its end cells give the same kind,
+    # witness (indices, values, gap) and count of nonempty cells
+    window = range(1, budget + 1)
+    assert len(end_cluster_estimates(s, window, gap_floor / 4.0, 5)[0]) == ends
+    v = classify_c(s, budget, gap_floor)
+    monkeypatch.setattr(verify, "cluster_estimates", end_cluster_estimates)
+    want = classify_c(s, budget, gap_floor)
+    assert type(v) is kind and v == want and repr(v) == repr(want)
 
 
 # -- suites -------------------------------------------------------------------

@@ -43,6 +43,13 @@ subprocess for 20 seconds, one run at a time:
   With --baseline, the file also keeps per kind and measurement the
   median of the repeats' tree/baseline ratios and how many repeats
   this tree won;
+- classify: per case of CLASSIFY_CASES (T(x) on fdlp, seqlp and c01 at
+  gap floor ||x||, as the CLI classifies embedded images, and a periodic
+  sequence at gap floor 1), the seconds of one `cluster_estimates` pass
+  as `classify_c` makes it and of one `classify_c`, on a sequence whose
+  net a first, unmeasured repeat has warmed: best and median of
+  CLASSIFY_REPEATS, alternating between the trees and paired as the
+  oracle reads are;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
   `src/seqembed` line count, the Python and numpy versions and the core
   count.
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -89,6 +97,17 @@ ORACLE_ROWS = {"fdlp:dim=2,p=2": 550, "fdlp:dim=3,p=3": 550,
 ORACLE_REPEATS = 101
 ORACLE_SCATTERED = 50
 ORACLE_WARM_NET = 20000
+#: per case, the sequence of a package and the budget it is classified at
+CLASSIFY_CASES = {
+    "fdlp:dim=2,p=2 T([3, 4])": (lambda se: se.embed_t1(se.parse_space("fdlp:dim=2,p=2"),
+                                                        np.array([3.0, 4.0])), 4096),
+    "seqlp:p=2,support=4 T({1: 3, 2: 4})": (
+        lambda se: se.embed_t1(se.parse_space("seqlp:p=2,support=4"), {1: 3.0, 2: 4.0}), 2048),
+    "c01 T(3, -4, 0)": (lambda se: se.embed_t1(se.parse_space("c01"), se.pl_function(
+        (0.0, 0.5, 1.0), (3.0, -4.0, 0.0))), 2048),
+    "periodic:-1,1": (lambda se: se.periodic([-1.0, 1.0]), 16384),
+}
+CLASSIFY_REPEATS = 401
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -305,6 +324,41 @@ def oracle_table(packages: dict) -> dict:
     return out
 
 
+def classify_table(packages: dict) -> dict:
+    """Per side of `packages` (loaded by `load_tree`) and case of
+    CLASSIFY_CASES, the best and median seconds over CLASSIFY_REPEATS of
+    one `cluster_estimates` pass as `classify_c` makes it at gap floor
+    s.bound, and of one `classify_c` there, each repeat measuring every
+    side, the side that goes first alternating, after one unmeasured
+    repeat that warms each sequence's net. A tree whose pass builds
+    every cell takes no `least`. With a baseline side, "paired" holds
+    per case and measurement the median of the repeats' tree/baseline
+    ratios and the repeats the tree won."""
+    seqs = {side: {case: build(se) for case, (build, _) in CLASSIFY_CASES.items()}
+            for side, se in packages.items()}
+    least = {side: (5,) if "least" in inspect.signature(se.cluster_estimates).parameters else ()
+             for side, se in packages.items()}
+    times = {side: {} for side in packages}
+    for i in range(CLASSIFY_REPEATS + 1):
+        for side in list(packages)[::1 if i % 2 else -1]:
+            se = packages[side]
+            for case, (_, budget) in CLASSIFY_CASES.items():
+                s, window = seqs[side][case], range(1, budget + 1)
+                for m, run in (("cluster_estimates", lambda: se.cluster_estimates(
+                                    s, window, s.bound / 4.0, *least[side])),
+                               ("classify_c", lambda: se.classify_c(s, budget, s.bound))):
+                    seconds = clocked(run)
+                    if i:
+                        times[side].setdefault(case, {}).setdefault(m, []).append(seconds)
+    out = {side: {case: {m: {"best_s": min(v), "median_s": statistics.median(v)}
+                         for m, v in ms.items()} for case, ms in cases.items()}
+           for side, cases in times.items()}
+    if "baseline" in times:
+        out["paired"] = {case: {m: paired(v, times["baseline"][case][m]) for m, v in ms.items()}
+                         for case, ms in times["tree"].items()}
+    return out
+
+
 def paired(tree: list, base: list) -> dict:
     """The median of the tree/baseline ratios of paired seconds, and
     the pairs the tree won."""
@@ -362,6 +416,7 @@ def main(argv=None) -> int:
         "net_growth": {side: net_growth(tree) for side, tree in sides},
         "growth_seconds": growth_seconds(packages),
         "oracle": oracle_table(packages),
+        "classify": classify_table(packages),
         "end_to_end": end_to_end(parse_plan(args.plan), baseline),
         "per_layer": {},
     }
