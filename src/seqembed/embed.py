@@ -8,7 +8,8 @@ the identity scheme, the D = {0} case. Every image has the scalar
 oracle, which the witness scans read; an extracted scheme's images have
 only it. Identity-scheme images add the window read `block` (read by
 `verify.classify_c`'s cluster scan) and the by-index read `at` (read by
-`reverify_witness`). At finite truncation the isometry is certified by
+`_reread_holds`, the one witness re-read of `reverify_witness` and of
+`classify_c`). At finite truncation the isometry is certified by
 a defect interval, and non-convergence by witnesses from the one scan
 loop that `oscillation_witness` and `extend.separation_witness` share.
 """
@@ -216,7 +217,8 @@ def _placement(space: SeparableSpace, scheme: IndexScheme, x,
     does not wrap at an int64 n = 2^63 - 1, and sign +1 for even n, -1
     for odd n; n < 1 is IndexZero. These images also have a block,
     which interleaves `functional_values` over the k of its window
-    alone, and `at`, which gathers the values k = ceil(n / 2) from one
+    alone (`classify_c`'s window read), and `at` (the witness re-read
+    of `_reread_holds`), which gathers the values k = ceil(n / 2) from one
     `functional_values` read of each SCAN_BLOCK-aligned block of k
     that holds any, from the group's smallest k to its largest, so a
     deep k (past the net cache, built from its rank) costs the rows
@@ -309,47 +311,62 @@ def isometry_defect(space: SeparableSpace, x, K: int) -> DefectRecord:
     return DefectRecord(lower=lower, upper=nx, achieved=achieved)
 
 
+def _reread_holds(s: BoundedSeq, w: OscillationWitness, ns: np.ndarray,
+                  stored: np.ndarray) -> bool:
+    """`reverify_witness`'s re-read on arrays, run by `verify.classify_c`
+    too: `ns` holds w's plus then minus indices (int64), `stored` their
+    values (float64). Each half starts at 1 or more and strictly
+    increases, one `coordinates_at` read equals `stored` under `!=`,
+    the targets are cleared, and the gap is w.gap and positive."""
+    n = len(ns) // 2
+    for half in (ns[:n], ns[n:]):
+        if not (half[0] >= 1 and (half[1:] > half[:-1]).all()):
+            return False
+    try:
+        reread = coordinates_at(s, ns)
+    except SchemeExhausted:
+        return False
+    if (reread != stored).any():
+        return False
+    # the re-read floats equal the stored values, so none is NaN
+    low_plus, high_minus = float(reread[:n].min()), float(reread[n:].max())
+    if not (low_plus >= w.target_hi and high_minus <= w.target_lo):
+        return False
+    gap = low_plus - high_minus
+    return gap == w.gap and gap > 0.0
+
+
 def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
     """Re-check a witness by re-reading its indices in one call of
     `coordinates_at`: the by-index read `at` when `s` has one (T(x)
     does), the scalar oracle otherwise, never the block.
 
-    The index and value fields may be any sequences, read entry by
-    entry. Index lists must be nonempty, hold only Python ints (not
-    bools, floats, strings or numpy ints), start at an index >= 1 and
-    strictly increase, and stay below 2^63, as every index a scan or a
-    scheme names does; these are checked before anything is read, and
-    T(x) reads a deep index from its own block of rows, built from
-    their rank, so a forged index costs about what a real one does.
-    Stored values must then equal the re-read values under Python's
-    `!=` (a stored NaN never does, -0.0 equals 0.0) and clear the
-    targets (a NaN target never is); the gap must be consistent and
-    positive. An index past an extracted scheme's coverage cannot be
-    re-read. A witness that breaks any of these rules is False, never
-    an error.
+    The index and value fields may be any sequences of one nonzero
+    length, read entry by entry. Before anything is read, indices must
+    be Python ints (not bools, floats, strings or numpy ints) below
+    2^63, as every index a scan or a scheme names is, and stored values
+    Python floats or numpy float64s (not ints or strings); T(x) reads a
+    deep index from its own block of rows, built from their rank, so a
+    forged index costs about what a real one does. Then each index list
+    must start at 1 or more and strictly increase, stored values equal
+    the re-read ones under `!=` (a stored NaN never does, -0.0 equals
+    0.0) and clear the targets (a NaN target never is), and the gap be
+    consistent and positive; an index past an extracted scheme's
+    coverage cannot be re-read. A witness that breaks any rule is
+    False, never an error.
     """
     if not (0 < len(w.plus_indices) == len(w.minus_indices)
             == len(w.plus_values) == len(w.minus_values)):
         return False
-    for idxs in (w.plus_indices, w.minus_indices):
-        if set(map(type, idxs)) != {int}:
-            return False
-        if not (1 <= idxs[0] and idxs[-1] < 2 ** 63
-                and all(map(operator.lt, idxs, idxs[1:]))):
-            return False
+    idxs = (*w.plus_indices, *w.minus_indices)
+    vals = (*w.plus_values, *w.minus_values)
+    if set(map(type, idxs)) != {int} or not set(map(type, vals)) <= {float, np.float64}:
+        return False
     try:
-        reread = coordinates_at(s, (*w.plus_indices, *w.minus_indices)).tolist()
-    except SchemeExhausted:
+        ns = np.fromiter(idxs, np.int64, len(idxs))
+    except OverflowError:           # an index from 2^63 on, or below -2^63
         return False
-    if any(map(operator.ne, reread, (*w.plus_values, *w.minus_values))):
-        return False
-    # the re-read floats equal the stored values, so none is NaN
-    n = len(w.plus_indices)
-    low_plus, high_minus = min(reread[:n]), max(reread[n:])
-    if not (low_plus >= w.target_hi and high_minus <= w.target_lo):
-        return False
-    gap = low_plus - high_minus
-    return gap == w.gap and gap > 0.0
+    return _reread_holds(s, w, ns, np.fromiter(vals, np.float64, len(vals)))
 
 
 def _witness_input(space: SeparableSpace, x, epsilon: float, count: int,

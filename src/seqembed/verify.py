@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embed import (WITNESS_BUDGET, OscillationWitness, _witness,
-                    isometry_defect, reverify_witness)
+import numpy as np
+
+from .embed import (WITNESS_BUDGET, OscillationWitness, _reread_holds, _witness,
+                    isometry_defect)
 from .errors import BudgetExhausted, ZeroElement
 from .extend import SubspaceD, IndexScheme, separation_witness
 from .seqcore import BoundedSeq, cluster_estimates, structural_limit
@@ -46,12 +48,14 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
     window (through the block when `s` has one) in gap_floor / 4 cells:
     if its two end cells with at least 5 members each are separated by
     at least gap_floor, a witness pairs their first m members, and
-    NotInC is returned only if `reverify_witness` accepts it. That
-    re-reads the witness indices through `s.at` (the scalar oracle when
-    `s` has none), never the block, so the block is cross-checked by a
-    second evaluation (see `BoundedSeq`); Unknown, with the count of
+    NotInC is returned only if `reverify_witness`'s core `_reread_holds`
+    accepts it from the arrays it was built from. That re-reads the
+    witness indices through `s.at` (the scalar oracle when `s` has
+    none), never the block, so the block is cross-checked by a second
+    evaluation (see `BoundedSeq`); Unknown, with the count of
     nonempty cells, is the fallback. A budget below 2, a gap floor whose
-    quarter is not above 0 and a window value that is not finite
+    quarter is not above 0, a window past 2^63 (`cluster_estimates`
+    refuses it) and a window value that is not finite
     (`BoundedSeq.coordinates` refuses it) are ValueErrors.
     """
     if budget < 2:
@@ -72,13 +76,14 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
         lo, hi = ends
         separation = (hi.value - hi.spread) - (lo.value + lo.spread)
         if separation >= gap_floor:
-            # Python ints and floats: reverify_witness rejects numpy ints
             m = min(len(hi.indices), len(lo.indices))
-            plus_vals, minus_vals = hi.values[:m].tolist(), lo.values[:m].tolist()
-            witness = _witness(hi.indices[:m].tolist(), lo.indices[:m].tolist(),
-                               plus_vals, minus_vals, hi.spread + lo.spread,
-                               min(plus_vals), max(minus_vals))
-            if witness.gap >= gap_floor and reverify_witness(s, witness):
+            ns = np.concatenate((hi.indices[:m], lo.indices[:m]))
+            stored = np.concatenate((hi.values[:m], lo.values[:m]))
+            # Python ints and floats, as reverify_witness requires
+            idxs, vals = ns.tolist(), stored.tolist()
+            witness = _witness(idxs[:m], idxs[m:], vals[:m], vals[m:], hi.spread + lo.spread,
+                               float(stored[:m].min()), float(stored[m:].max()))
+            if witness.gap >= gap_floor and _reread_holds(s, witness, ns, stored):
                 return NotInC(witness=witness)
     return Unknown(budget_used=budget, clusters_seen=seen)
 

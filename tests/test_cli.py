@@ -369,6 +369,16 @@ def test_exit_one_on_gap_floor_whose_quarter_rounds_to_zero(capsys):
     assert out == ""
 
 
+def test_exit_one_on_budget_past_int64(capsys):
+    # a window of 2^63 indices: it exited 3 on len()'s OverflowError
+    code, out, err = run(capsys, "classify", "--spec", "periodic:1,-1",
+                         "--budget", str(2 ** 63))
+    assert code == 1, out + err
+    assert err == (f"ConfigError: classify periodic:1,-1: window range(1, {2 ** 63 + 1}) "
+                   f"stops past 2^63, where int64 indices wrap\n")
+    assert out == ""
+
+
 def test_exit_three_on_unexpected_error(monkeypatch, capsys):
     def fail(cfg, report):
         raise RuntimeError("boom")

@@ -361,6 +361,17 @@ _VERDICTS = {
     "index 2**70": (_PAIR, {"plus_indices": (2, 2 ** 70)}, False),
     "index 2**70 + 1": (_PAIR, {"plus_indices": (2, 2 ** 70 + 1)}, False),
     "forged value": (_PAIR, {"plus_values": (1.0, math.nextafter(1.0, 2.0))}, False),
+    # stored values are floats or numpy float64s: an int 1 equals the
+    # 1.0 read under `!=`, and was True before that rule
+    "stored int": (_PAIR, {"plus_values": (1, 1.0)}, False),
+    "stored str": (_PAIR, {"plus_values": ("1.0", 1.0)}, False),
+    "repeated index": (_PAIR, {"plus_indices": (2, 2)}, False),
+    "index 2**70 in the middle": (_PAIR, {"plus_indices": [2, 2 ** 70, 6],
+                                          "minus_indices": (1, 3, 5),
+                                          "plus_values": (1.0,) * 3,
+                                          "minus_values": (-1.0,) * 3}, False),
+    "one pair": (_PAIR, {"plus_indices": (2,), "minus_indices": (1,),
+                         "plus_values": (1.0,), "minus_values": (-1.0,)}, True),
     # index 65 is past the scheme's coverage of 64: it cannot be re-read
     "past coverage": (_SCHEMED, {"plus_indices": (_SCHEME.plus_index(1), 65),
                                  "plus_values": (_SCHEMED_PLUS, 1.0)}, False),
@@ -381,6 +392,7 @@ _VERDICTS = {
 def test_reverify_verdict_table(case):
     # the verdicts of reading each index through the scalar oracle with
     # `!=`, except that an index past coverage is False where such a read
-    # raises, and an index from 2^63 on is False before anything is read
+    # raises, and an index from 2^63 on or a stored value that is not a
+    # float is False before anything is read
     s, changes, verdict = _VERDICTS[case]
     assert reverify_witness(s, dataclasses.replace(_GOOD, **changes)) is verdict

@@ -338,6 +338,21 @@ def test_cluster_estimates_zero_bound():
     assert cluster_estimates(zero_seq(), range(1, 11), 0.5, 11) == ([], 1)
 
 
+@pytest.mark.parametrize("s", [from_function(lambda n: 0.0, 1.0), periodic([1.0, -1.0])],
+                         ids=["opaque", "periodic"])
+def test_cluster_estimates_refuse_a_window_past_int64(s):
+    # a window stopping at 2^63 ends on index 2^63 - 1, the last int64;
+    # one index further wrapped to -2^63 (opaque) or raised a bare
+    # IndexError from the block (periodic), and a window of 2^63 indices
+    # overflowed len()
+    top = 2 ** 63
+    ends, _ = cluster_estimates(s, range(top - 2, top), 0.5, 1)
+    assert ends[-1].indices.tolist()[-1] == top - 1
+    for window in (range(top - 2, top + 2), range(1, top + 1)):
+        with pytest.raises(ValueError, match=r"stops past 2\^63"):
+            cluster_estimates(s, window, 0.5, 1)
+
+
 def test_cluster_estimates_empty_window():
     with pytest.raises(EmptyWindow):
         cluster_estimates(periodic([1.0]), range(5, 5), 0.5, 5)

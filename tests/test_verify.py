@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqembed import (BoundedSeq, CustomNet, FiniteDimLp, InC, NotInC, SeqLp,
                       SubspaceD, Unknown, bw_extract, check_isometry,
@@ -46,6 +48,77 @@ def test_block_disagreeing_with_oracle_is_unknown():
     assert isinstance(classify_c(s, 64, 1.0), NotInC)
     tampered = BoundedSeq(s.oracle, s.bound, block=block)
     assert isinstance(classify_c(tampered, 64, 1.0), Unknown)
+
+
+@pytest.mark.parametrize("field, i", [("plus_indices", 3), ("minus_indices", -1)])
+def test_at_disagreeing_with_block_is_unknown(field, i):
+    # the read-side twin: the by-index read is off at one witness index,
+    # so the witness the block gave must fail its re-read
+    s = periodic([-1.0, 1.0])
+    n = getattr(classify_c(s, 64, 1.0).witness, field)[i]
+
+    def at(ns):
+        out = s.at(ns)
+        out[ns == n] = 0.9375
+        return out
+
+    tampered = BoundedSeq(s.oracle, s.bound, block=s.block, at=at)
+    assert isinstance(classify_c(tampered, 64, 1.0), Unknown)
+
+
+def test_classify_rereads_its_witness_in_one_at_call():
+    # the 2m witness indices, plus then minus, as one int64 array
+    s = _image("fdlp:dim=2,p=2", np.array([3.0, 4.0]))
+    calls = []
+
+    def at(ns):
+        calls.append(ns.copy())
+        return s.at(ns)
+
+    v = classify_c(BoundedSeq(s.oracle, s.bound, block=s.block, at=at), 4096, 5.0)
+    assert isinstance(v, NotInC)
+    (ns,) = calls
+    w = v.witness
+    assert ns.dtype == np.int64 and len(ns) == 2 * len(w.plus_indices)
+    assert ns.tolist() == [*w.plus_indices, *w.minus_indices]
+
+
+@functools.lru_cache(maxsize=None)
+def _space(spec):
+    """One space per spec, so the property's nets grow once."""
+    return parse_space(spec)
+
+
+_QUARTERS = st.integers(-8, 8).map(lambda v: v / 4.0)
+
+
+@st.composite
+def _sequences(draw):
+    """A periodic sequence, a combination with a convergent one, or
+    T(x) on fdlp, seqlp or c01."""
+    kind = draw(st.sampled_from(["periodic", "combo", "fdlp", "seqlp", "c01"]))
+    def values(lo, hi):
+        return draw(st.lists(_QUARTERS, min_size=lo, max_size=hi))
+    if kind == "periodic":
+        return periodic(values(1, 6))
+    if kind == "combo":
+        return combine(values(2, 2), [periodic(values(1, 6)), explicit_limit(*values(2, 2))])
+    if kind == "fdlp":
+        return embed_t1(_space("fdlp:dim=2,p=2"), np.array(values(2, 2)))
+    if kind == "seqlp":
+        x = draw(st.dictionaries(st.integers(1, 4), _QUARTERS, max_size=4))
+        return embed_t1(_space("seqlp:p=2,support=4"), x)
+    return embed_t1(_space("c01"), pl_function((0.0, 0.5, 1.0), values(3, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sequences(), st.integers(64, 16384), st.sampled_from([0.125, 0.5, 1.0, 1.5]))
+def test_every_not_in_c_passes_the_public_reverify(s, budget, floor):
+    # classify_c re-reads its witness from the arrays it built it from;
+    # the public check, from the witness's tuples, agrees
+    v = classify_c(s, budget, floor * (s.bound or 1.0))
+    if isinstance(v, NotInC):
+        assert reverify_witness(s, v.witness)
 
 
 def test_periodic_oscillation_detected():

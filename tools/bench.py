@@ -46,8 +46,9 @@ subprocess for 20 seconds, one run at a time:
 - classify: per case of CLASSIFY_CASES (T(x) on fdlp, seqlp and c01 at
   gap floor ||x||, as the CLI classifies embedded images, and a periodic
   sequence at gap floor 1), the seconds of one `cluster_estimates` pass
-  as `classify_c` makes it and of one `classify_c`, on a sequence whose
-  net a first, unmeasured repeat has warmed: best and median of
+  as `classify_c` makes it, of one `classify_c` and of one public
+  `reverify_witness` of that call's witness, on a sequence whose net a
+  first, unmeasured repeat has warmed: best and median of
   CLASSIFY_REPEATS, alternating between the trees and paired as the
   oracle reads are;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
@@ -328,14 +329,18 @@ def classify_table(packages: dict) -> dict:
     """Per side of `packages` (loaded by `load_tree`) and case of
     CLASSIFY_CASES, the best and median seconds over CLASSIFY_REPEATS of
     one `cluster_estimates` pass as `classify_c` makes it at gap floor
-    s.bound, and of one `classify_c` there, each repeat measuring every
-    side, the side that goes first alternating, after one unmeasured
-    repeat that warms each sequence's net. A tree whose pass builds
-    every cell takes no `least`. With a baseline side, "paired" holds
-    per case and measurement the median of the repeats' tree/baseline
-    ratios and the repeats the tree won."""
+    s.bound, of one `classify_c` there, and of one public
+    `reverify_witness` of the witness that `classify_c` gives there,
+    each repeat measuring every side, the side that goes first
+    alternating, after one unmeasured repeat that warms each sequence's
+    net. A tree whose pass builds every cell takes no `least`. With a
+    baseline side, "paired" holds per case and measurement the median
+    of the repeats' tree/baseline ratios and the repeats the tree won."""
     seqs = {side: {case: build(se) for case, (build, _) in CLASSIFY_CASES.items()}
             for side, se in packages.items()}
+    witnesses = {side: {case: packages[side].classify_c(s, CLASSIFY_CASES[case][1],
+                                                        s.bound).witness
+                        for case, s in cases.items()} for side, cases in seqs.items()}
     least = {side: (5,) if "least" in inspect.signature(se.cluster_estimates).parameters else ()
              for side, se in packages.items()}
     times = {side: {} for side in packages}
@@ -346,7 +351,9 @@ def classify_table(packages: dict) -> dict:
                 s, window = seqs[side][case], range(1, budget + 1)
                 for m, run in (("cluster_estimates", lambda: se.cluster_estimates(
                                     s, window, s.bound / 4.0, *least[side])),
-                               ("classify_c", lambda: se.classify_c(s, budget, s.bound))):
+                               ("classify_c", lambda: se.classify_c(s, budget, s.bound)),
+                               ("reverify_witness", lambda: se.reverify_witness(
+                                    s, witnesses[side][case]))):
                     seconds = clocked(run)
                     if i:
                         times[side].setdefault(case, {}).setdefault(m, []).append(seconds)
