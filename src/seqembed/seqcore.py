@@ -80,15 +80,20 @@ class BoundedSeq:
     at: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def coordinates(self, lo: int, hi: int) -> np.ndarray:
-        """Coordinates lo..hi, through the block when there is one: the
-        one window read of `classify_c` and of `extend`'s extractions. A
-        value that is not finite is a ValueError naming the window."""
+        """Coordinates lo..hi, the one window read of `classify_c` and of
+        `extend`'s extractions: the block, else the scalar oracle through
+        `coordinates_at` (no library sequence has `at` without `block`).
+        A read of other than hi - lo + 1 values (numpy's arange of
+        1..2^63 - 1 is empty) or a value that is not finite is a
+        ValueError naming the window."""
         if lo < 1:
             raise IndexZero(f"window starts at {lo}")
         if self.block is not None:
             out = np.asarray(self.block(lo, hi), dtype=float)
         else:
-            out = np.array([self.oracle(n) for n in range(lo, hi + 1)], dtype=float)
+            out = coordinates_at(self, np.arange(lo, hi + 1, dtype=np.int64))
+        if len(out) != hi - lo + 1:
+            raise ValueError(f"coordinates {lo}..{hi} read {len(out)} values")
         if not np.isfinite(out).all():
             raise ValueError(f"coordinates {lo}..{hi} hold a value that is not finite")
         return out
@@ -295,7 +300,6 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float, least: in
     if cell_width <= 0:
         raise ValueError(f"cell_width {cell_width} must be positive")
 
-    indices = np.arange(window.start, window.stop, dtype=np.int64)
     vals = s.coordinates(window.start, window.stop - 1)
 
     b = s.bound
@@ -308,7 +312,7 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float, least: in
         hit = np.flatnonzero(cells == cell)
         mid = -b + (cell + 0.5) * width
         members = vals[hit]
-        ends.append(ClusterEstimate(indices[hit], members, float(mid),
+        ends.append(ClusterEstimate(hit + window.start, members, float(mid),
                                     float(np.max(np.abs(members - mid)))))
     return ends, len(populated)
 

@@ -123,42 +123,28 @@ def _duality_rows(U: np.ndarray, p: float) -> np.ndarray:
     return np.sign(U) * np.abs(U) ** (p - 1.0)
 
 
-def _columns(ufunc, M: np.ndarray, tail=()) -> np.ndarray:
-    """ufunc.reduce(axis=1), bit for bit, over M with the constants of
-    `tail` as further columns, each the same in every row: np.add, or
-    np.maximum over entries >= 0. Below 8 columns numpy's add.reduce
-    sums a row left to right from +0.0, which this repeats one whole
-    column at a time in index order from COLUMNS_FROM rows on (an
-    axis-1 reduction over rows 2 or 3 wide costs many times the
-    arithmetic of its columns); from 8 columns on it sums pairwise, so
-    there, and below COLUMNS_FROM rows, the reduction is numpy's, over
-    M widened by `tail`. A max is exact in any order, and a max from
-    0.0 over entries >= 0 is their max, so a row of no columns is 0.0
-    for both."""
-    width = M.shape[1] + len(tail)
-    if width and (width >= 8 or len(M) < COLUMNS_FROM):
-        if len(tail):
-            # in C order, as a padded block is: numpy sums the rows of a
-            # column-major matrix column by column, not pairwise
-            padded = np.empty((len(M), width))
-            padded[:, :M.shape[1]], padded[:, M.shape[1]:] = M, tail
-            M = padded
+def _columns(ufunc, M: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(axis=1), bit for bit, over a C-ordered M (numpy sums
+    a column-major one column by column): np.add, or np.maximum over
+    entries >= 0. Below 8 columns numpy's add.reduce sums a row left to
+    right from +0.0, which this repeats a whole column at a time from
+    COLUMNS_FROM rows on (an axis-1 reduction over rows 2 or 3 wide
+    costs many times the arithmetic of its columns); from 8 columns on
+    it sums pairwise, so there, and below COLUMNS_FROM rows, the
+    reduction is numpy's. A max is exact in any order, and a max from
+    0.0 over entries >= 0 is their max, so an empty row is 0.0 for both."""
+    if M.shape[1] and (M.shape[1] >= 8 or len(M) < COLUMNS_FROM):
         return ufunc.reduce(M, axis=1)
     out = np.zeros(len(M))
     for j in range(M.shape[1]):
         ufunc(out, M[:, j], out=out)
-    for c in tail:
-        ufunc(out, c, out=out)
     return out
 
 
 def _pnorms(W: np.ndarray, p: float) -> np.ndarray:
     """p-norms of the rows of W: the one vector p-norm, of elements,
-    custom points and net rows alike. Sums and maxima run over whole
-    columns in index order (`_columns`): numpy adds a row of fewer than
-    8 entries left to right from +0.0, so the sums keep the bits of
-    np.add.reduce(axis=1); a row of 8 or more entries, which numpy sums
-    pairwise, is numpy's reduction itself. An empty row is 0.0 at every
+    custom points and net rows alike, its sums and maxima `_columns`',
+    bit for bit numpy's axis-1 reductions. An empty row is 0.0 at every
     p. At p other than 1, 2 and inf each row takes a scalar libm root
     of its power sum; from ROOTS_UNIQUE_FROM rows on, one root per
     distinct sum (the rows of a lattice level share few), the same
@@ -176,25 +162,21 @@ def _pnorms(W: np.ndarray, p: float) -> np.ndarray:
     return roots if inverse is None else roots[inverse]
 
 
-def _row_norms(D: np.ndarray, p: float, extra: float, tail: np.ndarray) -> np.ndarray:
-    """p-norms of the rows of D followed by the entries of `tail` (the
-    same in every row), with `extra` (the p-th powers summed over
-    entries outside both) added under the root: the distance profiles'
-    rule. Its sums and maxima run over whole columns in index order,
-    `tail` last, with numpy's bits, and a row of 8 or more entries is
-    summed by numpy's pairwise reduction (see `_pnorms`). At p other
-    than 1, 2 and inf its root is numpy's array power, which rounds
-    apart from `_pnorms`' scalar root in the last bit (in about one
-    root in twenty at p = 3, numpy 2.4 on an x86-64 Xeon); witness
-    indices pin a profile's bits, so neither root stands in for the
-    other."""
+def _row_norms(D: np.ndarray, p: float, extra: float) -> np.ndarray:
+    """p-norms of the rows of D with `extra`, the p-th powers of entries
+    outside D, added under the root: the distance profiles' rule, its
+    sums and maxima those of `_pnorms`. At p other than 1, 2 and inf its
+    root is numpy's array power, which rounds apart from `_pnorms`'
+    scalar root in the last bit (in about one root in twenty at p = 3,
+    numpy 2.4 on an x86-64 Xeon); witness indices pin a profile's bits,
+    so neither root stands in for the other."""
     if math.isinf(p):
-        return _columns(np.maximum, np.abs(D), np.abs(tail))
+        return _columns(np.maximum, np.abs(D))
     if p == 1.0:
-        return _columns(np.add, np.abs(D), np.abs(tail)) + extra
+        return _columns(np.add, np.abs(D)) + extra
     if p == 2.0:
-        return np.sqrt(_columns(np.add, D * D, tail * tail) + extra)
-    return (_columns(np.add, np.abs(D) ** p, np.abs(tail) ** p) + extra) ** (1.0 / p)
+        return np.sqrt(_columns(np.add, D * D) + extra)
+    return (_columns(np.add, np.abs(D) ** p) + extra) ** (1.0 / p)
 
 
 def _unit_rows(W: np.ndarray, p: float):
@@ -346,10 +328,10 @@ class SeparableSpace:
     SCAN_BLOCK rows, each run of levels at its own width, and never
     kept; a single row (`_row`) is the first part of its own read. Rows
     are functions of their rank, so both give the same bits. A column
-    a part lacks, of the ones the whole read takes, is zero padding: a
-    profile adds its constant term in its place and functional values
-    skip it, so no value depends on where a part ends or how wide it
-    is.
+    a part lacks, of the ones the whole read takes, is zero padding (met
+    only past NET_CACHE_ROWS across a change of level width): profiles
+    pad the part with it and functional values skip it, so no value
+    depends on where a part ends or how wide it is.
 
     Every kind's functional rows are coefficient rows against its
     coordinates, so one arithmetic reads them all: `_dot_rows` for
@@ -571,10 +553,10 @@ class SeparableSpace:
         coords, outside = np.array(self._coords(v, width)), self._outside(v, width)
         out = []
         for _, U, _ in self._blocks(lo, K):
-            # a column a narrower block lacks is zero padding: its entry
-            # of U - coords is -c_j, which `_row_norms` reads as c_j
-            w = min(U.shape[1], width)
-            out.append(_row_norms(U[:, :w] - coords[:w], self.p, outside, coords[w:]))
+            # a lacking column is zero padding: U - coords reads -c_j there
+            if U.shape[1] < width:
+                U = np.pad(U, ((0, 0), (0, width - U.shape[1])))
+            out.append(_row_norms(U[:, :width] - coords, self.p, outside))
         return _joined(out)
 
     def _outside(self, x, width: int) -> float:

@@ -379,6 +379,17 @@ def test_exit_one_on_budget_past_int64(capsys):
     assert out == ""
 
 
+def test_exit_one_on_a_window_that_reads_as_empty(capsys):
+    # numpy's arange over 1..2^63 - 1 is empty: it classified the empty
+    # read as Unknown with no cell seen and exited 0
+    code, out, err = run(capsys, "classify", "--spec", "periodic:1,-1",
+                         "--budget", str(2 ** 63 - 1))
+    assert code == 1, out + err
+    assert err == (f"ConfigError: classify periodic:1,-1: coordinates 1..{2 ** 63 - 1} "
+                   f"read 0 values\n")
+    assert out == ""
+
+
 def test_exit_three_on_unexpected_error(monkeypatch, capsys):
     def fail(cfg, report):
         raise RuntimeError("boom")

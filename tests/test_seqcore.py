@@ -66,6 +66,19 @@ def test_coordinates_reject_values_that_are_not_finite(bad):
         assert s.coordinates(1, 6).tolist() == [1.0] * 6
 
 
+def test_coordinates_reject_a_read_of_the_wrong_length():
+    # numpy's arange over a window that reaches 2^63 - 1 is empty, on
+    # the block path (periodic) and the oracle path (from_function)
+    # alike; a block that returns too many values is refused too
+    hi = 2 ** 63 - 1
+    long = BoundedSeq(lambda n: 1.0, 1.0, block=lambda lo, hi: np.ones(hi - lo + 2))
+    for s, lo in ((periodic([1.0, -1.0]), 1), (from_function(lambda n: 1.0, 1.0), 2), (long, hi)):
+        with pytest.raises(ValueError, match=f"coordinates {lo}..{hi} read [02] values"):
+            s.coordinates(lo, hi)
+    assert periodic([1.0, -1.0]).coordinates(hi - 1, hi).tolist() == [-1.0, 1.0]
+    assert from_function(lambda n: n % 3, 2.0).coordinates(hi - 1, hi).tolist() == [0.0, 1.0]
+
+
 def test_index_zero_rejected():
     # the readers check the index; no oracle checks it again
     sp, x = FiniteDimLp(2, 2), np.array([3.0, 4.0])

@@ -77,9 +77,9 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e
 @example(8, 17, 1, 1.0, 300, 1)      # numpy sums a column-major matrix column by column
 def test_column_reductions_keep_numpy_bits(width, rows, cut, edges, spread, seed):
     # the column walk (taken from COLUMNS_FROM rows on, and here from
-    # one row on too), the p = inf argmax and a block's missing columns
-    # (constants the same in every row) against numpy's axis-1
-    # reductions over the whole matrix, bit for bit; a max reads
+    # one row on too), over M and over M with constant columns past
+    # `cut` (as a profile's zero-padded part gives), and the p = inf
+    # argmax against numpy's axis-1 reductions, bit for bit; a max reads
     # entries >= 0 (-0.0 among them), as it does in every norm. Entries
     # of one magnitude (spread 0) round apart wherever the order of a
     # sum differs; spread 300 mixes 1e-300 to 1e300
@@ -96,7 +96,7 @@ def test_column_reductions_keep_numpy_bits(width, rows, cut, edges, spread, seed
                 want = ufunc.reduce(X, axis=1) if width else np.zeros(rows)
                 assert _bits(spaces._columns(ufunc, X)) == _bits(want)
                 want = ufunc.reduce(padded, axis=1) if width else np.zeros(rows)
-                assert _bits(spaces._columns(ufunc, X[:, :min(cut, width)], tail)) == _bits(want)
+                assert _bits(spaces._columns(ufunc, padded)) == _bits(want)
     if width:
         # tied largest |u_i| are the rule here, not the exception
         U = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], (rows, width))
@@ -567,8 +567,8 @@ def test_a_run_of_levels_is_built_as_its_levels(spec, lo, hi):
 def test_reads_of_narrower_blocks_keep_the_padded_bits(p, monkeypatch):
     # capped at _CAP rows, the cache and the runs built from rank below
     # row 6928, where seqlp's width-5 level opens, are 4 wide while row
-    # K - 1 is 5 wide: a profile reads their missing column as the
-    # constant |c_5|^p, and functional values skip it, with the bits of
+    # K - 1 is 5 wide: a profile pads their missing column with zeros,
+    # read as |0 - c_5|^p, and functional values skip it, with the bits of
     # the uncapped net, whose one cached block is 5 wide. Past the cap
     # each run is its own part, so the 4-wide run that ends at row 6928
     # and the 5-wide one after it are read apart
@@ -582,6 +582,11 @@ def test_reads_of_narrower_blocks_keep_the_padded_bits(p, monkeypatch):
     capped = parse_space(f"seqlp:p={p},support=4")
     assert [(_bits(capped.distance_profile(v, K, lo)), _bits(capped.functional_values(x, K, lo)))
             for K, lo in windows] == want
+    # the narrow parts reach both ways of `_columns`: numpy's reduction
+    # below COLUMNS_FROM rows and the column walk from there on
+    narrow = [len(U) for K, lo in windows for _, U, _ in capped._blocks(lo, K)
+              if U.shape[1] < capped._row_width(K - 1)]
+    assert min(narrow) < spaces.COLUMNS_FROM <= max(narrow)
     assert [(a, U.shape) for a, U, _ in capped._blocks(0, 6930)] == [
         (0, (_CAP, 4)), (_CAP, (SCAN_BLOCK, 4)), (_CAP + SCAN_BLOCK, (6928 - _CAP - SCAN_BLOCK, 4)),
         (6928, (2, 5))]
