@@ -252,9 +252,9 @@ def run_embed(cfg: dict, report: dict):
     report.update(check_isometry(space, samples, cfg["K"]))
     # D = {0}: one d row, the empty combination, as in a suite without D
     _add_witnesses(report, _witness_table(
-        samples, [[]],
-        lambda x, _: oscillation_witness(space, x, cfg["epsilon"], cfg["count"],
-                                         cfg["witness_budget"])))
+        samples, 1,
+        lambda x: [functools.partial(oscillation_witness, space, x, cfg["epsilon"],
+                                     cfg["count"], cfg["witness_budget"])]))
     _classify_embedded(space, samples, cfg, report)
 
 

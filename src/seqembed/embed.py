@@ -11,11 +11,16 @@ only it. Identity-scheme images add the window read `block` (read by
 `_reread_holds`, the one witness re-read of `reverify_witness` and of
 `classify_c`). At finite truncation the isometry is certified by
 a defect interval, and non-convergence by witnesses from the one scan
-loop that `oscillation_witness` and `extend.separation_witness` share.
+loop, `_scan_witness`, that `oscillation_witness` and
+`extend.separation_witness` share. A scan consumes a stream of net hits
+from `_hits`, the one walk of the distance profile. A separation table
+(`verify.check_separation`) walks it once per sample, every d row
+scanning a copy, and reads each d row's limit once for all samples.
 """
 from __future__ import annotations
 
 import bisect
+import numbers
 import operator
 import reprlib
 from dataclasses import dataclass
@@ -370,57 +375,69 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
 
 
 def _witness_input(space: SeparableSpace, x, epsilon: float, count: int,
-                   kind: str):
+                   scan_budget: int, kind: str):
     """(canonical x, ||x||) once the arguments every witness scan
-    shares are checked."""
+    shares are checked: a zero x is a ZeroElement, and an epsilon
+    outside (0, 1), a count below 1 or a scan budget that is not an
+    int >= 1 a ValueError."""
     x, nx = _element(space, x, f"{kind} witness")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon = {epsilon} must be in (0, 1)")
     if count < 1:
         raise ValueError(f"count = {count} must be >= 1")
+    if not (isinstance(scan_budget, numbers.Integral) and scan_budget >= 1):
+        raise ValueError(f"scan_budget = {scan_budget!r} must be an int >= 1")
     return x, nx
 
 
-def _scan_witness(space: SeparableSpace, x, image: BoundedSeq,
-                  epsilon: float, count: int, k_limit: int, pair_at,
+def _hits(space: SeparableSpace, x, epsilon: float, k_limit: int):
+    """The net indices k = 1..k_limit whose point is within `epsilon`
+    of x/||x||, in order: the one walk of the distance profile, read
+    SCAN_BLOCK rows at a time and only as far as the iteration goes,
+    so a scan that stops reads no further block and one that is never
+    iterated reads nothing."""
+    v = space.unit(x)
+    for lo in range(0, k_limit, SCAN_BLOCK):
+        dists = space.distance_profile(v, min(lo + SCAN_BLOCK, k_limit), lo)
+        for off in np.nonzero(dists <= epsilon)[0]:
+            yield lo + int(off) + 1
+
+
+def _scan_witness(hits, image: BoundedSeq, epsilon: float, count: int, pair_at,
                   target_hi: float, target_lo: float,
                   shortfall: str) -> OscillationWitness:
-    """Scan net points k = 1..k_limit in order for those within
-    `epsilon` of x/||x||. Hit k offers the pair pair_at(k) = (n_plus,
-    n_minus), taken when its image values clear the targets, so every
-    witness has gap >= target_hi - target_lo. An empty band
-    (target_hi <= target_lo, or a NaN target) reads nothing and raises
-    BudgetExhausted with found = 0 and a message naming both targets;
-    short of `count` pairs, it raises BudgetExhausted("found i of count
-    <shortfall>"). Either carries the partial witness."""
+    """Take witness pairs from the net hits k of `hits` (an iterator
+    over `_hits`, or a copy of one shared by several scans) in order.
+    Hit k offers the pair pair_at(k) = (n_plus, n_minus), taken when
+    its image values clear the targets, so every witness has gap >=
+    target_hi - target_lo; the scan pulls no hit past the count-th
+    pair taken. An empty band (target_hi <= target_lo, or a NaN target)
+    pulls no hit and raises BudgetExhausted with found = 0 and a
+    message naming both targets; short of `count` pairs when the hits
+    run out, it raises BudgetExhausted("found i of count <shortfall>").
+    Either carries the partial witness."""
     if not target_hi > target_lo:
         raise BudgetExhausted(f"target_hi = {target_hi!r} is not above target_lo = "
                               f"{target_lo!r}: the target band is empty",
                               partial=_witness((), (), (), (), epsilon, target_hi, target_lo),
                               found=0)
-    v = space.unit(x)
-    hits = []
-    k = 0
-    while k < k_limit and len(hits) < count:
-        hi = min(k + SCAN_BLOCK, k_limit)
-        dists = space.distance_profile(v, hi, k)
-        for off in np.nonzero(dists <= epsilon)[0]:
-            n_plus, n_minus = pair_at(k + int(off) + 1)
-            plus = coordinate(image, n_plus)
-            minus = coordinate(image, n_minus)
-            # rounding may push a boundary hit a hair past the target;
-            # skip it rather than weaken the certificate
-            if plus >= target_hi and minus <= target_lo:
-                hits.append((n_plus, n_minus, plus, minus))
-                if len(hits) == count:
-                    break
-        k = hi
+    taken = []
+    for k in hits:
+        n_plus, n_minus = pair_at(k)
+        plus = coordinate(image, n_plus)
+        minus = coordinate(image, n_minus)
+        # rounding may push a boundary hit a hair past the target;
+        # skip it rather than weaken the certificate
+        if plus >= target_hi and minus <= target_lo:
+            taken.append((n_plus, n_minus, plus, minus))
+            if len(taken) == count:
+                break
 
-    columns = tuple(zip(*hits)) or ((), (), (), ())
+    columns = tuple(zip(*taken)) or ((), (), (), ())
     witness = _witness(*columns, epsilon, target_hi, target_lo)
-    if len(hits) < count:
-        raise BudgetExhausted(f"found {len(hits)} of {count} {shortfall}",
-                              partial=witness, found=len(hits))
+    if len(taken) < count:
+        raise BudgetExhausted(f"found {len(taken)} of {count} {shortfall}",
+                              partial=witness, found=len(taken))
     return witness
 
 
@@ -434,9 +451,8 @@ def oscillation_witness(space: SeparableSpace, x, epsilon: float,
     Raises BudgetExhausted carrying the partial witness if fewer than
     `count` hits are found within the scan budget.
     """
-    x, nx = _witness_input(space, x, epsilon, count, "oscillation")
+    x, nx = _witness_input(space, x, epsilon, count, scan_budget, "oscillation")
     target = nx * (1.0 - epsilon)
-    return _scan_witness(space, x, embed_t1(space, x), epsilon, count,
-                         scan_budget, lambda k: (2 * k - 1, 2 * k),
-                         target, -target,
+    return _scan_witness(_hits(space, x, epsilon, scan_budget), embed_t1(space, x),
+                         epsilon, count, lambda k: (2 * k - 1, 2 * k), target, -target,
                          f"witness pairs within budget {scan_budget}")

@@ -19,13 +19,14 @@ exhausted budget before any pair is read.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .embed import (WITNESS_BUDGET, IndexScheme, OscillationWitness, _scan_witness,
+from .embed import (WITNESS_BUDGET, IndexScheme, OscillationWitness, _hits, _scan_witness,
                     _witness_input, identity_scheme, scheme_embed)
 from .errors import BudgetExhausted, EmptyBasis, SchemeExhausted
 from .seqcore import BoundedSeq, _bucket, combine, coordinates_at, zero_seq
@@ -229,6 +230,44 @@ def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstim
 # ---------------------------------------------------------------------------
 # separation witnesses
 
+def _limit(scheme: IndexScheme, d: BoundedSeq) -> tuple:
+    """(L, err(L)) of d along the scheme: `limit_along` over the
+    scheme's whole prefix (256 positions under the identity scheme), or
+    (0.0, 0.0) when d's bound is 0."""
+    if d.bound == 0.0:
+        return 0.0, 0.0
+    est = limit_along(d, scheme, scheme.length if scheme.length is not None else 256)
+    return est.L, est.err
+
+
+def _separation_scans(space: SeparableSpace, scheme: IndexScheme, x, epsilon: float,
+                      count: int, scan_budget: int, rows) -> list:
+    """`separation_witness` for one x against every d of `rows`, a list
+    of (d, limit) with limit() giving d's (L, err(L)): the arguments are
+    checked now (a zero x is a ZeroElement here), and one no-argument
+    call per row runs that row's scan. T(x) is placed once, and every
+    row scans its own copy (`itertools.tee`) of x's one hit stream, so
+    the distance profile is read once, as far as the hungriest row
+    needs; the copies keep the hits read so far until the last row has
+    passed them. A row reads limit() when its scan runs."""
+    x, nx = _witness_input(space, x, epsilon, count, scan_budget, "separation")
+    k_cap = scheme.max_k()
+    k_limit = scan_budget if k_cap is None else min(scan_budget, k_cap)
+    image = scheme_embed(space, scheme, x)
+
+    def scan(hits, d: BoundedSeq, limit) -> OscillationWitness:
+        L, errL = limit()
+        return _scan_witness(hits, combine((1.0, -1.0), (image, d)), epsilon, count,
+                             lambda k: (scheme.plus_index(k), scheme.minus_index(k)),
+                             nx * (1.0 - epsilon) - L - errL,
+                             -nx * (1.0 - epsilon) - L + errL,
+                             f"separation pairs (scanned k <= {k_limit})")
+
+    streams = itertools.tee(_hits(space, x, epsilon, k_limit), len(rows))
+    return [functools.partial(scan, hits, d, limit)
+            for hits, (d, limit) in zip(streams, rows)]
+
+
 def separation_witness(space: SeparableSpace, scheme: IndexScheme, x,
                        d: BoundedSeq, epsilon: float, count: int,
                        scan_budget: int = WITNESS_BUDGET) -> OscillationWitness:
@@ -241,23 +280,9 @@ def separation_witness(space: SeparableSpace, scheme: IndexScheme, x,
     gap >= target_hi - target_lo = 2 ||x|| (1 - epsilon) - 2 err(L).
     When err(L) leaves that band empty (target_hi <= target_lo), no pair
     is read and BudgetExhausted is raised with found = 0: a deeper
-    extraction narrows err(L).
+    extraction narrows err(L). This is the one-row case of the scans
+    `verify.check_separation` runs over a table of d rows.
     """
-    x, nx = _witness_input(space, x, epsilon, count, "separation")
-
-    L, errL = 0.0, 0.0
-    if d.bound != 0.0:
-        j_window = scheme.length if scheme.length is not None else 256
-        est = limit_along(d, scheme, j_window)
-        L, errL = est.L, est.err
-
-    target_hi = nx * (1.0 - epsilon) - L - errL
-    target_lo = -nx * (1.0 - epsilon) - L + errL
-
-    diff = combine((1.0, -1.0), (scheme_embed(space, scheme, x), d))
-    k_cap = scheme.max_k()
-    k_limit = scan_budget if k_cap is None else min(scan_budget, k_cap)
-    return _scan_witness(space, x, diff, epsilon, count, k_limit,
-                         lambda k: (scheme.plus_index(k), scheme.minus_index(k)),
-                         target_hi, target_lo,
-                         f"separation pairs (scanned k <= {k_limit})")
+    scan, = _separation_scans(space, scheme, x, epsilon, count, scan_budget,
+                              [(d, functools.partial(_limit, scheme, d))])
+    return scan()

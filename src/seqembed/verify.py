@@ -8,6 +8,7 @@ otherwise. Numeric "looks convergent" never yields InC.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .embed import (WITNESS_BUDGET, OscillationWitness, _reread_holds, _witness,
                     isometry_defect)
 from .errors import BudgetExhausted, ZeroElement
-from .extend import SubspaceD, IndexScheme, separation_witness
+from .extend import SubspaceD, IndexScheme, _limit, _separation_scans
 from .seqcore import BoundedSeq, cluster_estimates, structural_limit
 from .spaces import SeparableSpace
 
@@ -133,34 +134,46 @@ def check_separation(space: SeparableSpace, D: SubspaceD,
                      epsilon: float, count: int,
                      scan_budget: int = WITNESS_BUDGET) -> dict:
     """A separation witness per (x, d) pair, d ranging over the given
-    coefficient combinations (d = 0 always included)."""
+    coefficient combinations (d = 0 always included, as row 0 when no
+    row is all zeros): the table that `separation_witness` gives pair
+    by pair, built with less reading. Each sample x has one hit stream
+    that every d row scans a copy of, so the distance profile of x is
+    read once, as far as the hungriest row needs; each nonzero d row's
+    (L, err(L)) is read once, when a row of it first runs, and reused
+    for every later sample."""
     d_samples = list(d_samples)
     if not any(all(c == 0.0 for c in coeffs) for coeffs in d_samples):
         d_samples = [[0.0] * D.size] + d_samples
-    return _witness_table(
-        samples, d_samples,
-        lambda x, coeffs: separation_witness(space, scheme, x,
-                                             D.combination(coeffs), epsilon,
-                                             count, scan_budget=scan_budget))
+    rows = [(d, functools.cache(functools.partial(_limit, scheme, d)))
+            for d in map(D.combination, d_samples)]
+    return _witness_table(samples, len(rows),
+                          lambda x: _separation_scans(space, scheme, x, epsilon, count,
+                                                      scan_budget, rows))
 
 
-def _witness_table(samples, d_rows, find) -> dict:
-    """The witness stage of every report: find(x, d_row) for each sample
-    x and d row, in that order, each outcome a row keyed by x_id and
-    d_id. A witness is a row of "witnesses", an exhausted scan one of
-    "budget_exhausted" (found, detail), and a zero x one of "errors"
-    ("ZeroElement: <message>")."""
+def _witness_table(samples, n_rows: int, scans) -> dict:
+    """The witness stage of every report: per sample x, scans(x) gives
+    one no-argument scan per d row, building once what depends on x
+    alone (such as its hit stream), and the scans run in d-row order,
+    each outcome a row keyed by x_id and d_id. A witness is a row of
+    "witnesses", an exhausted scan one of "budget_exhausted" (found,
+    detail). A zero x is refused with a ZeroElement, by scans(x) or by
+    a row's scan, and that row and every later one of x are rows of
+    "errors" ("ZeroElement: <message>")."""
     table = {"witnesses": [], "errors": [], "budget_exhausted": []}
     for sid, x in enumerate(samples):
-        for did, d_row in enumerate(d_rows):
-            key = {"x_id": sid, "d_id": did}
-            try:
-                w = find(x, d_row)
-            except BudgetExhausted as exc:
-                table["budget_exhausted"].append(
-                    {**key, "found": exc.found, "detail": str(exc)})
-            except ZeroElement as exc:
-                table["errors"].append({**key, "error": f"ZeroElement: {exc}"})
-            else:
-                table["witnesses"].append({**key, **_witness_json(w)})
+        did = 0
+        try:
+            for did, scan in enumerate(scans(x)):
+                key = {"x_id": sid, "d_id": did}
+                try:
+                    w = scan()
+                except BudgetExhausted as exc:
+                    table["budget_exhausted"].append(
+                        {**key, "found": exc.found, "detail": str(exc)})
+                else:
+                    table["witnesses"].append({**key, **_witness_json(w)})
+        except ZeroElement as exc:
+            table["errors"].extend({"x_id": sid, "d_id": i, "error": f"ZeroElement: {exc}"}
+                                   for i in range(did, n_rows))
     return table

@@ -197,6 +197,12 @@ def test_oscillation_witness_validates_args():
         separation_witness(sp, sch, np.array([3.0, 4.0]), d, 1.2, 1)
     with pytest.raises(ValueError):
         separation_witness(sp, sch, np.array([3.0, 4.0]), d, 0.2, 0)
+    # a scan budget that is not an int >= 1 is refused before any scan
+    for budget in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="scan_budget"):
+            oscillation_witness(sp, np.array([3.0, 4.0]), 0.2, 2, scan_budget=budget)
+        with pytest.raises(ValueError, match="scan_budget"):
+            separation_witness(sp, sch, np.array([3.0, 4.0]), d, 0.2, 2, scan_budget=budget)
 
 
 def test_reverify_rejects_tampering():

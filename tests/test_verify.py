@@ -1,17 +1,19 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from seqembed import (BoundedSeq, CustomNet, FiniteDimLp, InC, NotInC, SeqLp,
-                      SubspaceD, Unknown, bw_extract, check_isometry,
-                      check_separation, classify_c, combine, embed_t1,
-                      eventually_constant, explicit_limit, from_function,
-                      parse_space, periodic, pl_function, prefix_sup,
-                      reverify_witness, verify, zero_seq)
+from seqembed import (BoundedSeq, BudgetExhausted, CustomNet, FiniteDimLp, InC, NotInC,
+                      SeqLp, SubspaceD, Unknown, ZeroElement, bw_extract, check_isometry,
+                      check_separation, classify_c, combine, coordinate, diagonal_extract,
+                      embed_t1, eventually_constant, explicit_limit, extend,
+                      from_function, identity_scheme, parse_space, periodic, pl_function,
+                      prefix_sup, reverify_witness, separation_witness, verify, zero_seq)
 from seqembed.errors import KindMismatch
+from seqembed.spaces import SCAN_BLOCK
 from reference import brute_force_sup, end_cluster_estimates, net_size_through_level
 
 
@@ -265,6 +267,111 @@ def test_check_separation_includes_zero_d():
     # zero combination was prepended
     assert [w["d_id"] for w in out["witnesses"]] == [0, 1]
     assert all(w["gap"] > 0 for w in out["witnesses"])
+
+
+def _opaque(s: BoundedSeq) -> BoundedSeq:
+    """s read one index at a time, with no tag and no block."""
+    return from_function(lambda n: coordinate(s, n), s.bound)
+
+
+_TABLE_MEMBERS = st.one_of(
+    st.lists(_QUARTERS, min_size=1, max_size=4).map(periodic),
+    st.builds(eventually_constant, _QUARTERS, st.integers(1, 20)),
+    st.builds(explicit_limit, _QUARTERS, _QUARTERS),
+    st.lists(_QUARTERS, min_size=1, max_size=4).map(lambda v: _opaque(periodic(v))),
+    st.just(from_function(math.sin, 1.0)))
+
+
+def _sample(spec, entries):
+    """x in the space of `spec` from three entries (zero when they are)."""
+    if spec.startswith("fdlp"):
+        return np.array(entries[:2])
+    if spec.startswith("seqlp"):
+        return {i: e for i, e in enumerate(entries, 1) if e}
+    return pl_function((0.0, 0.5, 1.0), entries)
+
+
+def _table_scheme(kind, members):
+    if kind == "identity":
+        return SubspaceD("finite", members), identity_scheme()
+    if kind == "finite":
+        D = SubspaceD("finite", members)
+        return D, bw_extract(D, 2, 512)
+    D = SubspaceD("countable", members)
+    return D, diagonal_extract(D, len(members), [0.5 / 2.0 ** i for i in range(len(members))],
+                               512)
+
+
+def _pair(run):
+    """The table row `check_separation` makes of one pair's outcome."""
+    try:
+        return "witnesses", {"witness": run()}
+    except BudgetExhausted as exc:
+        return "budget_exhausted", {"found": exc.found, "detail": str(exc)}
+    except ZeroElement as exc:
+        return "errors", {"error": f"ZeroElement: {exc}"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["fdlp:dim=2,p=2", "seqlp:p=2,support=4", "c01"]),
+       st.sampled_from(["identity", "finite", "diagonal"]),
+       st.lists(_TABLE_MEMBERS, min_size=1, max_size=3),
+       st.lists(st.lists(_QUARTERS, min_size=3, max_size=3), min_size=1, max_size=3),
+       st.lists(st.lists(_QUARTERS, min_size=0, max_size=3), min_size=1, max_size=3),
+       st.sampled_from([0.2, 0.5]), st.integers(1, 4), st.sampled_from([1, 2, 8, 64, 2000]))
+@example("fdlp:dim=2,p=2", "finite", [periodic([-1.0, 1.0]), _opaque(periodic([1.0, 0.5]))],
+         [[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]],
+         0.2, 4, 8)
+@example("c01", "diagonal", [from_function(math.sin, 1.0), eventually_constant(0.5, 3)],
+         [[1.0, -1.0, 0.5]], [[0.0, 1.0], [2.0]], 0.2, 3, 2000)
+def test_check_separation_is_the_table_of_its_pairs(spec, kind, members, entries, d_rows,
+                                                    epsilon, count, budget):
+    # the shared hit streams and limits give, row by row, the outcome
+    # separation_witness gives each (x, d) pair on its own: the whole
+    # witness, an exhausted scan's found and detail, or a zero x
+    space = _space(spec)
+    d_rows = [row[:len(members)] for row in d_rows]
+    try:
+        D, scheme = _table_scheme(kind, tuple(members))
+    except BudgetExhausted:
+        return
+    samples = [_sample(spec, e) for e in entries]
+    rows = d_rows
+    if not any(all(c == 0.0 for c in row) for row in rows):
+        rows = [[0.0] * D.size] + rows
+    want = {"witnesses": [], "errors": [], "budget_exhausted": []}
+    for sid, x in enumerate(samples):
+        for did, row in enumerate(rows):
+            table, body = _pair(lambda: separation_witness(
+                space, scheme, x, D.combination(row), epsilon, count, scan_budget=budget))
+            want[table].append({"x_id": sid, "d_id": did, **body})
+    with mock.patch.object(verify, "_witness_json", lambda w: {"witness": w}):
+        got = check_separation(space, D, scheme, samples, d_rows, epsilon, count,
+                               scan_budget=budget)
+    assert got == want
+
+
+def test_check_separation_reads_a_profile_per_sample_and_a_limit_per_row(monkeypatch):
+    # every d row of a sample scans copies of one hit stream, and a d
+    # row's limit is read once for all samples: 3 samples x 4 rows read
+    # 3 profile streams and 3 limit windows (the zero row reads none)
+    sp = FiniteDimLp(2, 2)
+    reads, limits = [], []
+    profile, along = sp.distance_profile, extend.limit_along
+    monkeypatch.setattr(sp, "distance_profile",
+                        lambda v, K, lo=0: reads.append((lo, K)) or profile(v, K, lo))
+    monkeypatch.setattr(extend, "limit_along",
+                        lambda d, sch, j: limits.append(d) or along(d, sch, j))
+    D = SubspaceD("finite", (_opaque(periodic([-1.0, 1.0])), _opaque(periodic([0.5]))))
+    samples = [np.array([3.0, 4.0]), np.array([1.0, 0.0]), np.array([-2.0, 1.0])]
+    budget = 3 * SCAN_BLOCK
+    # no row finds 10^6 pairs, so every row scans the whole budget
+    out = check_separation(sp, D, identity_scheme(), samples,
+                           [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 2.0]], 0.2, 10 ** 6,
+                           scan_budget=budget)
+    assert len(out["budget_exhausted"]) == 12
+    assert reads == 3 * [(lo, lo + SCAN_BLOCK) for lo in range(0, budget, SCAN_BLOCK)]
+    assert len(limits) == 3 and len(set(map(id, limits))) == 3
 
 
 # -- independent oracle -----------------------------------------------------

@@ -51,6 +51,13 @@ subprocess for 20 seconds, one run at a time:
   first, unmeasured repeat has warmed: best and median of
   CLASSIFY_REPEATS, alternating between the trees and paired as the
   oracle reads are;
+- separation: per bundled config, the seconds of one `check_separation`
+  on the config's space, D, index scheme, samples and d rows, as each
+  tree's `cli.build_run` and `cli.make_scheme` build them from the
+  tree's own config file, with the config's epsilon, count and witness
+  budget: best and median of SEPARATION_REPEATS after one unmeasured
+  repeat that warms the net, alternating between the trees and paired
+  as the oracle reads are;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
   `src/seqembed` line count, the Python and numpy versions and the core
   count.
@@ -58,6 +65,8 @@ subprocess for 20 seconds, one run at a time:
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import importlib.util
 import inspect
 import json
@@ -109,6 +118,9 @@ CLASSIFY_CASES = {
     "periodic:-1,1": (lambda se: se.periodic([-1.0, 1.0]), 16384),
 }
 CLASSIFY_REPEATS = 401
+#: the bundled configs whose separation table is timed
+SEPARATION_CONFIGS = ("basic", "finite_basis", "countable_family", "dense_family")
+SEPARATION_REPEATS = 101
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -366,6 +378,41 @@ def classify_table(packages: dict) -> dict:
     return out
 
 
+def separation_table(packages: dict) -> dict:
+    """Per side of `packages` (loaded by `load_tree`) and config of
+    SEPARATION_CONFIGS, the best and median seconds over
+    SEPARATION_REPEATS of one `check_separation` on the run that the
+    side's `cli.build_run` and `cli.make_scheme` build from the side's
+    bundled config file, each repeat measuring every side, the side
+    that goes first alternating, after one unmeasured repeat that warms
+    each space's net. With a baseline side, "paired" holds per config
+    the median of the repeats' tree/baseline ratios and the repeats the
+    tree won."""
+    tables = {}
+    for side, se in packages.items():
+        cli = importlib.import_module(f"{se.__name__}.cli")
+        for name in SEPARATION_CONFIGS:
+            path = Path(se.__file__).parent / "configs" / f"{name}.json"
+            cfg = cli.validate_config(cli.load_config(str(path)))
+            space, D, samples, d_rows = cli.build_run(cfg)
+            tables.setdefault(side, {})[name] = functools.partial(
+                se.check_separation, space, D, cli.make_scheme(cfg, D), samples, d_rows,
+                cfg["epsilon"], cfg["count"], scan_budget=cfg["witness_budget"])
+    times = {side: {} for side in packages}
+    for i in range(SEPARATION_REPEATS + 1):
+        for side in list(packages)[::1 if i % 2 else -1]:
+            for name, run in tables[side].items():
+                seconds = clocked(run)
+                if i:
+                    times[side].setdefault(name, []).append(seconds)
+    out = {side: {name: {"best_s": min(v), "median_s": statistics.median(v)}
+                  for name, v in names.items()} for side, names in times.items()}
+    if "baseline" in times:
+        out["paired"] = {name: paired(v, times["baseline"][name])
+                         for name, v in times["tree"].items()}
+    return out
+
+
 def paired(tree: list, base: list) -> dict:
     """The median of the tree/baseline ratios of paired seconds, and
     the pairs the tree won."""
@@ -424,6 +471,7 @@ def main(argv=None) -> int:
         "growth_seconds": growth_seconds(packages),
         "oracle": oracle_table(packages),
         "classify": classify_table(packages),
+        "separation": separation_table(packages),
         "end_to_end": end_to_end(parse_plan(args.plan), baseline),
         "per_layer": {},
     }
