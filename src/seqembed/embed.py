@@ -93,7 +93,10 @@ class IndexScheme:
     has an int coverage >= 1 and >= its last prefix entry. The prefix
     holds ints (not bools) from 1 up to 2^63 - 1 in strictly increasing
     order, and alpha and tol_schedule hold finite numbers, or the
-    scheme is a ConfigError.
+    scheme is a ConfigError. The prefix may also be given as a 1-D
+    int64 array, as the extractions give it: it is checked by the same
+    rule in numpy and stored as a tuple of ints, so no array is kept;
+    an array of any other shape or dtype is a ConfigError.
     """
     mode: str
     prefix: tuple
@@ -103,8 +106,16 @@ class IndexScheme:
 
     def __post_init__(self):
         p, cov = self.prefix, self.coverage
-        if p and not (set(map(type, p)) == {int} and 1 <= p[0] and p[-1] < 2 ** 63
-                      and all(map(operator.lt, p, p[1:]))):
+        if isinstance(p, np.ndarray):
+            # int64 entries are ints below 2^63 already
+            if not (p.dtype == np.int64 and p.ndim == 1
+                    and (not len(p) or (p[0] >= 1 and np.all(p[1:] > p[:-1])))):
+                raise ConfigError(f"scheme prefix {reprlib.repr(p)} is not a strictly "
+                                  f"increasing 1-D int64 array from 1 up")
+            p = tuple(p.tolist())
+            object.__setattr__(self, "prefix", p)
+        elif p and not (set(map(type, p)) == {int} and 1 <= p[0] and p[-1] < 2 ** 63
+                        and all(map(operator.lt, p, p[1:]))):
             raise ConfigError(f"scheme prefix {reprlib.repr(p)} is not a strictly "
                               f"increasing list of ints from 1 up to 2^63 - 1")
         if self.mode == "identity":

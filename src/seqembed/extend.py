@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -63,6 +64,19 @@ class SubspaceD:
 # ---------------------------------------------------------------------------
 # extraction
 
+def _positive_int(value, name: str) -> int:
+    """value as a Python int: an int or numpy integer >= 1. Anything
+    else (a bool, a float, an int below 1) is a ValueError naming the
+    argument."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < 1:
+        raise ValueError(f"{name} = {value!r} must be >= 1 and an int")
+    return n
+
+
 def _refine(Z: np.ndarray, bounds: np.ndarray, S: np.ndarray, level: int):
     """The rows S of Z (a column per member) in the most-hit cell of
     side bounds / 2^(level-1), ties to the lexicographically smallest
@@ -89,21 +103,22 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
     the budget and refined by `_refine` at levels 1..depth, the cell
     side halving per level from the certified bound (tie: the
     lexicographically smallest cell corner). Survivors of the final
-    level form the prefix, alpha is the final cell midpoint, and the
-    tolerance schedule lists each level's cell half-diagonal.
+    level form the prefix, handed to `IndexScheme` as the int64 array
+    they were refined in, alpha is the final cell midpoint, and the
+    tolerance schedule lists each level's cell half-diagonal. `depth`
+    and `scan_budget` are ints >= 1 (a numpy integer counts as its int),
+    else a ValueError before any coordinate is read.
     """
     if D.mode != "finite":
         raise EmptyBasis(f"bw_extract needs a finite basis, got mode {D.mode!r}")
     if D.size < 1:
         raise EmptyBasis("bw_extract needs at least one basis sequence")
-    if depth < 1:
-        raise ValueError(f"depth = {depth} must be >= 1")
-    if scan_budget < 1:
-        raise ValueError(f"scan_budget = {scan_budget} must be >= 1")
+    depth = _positive_int(depth, "depth")
+    scan_budget = _positive_int(scan_budget, "scan_budget")
 
     Z = np.column_stack([m.coordinates(1, scan_budget) for m in D.members])
     bounds = np.array([m.bound for m in D.members])
-    survivors = np.arange(scan_budget)
+    survivors = np.arange(scan_budget, dtype=np.int64)
     deltas = []
     for level in range(1, depth + 1):
         sides = bounds / 2.0 ** (level - 1)
@@ -113,12 +128,11 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
         survivors, mids = _refine(Z, bounds, survivors, level)
 
     alpha = tuple(float(a) for a in mids)
-    prefix = tuple((survivors + 1).tolist())
-    scheme = IndexScheme("finite", prefix, alpha, tuple(deltas), scan_budget)
-    if len(prefix) < 2 * depth:
+    scheme = IndexScheme("finite", survivors + 1, alpha, tuple(deltas), scan_budget)
+    if len(survivors) < 2 * depth:
         raise BudgetExhausted(
-            f"surviving prefix has {len(prefix)} indices < 2*depth = {2 * depth}",
-            partial=scheme, found=len(prefix))
+            f"surviving prefix has {len(survivors)} indices < 2*depth = {2 * depth}",
+            partial=scheme, found=len(survivors))
     return scheme
 
 
@@ -131,16 +145,16 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
     by level; tie: the smaller cell corner).
     The prefix takes the j-th element of stage j's survivor set for
     j <= m and continues along the final stage, so every member's tail
-    variation meets its schedule entry. Like `bw_extract`'s, the scheme
+    variation meets its schedule entry; the scheme, full or partial,
+    gets it as one int64 array. Like `bw_extract`'s, the scheme
     supplies at least one eta-/eta+ pair: a prefix of fewer than 2
-    indices raises BudgetExhausted with the partial scheme.
+    indices raises BudgetExhausted with the partial scheme. `m` and
+    `scan_budget` are ints >= 1, checked as `bw_extract` checks them.
     """
     if D.mode not in ("countable", "dense"):
         raise EmptyBasis(f"diagonal_extract needs a countable or dense family, got {D.mode!r}")
-    if m < 1:
-        raise ValueError(f"m = {m} must be >= 1")
-    if scan_budget < 1:
-        raise ValueError(f"scan_budget = {scan_budget} must be >= 1")
+    m = _positive_int(m, "m")
+    scan_budget = _positive_int(scan_budget, "scan_budget")
     schedule = [float(t) for t in tol_schedule]
     if len(schedule) < m:
         raise ValueError(f"tolerance schedule of length {len(schedule)} < m = {m}")
@@ -151,9 +165,9 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
     if m > D.size:
         raise EmptyBasis(f"m = {m} exceeds the {D.size} materialized members")
 
-    S = np.arange(scan_budget)
+    S = np.arange(scan_budget, dtype=np.int64)
     betas = []
-    diagonal = []
+    diagonal = np.empty(m, dtype=np.int64)
     for i in range(1, m + 1):
         w = D.members[i - 1]
         Z = w.coordinates(1, scan_budget)[:, None]
@@ -164,19 +178,19 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
                 break
         betas.append(float(mids[0]))
         if len(S) < i:
-            scheme = IndexScheme("diagonal", tuple((S + 1).tolist()),
-                                 tuple(betas), tuple(schedule[:i]), scan_budget)
+            scheme = IndexScheme("diagonal", S + 1, tuple(betas), tuple(schedule[:i]),
+                                 scan_budget)
             raise BudgetExhausted(
                 f"stage {i}: {len(S)} survivors cannot supply a diagonal",
                 partial=scheme, found=i - 1)
-        diagonal.append(int(S[i - 1]) + 1)
+        diagonal[i - 1] = S[i - 1] + 1
 
-    prefix = tuple(diagonal + (S[S >= diagonal[-1]] + 1).tolist())
-    scheme = IndexScheme("diagonal", prefix, tuple(betas), tuple(schedule[:m]),
-                         scan_budget)
-    if len(prefix) < 2:
-        raise BudgetExhausted(f"prefix has {len(prefix)} index < 2: no eta-/eta+ pair",
-                              partial=scheme, found=len(prefix))
+    scheme = IndexScheme("diagonal", np.concatenate((diagonal, S[S >= diagonal[-1]] + 1)),
+                         tuple(betas), tuple(schedule[:m]), scan_budget)
+    if len(scheme.prefix) < 2:
+        raise BudgetExhausted(
+            f"prefix has {len(scheme.prefix)} index < 2: no eta-/eta+ pair",
+            partial=scheme, found=len(scheme.prefix))
     return scheme
 
 
@@ -191,11 +205,10 @@ def extract_scheme(D: SubspaceD, depth: int, scan_budget: int,
         if D.size == 0:
             return identity_scheme()
         return bw_extract(D, depth, scan_budget)
-    if m is None:
-        m = D.size
+    m = D.size if m is None else _positive_int(m, "m")
     if tol_schedule is None:
         tol_schedule = [0.5 / 2.0 ** i for i in range(m)]
-    return diagonal_extract(D, int(m), tol_schedule, scan_budget)
+    return diagonal_extract(D, m, tol_schedule, scan_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +225,16 @@ class LimitEstimate:
 def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstimate:
     """L = mean of d(n_j) over the last half of the window; err = max
     deviation over that half plus the scheme's final tolerance. d is
-    read at those n_j alone, in one `coordinates_at` call."""
+    read at those n_j alone, in one `coordinates_at` call on an int64
+    array filled from the prefix tuple by `np.fromiter`."""
     if j_window < 2:
         raise ValueError(f"j_window = {j_window} must be >= 2")
     if scheme.length is not None and scheme.length < j_window:
         raise SchemeExhausted(j_window, scheme.length)
     # n_j for j = j_window // 2 + 1, ..., j_window
     idx = (np.arange(j_window // 2 + 1, j_window + 1) if scheme.length is None
-           else np.array(scheme.prefix[j_window // 2:j_window]))
+           else np.fromiter(scheme.prefix[j_window // 2:j_window], np.int64,
+                            j_window - j_window // 2))
     vals = coordinates_at(d, idx)
     L = float(np.mean(vals))
     dev = float(np.max(np.abs(vals - L)))

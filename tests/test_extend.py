@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,109 @@ def test_extractions_need_a_scan_budget_of_one():
         bw_extract(SubspaceD("finite", (W1,)), 1, 0)
     with pytest.raises(ValueError, match="scan_budget = 0 must be >= 1"):
         diagonal_extract(SubspaceD("countable", (W1,)), 1, (0.5,), 0)
+
+
+def _unread(n):
+    raise AssertionError(f"coordinate {n} read before the arguments were checked")
+
+
+_NOT_COUNTS = [0, -1, 2.5, 4096.0, True, False, np.float64(64.0), np.True_, np.int64(0),
+               "64"]
+
+
+@pytest.mark.parametrize("value", _NOT_COUNTS)
+@pytest.mark.parametrize("extract, name", [
+    (lambda D, v: bw_extract(D("finite"), v, 64), "depth"),
+    (lambda D, v: bw_extract(D("finite"), 1, v), "scan_budget"),
+    (lambda D, v: diagonal_extract(D("countable"), v, (0.5,), 64), "m"),
+    (lambda D, v: diagonal_extract(D("countable"), 1, (0.5,), v), "scan_budget"),
+    (lambda D, v: extract_scheme(D("dense"), 1, 64, v), "m"),
+])
+def test_extraction_counts_are_ints_of_at_least_one(extract, name, value):
+    # a float must not reach numpy's indexing, nor a bool the scheme's
+    # coverage check or the level loop as 1
+    def D(mode):
+        return SubspaceD(mode, (from_function(_unread, 1.0),))
+    message = f"{name} = {value!r} must be >= 1 and an int"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        extract(D, value)
+
+
+def test_extractions_take_numpy_integer_counts():
+    D = SubspaceD("countable", (W1, W2))
+    for got, want in [(bw_extract(finite_d(), np.int64(2), np.int32(64)),
+                       bw_extract(finite_d(), 2, 64)),
+                      (diagonal_extract(D, np.uint8(2), (0.5, 0.25), np.int64(64)),
+                       diagonal_extract(D, 2, (0.5, 0.25), 64)),
+                      (extract_scheme(D, 1, 64, np.int16(2)), extract_scheme(D, 1, 64, 2))]:
+        assert got == want and type(got.coverage) is int
+
+
+@pytest.mark.parametrize("extract", [
+    lambda budget: bw_extract(finite_d(), 3, budget),
+    lambda budget: diagonal_extract(scaled_family(), 5, SCHEDULE, budget),
+])
+@pytest.mark.parametrize("budget", [4, 1000])
+def test_extracted_prefix_is_a_tuple_of_ints(extract, budget):
+    # the extractions hand IndexScheme an int64 array, full or partial
+    try:
+        scheme = extract(budget)
+    except BudgetExhausted as exc:
+        assert budget == 4
+        scheme = exc.partial
+    assert type(scheme.prefix) is tuple and scheme.prefix
+    assert all(type(n) is int for n in scheme.prefix)
+    assert not any(isinstance(v, np.ndarray) for v in vars(scheme).values())
+
+
+@st.composite
+def _prefix_arrays(draw):
+    """int64 arrays that are valid prefixes, empty, or flawed by one
+    repeat, one decrease or a first entry of 0 or below."""
+    entries = sorted(draw(st.sets(st.integers(1, 2 ** 63 - 1), max_size=12)))
+    flaw = draw(st.sampled_from(["none", "repeat", "decrease", "first"]))
+    if entries and flaw == "repeat":
+        i = draw(st.integers(0, len(entries) - 1))
+        entries.insert(i, entries[i])
+    elif len(entries) > 1 and flaw == "decrease":
+        i = draw(st.integers(1, len(entries) - 1))
+        entries[i - 1], entries[i] = entries[i], entries[i - 1]
+    elif entries and flaw == "first":
+        entries[0] = draw(st.integers(-2 ** 63, 0))
+    return np.array(entries, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arr=_prefix_arrays(), mode=st.sampled_from(["finite", "diagonal", "identity"]),
+       numbers=st.sampled_from([(), (0.5,)]),
+       coverage=st.sampled_from([None, 1, 2 ** 40, 2 ** 63 - 1]))
+@example(arr=np.array([], dtype=np.int64), mode="finite", numbers=(0.5,), coverage=1)
+@example(arr=np.array([1, 1], dtype=np.int64), mode="finite", numbers=(), coverage=8)
+@example(arr=np.array([2, 1], dtype=np.int64), mode="finite", numbers=(), coverage=8)
+@example(arr=np.array([0, 1], dtype=np.int64), mode="finite", numbers=(), coverage=8)
+@example(arr=np.array([1, 2 ** 63 - 1], dtype=np.int64), mode="diagonal", numbers=(),
+         coverage=2 ** 63 - 1)
+def test_array_prefix_follows_the_tuple_rule(arr, mode, numbers, coverage):
+    def scheme(prefix):
+        try:
+            return IndexScheme(mode, prefix, numbers, numbers, coverage)
+        except ConfigError:
+            return None
+    from_array, from_tuple = scheme(arr), scheme(tuple(arr.tolist()))
+    assert (from_array is None) == (from_tuple is None)
+    if from_array is not None:
+        assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+        assert type(from_array.prefix) is tuple
+        assert all(type(n) is int for n in from_array.prefix)
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([[1, 2]], dtype=np.int64), np.array([1.0, 2.0]),
+    np.array([1, 2], dtype=np.uint64), np.array([True]), np.array([1, 2], dtype=np.int32),
+    np.array([], dtype=np.float64)])
+def test_array_prefix_must_be_one_dimensional_int64(arr):
+    with pytest.raises(ConfigError, match="1-D int64 array"):
+        IndexScheme("finite", arr, (), (), 8)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

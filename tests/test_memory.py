@@ -4,15 +4,18 @@ warm-up run. Linear growth gives a ratio near 4, quadratic near 16.
 The per-index oracle of an image stays bounded by the cached net rows,
 whatever x's support, a deep witness scan by the net cache's budget,
 which is all it keeps, and an index scheme keeps no table beside its
-prefix."""
+prefix, nor the int64 array an extraction gives it. An extraction's
+peak stays a fixed number of bytes per scanned index."""
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from seqembed import (BudgetExhausted, CustomNet, IndexScheme, SeqLp, SubspaceD,
-                      bw_extract, classify_c, coordinate, embed_t1, from_function,
-                      oscillation_witness, parse_space, periodic, pl_function)
+                      bw_extract, classify_c, coordinate, diagonal_extract, embed_t1,
+                      from_function, oscillation_witness, parse_space, periodic,
+                      pl_function)
 from seqembed.cli import parse_seq_spec
 from seqembed.spaces import NET_CACHE_ROWS
 
@@ -34,6 +37,12 @@ def _bw_extract(budget):
                4, budget)
 
 
+def _diagonal_extract(budget):
+    diagonal_extract(SubspaceD("countable", (periodic([-1.0, 1.0]), periodic([1.0, -1.0, 0.0]),
+                                             periodic([0.5, -0.5, 0.25, 1.0]))),
+                     3, (0.5, 0.25, 0.125), budget)
+
+
 def _classify_c(budget):
     classify_c(from_function(lambda n: float(np.sin(n)), 1.0), budget, 0.5)
 
@@ -48,6 +57,14 @@ def _custom_witness(budget):
 @pytest.mark.parametrize("run", [_bw_extract, _classify_c, _custom_witness])
 def test_peak_memory_at_most_linear_in_budget(run):
     assert _peak(run, 4 * B) < 6 * _peak(run, B)
+
+
+@pytest.mark.parametrize("run, bytes_per_index", [(_bw_extract, 80), (_diagonal_extract, 64)])
+def test_extraction_peak_bytes_per_scanned_index(run, bytes_per_index):
+    # 64 and 48 bytes measured: the members' float columns, the int64
+    # survivors and one level's cells
+    budget = 2 ** 17
+    assert _peak(run, budget) <= bytes_per_index * budget
 
 
 def _far_support(n):
@@ -156,3 +173,19 @@ def test_scheme_retains_little_beyond_its_prefix():
         tracemalloc.stop()
     assert scheme.prefix is prefix
     assert retained < 4096
+
+
+def test_array_scheme_keeps_no_array():
+    arr = np.arange(1001, 1001 + 2 * 4096, 2, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        # a tuple of the same ints, built alone, is what the scheme may keep
+        tup = tuple(arr.tolist())
+        kept = tracemalloc.get_traced_memory()[0]
+        scheme = IndexScheme("finite", arr, (0.5,), (0.25,), 2 * 4096 + 1000)
+        retained = tracemalloc.get_traced_memory()[0] - kept
+    finally:
+        tracemalloc.stop()
+    assert scheme.prefix == tup and type(scheme.prefix) is tuple
+    assert not any(isinstance(v, np.ndarray) for v in vars(scheme).values())
+    assert kept <= retained < kept + 4096

@@ -58,6 +58,13 @@ subprocess for 20 seconds, one run at a time:
   budget: best and median of SEPARATION_REPEATS after one unmeasured
   repeat that warms the net, alternating between the trees and paired
   as the oracle reads are;
+- extract: per config of EXTRACT_CONFIGS (those with a nonzero D) and
+  scan budget of EXTRACT_BUDGETS, the seconds of one extraction of the
+  config's D at that budget, as each tree's `cli.build_run` and
+  `cli.make_scheme` build it from the tree's own config file, and of
+  one `limit_along` of the sum of D's members over the whole prefix of
+  the scheme it gives: best and median of EXTRACT_REPEATS, alternating
+  between the trees and paired as the oracle reads are;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
   `src/seqembed` line count, the Python and numpy versions and the core
   count.
@@ -121,6 +128,10 @@ CLASSIFY_REPEATS = 401
 #: the bundled configs whose separation table is timed
 SEPARATION_CONFIGS = ("basic", "finite_basis", "countable_family", "dense_family")
 SEPARATION_REPEATS = 101
+#: the bundled configs whose D is extracted, at each scan budget
+EXTRACT_CONFIGS = ("finite_basis", "countable_family", "dense_family")
+EXTRACT_BUDGETS = (4096, 32768)
+EXTRACT_REPEATS = 101
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -339,77 +350,106 @@ def oracle_table(packages: dict) -> dict:
 
 def classify_table(packages: dict) -> dict:
     """Per side of `packages` (loaded by `load_tree`) and case of
-    CLASSIFY_CASES, the best and median seconds over CLASSIFY_REPEATS of
-    one `cluster_estimates` pass as `classify_c` makes it at gap floor
-    s.bound, of one `classify_c` there, and of one public
-    `reverify_witness` of the witness that `classify_c` gives there,
-    each repeat measuring every side, the side that goes first
-    alternating, after one unmeasured repeat that warms each sequence's
-    net. A tree whose pass builds every cell takes no `least`. With a
-    baseline side, "paired" holds per case and measurement the median
-    of the repeats' tree/baseline ratios and the repeats the tree won."""
-    seqs = {side: {case: build(se) for case, (build, _) in CLASSIFY_CASES.items()}
-            for side, se in packages.items()}
-    witnesses = {side: {case: packages[side].classify_c(s, CLASSIFY_CASES[case][1],
-                                                        s.bound).witness
-                        for case, s in cases.items()} for side, cases in seqs.items()}
-    least = {side: (5,) if "least" in inspect.signature(se.cluster_estimates).parameters else ()
-             for side, se in packages.items()}
-    times = {side: {} for side in packages}
-    for i in range(CLASSIFY_REPEATS + 1):
-        for side in list(packages)[::1 if i % 2 else -1]:
-            se = packages[side]
-            for case, (_, budget) in CLASSIFY_CASES.items():
-                s, window = seqs[side][case], range(1, budget + 1)
-                for m, run in (("cluster_estimates", lambda: se.cluster_estimates(
-                                    s, window, s.bound / 4.0, *least[side])),
-                               ("classify_c", lambda: se.classify_c(s, budget, s.bound)),
-                               ("reverify_witness", lambda: se.reverify_witness(
-                                    s, witnesses[side][case]))):
-                    seconds = clocked(run)
-                    if i:
-                        times[side].setdefault(case, {}).setdefault(m, []).append(seconds)
-    out = {side: {case: {m: {"best_s": min(v), "median_s": statistics.median(v)}
-                         for m, v in ms.items()} for case, ms in cases.items()}
-           for side, cases in times.items()}
-    if "baseline" in times:
-        out["paired"] = {case: {m: paired(v, times["baseline"][case][m]) for m, v in ms.items()}
-                         for case, ms in times["tree"].items()}
-    return out
+    CLASSIFY_CASES, the seconds of one `cluster_estimates` pass as
+    `classify_c` makes it at gap floor s.bound, of one `classify_c`
+    there, and of one public `reverify_witness` of the witness that
+    `classify_c` gives there, timed by `alternating` over
+    CLASSIFY_REPEATS (its unmeasured repeat warms each sequence's net).
+    A tree whose pass builds every cell takes no `least`."""
+    runs = {}
+    for side, se in packages.items():
+        least = (5,) if "least" in inspect.signature(se.cluster_estimates).parameters else ()
+        for case, (build, budget) in CLASSIFY_CASES.items():
+            s = build(se)
+            runs.setdefault(side, {}).update({
+                (case, "cluster_estimates"): functools.partial(
+                    se.cluster_estimates, s, range(1, budget + 1), s.bound / 4.0, *least),
+                (case, "classify_c"): functools.partial(se.classify_c, s, budget, s.bound),
+                (case, "reverify_witness"): functools.partial(
+                    se.reverify_witness, s, se.classify_c(s, budget, s.bound).witness)})
+    return alternating(runs, CLASSIFY_REPEATS)
 
 
 def separation_table(packages: dict) -> dict:
     """Per side of `packages` (loaded by `load_tree`) and config of
-    SEPARATION_CONFIGS, the best and median seconds over
-    SEPARATION_REPEATS of one `check_separation` on the run that the
-    side's `cli.build_run` and `cli.make_scheme` build from the side's
-    bundled config file, each repeat measuring every side, the side
-    that goes first alternating, after one unmeasured repeat that warms
-    each space's net. With a baseline side, "paired" holds per config
-    the median of the repeats' tree/baseline ratios and the repeats the
-    tree won."""
+    SEPARATION_CONFIGS, the seconds of one `check_separation` on the run
+    that the side's `cli.build_run` and `cli.make_scheme` build from the
+    side's bundled config file, timed by `alternating` over
+    SEPARATION_REPEATS (its unmeasured repeat warms each space's net)."""
     tables = {}
     for side, se in packages.items():
         cli = importlib.import_module(f"{se.__name__}.cli")
         for name in SEPARATION_CONFIGS:
-            path = Path(se.__file__).parent / "configs" / f"{name}.json"
-            cfg = cli.validate_config(cli.load_config(str(path)))
+            cfg = bundled_config(se, name)
             space, D, samples, d_rows = cli.build_run(cfg)
             tables.setdefault(side, {})[name] = functools.partial(
                 se.check_separation, space, D, cli.make_scheme(cfg, D), samples, d_rows,
                 cfg["epsilon"], cfg["count"], scan_budget=cfg["witness_budget"])
-    times = {side: {} for side in packages}
-    for i in range(SEPARATION_REPEATS + 1):
-        for side in list(packages)[::1 if i % 2 else -1]:
-            for name, run in tables[side].items():
+    return alternating(tables, SEPARATION_REPEATS)
+
+
+def extract_table(packages: dict) -> dict:
+    """Per side of `packages` (loaded by `load_tree`), config of
+    EXTRACT_CONFIGS and scan budget of EXTRACT_BUDGETS, the seconds of
+    one extraction ("extract") of the D that the side's `cli.build_run`
+    builds from the side's bundled config file, through the side's
+    `cli.make_scheme` with the config's scan budget replaced, and of one
+    `limit_along` ("limit_along") of the sum of D's members over that
+    scheme's whole prefix, timed by `alternating` over EXTRACT_REPEATS."""
+    runs = {}
+    for side, se in packages.items():
+        cli = importlib.import_module(f"{se.__name__}.cli")
+        for name in EXTRACT_CONFIGS:
+            for budget in EXTRACT_BUDGETS:
+                cfg = {**bundled_config(se, name), "scan_budget": budget}
+                _, D, _, _ = cli.build_run(cfg)
+                scheme = cli.make_scheme(cfg, D)
+                d = D.combination([1.0] * D.size)
+                runs.setdefault(side, {}).update({
+                    (name, str(budget), "extract"): functools.partial(cli.make_scheme, cfg, D),
+                    (name, str(budget), "limit_along"): functools.partial(
+                        se.limit_along, d, scheme, scheme.length)})
+    return alternating(runs, EXTRACT_REPEATS)
+
+
+def bundled_config(se, name: str) -> dict:
+    """The bundled config `name` of the package `se`, validated by its CLI."""
+    cli = importlib.import_module(f"{se.__name__}.cli")
+    path = Path(se.__file__).parent / "configs" / f"{name}.json"
+    return cli.validate_config(cli.load_config(str(path)))
+
+
+def alternating(runs: dict, repeats: int) -> dict:
+    """Per side and key of `runs` (side -> key -> a no-argument call),
+    the best and median seconds of the call over `repeats`, each repeat
+    calling every side's runs, the side that goes first alternating,
+    after one unmeasured repeat. A tuple key nests its parts. With a
+    baseline side, "paired" holds per key the median of the repeats'
+    tree/baseline ratios and the repeats the tree won."""
+    times = {side: {key: [] for key in keys} for side, keys in runs.items()}
+    for i in range(repeats + 1):
+        for side in list(runs)[::1 if i % 2 else -1]:
+            for key, run in runs[side].items():
                 seconds = clocked(run)
                 if i:
-                    times[side].setdefault(name, []).append(seconds)
-    out = {side: {name: {"best_s": min(v), "median_s": statistics.median(v)}
-                  for name, v in names.items()} for side, names in times.items()}
+                    times[side][key].append(seconds)
+    out = {side: {key: {"best_s": min(v), "median_s": statistics.median(v)}
+                  for key, v in keys.items()} for side, keys in times.items()}
     if "baseline" in times:
-        out["paired"] = {name: paired(v, times["baseline"][name])
-                         for name, v in times["tree"].items()}
+        out["paired"] = {key: paired(v, times["baseline"][key])
+                         for key, v in times["tree"].items()}
+    return {side: nested(table) for side, table in out.items()}
+
+
+def nested(table: dict) -> dict:
+    """`table` with each tuple key (a, b, c) turned into table[a][b][c]."""
+    out = {}
+    for key, value in table.items():
+        *path, last = key if isinstance(key, tuple) else (key,)
+        inner = out
+        for part in path:
+            inner = inner.setdefault(part, {})
+        inner[last] = value
     return out
 
 
@@ -472,6 +512,7 @@ def main(argv=None) -> int:
         "oracle": oracle_table(packages),
         "classify": classify_table(packages),
         "separation": separation_table(packages),
+        "extract": extract_table(packages),
         "end_to_end": end_to_end(parse_plan(args.plan), baseline),
         "per_layer": {},
     }
