@@ -77,23 +77,63 @@ def _positive_int(value, name: str) -> int:
     return n
 
 
-def _refine(Z: np.ndarray, bounds: np.ndarray, S: np.ndarray, level: int):
-    """The rows S of Z (a column per member) in the most-hit cell of
-    side bounds / 2^(level-1), ties to the lexicographically smallest
-    cell, and that cell's midpoints. S shares one cell of level - 1, so
-    a column's cells take two adjacent values at most on S, and one
-    binary digit per column ranks the cells in lexicographic order."""
+def _refine(S: np.ndarray, columns: list, bounds: np.ndarray, level: int):
+    """(S, columns, mids): the survivors S (int64 indices) and their
+    values `columns` (an array per member, aligned with S) cut to the
+    most-hit cell of side bounds / 2^(level-1) by `_bucket`, ties to the
+    lexicographically smallest cell, and that cell's midpoints. When one
+    cell holds every survivor, S and the columns come back as they are;
+    else each is gathered once, at the winning rows.
+
+    The cells are ranked by a mixed-radix key, the first column most
+    significant: a column's digit is its cell offset c - c.min() in
+    radix c.max() - c.min() + 1, so key order is lexicographic cell
+    order, and a column that sits in one cell drops out. S shares one
+    cell of level - 1, so a column's cells span a few adjacent values on
+    S (two at normal sides, three where a subnormal side rounds). Before
+    a column would take the key's range past len(S), the key is
+    re-ranked by `np.unique`, order kept, so `np.bincount` counts at
+    most len(S) times one radix keys. The winning cell is read back from
+    its key, digit by digit, so no column's cells outlive its digit."""
     sides = bounds / 2.0 ** (level - 1)
-    cells = [_bucket(Z[S, i], bounds[i], sides[i]) for i in range(len(bounds))]
-    key = np.zeros(len(S), dtype=np.int64)
-    for c in cells:
-        if key.max() >= 1 << 62:    # past 62 columns: re-rank, order kept
-            key = np.unique(key, return_inverse=True)[1]
-        key = key << 1 | (c - c.min())
-    keys, counts = np.unique(key, return_counts=True)
-    rows = np.flatnonzero(key == keys[np.argmax(counts)])
-    winner = np.array([c[rows[0]] for c in cells])
-    return S[rows], -bounds + (winner + 0.5) * sides
+    digits, key, span = [], None, 1
+    for v, bound, side in zip(columns, bounds, sides):
+        c = _bucket(v, bound, side)
+        lo = int(c.min())
+        radix, distinct = int(c.max()) - lo + 1, None
+        if radix > 1:
+            if key is None:
+                key = c
+            else:
+                if span * radix > len(S):
+                    distinct, key = np.unique(key, return_inverse=True)
+                    span = len(distinct)
+                key *= radix
+                key += c
+            key -= lo
+            span *= radix
+        digits.append((lo, radix, distinct))
+    best = 0
+    if key is not None:
+        best = int(np.bincount(key).argmax())
+        rows = np.flatnonzero(key == best)
+        S, columns = S[rows], [v[rows] for v in columns]
+    winner = []
+    for lo, radix, distinct in reversed(digits):
+        best, digit = divmod(best, radix)
+        winner.append(lo + digit)
+        if distinct is not None:
+            best = int(distinct[best])
+    return S, columns, -bounds + (np.array(winner[::-1]) + 0.5) * sides
+
+
+def _window_at(w: BoundedSeq, S: np.ndarray, scan_budget: int) -> np.ndarray:
+    """w's values at the survivors S (0-based, increasing), taken from
+    its whole window 1..scan_budget, so a value that is not finite raises
+    even at an index an earlier stage dropped; no gather while S is the
+    whole window."""
+    vals = w.coordinates(1, scan_budget)
+    return vals if len(S) == scan_budget else vals[S]
 
 
 def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
@@ -102,7 +142,9 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
     The coordinate vectors z_n = (w^1_n, ..., w^r_n) are scanned up to
     the budget and refined by `_refine` at levels 1..depth, the cell
     side halving per level from the certified bound (tie: the
-    lexicographically smallest cell corner). Survivors of the final
+    lexicographically smallest cell corner). The survivors travel with
+    their members' values, one array per member, and both shrink only at
+    a level that drops rows. Survivors of the final
     level form the prefix, handed to `IndexScheme` as the int64 array
     they were refined in, alpha is the final cell midpoint, and the
     tolerance schedule lists each level's cell half-diagonal. `depth`
@@ -116,7 +158,7 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
     depth = _positive_int(depth, "depth")
     scan_budget = _positive_int(scan_budget, "scan_budget")
 
-    Z = np.column_stack([m.coordinates(1, scan_budget) for m in D.members])
+    columns = [m.coordinates(1, scan_budget) for m in D.members]
     bounds = np.array([m.bound for m in D.members])
     survivors = np.arange(scan_budget, dtype=np.int64)
     deltas = []
@@ -125,7 +167,7 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
         # on sides * 2^-e the squares cannot overflow; powers of two scale exactly
         e = np.frexp(np.max(sides))[1]
         deltas.append(float(np.ldexp(0.5 * np.sqrt(np.sum(np.ldexp(sides, -e) ** 2)), e)))
-        survivors, mids = _refine(Z, bounds, survivors, level)
+        survivors, columns, mids = _refine(survivors, columns, bounds, level)
 
     alpha = tuple(float(a) for a in mids)
     scheme = IndexScheme("finite", survivors + 1, alpha, tuple(deltas), scan_budget)
@@ -142,7 +184,11 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
 
     Stage i shrinks the surviving index set until member i varies by at
     most tol_schedule[i-1] along it (`_refine` on member i alone, level
-    by level; tie: the smaller cell corner).
+    by level; tie: the smaller cell corner). Each stage reads member i's
+    whole window 1..scan_budget (a value that is not finite anywhere in
+    it is a ValueError, even at an index an earlier stage dropped),
+    takes the survivors' values from it once, and carries them with the
+    survivors through its levels.
     The prefix takes the j-th element of stage j's survivor set for
     j <= m and continues along the final stage, so every member's tail
     variation meets its schedule entry; the scheme, full or partial,
@@ -170,10 +216,10 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
     diagonal = np.empty(m, dtype=np.int64)
     for i in range(1, m + 1):
         w = D.members[i - 1]
-        Z = w.coordinates(1, scan_budget)[:, None]
+        columns = [_window_at(w, S, scan_budget)]
         bounds = np.array([w.bound])
         for level in itertools.count(1):
-            S, mids = _refine(Z, bounds, S, level)
+            S, columns, mids = _refine(S, columns, bounds, level)
             if w.bound / 2.0 ** (level - 1) <= schedule[i - 1]:
                 break
         betas.append(float(mids[0]))

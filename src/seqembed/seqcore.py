@@ -270,7 +270,10 @@ def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
     """Cell of each value among the ceil(2 bound / side) cells of width
     `side` from -bound, the top edge +bound clamped into the last: the
     one cell rule of `cluster_estimates` and of `extend`'s extractions.
-    A bound over float_max / 2 or over 2^62 cells (int64 indices) is a ValueError."""
+    A bound over float_max / 2 or over 2^62 cells (int64 indices) is a ValueError.
+    The cells are floor((values + bound) / side) cast to int and clipped,
+    each step in place in the one int64 buffer returned (its float64 view
+    until the cast, which reads and writes each element where it lies)."""
     if bound == 0.0 or side == 0.0:
         return np.zeros(len(values), dtype=int)
     bound, side = float(bound), float(side)
@@ -279,8 +282,13 @@ def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
     if 2.0 * bound / side > 2.0 ** 62:
         raise ValueError(f"over 2^62 cells of width {side!r} in [-{bound!r}, {bound!r}]")
     ncells = max(1, math.ceil(2.0 * bound / side))
-    cells = np.floor((values + bound) / side).astype(int)
-    return np.clip(cells, 0, ncells - 1)
+    cells = np.empty(len(values), dtype=int)
+    buf = cells.view(float)
+    np.add(values, bound, out=buf)
+    np.divide(buf, side, out=buf)
+    np.floor(buf, out=buf)
+    np.copyto(cells, buf, casting="unsafe")
+    return np.clip(cells, 0, ncells - 1, out=cells)
 
 
 def cluster_estimates(s: BoundedSeq, window: range, cell_width: float, least: int):

@@ -15,6 +15,7 @@ from seqembed import (BudgetExhausted, ConfigError, EmptyBasis, FiniteDimLp,
                       identity_scheme, limit_along, oscillation_witness,
                       parse_space, periodic, scheme_embed,
                       reverify_witness, separation_witness, zero_seq)
+from seqembed.seqcore import _bucket
 
 W1 = periodic([-1.0, 1.0])
 W2 = periodic([1.0, -1.0, 0.0])
@@ -377,6 +378,14 @@ def test_extractions_reject_a_window_value_that_is_not_finite(bad):
         bw_extract(SubspaceD("finite", (w,)), 1, 64)
     with pytest.raises(ValueError, match="coordinates 1..64 hold a value"):
         diagonal_extract(SubspaceD("countable", (w,)), 1, (0.5,), 64)
+    # stage 1 keeps the odd indices (value -1, the lower of two tied
+    # cells), so stage 2's bad value at index 8 is off its survivors and
+    # still raises: every stage reads its member's whole window
+    w1 = from_function(lambda n: (-1.0) ** n, 1.0)
+    assert 8 not in diagonal_extract(SubspaceD("countable", (w1,)), 1, (0.5,), 64).prefix
+    w2 = from_function(lambda n: bad if n == 8 else 0.5, 1.0)
+    with pytest.raises(ValueError, match="coordinates 1..64 hold a value"):
+        diagonal_extract(SubspaceD("countable", (w1, w2)), 2, (0.5, 0.25), 64)
 
 
 def test_diagonal_extract_validates_schedule():
@@ -534,6 +543,46 @@ def test_diagonal_extract_matches_column_bucketing(data, budget, r, last, base):
     schedule = [base * 2.0 ** -e for e in exps]
     assert (_outcome(diagonal_extract, D, r, schedule, budget)
             == _outcome(ref_diagonal_extract, D, r, schedule, budget))
+
+
+def _row_bucketing(D, depth, scan_budget):
+    """bw_extract's prefix and alpha by whole-row bucketing: each level's
+    rows of cells by `seqcore._bucket`, grouped by np.unique(axis=0),
+    the most-hit row surviving, ties to the smallest."""
+    Z = np.column_stack([m.coordinates(1, scan_budget) for m in D.members])
+    bounds = np.array([m.bound for m in D.members])
+    survivors = np.arange(scan_budget)
+    for level in range(1, depth + 1):
+        sides = bounds / 2.0 ** (level - 1)
+        cells = np.column_stack([_bucket(Z[survivors, i], bounds[i], sides[i])
+                                 for i in range(D.size)])
+        uniq, inverse, counts = np.unique(cells, axis=0, return_inverse=True,
+                                          return_counts=True)
+        best = int(np.argmax(counts))
+        survivors = survivors[inverse.ravel() == best]
+    alpha = -bounds + (uniq[best] + 0.5) * sides
+    return tuple(int(n) + 1 for n in survivors), [float(a).hex() for a in alpha]
+
+
+@pytest.mark.parametrize("unit, top", [(5e-324, 7), (5e-324, 13), (1.0, 7)])
+def test_bw_extract_matches_row_bucketing_on_wide_cell_spans(unit, top):
+    # values k * unit, |k| <= top, bound top * unit: at 7 * 2^-1074 the
+    # level-2 side rounds to 4 * 2^-1074 and the level-2 cells of level-1
+    # cell 1 are {1, 2, 3}, a span that one binary digit per column
+    # cannot rank
+    rng = np.random.default_rng(38)
+    for _ in range(300):
+        budget, depth = int(rng.integers(1, 61)), int(rng.integers(1, 6))
+        columns = [(rng.integers(-top, top, size=budget, endpoint=True) * unit).tolist()
+                   for _ in range(2)]
+        D = SubspaceD("finite", tuple(from_function(lambda n, c=c: c[n - 1], top * unit)
+                                      for c in columns))
+        try:
+            scheme = bw_extract(D, depth, budget)
+        except BudgetExhausted as exc:
+            scheme = exc.partial
+        assert ((scheme.prefix, [a.hex() for a in scheme.alpha])
+                == _row_bucketing(D, depth, budget))
 
 
 def test_bw_extract_many_members_matches_row_bucketing():

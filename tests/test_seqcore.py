@@ -422,9 +422,14 @@ def _same_bits(a, b):
 @settings(max_examples=300, deadline=None)
 @given(_SEQUENCES, st.integers(1, 2000), st.integers(1, 2000), st.floats(-50, 1),
        st.integers(1, 8))
+@example(explicit_limit(0.0, 5e-324), 1, 1, -1.0, 1)
 def test_cluster_estimates_are_the_reference_end_cells(s, start, length, e, least):
     # widths from bound * 2^-50 to 2 * bound (any width when the bound is 0)
     window, width = range(start, start + length), (s.bound or 1.0) * 2.0 ** e
+    if width == 0.0:    # a subnormal bound times 2^e can underflow
+        with pytest.raises(ValueError, match="cell_width 0.0 must be positive"):
+            cluster_estimates(s, window, width, least)
+        return
     ends, seen = cluster_estimates(s, window, width, least)
     want, want_seen = end_cluster_estimates(s, window, width, least)
     assert seen == want_seen

@@ -64,7 +64,9 @@ subprocess for 20 seconds, one run at a time:
   `cli.make_scheme` build it from the tree's own config file, and of
   one `limit_along` of the sum of D's members over the whole prefix of
   the scheme it gives: best and median of EXTRACT_REPEATS, alternating
-  between the trees and paired as the oracle reads are;
+  between the trees and paired as the oracle reads are, and beside them
+  the median minor page faults (`ru_minflt`) of one such call, counted
+  around it in this interpreter as net growth's are;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
   `src/seqembed` line count, the Python and numpy versions and the core
   count.
@@ -395,7 +397,8 @@ def extract_table(packages: dict) -> dict:
     builds from the side's bundled config file, through the side's
     `cli.make_scheme` with the config's scan budget replaced, and of one
     `limit_along` ("limit_along") of the sum of D's members over that
-    scheme's whole prefix, timed by `alternating` over EXTRACT_REPEATS."""
+    scheme's whole prefix, timed by `alternating` over EXTRACT_REPEATS
+    with each call's minor page faults."""
     runs = {}
     for side, se in packages.items():
         cli = importlib.import_module(f"{se.__name__}.cli")
@@ -421,19 +424,26 @@ def bundled_config(se, name: str) -> dict:
 
 def alternating(runs: dict, repeats: int) -> dict:
     """Per side and key of `runs` (side -> key -> a no-argument call),
-    the best and median seconds of the call over `repeats`, each repeat
-    calling every side's runs, the side that goes first alternating,
-    after one unmeasured repeat. A tuple key nests its parts. With a
+    the best and median seconds of the call over `repeats`, and the
+    median minor page faults of one call ("median_minflt", read from
+    `ru_minflt` just outside its timed span), each repeat calling every
+    side's runs, the side that goes first alternating, after one
+    unmeasured repeat. A tuple key nests its parts. With a
     baseline side, "paired" holds per key the median of the repeats'
-    tree/baseline ratios and the repeats the tree won."""
+    tree/baseline ratios of seconds and the repeats the tree won."""
     times = {side: {key: [] for key in keys} for side, keys in runs.items()}
+    minflt = {side: {key: [] for key in keys} for side, keys in runs.items()}
     for i in range(repeats + 1):
         for side in list(runs)[::1 if i % 2 else -1]:
             for key, run in runs[side].items():
+                flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 seconds = clocked(run)
+                flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt
                 if i:
                     times[side][key].append(seconds)
-    out = {side: {key: {"best_s": min(v), "median_s": statistics.median(v)}
+                    minflt[side][key].append(flt)
+    out = {side: {key: {"best_s": min(v), "median_s": statistics.median(v),
+                        "median_minflt": statistics.median(minflt[side][key])}
                   for key, v in keys.items()} for side, keys in times.items()}
     if "baseline" in times:
         out["paired"] = {key: paired(v, times["baseline"][key])
