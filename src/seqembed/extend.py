@@ -7,8 +7,12 @@ staged diagonal refinement for countable families. Both run one
 refinement step, `_refine` (the most-hit cell survives, ties to the
 lexicographically smallest cell corner), on the cell rule they share
 with `seqcore.cluster_estimates`; `extract_scheme` picks the
-extraction for D. The extracted index set is split into
-alternating halves I+/I-, norming functionals are placed on them
+extraction for D. When D's members are periodic, eventually constant
+or combinations of those, both read up to one period past their latest
+start and refine those indices as weighted value classes (`_classes`),
+which expand to the prefix a read of the whole budget gives. The
+extracted index set is split into alternating halves I+/I-, norming
+functionals are placed on them
 (`scheme_embed`; `IndexScheme` and the placement live in `embed` and
 are re-exported here), and the resulting embedding separates its image
 from D + (convergent sequences), certified by witnesses found by the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -30,7 +35,7 @@ import numpy as np
 from .embed import (WITNESS_BUDGET, IndexScheme, OscillationWitness, _hits, _scan_witness,
                     _witness_input, identity_scheme, scheme_embed)
 from .errors import BudgetExhausted, EmptyBasis, SchemeExhausted
-from .seqcore import BoundedSeq, _bucket, combine, coordinates_at, zero_seq
+from .seqcore import BoundedSeq, _bucket, _period, combine, coordinates_at, zero_seq
 from .spaces import SeparableSpace
 
 
@@ -77,13 +82,59 @@ def _positive_int(value, name: str) -> int:
     return n
 
 
-def _refine(S: np.ndarray, columns: list, bounds: np.ndarray, level: int):
-    """(S, columns, mids): the survivors S (int64 indices) and their
-    values `columns` (an array per member, aligned with S) cut to the
-    most-hit cell of side bounds / 2^(level-1) by `_bucket`, ties to the
-    lexicographically smallest cell, and that cell's midpoints. When one
-    cell holds every survivor, S and the columns come back as they are;
-    else each is gathered once, at the winning rows.
+def _classes(members, scan_budget: int):
+    """(n, period, weights): the window 1..n of `members` that stands for
+    every index up to scan_budget. When each member has a
+    `seqcore._period`, S is their latest start, L the lcm of their
+    periods and S - 1 + L < scan_budget, the window ends at n = S - 1 + L
+    and period is (S, L): an index below S stands for itself (weight 1),
+    an index i from S on for its class i, i + L, ... up to scan_budget
+    ((scan_budget - i) // L + 1 indices, the partial last period
+    counted), whose coordinate vectors are bit for bit i's. Otherwise
+    n = scan_budget, and period and weights are None: each index stands
+    for itself."""
+    periods = [_period(w) for w in members]
+    if None not in periods:
+        S = max(start for start, _ in periods)
+        L = math.lcm(*(p for _, p in periods))
+        if S - 1 + L < scan_budget:
+            weights = np.ones(S - 1 + L, dtype=np.int64)
+            weights[S - 1:] = (scan_budget - np.arange(S, S + L)) // L + 1
+            return S - 1 + L, (S, L), weights
+    return scan_budget, None, None
+
+
+def _expand(S: np.ndarray, period, scan_budget: int, periods: Optional[int] = None):
+    """The 0-based indices below scan_budget that the survivors S
+    (0-based, increasing) of a `_classes` window stand for, increasing:
+    S itself when period is None, else, with period (start, L), S's
+    head (its indices below start - 1) and then its class
+    representatives r + j L for j = 0, 1, ..., each period's block in
+    order, cut at scan_budget. `periods`, when given, stops after that
+    many blocks: enough for the first `periods` indices, as a block cut
+    short is the last one that holds any."""
+    if period is None:
+        return S
+    start, L = period
+    h = int(np.searchsorted(S, start - 1))
+    blocks = (scan_budget - start) // L + 1
+    if periods is not None:
+        blocks = min(blocks, periods)
+    tail = (S[h:] + np.arange(0, blocks * L, L, dtype=np.int64)[:, None]).ravel()
+    return np.concatenate((S[:h], tail[:np.searchsorted(tail, scan_budget)]))
+
+
+def _refine(S: np.ndarray, columns: list, weights, bounds: np.ndarray, level: int):
+    """(S, columns, weights, mids): the survivors S (int64 indices) and
+    their values `columns` (an array per member, aligned with S) and
+    weights (the indices each stands for, from `_classes`; None when
+    each stands for itself) cut to the most-hit cell of side
+    bounds / 2^(level-1) by `_bucket`, ties to the lexicographically
+    smallest cell, and that cell's midpoints. A cell's hits are its
+    survivors' weights summed by `np.bincount`, so they are the indices
+    it holds up to scan_budget. When one cell holds every survivor, S,
+    the columns and the weights come back as they are; else each is
+    gathered once, at the winning rows.
 
     The cells are ranked by a mixed-radix key, the first column most
     significant: a column's digit is its cell offset c - c.min() in
@@ -115,40 +166,48 @@ def _refine(S: np.ndarray, columns: list, bounds: np.ndarray, level: int):
         digits.append((lo, radix, distinct))
     best = 0
     if key is not None:
-        best = int(np.bincount(key).argmax())
+        best = int(np.bincount(key, weights).argmax())
         rows = np.flatnonzero(key == best)
         S, columns = S[rows], [v[rows] for v in columns]
+        weights = None if weights is None else weights[rows]
     winner = []
     for lo, radix, distinct in reversed(digits):
         best, digit = divmod(best, radix)
         winner.append(lo + digit)
         if distinct is not None:
             best = int(distinct[best])
-    return S, columns, -bounds + (np.array(winner[::-1]) + 0.5) * sides
+    return S, columns, weights, -bounds + (np.array(winner[::-1]) + 0.5) * sides
 
 
-def _window_at(w: BoundedSeq, S: np.ndarray, scan_budget: int) -> np.ndarray:
+def _window_at(w: BoundedSeq, S: np.ndarray, n: int) -> np.ndarray:
     """w's values at the survivors S (0-based, increasing), taken from
-    its whole window 1..scan_budget, so a value that is not finite raises
-    even at an index an earlier stage dropped; no gather while S is the
+    its `_classes` window 1..n, so a value that is not finite raises
+    even at an index an earlier stage dropped (every index up to
+    scan_budget repeats one the window holds); no gather while S is the
     whole window."""
-    vals = w.coordinates(1, scan_budget)
-    return vals if len(S) == scan_budget else vals[S]
+    vals = w.coordinates(1, n)
+    return vals if len(S) == n else vals[S]
 
 
 def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
     """Cell-refinement extraction of a common cluster of D's basis.
 
-    The coordinate vectors z_n = (w^1_n, ..., w^r_n) are scanned up to
-    the budget and refined by `_refine` at levels 1..depth, the cell
-    side halving per level from the certified bound (tie: the
-    lexicographically smallest cell corner). The survivors travel with
-    their members' values, one array per member, and both shrink only at
-    a level that drops rows. Survivors of the final
-    level form the prefix, handed to `IndexScheme` as the int64 array
-    they were refined in, alpha is the final cell midpoint, and the
-    tolerance schedule lists each level's cell half-diagonal. `depth`
-    and `scan_budget` are ints >= 1 (a numpy integer counts as its int),
+    The coordinate vectors z_n = (w^1_n, ..., w^r_n), n up to the
+    budget, are refined by `_refine` at levels 1..depth, the cell side
+    halving per level from the certified bound (tie: the
+    lexicographically smallest cell corner). They are read once, over
+    the `_classes` window: up to one period past the latest start when every
+    member is periodic, eventually constant or a combination of those,
+    each index standing for the indices up to the budget that repeat
+    its vector, else the whole budget. A value that is not finite is a
+    ValueError either way, since the tag constructors admit none. The
+    survivors travel with their members' values and weights, one array
+    per member, and all shrink only at a level that drops rows.
+    Survivors of the final level, expanded to the indices they stand
+    for (`_expand`), form the prefix, handed to `IndexScheme` as one
+    int64 array, alpha is the final cell midpoint, and the tolerance
+    schedule lists each level's cell half-diagonal. `depth` and
+    `scan_budget` are ints >= 1 (a numpy integer counts as its int),
     else a ValueError before any coordinate is read.
     """
     if D.mode != "finite":
@@ -158,17 +217,19 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
     depth = _positive_int(depth, "depth")
     scan_budget = _positive_int(scan_budget, "scan_budget")
 
-    columns = [m.coordinates(1, scan_budget) for m in D.members]
+    n, period, weights = _classes(D.members, scan_budget)
+    columns = [m.coordinates(1, n) for m in D.members]
     bounds = np.array([m.bound for m in D.members])
-    survivors = np.arange(scan_budget, dtype=np.int64)
+    survivors = np.arange(n, dtype=np.int64)
     deltas = []
     for level in range(1, depth + 1):
         sides = bounds / 2.0 ** (level - 1)
         # on sides * 2^-e the squares cannot overflow; powers of two scale exactly
         e = np.frexp(np.max(sides))[1]
         deltas.append(float(np.ldexp(0.5 * np.sqrt(np.sum(np.ldexp(sides, -e) ** 2)), e)))
-        survivors, columns, mids = _refine(survivors, columns, bounds, level)
+        survivors, columns, weights, mids = _refine(survivors, columns, weights, bounds, level)
 
+    survivors = _expand(survivors, period, scan_budget)
     alpha = tuple(float(a) for a in mids)
     scheme = IndexScheme("finite", survivors + 1, alpha, tuple(deltas), scan_budget)
     if len(survivors) < 2 * depth:
@@ -184,15 +245,18 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
 
     Stage i shrinks the surviving index set until member i varies by at
     most tol_schedule[i-1] along it (`_refine` on member i alone, level
-    by level; tie: the smaller cell corner). Each stage reads member i's
-    whole window 1..scan_budget (a value that is not finite anywhere in
-    it is a ValueError, even at an index an earlier stage dropped),
-    takes the survivors' values from it once, and carries them with the
-    survivors through its levels.
+    by level; tie: the smaller cell corner). The survivors are the
+    indices of the first m members' `_classes` window, with their
+    weights, as in `bw_extract`. Each stage reads member i over the
+    whole window (a value that is not finite anywhere in it is a
+    ValueError, even at an index an earlier stage dropped), takes the
+    survivors' values from it once, and carries them with the survivors
+    through its levels; stage i counts its survivors by their weights
+    and finds the i-th by expanding the first i periods.
     The prefix takes the j-th element of stage j's survivor set for
-    j <= m and continues along the final stage, so every member's tail
-    variation meets its schedule entry; the scheme, full or partial,
-    gets it as one int64 array. Like `bw_extract`'s, the scheme
+    j <= m and continues along the final stage, expanded once, so every
+    member's tail variation meets its schedule entry; the scheme, full
+    or partial, gets it as one int64 array. Like `bw_extract`'s, the scheme
     supplies at least one eta-/eta+ pair: a prefix of fewer than 2
     indices raises BudgetExhausted with the partial scheme. `m` and
     `scan_budget` are ints >= 1, checked as `bw_extract` checks them.
@@ -211,26 +275,29 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
     if m > D.size:
         raise EmptyBasis(f"m = {m} exceeds the {D.size} materialized members")
 
-    S = np.arange(scan_budget, dtype=np.int64)
+    n, period, weights = _classes(D.members[:m], scan_budget)
+    S = np.arange(n, dtype=np.int64)
     betas = []
     diagonal = np.empty(m, dtype=np.int64)
     for i in range(1, m + 1):
         w = D.members[i - 1]
-        columns = [_window_at(w, S, scan_budget)]
+        columns = [_window_at(w, S, n)]
         bounds = np.array([w.bound])
         for level in itertools.count(1):
-            S, columns, mids = _refine(S, columns, bounds, level)
+            S, columns, weights, mids = _refine(S, columns, weights, bounds, level)
             if w.bound / 2.0 ** (level - 1) <= schedule[i - 1]:
                 break
         betas.append(float(mids[0]))
-        if len(S) < i:
-            scheme = IndexScheme("diagonal", S + 1, tuple(betas), tuple(schedule[:i]),
-                                 scan_budget)
+        found = len(S) if weights is None else int(weights.sum())
+        if found < i:
+            scheme = IndexScheme("diagonal", _expand(S, period, scan_budget) + 1,
+                                 tuple(betas), tuple(schedule[:i]), scan_budget)
             raise BudgetExhausted(
-                f"stage {i}: {len(S)} survivors cannot supply a diagonal",
+                f"stage {i}: {found} survivors cannot supply a diagonal",
                 partial=scheme, found=i - 1)
-        diagonal[i - 1] = S[i - 1] + 1
+        diagonal[i - 1] = _expand(S, period, scan_budget, i)[i - 1] + 1
 
+    S = _expand(S, period, scan_budget)
     scheme = IndexScheme("diagonal", np.concatenate((diagonal, S[S >= diagonal[-1]] + 1)),
                          tuple(betas), tuple(schedule[:m]), scan_budget)
     if len(scheme.prefix) < 2:

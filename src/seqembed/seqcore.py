@@ -271,9 +271,11 @@ def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
     `side` from -bound, the top edge +bound clamped into the last: the
     one cell rule of `cluster_estimates` and of `extend`'s extractions.
     A bound over float_max / 2 or over 2^62 cells (int64 indices) is a ValueError.
-    The cells are floor((values + bound) / side) cast to int and clipped,
-    each step in place in the one int64 buffer returned (its float64 view
-    until the cast, which reads and writes each element where it lies)."""
+    The cells are floor((values + bound) / side), clamped to [0, ncells]
+    (an exact float: a value far past the bound must not wrap in the
+    cast), cast to int and capped at ncells - 1, each step in place in
+    the one int64 buffer returned (its float64 view until the cast,
+    which reads and writes each element where it lies)."""
     if bound == 0.0 or side == 0.0:
         return np.zeros(len(values), dtype=int)
     bound, side = float(bound), float(side)
@@ -287,8 +289,9 @@ def _bucket(values: np.ndarray, bound: float, side: float) -> np.ndarray:
     np.add(values, bound, out=buf)
     np.divide(buf, side, out=buf)
     np.floor(buf, out=buf)
+    np.clip(buf, 0.0, ncells, out=buf)
     np.copyto(cells, buf, casting="unsafe")
-    return np.clip(cells, 0, ncells - 1, out=cells)
+    return np.minimum(cells, ncells - 1, out=cells)
 
 
 def cluster_estimates(s: BoundedSeq, window: range, cell_width: float, least: int):
@@ -323,6 +326,26 @@ def cluster_estimates(s: BoundedSeq, window: range, cell_width: float, least: in
         ends.append(ClusterEstimate(hit + window.start, members, float(mid),
                                     float(np.max(np.abs(members - mid)))))
     return ends, len(populated)
+
+
+def _period(s: BoundedSeq):
+    """(S, L) such that from index S on s's value at n depends only on
+    (n - S) mod L, bit for bit, read from the tags as `structural_limit`
+    reads them: (1, len(pattern)) for a periodic sequence, (start, 1)
+    for an eventually constant one, and for a combination of such
+    sequences the latest S and the lcm of the L (its sum adds the same
+    children's values in the same order); None for any other tag."""
+    tag = s.tag
+    if isinstance(tag, Periodic):
+        return 1, len(tag.pattern)
+    if isinstance(tag, EventuallyConstant):
+        return tag.start, 1
+    if isinstance(tag, LinearCombo):
+        periods = [_period(child) for child in tag.children]
+        if None in periods:
+            return None
+        return max(S for S, _ in periods), math.lcm(*(L for _, L in periods))
+    return None
 
 
 def structural_limit(s: BoundedSeq, budget: int):

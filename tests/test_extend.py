@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -595,6 +596,91 @@ def test_bw_extract_many_members_matches_row_bucketing():
     for depth in (1, 2, 4):
         assert (_outcome(bw_extract, D, depth, 400)
                 == _outcome(ref_bw_extract, D, depth, 400))
+
+
+# -- tagged D: one period of value classes --------------------------------
+
+_GRID = st.integers(-4, 4).map(lambda k: k / 4.0)
+
+
+def _tagged(budget):
+    """Periodic patterns and eventually constant sequences (starts up to
+    past the budget) on a coarse grid, and combinations of them."""
+    leaves = st.one_of(st.lists(_GRID, min_size=1, max_size=6).map(periodic),
+                       st.builds(eventually_constant, _GRID, st.integers(1, budget + 5)))
+    return st.recursive(leaves, lambda kids: st.lists(
+        st.tuples(st.sampled_from([0.5, 1.0, -2.0]), kids), min_size=1, max_size=3).map(
+            lambda terms: combine(*zip(*terms))), max_leaves=4)
+
+
+_UNPERIODIC = st.one_of(
+    st.builds(explicit_limit, _GRID, _GRID),
+    st.lists(_GRID, min_size=1, max_size=6).map(
+        lambda p: from_function(periodic(p).oracle, max(abs(v) for v in p))))
+
+
+@st.composite
+def _tagged_members(draw, budget, r):
+    """r tagged members, and sometimes one more without a period (an
+    explicit limit, or a periodic oracle behind `from_function`) that
+    makes the extraction read the whole window."""
+    members = [draw(_tagged(budget)) for _ in range(r)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        members.insert(draw(st.integers(0, r)), draw(_UNPERIODIC))
+    return tuple(members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), budget=st.integers(1, 300), r=st.integers(1, 3),
+       depth=st.integers(1, 6))
+def test_bw_extract_on_tagged_d_matches_row_bucketing(data, budget, r, depth):
+    D = SubspaceD("finite", data.draw(_tagged_members(budget, r)))
+    assert (_outcome(bw_extract, D, depth, budget)
+            == _outcome(ref_bw_extract, D, depth, budget))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), budget=st.integers(1, 300), r=st.integers(1, 3),
+       base=st.sampled_from([1.0, 0.75, 3.0]))
+def test_diagonal_extract_on_tagged_d_matches_column_bucketing(data, budget, r, base):
+    members = data.draw(_tagged_members(budget, r))
+    exps = sorted(data.draw(st.lists(st.integers(0, 8), min_size=len(members),
+                                     max_size=len(members), unique=True)))
+    schedule = [base * 2.0 ** -e for e in exps]
+    D = SubspaceD("countable", members)
+    assert (_outcome(diagonal_extract, D, len(members), schedule, budget)
+            == _outcome(ref_diagonal_extract, D, len(members), schedule, budget))
+
+
+def _spied(w, reads):
+    def block(lo, hi):
+        reads.append((lo, hi))
+        return w.block(lo, hi)
+    return dataclasses.replace(w, block=block)
+
+
+_PERIODIC_D = (periodic([-1.0, 1.0]), eventually_constant(0.5, 7),
+               combine([1.0, 2.0], [periodic([1.0, 0.0, -1.0]),
+                                    eventually_constant(-0.25, 4)]))
+
+
+_SCHEDULE4 = (0.5, 0.25, 0.125, 0.0625)
+
+
+@pytest.mark.parametrize("opaque", [False, True], ids=["tagged", "opaque-member"])
+@pytest.mark.parametrize("mode, extract, ref", [
+    ("finite", lambda D: bw_extract(D, 3, 1000), lambda D: ref_bw_extract(D, 3, 1000)),
+    ("countable", lambda D: diagonal_extract(D, D.size, _SCHEDULE4, 1000),
+     lambda D: ref_diagonal_extract(D, D.size, _SCHEDULE4, 1000)),
+], ids=["bw_extract", "diagonal_extract"])
+def test_tagged_d_is_read_over_one_period(opaque, mode, extract, ref):
+    # S = 7 and L = lcm(2, 1, 3, 1) = 6: indices 1..12 hold every vector.
+    # A member without a period makes every member's window 1..scan_budget
+    extra = (from_function(lambda n: (-1.0) ** n, 1.0),) if opaque else ()
+    reads = [[] for _ in _PERIODIC_D]
+    D = SubspaceD(mode, tuple(map(_spied, _PERIODIC_D, reads)) + extra)
+    assert _outcome(extract, D) == _outcome(ref, SubspaceD(mode, _PERIODIC_D + extra))
+    assert reads == [[(1, 1000 if opaque else 12)]] * len(_PERIODIC_D)
 
 
 # -- scheme-placed embeddings -------------------------------------------

@@ -5,7 +5,9 @@ The per-index oracle of an image stays bounded by the cached net rows,
 whatever x's support, a deep witness scan by the net cache's budget,
 which is all it keeps, and an index scheme keeps no table beside its
 prefix, nor the int64 array an extraction gives it. An extraction's
-peak stays a fixed number of bytes per scanned index."""
+peak stays a fixed number of bytes per scanned index, and on tagged
+members, which it reads over one period, per prefix entry."""
+import dataclasses
 import sys
 import tracemalloc
 
@@ -17,6 +19,7 @@ from seqembed import (BudgetExhausted, CustomNet, IndexScheme, SeqLp, SubspaceD,
                       from_function, oscillation_witness, parse_space, periodic,
                       pl_function)
 from seqembed.cli import parse_seq_spec
+from seqembed.seqcore import Opaque
 from seqembed.spaces import NET_CACHE_ROWS
 
 B = 10000
@@ -32,15 +35,29 @@ def _peak(run, budget):
         tracemalloc.stop()
 
 
+_BASIS = (periodic([-1.0, 1.0]), periodic([1.0, -1.0, 0.0]))
+_FAMILY = _BASIS + (periodic([0.5, -0.5, 0.25, 1.0]),)
+
+
+def _untagged(members):
+    # the same reads without the tag: no period, so the whole window is read
+    return tuple(dataclasses.replace(w, tag=Opaque()) for w in members)
+
+
+def _bw_extract_tagged(budget, members=_BASIS):
+    return bw_extract(SubspaceD("finite", members), 4, budget)
+
+
+def _diagonal_extract_tagged(budget, members=_FAMILY):
+    return diagonal_extract(SubspaceD("countable", members), 3, (0.5, 0.25, 0.125), budget)
+
+
 def _bw_extract(budget):
-    bw_extract(SubspaceD("finite", (periodic([-1.0, 1.0]), periodic([1.0, -1.0, 0.0]))),
-               4, budget)
+    return _bw_extract_tagged(budget, _untagged(_BASIS))
 
 
 def _diagonal_extract(budget):
-    diagonal_extract(SubspaceD("countable", (periodic([-1.0, 1.0]), periodic([1.0, -1.0, 0.0]),
-                                             periodic([0.5, -0.5, 0.25, 1.0]))),
-                     3, (0.5, 0.25, 0.125), budget)
+    return _diagonal_extract_tagged(budget, _untagged(_FAMILY))
 
 
 def _classify_c(budget):
@@ -66,6 +83,17 @@ def test_extraction_peak_bytes_per_scanned_index(run, bytes_per_index):
     # place), the other columns' cells, and the winning rows gathered
     budget = 2 ** 17
     assert _peak(run, budget) <= bytes_per_index * budget
+
+
+@pytest.mark.parametrize("run", [_bw_extract_tagged, _diagonal_extract_tagged])
+def test_tagged_extraction_peak_bytes_per_prefix_entry(run):
+    # 64 bytes measured: the prefix tuple with its ints and the list
+    # IndexScheme builds it from, and the int64 arrays the survivors of
+    # one period are expanded to. The window is 6 indices (12 for
+    # diagonal_extract), so nothing grows with scan_budget but the prefix:
+    # 11 and 5 bytes a scanned index, against 51 and 36 untagged
+    budget = 10 ** 6
+    assert _peak(run, budget) <= 72 * len(run(budget).prefix)
 
 
 def _far_support(n):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from seqembed import (BoundedSeq, ConfigError, FiniteDimLp, IndexZero,
                       eventually_constant, explicit_limit,
                       from_function, parse_space, periodic, prefix_sup, scheme_embed,
                       zero_seq)
-from seqembed.seqcore import EventuallyConstant, structural_limit
+from seqembed.seqcore import EventuallyConstant, _bucket, _period, structural_limit
 from reference import all_cluster_estimates, end_cluster_estimates
 
 
@@ -463,6 +464,41 @@ def test_structural_limit_combo_with_opaque_child():
     s = combine([1.0, 1.0],
                 [eventually_constant(1.0), from_function(lambda n: 0.0, 0.0)])
     assert structural_limit(s, 50) is None
+
+
+# -- periods -------------------------------------------------------------
+
+def test_period_tags():
+    assert _period(periodic([1.0, -1.0, 0.0])) == (1, 3)
+    assert _period(eventually_constant(2.0, 9)) == (9, 1)
+    assert _period(zero_seq()) == (1, 1)
+    # the latest start and the lcm of the periods, nested or not
+    s = combine([1.0, 2.0, -1.0], [periodic([1.0, 0.0]), eventually_constant(0.5, 7),
+                                   combine([1.0], [periodic([0.0, 1.0, 2.0])])])
+    assert _period(s) == (7, 6)
+    assert _period(explicit_limit(1.0, 1.0)) is None
+    assert _period(from_function(lambda n: 0.0, 0.0)) is None
+    assert _period(combine([1.0, 1.0], [periodic([1.0, -1.0]), explicit_limit(0.0, 1.0)])) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_LEAVES, _COMBOS, _NESTED))
+def test_period_repeats_bit_for_bit(s):
+    period = _period(s)
+    assume(period is not None)
+    S, L = period
+    vals = s.coordinates(S, S - 1 + 4 * L)
+    assert _bits(vals[L:]) == _bits(vals[:-L])
+    assert _bits([s.oracle(n) for n in range(S, S + 4 * L)]) == _bits(vals)
+
+
+def test_bucket_clamps_values_far_past_the_bound():
+    # 1e300 is 4e300 cells past -1: its float cell index wrapped to int64's
+    # minimum in the cast, with a RuntimeWarning, and was clipped to cell 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = _bucket(np.array([1e300, 5.0, -5.0, -1e300]), 1.0, 0.5)
+    assert cells.tolist() == [3, 3, 0, 0]
 
 
 # _LEAVES with eventually constant starts drawn up to past every budget below

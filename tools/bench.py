@@ -63,10 +63,15 @@ subprocess for 20 seconds, one run at a time:
   config's D at that budget, as each tree's `cli.build_run` and
   `cli.make_scheme` build it from the tree's own config file, and of
   one `limit_along` of the sum of D's members over the whole prefix of
-  the scheme it gives: best and median of EXTRACT_REPEATS, alternating
-  between the trees and paired as the oracle reads are, and beside them
-  the median minor page faults (`ru_minflt`) of one such call, counted
-  around it in this interpreter as net growth's are;
+  the scheme it gives; and per family of session-warm's WARM_FAMILIES
+  (read from this tree's `perfbench/workloads.py`), the seconds of one
+  extraction as session-warm's extract templates make it, at depth
+  WARM_EXTRACT[0] and scan budget WARM_EXTRACT[1], with each tree's
+  D built from the family's CLI specs: best and median of
+  EXTRACT_REPEATS, alternating between the trees and paired as the
+  oracle reads are, and beside them the median minor page faults
+  (`ru_minflt`) of one such call, counted around it in this
+  interpreter as net growth's are;
 - the tier-1 wall time (the command ROADMAP.md names, run once), the
   `src/seqembed` line count, the Python and numpy versions and the core
   count.
@@ -134,6 +139,9 @@ SEPARATION_REPEATS = 101
 EXTRACT_CONFIGS = ("finite_basis", "countable_family", "dense_family")
 EXTRACT_BUDGETS = (4096, 32768)
 EXTRACT_REPEATS = 101
+#: (depth, scan_budget) of the session-warm families' extractions: the
+#: middle of the extract templates' ranges
+WARM_EXTRACT = (4, 30000)
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -398,10 +406,21 @@ def extract_table(packages: dict) -> dict:
     `cli.make_scheme` with the config's scan budget replaced, and of one
     `limit_along` ("limit_along") of the sum of D's members over that
     scheme's whole prefix, timed by `alternating` over EXTRACT_REPEATS
-    with each call's minor page faults."""
+    with each call's minor page faults; and of one extraction
+    ("extract") per family of `warm_families`, under the key
+    "warm_<i>_<mode>" and the budget WARM_EXTRACT[1]."""
     runs = {}
+    families = warm_families()
+    depth, warm_budget = WARM_EXTRACT
     for side, se in packages.items():
         cli = importlib.import_module(f"{se.__name__}.cli")
+        for i, (mode, specs, schedule) in enumerate(families):
+            D = se.SubspaceD(mode, tuple(cli.parse_seq_spec(spec) for spec in specs))
+            extract = (functools.partial(se.bw_extract, D, depth, warm_budget)
+                       if mode == "finite" else
+                       functools.partial(se.diagonal_extract, D, len(specs), schedule,
+                                         warm_budget))
+            runs.setdefault(side, {})[(f"warm_{i}_{mode}", str(warm_budget), "extract")] = extract
         for name in EXTRACT_CONFIGS:
             for budget in EXTRACT_BUDGETS:
                 cfg = {**bundled_config(se, name), "scan_budget": budget}
@@ -413,6 +432,19 @@ def extract_table(packages: dict) -> dict:
                     (name, str(budget), "limit_along"): functools.partial(
                         se.limit_along, d, scheme, scheme.length)})
     return alternating(runs, EXTRACT_REPEATS)
+
+
+def warm_families() -> list:
+    """(mode, member specs, schedule) of each of session-warm's
+    WARM_FAMILIES, read in a fresh interpreter from this tree's
+    `perfbench/workloads.py` and spelled by its `_seq_spec`."""
+    code = ("import json, workloads as w; print(json.dumps([[f['mode'], "
+            "[w._seq_spec(d) for d in f['members']], f.get('schedule')] "
+            "for f in w.WARM_FAMILIES]))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "perfbench", check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    return json.loads(done.stdout)
 
 
 def bundled_config(se, name: str) -> dict:
