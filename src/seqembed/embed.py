@@ -20,8 +20,6 @@ scanning a copy, and reads each d row's limit once for all samples.
 from __future__ import annotations
 
 import bisect
-import numbers
-import operator
 import reprlib
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (BudgetExhausted, ConfigError, IndexZero, SchemeExhausted,
-                     ZeroElement, _numbers)
+                     ZeroElement, _numbers, _positive_int)
 from .seqcore import BoundedSeq, coordinate, coordinates_at, prefix_sup
 from .spaces import SCAN_BLOCK, SeparableSpace
 
@@ -79,6 +77,24 @@ def _witness(plus_idx, minus_idx, plus_vals, minus_vals, epsilon: float,
 # ---------------------------------------------------------------------------
 # index schemes
 
+def _index_list(ns) -> Optional[np.ndarray]:
+    """`ns` as an int64 array if it is a 1-D int64 array, or a sequence
+    of Python ints (not bools) below 2^63, that starts at 1 or more and
+    strictly increases; else None. The one rule of a scheme's prefix
+    and of a witness's index lists."""
+    if not isinstance(ns, np.ndarray):
+        if not set(map(type, ns)) <= {int}:
+            return None
+        try:
+            ns = np.fromiter(ns, np.int64, len(ns))
+        except OverflowError:       # an int from 2^63 on, or below -2^63
+            return None
+    if ns.dtype == np.int64 and ns.ndim == 1 and (
+            not len(ns) or (ns[0] >= 1 and (ns[1:] > ns[:-1]).all())):
+        return ns
+    return None
+
+
 @dataclass(frozen=True)
 class IndexScheme:
     """Materialized prefix of an extracted subsequence (n_j).
@@ -91,12 +107,12 @@ class IndexScheme:
     D = {0} scheme over all indices (evens = I+, odds = I-), with no
     prefix, alpha, tolerances or coverage; mode "finite" or "diagonal"
     has an int coverage >= 1 and >= its last prefix entry. The prefix
-    holds ints (not bools) from 1 up to 2^63 - 1 in strictly increasing
-    order, and alpha and tol_schedule hold finite numbers, or the
-    scheme is a ConfigError. The prefix may also be given as a 1-D
-    int64 array, as the extractions give it: it is checked by the same
-    rule in numpy and stored as a tuple of ints, so no array is kept;
-    an array of any other shape or dtype is a ConfigError.
+    is a list of indices by `_index_list`'s rule, ints (not bools) from
+    1 up to 2^63 - 1 in strictly increasing order, and alpha and
+    tol_schedule hold finite numbers, or the scheme is a ConfigError.
+    The prefix may also be given as a 1-D int64 array, as the
+    extractions give it: it is stored as a tuple of ints, so no array
+    is kept; an array of any other shape or dtype is a ConfigError.
     """
     mode: str
     prefix: tuple
@@ -106,18 +122,14 @@ class IndexScheme:
 
     def __post_init__(self):
         p, cov = self.prefix, self.coverage
-        if isinstance(p, np.ndarray):
-            # int64 entries are ints below 2^63 already
-            if not (p.dtype == np.int64 and p.ndim == 1
-                    and (not len(p) or (p[0] >= 1 and np.all(p[1:] > p[:-1])))):
-                raise ConfigError(f"scheme prefix {reprlib.repr(p)} is not a strictly "
-                                  f"increasing 1-D int64 array from 1 up")
-            p = tuple(p.tolist())
-            object.__setattr__(self, "prefix", p)
-        elif p and not (set(map(type, p)) == {int} and 1 <= p[0] and p[-1] < 2 ** 63
-                        and all(map(operator.lt, p, p[1:]))):
-            raise ConfigError(f"scheme prefix {reprlib.repr(p)} is not a strictly "
-                              f"increasing list of ints from 1 up to 2^63 - 1")
+        if isinstance(p, np.ndarray) or p:  # the identity scheme's () builds no array
+            ns = _index_list(p)
+            if ns is None:
+                raise ConfigError(f"scheme prefix {reprlib.repr(p)} is not a strictly increasing "
+                                  f"list of ints or 1-D int64 array from 1 up to 2^63 - 1")
+            if isinstance(p, np.ndarray):
+                p = tuple(ns.tolist())
+                object.__setattr__(self, "prefix", p)
         if self.mode == "identity":
             if p or self.alpha or self.tol_schedule or cov is not None:
                 raise ConfigError("the identity scheme has no prefix, alpha, "
@@ -331,13 +343,12 @@ def _reread_holds(s: BoundedSeq, w: OscillationWitness, ns: np.ndarray,
                   stored: np.ndarray) -> bool:
     """`reverify_witness`'s re-read on arrays, run by `verify.classify_c`
     too: `ns` holds w's plus then minus indices (int64), `stored` their
-    values (float64). Each half starts at 1 or more and strictly
-    increases, one `coordinates_at` read equals `stored` under `!=`,
+    values (float64). Each half keeps `_index_list`'s rule, one
+    `coordinates_at` read equals `stored` under `!=`,
     the targets are cleared, and the gap is w.gap and positive."""
     n = len(ns) // 2
-    for half in (ns[:n], ns[n:]):
-        if not (half[0] >= 1 and (half[1:] > half[:-1]).all()):
-            return False
+    if _index_list(ns[:n]) is None or _index_list(ns[n:]) is None:
+        return False
     try:
         reread = coordinates_at(s, ns)
     except SchemeExhausted:
@@ -374,30 +385,25 @@ def reverify_witness(s: BoundedSeq, w: OscillationWitness) -> bool:
     if not (0 < len(w.plus_indices) == len(w.minus_indices)
             == len(w.plus_values) == len(w.minus_values)):
         return False
-    idxs = (*w.plus_indices, *w.minus_indices)
+    plus, minus = _index_list(tuple(w.plus_indices)), _index_list(tuple(w.minus_indices))
     vals = (*w.plus_values, *w.minus_values)
-    if set(map(type, idxs)) != {int} or not set(map(type, vals)) <= {float, np.float64}:
+    if plus is None or minus is None or not set(map(type, vals)) <= {float, np.float64}:
         return False
-    try:
-        ns = np.fromiter(idxs, np.int64, len(idxs))
-    except OverflowError:           # an index from 2^63 on, or below -2^63
-        return False
-    return _reread_holds(s, w, ns, np.fromiter(vals, np.float64, len(vals)))
+    return _reread_holds(s, w, np.concatenate((plus, minus)),
+                         np.fromiter(vals, np.float64, len(vals)))
 
 
 def _witness_input(space: SeparableSpace, x, epsilon: float, count: int,
                    scan_budget: int, kind: str):
     """(canonical x, ||x||) once the arguments every witness scan
     shares are checked: a zero x is a ZeroElement, and an epsilon
-    outside (0, 1), a count below 1 or a scan budget that is not an
-    int >= 1 a ValueError."""
+    outside (0, 1), or a count or scan budget that is not an int >= 1
+    (a numpy integer counts as its int), a ValueError."""
     x, nx = _element(space, x, f"{kind} witness")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon = {epsilon} must be in (0, 1)")
-    if count < 1:
-        raise ValueError(f"count = {count} must be >= 1")
-    if not (isinstance(scan_budget, numbers.Integral) and scan_budget >= 1):
-        raise ValueError(f"scan_budget = {scan_budget!r} must be an int >= 1")
+    _positive_int(count, "count", 1)
+    _positive_int(scan_budget, "scan_budget", 1)
     return x, nx
 
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import operator
 import sys
 
 
@@ -77,3 +78,16 @@ def _numbers(values, what: str):
     """Raise a ConfigError unless every value passes `_is_number`."""
     if not all(map(_is_number, values)):
         raise ConfigError(f"{what} has a value that is not a finite number")
+
+
+def _positive_int(value, name: str, least: int) -> int:
+    """value as a Python int: an int or numpy integer >= least, the one
+    test of a count or budget. Anything else (a bool, a float, an int
+    below least) is a ValueError naming the argument."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{name} = {value!r} must be >= {least} and an int")
+    return n

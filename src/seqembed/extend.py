@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .embed import (WITNESS_BUDGET, IndexScheme, OscillationWitness, _hits, _scan_witness,
                     _witness_input, identity_scheme, scheme_embed)
-from .errors import BudgetExhausted, EmptyBasis, SchemeExhausted
+from .errors import BudgetExhausted, EmptyBasis, SchemeExhausted, _positive_int
 from .seqcore import BoundedSeq, _bucket, _period, combine, coordinates_at, zero_seq
 from .spaces import SeparableSpace
 
@@ -68,19 +67,6 @@ class SubspaceD:
 
 # ---------------------------------------------------------------------------
 # extraction
-
-def _positive_int(value, name: str) -> int:
-    """value as a Python int: an int or numpy integer >= 1. Anything
-    else (a bool, a float, an int below 1) is a ValueError naming the
-    argument."""
-    try:
-        n = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or n < 1:
-        raise ValueError(f"{name} = {value!r} must be >= 1 and an int")
-    return n
-
 
 def _classes(members, scan_budget: int):
     """(n, period, weights): the window 1..n of `members` that stands for
@@ -214,8 +200,8 @@ def bw_extract(D: SubspaceD, depth: int, scan_budget: int) -> IndexScheme:
         raise EmptyBasis(f"bw_extract needs a finite basis, got mode {D.mode!r}")
     if D.size < 1:
         raise EmptyBasis("bw_extract needs at least one basis sequence")
-    depth = _positive_int(depth, "depth")
-    scan_budget = _positive_int(scan_budget, "scan_budget")
+    depth = _positive_int(depth, "depth", 1)
+    scan_budget = _positive_int(scan_budget, "scan_budget", 1)
 
     n, period, weights = _classes(D.members, scan_budget)
     columns = [m.coordinates(1, n) for m in D.members]
@@ -263,8 +249,8 @@ def diagonal_extract(D: SubspaceD, m: int, tol_schedule: Sequence[float],
     """
     if D.mode not in ("countable", "dense"):
         raise EmptyBasis(f"diagonal_extract needs a countable or dense family, got {D.mode!r}")
-    m = _positive_int(m, "m")
-    scan_budget = _positive_int(scan_budget, "scan_budget")
+    m = _positive_int(m, "m", 1)
+    scan_budget = _positive_int(scan_budget, "scan_budget", 1)
     schedule = [float(t) for t in tol_schedule]
     if len(schedule) < m:
         raise ValueError(f"tolerance schedule of length {len(schedule)} < m = {m}")
@@ -318,7 +304,7 @@ def extract_scheme(D: SubspaceD, depth: int, scan_budget: int,
         if D.size == 0:
             return identity_scheme()
         return bw_extract(D, depth, scan_budget)
-    m = D.size if m is None else _positive_int(m, "m")
+    m = D.size if m is None else _positive_int(m, "m", 1)
     if tol_schedule is None:
         tol_schedule = [0.5 / 2.0 ** i for i in range(m)]
     return diagonal_extract(D, m, tol_schedule, scan_budget)
@@ -339,9 +325,9 @@ def limit_along(d: BoundedSeq, scheme: IndexScheme, j_window: int) -> LimitEstim
     """L = mean of d(n_j) over the last half of the window; err = max
     deviation over that half plus the scheme's final tolerance. d is
     read at those n_j alone, in one `coordinates_at` call on an int64
-    array filled from the prefix tuple by `np.fromiter`."""
-    if j_window < 2:
-        raise ValueError(f"j_window = {j_window} must be >= 2")
+    array filled from the prefix tuple by `np.fromiter`. `j_window` is
+    an int >= 2 (a numpy integer counts as its int), else a ValueError."""
+    j_window = _positive_int(j_window, "j_window", 2)
     if scheme.length is not None and scheme.length < j_window:
         raise SchemeExhausted(j_window, scheme.length)
     # n_j for j = j_window // 2 + 1, ..., j_window

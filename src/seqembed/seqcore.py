@@ -7,6 +7,7 @@ finite-window statistics with explicit tolerances.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyWindow, IndexZero, LengthMismatch, \
     _is_number, _numbers
+from .spaces import SCAN_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +211,18 @@ def coordinates_at(s: BoundedSeq, indices) -> np.ndarray:
     call of `s.at` when `s` has one and the indices are an int64 array
     or convert to one; otherwise (no `at`, an index past int64, or
     indices that are not ints) the oracle per index in order, each
-    index a Python int when they are ints. An index below 1 is
-    IndexZero either way."""
+    index a Python int when they are ints (SCAN_BLOCK of them listed at
+    a time), into one float64 array. An index below 1 is IndexZero."""
     ns = np.asarray(indices)
     if ns.ndim == 1 and ns.dtype.kind == "i":
         if len(ns) and ns.min() < 1:
             raise IndexZero(f"index {int(ns.min())} < 1")
         if s.at is not None:
             return np.asarray(s.at(ns.astype(np.int64, copy=False)), dtype=float)
-        indices = ns.tolist()
-    return np.array([coordinate(s, n) for n in indices], dtype=float)
+        indices = itertools.chain.from_iterable(ns[i:i + SCAN_BLOCK].tolist()
+                                                for i in range(0, len(ns), SCAN_BLOCK))
+    return np.fromiter((coordinate(s, n) for n in indices), float,
+                       len(ns) if ns.ndim == 1 else -1)
 
 
 def prefix_sup(s: BoundedSeq, N: int) -> float:

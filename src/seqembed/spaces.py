@@ -143,18 +143,14 @@ def _columns(ufunc, M: np.ndarray) -> np.ndarray:
 
 def _pnorms(W: np.ndarray, p: float) -> np.ndarray:
     """p-norms of the rows of W: the one vector p-norm, of elements,
-    custom points and net rows alike, its sums and maxima `_columns`',
-    bit for bit numpy's axis-1 reductions. An empty row is 0.0 at every
-    p. At p other than 1, 2 and inf each row takes a scalar libm root
-    of its power sum; from ROOTS_UNIQUE_FROM rows on, one root per
-    distinct sum (the rows of a lattice level share few), the same
-    bits."""
-    if math.isinf(p):
-        return _columns(np.maximum, np.abs(W))
-    if p == 1.0:
-        return _columns(np.add, np.abs(W))
-    if p == 2.0:
-        return np.sqrt(_columns(np.add, W * W))
+    custom points and net rows alike. At p = 1, 2 and inf it is
+    `_row_norms` with nothing outside (adding 0.0 to a sum of |w| or
+    of w * w changes no bit). An empty row is 0.0 at every p. At other
+    p each row takes a scalar libm root of its power sum, the sums
+    `_columns`'; from ROOTS_UNIQUE_FROM rows on, one root per distinct
+    sum (the rows of a lattice level share few), the same bits."""
+    if p in (1.0, 2.0, math.inf):
+        return _row_norms(W, p, 0.0)
     sums, inverse = _columns(np.add, np.abs(W) ** p), None
     if len(sums) >= ROOTS_UNIQUE_FROM:
         sums, inverse = np.unique(sums, return_inverse=True)
@@ -165,11 +161,11 @@ def _pnorms(W: np.ndarray, p: float) -> np.ndarray:
 def _row_norms(D: np.ndarray, p: float, extra: float) -> np.ndarray:
     """p-norms of the rows of D with `extra`, the p-th powers of entries
     outside D, added under the root: the distance profiles' rule, its
-    sums and maxima those of `_pnorms`. At p other than 1, 2 and inf its
-    root is numpy's array power, which rounds apart from `_pnorms`'
-    scalar root in the last bit (in about one root in twenty at p = 3,
-    numpy 2.4 on an x86-64 Xeon); witness indices pin a profile's bits,
-    so neither root stands in for the other."""
+    sums and maxima `_columns`'. At p other than 1, 2 and inf its root
+    is numpy's array power, which rounds apart from `_pnorms`' scalar
+    root in the last bit (in about one root in twenty at p = 3, numpy
+    2.4 on an x86-64 Xeon); witness indices pin a profile's bits, so
+    neither root stands in for the other."""
     if math.isinf(p):
         return _columns(np.maximum, np.abs(D))
     if p == 1.0:
@@ -372,25 +368,19 @@ class SeparableSpace:
         return _unit_rows(W, self.p)
 
     # -- the net cache ------------------------------------------------------
-    def _level_of(self, row: int, t: int = 1, start: int = 0):
-        """(t, first row) of the level that holds net row `row`, by a
-        walk up from level t, which starts at row `start` (level 1 by
-        default): where levels widen (seqlp, c01) they pass row 2^63
-        within about 20 levels."""
-        while True:
-            stop = start + (2 * t + 1) ** self._width(t) - 1
-            if row < stop:
-                return t, start
-            t, start = t + 1, stop
-
-    def _levels(self, row: int):
-        """(t, first row, end row) of each level t from the one that
-        holds net row `row` on."""
-        t, start = self._level_of(row)
+    def _levels(self, t: int, start: int):
+        """(t, first row, end row) of each level from level t, which
+        starts at row `start`, on: the one walk of the levels. Where
+        levels widen (seqlp, c01) they pass row 2^63 within about 20."""
         while True:
             stop = start + (2 * t + 1) ** self._width(t) - 1
             yield t, start, stop
             t, start = t + 1, stop
+
+    def _level_of(self, row: int, t: int = 1, start: int = 0):
+        """(t, first row) of the level that holds net row `row`, by the
+        walk of `_levels` up from level t, which starts at row `start`."""
+        return next((t, start) for t, start, stop in self._levels(t, start) if row < stop)
 
     def _row_width(self, row: int) -> int:
         """The entries of net row `row`: its level's width."""
@@ -402,7 +392,7 @@ class SeparableSpace:
         meet: a single run for fdlp, one per grid for c01, one per
         level for seqlp."""
         run, width = [], None   # (t, first rank, end rank) of each level of the run
-        for t, start, stop in self._levels(lo):
+        for t, start, stop in self._levels(*self._level_of(lo)):
             if run and self._width(t) != width:
                 yield self._net_rows(_lattice_rows(run, width))
                 run = []
@@ -788,7 +778,7 @@ class ContinuousPL(SeparableSpace):
         out = np.empty(K - lo)
         first = lo
         # one pass per grid: its levels are contiguous rows first..hi-1
-        for t, _, stop in self._levels(lo):
+        for t, _, stop in self._levels(*self._level_of(lo)):
             if first >= K:
                 break
             if t % self.LEVELS_PER_GRID and stop < K:

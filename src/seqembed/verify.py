@@ -15,7 +15,7 @@ import numpy as np
 
 from .embed import (WITNESS_BUDGET, OscillationWitness, _reread_holds, _witness,
                     isometry_defect)
-from .errors import BudgetExhausted, ZeroElement
+from .errors import BudgetExhausted, ZeroElement, _positive_int
 from .extend import SubspaceD, IndexScheme, _limit, _separation_scans
 from .seqcore import BoundedSeq, cluster_estimates, structural_limit
 from .spaces import SeparableSpace
@@ -54,13 +54,13 @@ def classify_c(s: BoundedSeq, budget: int, gap_floor: float):
     witness indices through `s.at` (the scalar oracle when `s` has
     none), never the block, so the block is cross-checked by a second
     evaluation (see `BoundedSeq`); Unknown, with the count of
-    nonempty cells, is the fallback. A budget below 2, a gap floor whose
-    quarter is not above 0, a window past 2^63 (`cluster_estimates`
-    refuses it) and a window value that is not finite
-    (`BoundedSeq.coordinates` refuses it) are ValueErrors.
+    nonempty cells, is the fallback. A budget that is not an int >= 2
+    (a numpy integer counts as its int), a gap floor whose quarter is
+    not above 0, a window past 2^63 (`cluster_estimates` refuses it)
+    and a window value that is not finite (`BoundedSeq.coordinates`
+    refuses it) are ValueErrors.
     """
-    if budget < 2:
-        raise ValueError(f"budget = {budget} must be >= 2")
+    budget = _positive_int(budget, "budget", 2)
     # quarter-width cells leave slack between the certified cluster
     # separation and the gap floor; half-width makes them equal up to
     # rounding and verdicts flip on float noise

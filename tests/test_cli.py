@@ -284,6 +284,8 @@ def test_bad_sample_names_the_configs_space(tmp_path, capsys):
     # int() would read these keys as indices 1, 10 and 2
     ("seqlp:p=2,support=4", {"01": 2.0}), ("seqlp:p=2,support=4", {"1_0": 2.0}),
     ("seqlp:p=2,support=4", {" 2": 2.0}),
+    # a sample that is not an object has no coordinates at all
+    ("seqlp:p=2,support=4", [1.0, 2.0]), ("c01", [0.0, 1.0]),
 ])
 def test_exit_one_on_sample_coordinate_not_a_number(tmp_path, capsys, space, sample):
     # float() would take each of these silently, as for fdlp above

@@ -16,6 +16,7 @@ from seqembed import (BudgetExhausted, ConfigError, EmptyBasis, FiniteDimLp,
                       identity_scheme, limit_along, oscillation_witness,
                       parse_space, periodic, scheme_embed,
                       reverify_witness, separation_witness, zero_seq)
+from seqembed.verify import classify_c
 from seqembed.seqcore import _bucket
 
 W1 = periodic([-1.0, 1.0])
@@ -284,13 +285,24 @@ _NOT_COUNTS = [0, -1, 2.5, 4096.0, True, False, np.float64(64.0), np.True_, np.i
     (lambda D, v: diagonal_extract(D("countable"), v, (0.5,), 64), "m"),
     (lambda D, v: diagonal_extract(D("countable"), 1, (0.5,), v), "scan_budget"),
     (lambda D, v: extract_scheme(D("dense"), 1, 64, v), "m"),
+    # count 2.5 once took 109 pairs here: len(taken) == 2.5 never held
+    (lambda D, v: oscillation_witness(FiniteDimLp(2, 2), [3, 4], 0.3, v, 1000), "count"),
+    (lambda D, v: oscillation_witness(FiniteDimLp(2, 2), [3, 4], 0.3, 5, v), "scan_budget"),
+    (lambda D, v: separation_witness(FiniteDimLp(2, 2), identity_scheme(), [3, 4],
+                                     D("finite").members[0], 0.3, v), "count"),
+    (lambda D, v: separation_witness(FiniteDimLp(2, 2), identity_scheme(), [3, 4],
+                                     D("finite").members[0], 0.3, 5, v), "scan_budget"),
+    (lambda D, v: classify_c(D("finite").members[0], v, 0.5), "budget"),
+    (lambda D, v: limit_along(D("finite").members[0], identity_scheme(), v), "j_window"),
 ])
 def test_extraction_counts_are_ints_of_at_least_one(extract, name, value):
     # a float must not reach numpy's indexing, nor a bool the scheme's
-    # coverage check or the level loop as 1
+    # coverage check or the level loop as 1: every count and budget has
+    # one rule, at least 1, or 2 for classify_c's budget and j_window
     def D(mode):
         return SubspaceD(mode, (from_function(_unread, 1.0),))
-    message = f"{name} = {value!r} must be >= 1 and an int"
+    least = 2 if name in ("budget", "j_window") else 1
+    message = f"{name} = {value!r} must be >= {least} and an int"
     with pytest.raises(ValueError, match=re.escape(message)):
         extract(D, value)
 

@@ -6,7 +6,9 @@ whatever x's support, a deep witness scan by the net cache's budget,
 which is all it keeps, and an index scheme keeps no table beside its
 prefix, nor the int64 array an extraction gives it. An extraction's
 peak stays a fixed number of bytes per scanned index, and on tagged
-members, which it reads over one period, per prefix entry."""
+members, which it reads over one period, per prefix entry. A window
+read through the scalar oracle holds its output array and one block
+of indices."""
 import dataclasses
 import sys
 import tracemalloc
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 
 from seqembed import (BudgetExhausted, CustomNet, IndexScheme, SeqLp, SubspaceD,
-                      bw_extract, classify_c, coordinate, diagonal_extract, embed_t1,
+                      bw_extract, classify_c, coordinate, coordinates_at,
+                      diagonal_extract, embed_t1,
                       from_function, oscillation_witness, parse_space, periodic,
                       pl_function)
 from seqembed.cli import parse_seq_spec
@@ -83,6 +86,16 @@ def test_extraction_peak_bytes_per_scanned_index(run, bytes_per_index):
     # place), the other columns' cells, and the winning rows gathered
     budget = 2 ** 17
     assert _peak(run, budget) <= bytes_per_index * budget
+
+
+def test_scalar_window_read_fills_one_float_array():
+    # a from_function sequence has no block or at, so the window goes
+    # through its oracle: 9.3 bytes an index measured, the float64
+    # output and one SCAN_BLOCK list of ints, where lists of the whole
+    # window's ints and floats took 56.6
+    s = from_function(periodic([-1.0, 1.0, 0.5]).oracle, 1.0)
+    ns = np.arange(1, 2 ** 17 + 1, dtype=np.int64)
+    assert _peak(lambda _: coordinates_at(s, ns), None) <= 12 * len(ns)
 
 
 @pytest.mark.parametrize("run", [_bw_extract_tagged, _diagonal_extract_tagged])

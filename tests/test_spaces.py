@@ -551,7 +551,7 @@ def test_a_run_of_levels_is_built_as_its_levels(spec, lo, hi):
         lo = sp._level_of(lo)[1] - 2048
         hi = lo + 4096
     got, want, row = list(sp._rows(lo, hi)), [], lo
-    for t, start, stop in sp._levels(lo):
+    for t, start, stop in sp._levels(*sp._level_of(lo)):
         end = min(stop, hi)
         want.append(sp._net_rows(spaces._lattice_rows([(t, row - start, end - start)], sp._width(t))))
         row = end
@@ -850,6 +850,8 @@ def test_kind_mismatch_between_spaces():
     phi = FiniteDimLp(2, 2).norming_functional(1)
     with pytest.raises(KindMismatch):
         SeqLp(2.0).apply_functional(phi, {1: 1.0})
+    with pytest.raises(KindMismatch):
+        ContinuousPL().canonical({1: 1.0})
 
 
 def test_fdlp_shape_checked():
@@ -1105,6 +1107,7 @@ def test_parse_space_dict(tmp_path):
     {"kind": ["fdlp"], "dim": 2},
     "fdlp:dim=2,kind=seqlp", {"kind": "custom", "p": 2}, [[1.0, 0.0]],
     {"kind": "custom", "points": [[1.0, 0.0]], "functionals": [[1.0, 0.0]]},
+    "seqlp:p=2,support=0",
 ])
 def test_parse_space_rejects(bad):
     with pytest.raises(ConfigError):
